@@ -14,8 +14,24 @@ package repro_test
 // backends (preempt-rectpack or anneal) on strictly more than 14, anneal
 // is never worse than rectpack head-to-head, and the portfolio is never
 // worse than the best single backend.
+//
+// Finally it pins the search backends' exact output: the sha256 of every
+// rectpack, preempt-rectpack, anneal and portfolio schedio document must
+// match testdata/backend-digests.txt. The goldens freeze only the classic
+// backend's bytes, so without this table a packer refactor could move
+// every search schedule and keep every makespan bar green. Besides each
+// scenario at its own params, the table covers the cold-portfolio request
+// shapes above the per-core MaxWidth cap (wideRequests).
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,6 +40,27 @@ import (
 	"repro/internal/rectpack"
 	"repro/internal/sched"
 )
+
+// digestFile is the committed digest table: one "<scenario> W=<width>
+// <backend> <sha256 of the schedio bytes>" line per pinned schedule,
+// sorted.
+var digestFile = filepath.Join("testdata", "backend-digests.txt")
+
+// digestBackends are the backends the digest table pins; the goldens
+// already pin classic.
+var digestBackends = map[string]bool{"anneal": true, "portfolio": true, "preempt-rectpack": true, "rectpack": true}
+
+// wideRequests are the cold-portfolio request shapes above the per-core
+// MaxWidth cap (sched.DefaultMaxWidth = 64): a corpus scenario at a wider
+// TAM than its own params. No scenario covers that regime at its own width.
+var wideRequests = []struct {
+	scenario string
+	width    int
+}{
+	{"d695-w64", 66},
+	{"monster60-w64", 68},
+	{"monster60-w64-preempt4", 68},
+}
 
 func TestCorpusBackendInvariants(t *testing.T) {
 	if testing.Short() {
@@ -39,6 +76,74 @@ func TestCorpusBackendInvariants(t *testing.T) {
 	}
 	var mu sync.Mutex
 	results := make(map[string]*outcome)
+	digests := make(map[string]string)
+
+	// replay schedules sc with every backend that accepts its params,
+	// checks every schedule, records the pinned digests, and returns the
+	// makespans by backend.
+	replay := func(t *testing.T, sc corpus.Scenario) map[string]int64 {
+		makespans := make(map[string]int64, len(backends))
+		s := sc.Build()
+		params, err := sc.ResolveParams(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, backend := range backends {
+			b, err := sched.BackendByName(backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reason, declined := sched.BackendDeclines(b, params); declined {
+				t.Logf("backend %s declined: %s", backend, reason)
+				continue
+			}
+			sch, doc, err := corpus.ReplaySchedule(sc, backend)
+			if err != nil {
+				t.Fatalf("backend %s: %v", backend, err)
+			}
+			if err := sched.CheckInvariants(s, sch); err != nil {
+				t.Errorf("backend %s: invariants: %v", backend, err)
+			}
+			if err := sched.Verify(s, sch); err != nil {
+				t.Errorf("backend %s: verify: %v", backend, err)
+			}
+			makespans[backend] = sch.Makespan
+			if digestBackends[backend] {
+				sum := sha256.Sum256(doc)
+				mu.Lock()
+				digests[fmt.Sprintf("%s W=%d %s", sc.Name, params.TAMWidth, backend)] = hex.EncodeToString(sum[:])
+				mu.Unlock()
+			}
+		}
+		// The declared regimes partition the corpus: exactly one of
+		// rectpack / preempt-rectpack accepts any scenario, and
+		// classic, anneal and the portfolio accept everything.
+		for _, name := range []string{"classic", "anneal", "portfolio"} {
+			if _, ok := makespans[name]; !ok {
+				t.Errorf("backend %s declined scenario %s; it must accept everything", name, sc.Name)
+			}
+		}
+		_, rp := makespans[rectpack.Name]
+		_, pp := makespans[rectpack.PreemptName]
+		if rp == pp {
+			t.Errorf("scenario %s: rectpack accepted=%t preempt-rectpack accepted=%t; exactly one must serve it", sc.Name, rp, pp)
+		}
+		best := int64(-1)
+		for _, m := range makespans {
+			if best == -1 || m < best {
+				best = m
+			}
+		}
+		if p := makespans["portfolio"]; p > best {
+			t.Errorf("portfolio makespan %d worse than best single backend %d (%v)", p, best, makespans)
+		}
+		if a, ok := makespans[anneal.Name]; ok {
+			if r, ok := makespans[rectpack.Name]; ok && a > r {
+				t.Errorf("anneal makespan %d worse than rectpack %d: the seeds cover rectpack's portfolio", a, r)
+			}
+		}
+		return makespans
+	}
 
 	scenarios := corpus.All()
 	// The per-scenario subtests run in parallel inside one group, so the
@@ -47,65 +152,27 @@ func TestCorpusBackendInvariants(t *testing.T) {
 		for _, sc := range scenarios {
 			t.Run(sc.Name, func(t *testing.T) {
 				t.Parallel()
-				out := &outcome{makespans: make(map[string]int64, len(backends))}
-				s := sc.Build()
-				params, err := sc.ResolveParams(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, backend := range backends {
-					b, err := sched.BackendByName(backend)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if reason, declined := sched.BackendDeclines(b, params); declined {
-						t.Logf("backend %s declined: %s", backend, reason)
-						continue
-					}
-					sch, _, err := corpus.ReplaySchedule(sc, backend)
-					if err != nil {
-						t.Fatalf("backend %s: %v", backend, err)
-					}
-					if err := sched.CheckInvariants(s, sch); err != nil {
-						t.Errorf("backend %s: invariants: %v", backend, err)
-					}
-					if err := sched.Verify(s, sch); err != nil {
-						t.Errorf("backend %s: verify: %v", backend, err)
-					}
-					out.makespans[backend] = sch.Makespan
-				}
-				// The declared regimes partition the corpus: exactly one of
-				// rectpack / preempt-rectpack accepts any scenario, and
-				// classic, anneal and the portfolio accept everything.
-				for _, name := range []string{"classic", "anneal", "portfolio"} {
-					if _, ok := out.makespans[name]; !ok {
-						t.Errorf("backend %s declined scenario %s; it must accept everything", name, sc.Name)
-					}
-				}
-				_, rp := out.makespans[rectpack.Name]
-				_, pp := out.makespans[rectpack.PreemptName]
-				if rp == pp {
-					t.Errorf("scenario %s: rectpack accepted=%t preempt-rectpack accepted=%t; exactly one must serve it", sc.Name, rp, pp)
-				}
-				best := int64(-1)
-				for _, m := range out.makespans {
-					if best == -1 || m < best {
-						best = m
-					}
-				}
-				if p := out.makespans["portfolio"]; p > best {
-					t.Errorf("portfolio makespan %d worse than best single backend %d (%v)", p, best, out.makespans)
-				}
-				if a, ok := out.makespans[anneal.Name]; ok {
-					if r, ok := out.makespans[rectpack.Name]; ok && a > r {
-						t.Errorf("anneal makespan %d worse than rectpack %d: the seeds cover rectpack's portfolio", a, r)
-					}
-				}
+				out := &outcome{makespans: replay(t, sc)}
 				mu.Lock()
 				results[sc.Name] = out
 				mu.Unlock()
 			})
 		}
+		for _, wr := range wideRequests {
+			sc, ok := corpus.ByName(wr.scenario)
+			if !ok {
+				t.Fatalf("no corpus scenario %q", wr.scenario)
+			}
+			sc.Params.TAMWidth = wr.width
+			t.Run(fmt.Sprintf("%s@W%d", sc.Name, wr.width), func(t *testing.T) {
+				t.Parallel()
+				replay(t, sc)
+			})
+		}
+	})
+
+	t.Run("digests", func(t *testing.T) {
+		checkDigests(t, digests)
 	})
 
 	t.Run("rectpack-competitive", func(t *testing.T) {
@@ -161,4 +228,52 @@ func TestCorpusBackendInvariants(t *testing.T) {
 			t.Errorf("neither search backend clears the bar: preempt-rectpack %d, anneal %d ties-or-beats, want > 14", pr, an)
 		}
 	})
+}
+
+// checkDigests compares the schedio digests of this run with the committed
+// table, line by line. A mismatch prints the line the table would need, so
+// an intentional output change is re-blessed by pasting it in.
+func checkDigests(t *testing.T, got map[string]string) {
+	t.Helper()
+	f, err := os.Open(digestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := make(map[string]string)
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			t.Fatalf("%s: malformed line %q", digestFile, line)
+		}
+		want[line[:i]] = line[i+1:]
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(got)+len(want))
+	for k := range got {
+		keys = append(keys, k)
+	}
+	for k := range want {
+		if _, ok := got[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		switch g, w := got[k], want[k]; {
+		case w == "":
+			t.Errorf("%s: no digest for %q; add line:\n%s %s", digestFile, k, k, g)
+		case g == "":
+			t.Errorf("%s: %q was not scheduled; remove its line", digestFile, k)
+		case g != w:
+			t.Errorf("%s: %q schedule bytes changed; line is now:\n%s %s", digestFile, k, k, g)
+		}
+	}
 }
