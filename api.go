@@ -22,7 +22,6 @@ import (
 	// CLIs, the service, the examples) schedules with the full backend
 	// registry — classic, rectpack, preempt-rectpack, anneal, and
 	// portfolio.
-	_ "repro/internal/anneal"
 	_ "repro/internal/rectpack"
 )
 

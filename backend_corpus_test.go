@@ -24,7 +24,6 @@ package repro_test
 // shapes above the per-core MaxWidth cap (wideRequests).
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -35,7 +34,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/anneal"
 	"repro/internal/corpus"
 	"repro/internal/rectpack"
 	"repro/internal/sched"
@@ -137,7 +135,7 @@ func TestCorpusBackendInvariants(t *testing.T) {
 		if p := makespans["portfolio"]; p > best {
 			t.Errorf("portfolio makespan %d worse than best single backend %d (%v)", p, best, makespans)
 		}
-		if a, ok := makespans[anneal.Name]; ok {
+		if a, ok := makespans[rectpack.AnnealName]; ok {
 			if r, ok := makespans[rectpack.Name]; ok && a > r {
 				t.Errorf("anneal makespan %d worse than rectpack %d: the seeds cover rectpack's portfolio", a, r)
 			}
@@ -217,11 +215,11 @@ func TestCorpusBackendInvariants(t *testing.T) {
 			}
 			return n
 		}
-		pr, an := tiesOrBeats(rectpack.PreemptName), tiesOrBeats(anneal.Name)
+		pr, an := tiesOrBeats(rectpack.PreemptName), tiesOrBeats(rectpack.AnnealName)
 		for _, sc := range scenarios {
 			out := results[sc.Name]
 			t.Logf("%-28s classic=%-9d anneal=%-9d portfolio=%d", sc.Name,
-				out.makespans["classic"], out.makespans[anneal.Name], out.makespans["portfolio"])
+				out.makespans["classic"], out.makespans[rectpack.AnnealName], out.makespans["portfolio"])
 		}
 		t.Logf("ties-or-beats classic: preempt-rectpack %d, anneal %d (of %d)", pr, an, len(scenarios))
 		if pr <= 14 && an <= 14 {
@@ -235,26 +233,17 @@ func TestCorpusBackendInvariants(t *testing.T) {
 // an intentional output change is re-blessed by pasting it in.
 func checkDigests(t *testing.T, got map[string]string) {
 	t.Helper()
-	f, err := os.Open(digestFile)
+	data, err := os.ReadFile(digestFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	want := make(map[string]string)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 		i := strings.LastIndexByte(line, ' ')
 		if i < 0 {
 			t.Fatalf("%s: malformed line %q", digestFile, line)
 		}
 		want[line[:i]] = line[i+1:]
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
 	}
 	keys := make([]string, 0, len(got)+len(want))
 	for k := range got {

@@ -44,7 +44,6 @@ import (
 
 	// Register the search backends for the -backends comparison (and as
 	// portfolio racers).
-	_ "repro/internal/anneal"
 	_ "repro/internal/rectpack"
 )
 

@@ -31,7 +31,6 @@ import (
 
 	// Register the search backends for -backend rectpack /
 	// preempt-rectpack / anneal (and as portfolio racers).
-	_ "repro/internal/anneal"
 	_ "repro/internal/rectpack"
 )
 

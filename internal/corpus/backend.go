@@ -11,7 +11,6 @@ import (
 	// Register the search backends so per-backend replays (and the
 	// invariant suite built on them) always see the full registry,
 	// regardless of what else the test binary imports.
-	_ "repro/internal/anneal"
 	_ "repro/internal/rectpack"
 )
 

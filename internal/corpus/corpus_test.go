@@ -2,6 +2,9 @@ package corpus
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -89,5 +92,26 @@ func TestDiff(t *testing.T) {
 	}
 	if d := Diff([]byte("a\n"), []byte("a\nb\n")); !strings.Contains(d, "lines") {
 		t.Errorf("length-only diff not reported: %s", d)
+	}
+}
+
+// TestStaleDirs: a golden directory naming no scenario is stale, one
+// naming a scenario is not, plain files are ignored, and a missing golden
+// directory has nothing stale.
+func TestStaleDirs(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"toy4-w8", "zz-gone", "aa-gone"} {
+		if err := os.Mkdir(filepath.Join(dir, name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "README"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := StaleDirs(dir), []string{"aa-gone", "zz-gone"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("StaleDirs = %v, want %v", got, want)
+	}
+	if got := StaleDirs(filepath.Join(dir, "missing")); got != nil {
+		t.Errorf("missing golden dir: StaleDirs = %v, want nil", got)
 	}
 }

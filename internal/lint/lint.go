@@ -69,10 +69,10 @@ var ctxPackages = map[string]bool{
 }
 
 // deterministicPackages must behave identically run to run: the synthetic
-// corpus generator, the corpus scenarios, the rectangle packer, and the
-// annealing search (seeded generators only, per the detseed check).
+// corpus generator, the corpus scenarios, and the rectangle-packing
+// backends, annealing search included (seeded generators only, per the
+// detseed check).
 var deterministicPackages = map[string]bool{
-	"anneal":   true,
 	"bench":    true,
 	"corpus":   true,
 	"rectpack": true,

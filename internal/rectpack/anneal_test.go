@@ -1,4 +1,4 @@
-package anneal
+package rectpack
 
 import (
 	"bytes"
@@ -8,40 +8,25 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/bench"
-	"repro/internal/rectpack"
 	"repro/internal/sched"
 	"repro/internal/schedio"
 )
 
-func optimizer(t *testing.T, name string) *sched.Optimizer {
-	t.Helper()
-	s, err := bench.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := sched.New(s, sched.DefaultMaxWidth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return opt
-}
-
-func TestRegistered(t *testing.T) {
-	b, err := sched.BackendByName(Name)
+func TestAnnealRegistered(t *testing.T) {
+	b, err := sched.BackendByName(AnnealName)
 	if err != nil {
 		t.Fatalf("anneal not registered: %v", err)
 	}
-	if b.Name() != Name {
-		t.Fatalf("registered name %q, want %q", b.Name(), Name)
+	if b.Name() != AnnealName {
+		t.Fatalf("registered name %q, want %q", b.Name(), AnnealName)
 	}
 }
 
-func TestScheduleVerifiesAcrossBenchmarks(t *testing.T) {
+func TestAnnealScheduleVerifiesAcrossBenchmarks(t *testing.T) {
 	for _, name := range []string{"demo8", "d695"} {
 		opt := optimizer(t, name)
 		for _, w := range []int{8, 16, 32} {
-			sch, err := New().Schedule(context.Background(), opt, sched.Params{TAMWidth: w})
+			sch, err := NewAnneal().Schedule(context.Background(), opt, sched.Params{TAMWidth: w})
 			if err != nil {
 				t.Fatalf("%s W=%d: %v", name, w, err)
 			}
@@ -55,10 +40,10 @@ func TestScheduleVerifiesAcrossBenchmarks(t *testing.T) {
 	}
 }
 
-func TestScheduleHonorsPowerBudget(t *testing.T) {
+func TestAnnealScheduleHonorsPowerBudget(t *testing.T) {
 	opt := optimizer(t, "demo8")
 	budget := sched.DefaultPowerBudget(opt.SOC(), 110)
-	sch, err := New().Schedule(context.Background(), opt, sched.Params{TAMWidth: 16, PowerMax: budget})
+	sch, err := NewAnneal().Schedule(context.Background(), opt, sched.Params{TAMWidth: 16, PowerMax: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,16 +52,16 @@ func TestScheduleHonorsPowerBudget(t *testing.T) {
 	}
 }
 
-// TestSchedulePreemptive: under a preemption budget the split genes are
+// TestAnnealSchedulePreemptive: under a preemption budget the split genes are
 // live; whatever the search finds must stay inside the budget and pass
 // the split-accounting invariants.
-func TestSchedulePreemptive(t *testing.T) {
+func TestAnnealSchedulePreemptive(t *testing.T) {
 	opt := optimizer(t, "d695")
 	mp, err := opt.LargerCorePreemptions(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch, err := New().Schedule(context.Background(), opt, sched.Params{TAMWidth: 24, MaxPreemptions: mp})
+	sch, err := NewAnneal().Schedule(context.Background(), opt, sched.Params{TAMWidth: 24, MaxPreemptions: mp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,12 +75,12 @@ func TestSchedulePreemptive(t *testing.T) {
 	}
 }
 
-// TestScheduleSeedDeterministic: one seed is one byte stream; a second
+// TestAnnealScheduleSeedDeterministic: one seed is one byte stream; a second
 // seed is an independent but equally reproducible stream.
-func TestScheduleSeedDeterministic(t *testing.T) {
+func TestAnnealScheduleSeedDeterministic(t *testing.T) {
 	runBytes := func(seed int64) []byte {
 		opt := optimizer(t, "d695")
-		sch, err := New().Schedule(context.Background(), opt, sched.Params{TAMWidth: 32, Seed: seed})
+		sch, err := NewAnneal().Schedule(context.Background(), opt, sched.Params{TAMWidth: 32, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,17 +98,18 @@ func TestScheduleSeedDeterministic(t *testing.T) {
 	}
 }
 
-// TestScheduleNeverWorseThanRectpack: the seed genomes replicate
-// rectpack's whole deterministic portfolio through an equivalent decoder,
-// so the best-ever solution can never lose to rectpack head-to-head.
-func TestScheduleNeverWorseThanRectpack(t *testing.T) {
-	for _, w := range []int{16, 32} {
+// TestAnnealNeverWorseThanRectpack: anneal's seeds begin with rectpack's
+// whole portfolio, decoded by the same engine, so the best-ever solution
+// can never lose to rectpack head-to-head. W=68 lies above the per-core
+// MaxWidth cap (64), where both share the TAMWidth/den cap ladder.
+func TestAnnealNeverWorseThanRectpack(t *testing.T) {
+	for _, w := range []int{16, 32, 68} {
 		opt := optimizer(t, "d695")
-		a, err := New().Schedule(context.Background(), opt, sched.Params{TAMWidth: w})
+		a, err := NewAnneal().Schedule(context.Background(), opt, sched.Params{TAMWidth: w})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := rectpack.New().Schedule(context.Background(), opt, sched.Params{TAMWidth: w})
+		r, err := New().Schedule(context.Background(), opt, sched.Params{TAMWidth: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,26 +119,29 @@ func TestScheduleNeverWorseThanRectpack(t *testing.T) {
 	}
 }
 
-func TestScheduleErrors(t *testing.T) {
+func TestAnnealScheduleErrors(t *testing.T) {
 	opt := optimizer(t, "demo8")
-	if _, err := New().Schedule(context.Background(), opt, sched.Params{TAMWidth: 0}); err == nil {
+	if _, err := NewAnneal().Schedule(context.Background(), opt, sched.Params{TAMWidth: 0}); err == nil {
 		t.Error("TAMWidth 0 accepted")
 	}
-	if _, err := New().Schedule(context.Background(), opt, sched.Params{TAMWidth: 16, MaxWidth: 999}); err == nil {
+	if _, err := NewAnneal().Schedule(context.Background(), opt, sched.Params{TAMWidth: 16, MaxWidth: 999}); err == nil {
 		t.Error("MaxWidth above the optimizer cap accepted")
 	}
 }
 
-func TestScheduleCancelled(t *testing.T) {
+func TestAnnealScheduleCancelled(t *testing.T) {
 	opt := optimizer(t, "demo8")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := New().Schedule(ctx, opt, sched.Params{TAMWidth: 16}); !errors.Is(err, context.Canceled) {
+	if _, err := NewAnneal().Schedule(ctx, opt, sched.Params{TAMWidth: 16}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled anneal returned %v, want context.Canceled", err)
 	}
 }
 
 func TestIterBudget(t *testing.T) {
+	if got := iterBudget(0); got != 3000 {
+		t.Errorf("iterBudget(0) = %d, want clamped to 3000", got)
+	}
 	if got := iterBudget(1); got != 3000 {
 		t.Errorf("iterBudget(1) = %d, want clamped to 3000", got)
 	}
@@ -180,8 +169,8 @@ func TestNeighborUndo(t *testing.T) {
 	}
 	for _, anyBudget := range []bool{true, false} {
 		rng := rand.New(rand.NewSource(1))
-		for _, g := range seedGenomes(cores, params.TAMWidth) {
-			before := g.clone()
+		for _, seed := range seeds(cores, params.TAMWidth, modeAnneal) {
+			g, before := seed.clone(), seed.clone()
 			for i := 0; i < 50; i++ {
 				undo := neighbor(g, cores, params.TAMWidth, anyBudget, rng)
 				undo()

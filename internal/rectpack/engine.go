@@ -1,0 +1,574 @@
+package rectpack
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"sort"
+
+	"repro/internal/constraint"
+	"repro/internal/obs"
+	"repro/internal/pareto"
+	"repro/internal/rect"
+	"repro/internal/sched"
+)
+
+// mode selects one backend's configuration of the engine: its seed list
+// and its annealing move budget.
+type mode uint8
+
+const (
+	modePack    mode = iota // the 26 non-preemptive seeds, no moves
+	modePreempt             // plus the 20 priority-preemption seeds, no moves
+	modeAnneal              // plus the 2 ascending seeds, iterBudget(n) moves
+)
+
+// core is the immutable per-core packing input.
+type core struct {
+	id     int
+	set    *pareto.Set // capped at min(MaxWidth, TAMWidth)
+	budget int         // preemption budget: resumes after a gap
+}
+
+// buildCores validates the parameters and assembles the id-ascending
+// per-core inputs plus the constraint checker.
+func buildCores(ctx context.Context, opt *sched.Optimizer, params sched.Params) ([]*core, *constraint.Checker, error) {
+	if params.TAMWidth < 1 {
+		return nil, nil, fmt.Errorf("rectpack: non-positive TAM width %d", params.TAMWidth)
+	}
+	if params.MaxWidth > opt.MaxWidth() {
+		return nil, nil, fmt.Errorf("rectpack: params.MaxWidth %d exceeds optimizer cap %d", params.MaxWidth, opt.MaxWidth())
+	}
+	s := opt.SOC()
+	chk, err := constraint.New(s, constraint.Config{
+		PowerMax:        params.PowerMax,
+		IgnoreHierarchy: params.IgnoreHierarchy,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	wmax := min(params.MaxWidth, params.TAMWidth)
+	cores := make([]*core, 0, len(s.Cores))
+	for _, c := range s.Cores {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		set, err := opt.ParetoSet(c.ID).Capped(wmax)
+		if err != nil {
+			return nil, nil, err
+		}
+		cores = append(cores, &core{id: c.ID, set: set, budget: params.MaxPreemptions[c.ID]})
+	}
+	sort.Slice(cores, func(i, j int) bool { return cores[i].id < cores[j].id })
+	return cores, chk, nil
+}
+
+// genome is one candidate solution. Slices are indexed by core position in
+// the id-ascending core slice, except perm, which lists those positions in
+// fill-priority order.
+type genome struct {
+	perm    []int
+	cap     []int   // width cap; a core starts at SnapDown(min(cap, free))
+	floor   []int   // quality floor; 0 = any width
+	split   []int64 // forced first-segment cycles; 0 = run to completion
+	preempt bool    // a blocked core may suspend weaker runners
+}
+
+func (g *genome) clone() *genome {
+	c := *g
+	c.perm = slices.Clone(g.perm)
+	c.cap = slices.Clone(g.cap)
+	c.floor = slices.Clone(g.floor)
+	c.split = slices.Clone(g.split)
+	return &c
+}
+
+// seeds returns the mode's seed genomes in tie-break order. Every mode
+// starts with the 26 non-preemptive strategies: four decreasing size keys
+// (testing time, rectangle area, serial length, width) crossed with the
+// cap ladder (the full TAM, TAMWidth/2, /3, /4, and each core's min-area
+// width), then time and area order under three quality floors. The
+// priority-preemption seeds add floor-bearing strategies, since only a
+// floor (or a width demand) can block a core and so trigger a preemption;
+// they include ascending orders because budgets land on the larger cores,
+// and small cores in front make the budgeted giants the low-priority
+// victims. The annealer adds the two ascending orders without floors.
+// Seeds share their slices; the search clones before mutating.
+func seeds(cores []*core, tamWidth int, m mode) []*genome {
+	n := len(cores)
+	permBy := func(less func(a, b *pareto.Set) bool) []int {
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
+		}
+		// cores is id-ascending, so a stable sort breaks ties toward the
+		// lower core ID.
+		sort.SliceStable(p, func(i, j int) bool { return less(cores[p[i]].set, cores[p[j]].set) })
+		return p
+	}
+	byTime := permBy(func(a, b *pareto.Set) bool { return a.MinTime() > b.MinTime() })
+	byArea := permBy(func(a, b *pareto.Set) bool { return a.MinArea() > b.MinArea() })
+	bySerial := permBy(func(a, b *pareto.Set) bool { return a.Time(1) > b.Time(1) })
+	byWidth := permBy(func(a, b *pareto.Set) bool {
+		if a.MaxParetoWidth() != b.MaxParetoWidth() {
+			return a.MaxParetoWidth() > b.MaxParetoWidth()
+		}
+		return a.MinTime() > b.MinTime()
+	})
+	ascTime := permBy(func(a, b *pareto.Set) bool { return a.MinTime() < b.MinTime() })
+	ascArea := permBy(func(a, b *pareto.Set) bool { return a.MinArea() < b.MinArea() })
+
+	perCore := func(f func(*pareto.Set) int) []int {
+		out := make([]int, n)
+		for i, c := range cores {
+			out[i] = f(c.set)
+		}
+		return out
+	}
+	frac := func(den int) []int { return perCore(func(*pareto.Set) int { return max(tamWidth/den, 1) }) }
+	quality := func(stretchPct int64) []int {
+		return perCore(func(s *pareto.Set) int { return qualityWidth(s, stretchPct) })
+	}
+	full, zero, minArea := frac(1), make([]int, n), perCore(minAreaWidth)
+	noSplit := make([]int64, n)
+	mk := func(perm, caps, floors []int, preempt bool) *genome {
+		return &genome{perm: perm, cap: caps, floor: floors, split: noSplit, preempt: preempt}
+	}
+
+	var out []*genome
+	for _, perm := range [][]int{byTime, byArea, bySerial, byWidth} {
+		for _, caps := range [][]int{full, frac(2), frac(3), frac(4), minArea} {
+			out = append(out, mk(perm, caps, zero, false))
+		}
+	}
+	for _, perm := range [][]int{byTime, byArea} {
+		for _, stretch := range []int64{25, 50, 100} {
+			out = append(out, mk(perm, full, quality(stretch), false))
+		}
+	}
+	switch m {
+	case modePreempt:
+		widest := perCore((*pareto.Set).MaxParetoWidth)
+		for _, perm := range [][]int{byTime, byArea, ascTime, ascArea} {
+			for _, floors := range [][]int{quality(25), quality(50), quality(100), minArea, widest} {
+				out = append(out, mk(perm, full, floors, true))
+			}
+		}
+	case modeAnneal:
+		out = append(out, mk(ascTime, full, zero, false), mk(ascArea, full, zero, false))
+	}
+	return out
+}
+
+// qualityWidth returns the smallest width whose time is within stretchPct%
+// of the core's best time: starting narrower than this is worse than
+// waiting.
+func qualityWidth(set *pareto.Set, stretchPct int64) int {
+	limit := set.MinTime() + set.MinTime()*stretchPct/100
+	for _, p := range set.Points {
+		if p.Time <= limit {
+			return p.Width
+		}
+	}
+	return set.MaxParetoWidth()
+}
+
+// minAreaWidth returns the Pareto width minimizing w·T(w).
+func minAreaWidth(set *pareto.Set) int {
+	best := set.Points[0].Width
+	bestArea := int64(set.Points[0].Width) * set.Points[0].Time
+	for _, p := range set.Points[1:] {
+		if a := int64(p.Width) * p.Time; a < bestArea {
+			best, bestArea = p.Width, a
+		}
+	}
+	return best
+}
+
+// simState is a core's phase within one decode.
+type simState uint8
+
+const (
+	simUnstarted simState = iota
+	simRunning
+	simSuspended
+	simDone
+)
+
+// span is one closed segment of a (possibly split) rectangle.
+type span struct {
+	start, end int64
+}
+
+// simCore is the per-core state of one decode.
+type simCore struct {
+	state     simState
+	width     int // fixed at the first start (the vertical-split rule)
+	remaining int64
+	segStart  int64
+	yieldAt   int64 // forced split instant; -1 = none
+	yieldedAt int64 // instant of the last forced split (no same-instant resume)
+	segs      []span
+	preempts  int
+	penalty   int64
+}
+
+// start opens the core's first segment at width w and arms its split gene
+// when the core has budget; it reports whether a split was armed.
+func (s *simCore) start(c *core, w int, now, split int64) bool {
+	s.state = simRunning
+	s.width = w
+	s.remaining = c.set.Time(w)
+	s.segStart = now
+	s.yieldAt = -1
+	if split > 0 && c.budget > 0 && split < s.remaining {
+		s.yieldAt = now + split
+		return true
+	}
+	return false
+}
+
+// suspend closes the open segment at now, freeing the core's wires.
+func (s *simCore) suspend(now int64) {
+	s.closeSeg(now)
+	s.state = simSuspended
+	s.yieldAt = -1
+}
+
+// resume reopens a suspended core at its fixed width. A resume after a gap
+// is a preemption and pays the wrapper's penalty; a victim re-admitted at
+// the instant it was suspended merges back into its segment for free.
+func (s *simCore) resume(c *core, now int64, penFor func(id, width int) int64) {
+	if s.segs[len(s.segs)-1].end < now {
+		pen := penFor(c.id, s.width)
+		s.preempts++
+		s.penalty += pen
+		s.remaining += pen
+	}
+	s.state = simRunning
+	s.segStart = now
+}
+
+// closeSeg ends the open segment at end, merging seamless continuations so
+// preemption gaps are the only split points.
+func (s *simCore) closeSeg(end int64) {
+	s.remaining -= end - s.segStart
+	if n := len(s.segs); n > 0 && s.segs[n-1].end == s.segStart {
+		s.segs[n-1].end = end
+	} else {
+		s.segs = append(s.segs, span{s.segStart, end})
+	}
+}
+
+// decoded is one genome's simulation outcome before wire assignment.
+type decoded struct {
+	sim      []simCore // parallel to the id-ascending core slice
+	makespan int64
+	events   int
+	splits   int
+}
+
+// decode runs the genome through the event-driven best-fit-decreasing
+// packer and returns the resulting placement, or an error when the genome
+// is infeasible (a constraint deadlock, or floors no free width meets).
+// At every event each core is offered, in genome priority order, the
+// largest Pareto width that fits the free wires under its cap, subject to
+// its floor and the constraint checker. A core whose split gene fires
+// suspends itself mid-run; with the genome's preemption bit set, a blocked
+// core may instead suspend weaker runners (preemptFor). Suspended cores
+// resume at their fixed width, paying the wrapper's preemption penalty
+// for the gap.
+func decode(cores []*core, g *genome, chk *constraint.Checker, tamWidth int, penFor func(id, width int) int64) (*decoded, error) {
+	n := len(cores)
+	sim := make([]simCore, n)
+	running := make(map[int]bool, n)
+	complete := make(map[int]bool, n)
+	var now int64
+	avail := tamWidth
+	left := n
+	events := 0
+	splits := 0
+	for left > 0 {
+		events++
+		for pos, ci := range g.perm {
+			c := cores[ci]
+			s := &sim[ci]
+			switch s.state {
+			case simSuspended:
+				// A forced split resumes only after a gap, or it would undo
+				// itself; a victim may come back at once (see resume).
+				if now <= s.yieldedAt {
+					continue
+				}
+				if avail < s.width || !chk.OK(c.id, complete, running) {
+					if !g.preempt {
+						continue
+					}
+					free, ok := preemptFor(cores, sim, g.perm, pos, s.width, avail, now, chk, complete, running)
+					if !ok {
+						continue
+					}
+					avail = free
+				}
+				s.resume(c, now, penFor)
+				running[c.id] = true
+				avail -= s.width
+			case simUnstarted:
+				floor := g.floor[ci]
+				w, ok := c.set.SnapDown(min(g.cap[ci], avail))
+				if !ok || (floor > 0 && w < floor) || !chk.OK(c.id, complete, running) {
+					if !g.preempt {
+						continue
+					}
+					// Blocked: aim for the full target width, victims
+					// willing.
+					if w, ok = c.set.SnapDown(g.cap[ci]); !ok || (floor > 0 && w < floor) {
+						continue
+					}
+					free, ok := preemptFor(cores, sim, g.perm, pos, w, avail, now, chk, complete, running)
+					if !ok {
+						continue
+					}
+					avail = free
+					splits++
+				}
+				if s.start(c, w, now, g.split[ci]) {
+					splits++
+				}
+				running[c.id] = true
+				avail -= w
+			}
+		}
+		if len(running) == 0 {
+			return nil, fmt.Errorf("rectpack: no core can run at t=%d with %d cores left", now, left)
+		}
+		// Advance to the earliest segment end or forced split among the
+		// running cores, then retire or suspend everything landing there.
+		var next int64 = -1
+		for i := range sim {
+			s := &sim[i]
+			if s.state != simRunning {
+				continue
+			}
+			end := s.segStart + s.remaining
+			if s.yieldAt >= 0 && s.yieldAt < end {
+				end = s.yieldAt
+			}
+			if next == -1 || end < next {
+				next = end
+			}
+		}
+		for i := range sim {
+			s := &sim[i]
+			if s.state != simRunning {
+				continue
+			}
+			end := s.segStart + s.remaining
+			if s.yieldAt >= 0 && s.yieldAt < end && s.yieldAt == next {
+				s.suspend(next)
+				s.yieldedAt = next
+				delete(running, cores[i].id)
+				avail += s.width
+			} else if end == next {
+				s.closeSeg(next)
+				s.state = simDone
+				delete(running, cores[i].id)
+				complete[cores[i].id] = true
+				avail += s.width
+				left--
+			}
+		}
+		now = next
+	}
+	return &decoded{sim: sim, makespan: now, events: events, splits: splits}, nil
+}
+
+// preemptFor tries to free want wires for the blocked core at priority
+// position pos by suspending strictly weaker runners — later in the
+// priority order — that have budget left and have run this segment,
+// weakest first, so the strongest runners keep their wires. On success the
+// suspensions are committed and the new free-wire count (>= want) is
+// returned with ok true. When too few wires can be freed, or the
+// constraint checker refuses the core even with the victims gone, nothing
+// changes and ok is false.
+func preemptFor(cores []*core, sim []simCore, perm []int, pos, want, avail int, now int64, chk *constraint.Checker, complete, running map[int]bool) (int, bool) {
+	var victims []int
+	freed := 0
+	for vpos := len(perm) - 1; vpos > pos && avail+freed < want; vpos-- {
+		vi := perm[vpos]
+		if v := &sim[vi]; v.state == simRunning && v.preempts < cores[vi].budget && v.segStart < now {
+			victims = append(victims, vi)
+			freed += v.width
+		}
+	}
+	if avail+freed < want {
+		return avail, false
+	}
+	for _, vi := range victims {
+		delete(running, cores[vi].id)
+	}
+	if !chk.OK(cores[perm[pos]].id, complete, running) {
+		for _, vi := range victims {
+			running[cores[vi].id] = true
+		}
+		return avail, false
+	}
+	for _, vi := range victims {
+		sim[vi].suspend(now)
+	}
+	return avail + freed, true
+}
+
+// emit maps a decoded solution onto concrete TAM wires and builds the
+// sched.Schedule, with wrapper metadata served from the optimizer's cache.
+// Fragments are placed in (start, core ID) order; a resumed segment
+// prefers its previous wires, exactly like the classic scheduler's
+// preempted resumes. Split layouts are busier than one-piece ones, so
+// first-fit placement can run out of simultaneously free wires; that is an
+// error here, and the search falls back to its next candidate.
+func emit(opt *sched.Optimizer, params sched.Params, cores []*core, res *decoded) (*sched.Schedule, error) {
+	bin, err := rect.NewBin(params.TAMWidth)
+	if err != nil {
+		return nil, err
+	}
+	type frag struct {
+		ci  int
+		seg span
+	}
+	var frags []frag
+	for i := range res.sim {
+		for _, sg := range res.sim[i].segs {
+			frags = append(frags, frag{i, sg})
+		}
+	}
+	sort.Slice(frags, func(i, j int) bool {
+		if frags[i].seg.start != frags[j].seg.start {
+			return frags[i].seg.start < frags[j].seg.start
+		}
+		return cores[frags[i].ci].id < cores[frags[j].ci].id
+	})
+	out := &sched.Schedule{
+		SOC:         opt.SOC().Name,
+		TAMWidth:    params.TAMWidth,
+		Params:      params,
+		Assignments: make(map[int]*sched.Assignment, len(cores)),
+		Makespan:    res.makespan,
+		Bin:         bin,
+		Events:      res.events,
+	}
+	for _, f := range frags {
+		c := cores[f.ci]
+		s := &res.sim[f.ci]
+		var prefer []int
+		a := out.Assignments[c.id]
+		if a != nil {
+			prefer = a.Pieces[len(a.Pieces)-1].Wires
+		}
+		p, err := bin.PlacePreferred(c.id, s.width, f.seg.start, f.seg.end, prefer)
+		if err != nil {
+			return nil, fmt.Errorf("rectpack: wire assignment: %v", err)
+		}
+		if a == nil {
+			d := opt.Design(c.id, s.width)
+			if d == nil {
+				return nil, fmt.Errorf("rectpack: no cached design for core %d width %d", c.id, s.width)
+			}
+			a = &sched.Assignment{
+				CoreID:        c.id,
+				Width:         s.width,
+				Preemptions:   s.preempts,
+				PenaltyCycles: s.penalty,
+				BaseTime:      c.set.Time(s.width),
+				ScanIn:        d.ScanInMax,
+				ScanOut:       d.ScanOutMax,
+			}
+			out.Assignments[c.id] = a
+		}
+		a.Pieces = append(a.Pieces, *p)
+	}
+	return out, nil
+}
+
+// search runs the engine in one backend's mode: it decodes the mode's
+// seeds, anneals outward from the best of them when the mode has a move
+// budget, and emits the best placeable solution. Emission is best-first:
+// the improvement chain newest-first, then the remaining feasible seeds by
+// (makespan, seed index), so a layout wire assignment rejects falls back
+// to the next candidate. Deterministic under a fixed Params.Seed.
+func search(ctx context.Context, sp *obs.Span, opt *sched.Optimizer, params sched.Params, m mode) (*sched.Schedule, error) {
+	params = params.Defaults()
+	cores, chk, err := buildCores(ctx, opt, params)
+	if err != nil {
+		return nil, err
+	}
+	penFor := func(id, width int) int64 {
+		d := opt.Design(id, width)
+		if d == nil {
+			// Width in 1..maxWidth and core validated: cannot happen.
+			panic(fmt.Sprintf("rectpack: no cached design for core %d width %d", id, width))
+		}
+		return d.PreemptionPenalty()
+	}
+
+	gs := seeds(cores, params.TAMWidth, m)
+	costs := make([]int64, len(gs)) // -1 = infeasible
+	best := -1
+	var firstErr error
+	for i, g := range gs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		res, err := decode(cores, g, chk, params.TAMWidth, penFor)
+		if err != nil {
+			costs[i] = -1
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		costs[i] = res.makespan
+		if best < 0 || res.makespan < costs[best] {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil, fmt.Errorf("rectpack: every seed infeasible: %w", firstErr)
+	}
+	chain := []*genome{gs[best]} // oldest first
+	if m == modeAnneal {
+		if chain, err = anneal(ctx, sp, cores, chk, params, penFor, gs[best], costs[best]); err != nil {
+			return nil, err
+		}
+	}
+	slices.Reverse(chain)
+	rest := make([]int, 0, len(gs))
+	for i := range gs {
+		if i != best && costs[i] >= 0 {
+			rest = append(rest, i)
+		}
+	}
+	sort.SliceStable(rest, func(a, b int) bool { return costs[rest[a]] < costs[rest[b]] })
+	for _, i := range rest {
+		chain = append(chain, gs[i])
+	}
+
+	sp.SetAttr("seeds", len(gs))
+	for _, g := range chain {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		res, err := decode(cores, g, chk, params.TAMWidth, penFor)
+		if err == nil {
+			var sch *sched.Schedule
+			if sch, err = emit(opt, params, cores, res); err == nil {
+				sp.SetAttr("makespan", sch.Makespan)
+				sp.SetAttr("splits", res.splits)
+				return sch, nil
+			}
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	return nil, fmt.Errorf("rectpack: no solution placeable: %w", firstErr)
+}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/sched"
 	"repro/internal/schedio"
+	"repro/internal/soc"
 )
 
 func preemptParams(t *testing.T, opt *sched.Optimizer, w, budget int) sched.Params {
@@ -108,19 +109,7 @@ func TestPreemptNeverWorseThanRectpack(t *testing.T) {
 // materializes: some core must carry a resumed segment, and the
 // preemptive emission path must place it on concrete wires.
 func TestPreemptScheduleActuallySplits(t *testing.T) {
-	s := bench.Synth(bench.SynthConfig{
-		Name: "monster60", Cores: 60, Seed: 114, HierarchyPct: 25,
-		PowerValues: true, PowerBudgetPct: 200,
-		ExtraPrecedences: 6, ExtraConcurrencies: 6,
-	})
-	opt, err := sched.New(s, sched.DefaultMaxWidth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp, err := sched.LargerCorePreemptions(s, sched.DefaultMaxWidth, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, opt, mp := monster60(t)
 	sch, err := NewPreempt().Schedule(context.Background(), opt, sched.Params{TAMWidth: 64, Workers: 1, MaxPreemptions: mp})
 	if err != nil {
 		t.Fatal(err)
@@ -188,5 +177,66 @@ func TestPreemptScheduleCancelled(t *testing.T) {
 	params := preemptParams(t, opt, 16, 1)
 	if _, err := NewPreempt().Schedule(ctx, opt, params); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled preempt-rectpack returned %v, want context.Canceled", err)
+	}
+}
+
+// monster60 builds the corpus monster60 SOC with 4 preemptions for its
+// larger cores.
+func monster60(t *testing.T) (*soc.SOC, *sched.Optimizer, map[int]int) {
+	t.Helper()
+	s := bench.Synth(bench.SynthConfig{
+		Name: "monster60", Cores: 60, Seed: 114, HierarchyPct: 25,
+		PowerValues: true, PowerBudgetPct: 200,
+		ExtraPrecedences: 6, ExtraConcurrencies: 6,
+	})
+	opt, err := sched.New(s, sched.DefaultMaxWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp, err := sched.LargerCorePreemptions(s, sched.DefaultMaxWidth, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, opt, mp
+}
+
+// TestPreemptSeedMakespans pins the decoded makespan of every
+// preempt-rectpack seed on monster60 at W=64, where victims are often
+// re-admitted at the instant they were suspended. Such a victim merges back
+// into its segment without a penalty; the schedule bytes do not show this,
+// because no winning seed does it. Every decode must also count exactly
+// one preemption per gap between segments.
+func TestPreemptSeedMakespans(t *testing.T) {
+	_, opt, mp := monster60(t)
+	params := sched.Params{TAMWidth: 64, MaxPreemptions: mp}.Defaults()
+	cores, chk, err := buildCores(context.Background(), opt, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int64{
+		1320076, 752750, 736595, 834746, 7031461, 931974, 1056626, 889614, 926953, 6927476,
+		931974, 1056626, 889614, 926953, 6927476, 1033441, 3325719, 1671847, 1296526, 6864766,
+		691490, 629980, 662201, 661747, 647890, 772150, 631868, 681268, 648082, 1320076,
+		705427, 753373, 683294, 762164, 931974, 677610, 569121, 577885, 674780, 1765473,
+		636686, 592892, 574964, 598139, 1318478, 547575,
+	}
+	penFor := func(id, width int) int64 { return opt.Design(id, width).PreemptionPenalty() }
+	gs := seeds(cores, params.TAMWidth, modePreempt)
+	if len(gs) != len(want) {
+		t.Fatalf("%d seeds, want %d", len(gs), len(want))
+	}
+	for i, g := range gs {
+		res, err := decode(cores, g, chk, params.TAMWidth, penFor)
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		if res.makespan != want[i] {
+			t.Errorf("seed %d: makespan %d, want %d", i, res.makespan, want[i])
+		}
+		for ci := range res.sim {
+			if s := &res.sim[ci]; s.preempts != len(s.segs)-1 {
+				t.Errorf("seed %d core %d: %d preemptions for %d segments", i, cores[ci].id, s.preempts, len(s.segs))
+			}
+		}
 	}
 }

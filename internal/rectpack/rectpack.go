@@ -1,46 +1,64 @@
-// Package rectpack implements the "rectpack" scheduling backend: best-fit
-// decreasing rectangle bin packing over the per-core Pareto-optimal
-// (width, time) points, in the spirit of the rectangle-packing
-// formulations of Babu et al. (arXiv:1008.4448) and Islam et al.
-// (arXiv:1008.3320). Where the classic backend grows preferred-width
-// assignments through a priority loop and sweeps an (α, δ, slack) grid,
-// rectpack packs each core's rectangle directly: cores are sorted by a
-// decreasing size key (testing time, rectangle area, serial length, or
-// width), and at every schedule event the packer starts the biggest
-// eligible core at the best Pareto width that fits the free TAM wires,
-// subject to the same precedence / concurrency / power / BIST checks the
-// classic scheduler uses. A small deterministic portfolio of (ordering,
-// width-cap, quality-floor) strategies is packed and the shortest result
-// wins — still an order of magnitude fewer scheduler passes than the
-// classic grid sweep.
+// Package rectpack implements the rectangle-packing scheduling backends —
+// "rectpack", "preempt-rectpack" and "anneal" — as three configurations of
+// one packing engine, in the spirit of the rectangle bin-packing
+// formulations of Babu et al. (arXiv:1008.4448), Islam et al.
+// (arXiv:1008.3320) and the split placements of arXiv:1008.4446.
 //
-// The backend registers itself as "rectpack" with the sched backend
-// registry on import; it reuses the sched.Optimizer's cached Pareto
-// staircases and wrapper designs, so no wrapper is ever redesigned here.
+// The engine packs each core's Pareto-optimal (width, time) rectangles
+// directly. A candidate solution is a genome: a core priority order, a
+// per-core width cap and quality floor over the Pareto staircase, a forced
+// split point for cores with preemption budget, and a priority-preemption
+// bit. One event-driven best-fit-decreasing decoder turns a genome into a
+// placement: at every schedule event it starts each eligible core, in
+// priority order, at the largest Pareto width that fits the free TAM wires
+// under its cap and floor, subject to the same precedence / concurrency /
+// power / BIST checks the classic scheduler uses. A split rectangle is cut
+// into segments placed at the same width (the vertical-split rule), each
+// resume after a gap paying the wrapper's preemption penalty.
+//
+// The backends differ only in their seed genomes and move budget:
+//
+//   - rectpack decodes the 26 non-preemptive seeds (four size orderings
+//     crossed with a width-cap ladder, plus quality-floor passes) and emits
+//     the best;
+//   - preempt-rectpack adds 20 priority-preemption seeds, in which a core
+//     blocked by its floor suspends weaker running cores that have budget
+//     left, so it is never worse than rectpack on the same parameters;
+//   - anneal adds two ascending orders and then runs seeded simulated
+//     annealing from the best seed, so it too is never worse than rectpack.
+//
+// All three reuse the sched.Optimizer's cached Pareto staircases and
+// wrapper designs, so no wrapper is ever redesigned here, and register
+// themselves with the sched backend registry on import. Every backend is
+// deterministic; anneal under a fixed Params.Seed (zero means
+// sched.DefaultSeed).
 package rectpack
 
 import (
 	"context"
-	"fmt"
-	"sort"
 
 	"repro/internal/chaos"
-	"repro/internal/constraint"
 	"repro/internal/obs"
-	"repro/internal/pareto"
-	"repro/internal/rect"
 	"repro/internal/sched"
 )
 
-// Name is the backend's registry name.
-const Name = "rectpack"
+// Registry names of the three backends.
+const (
+	Name        = "rectpack"
+	PreemptName = "preempt-rectpack"
+	AnnealName  = "anneal"
+)
 
-// siteSchedule is the failpoint the chaos suite arms to make this backend
-// fail, stall, or hang inside a portfolio race.
-const siteSchedule = "rectpack/schedule"
+// Failpoints the chaos suite arms to make a backend fail, stall, or hang
+// inside a portfolio race.
+const (
+	siteSchedule = "rectpack/schedule"
+	sitePreempt  = "rectpack/preempt/schedule"
+	siteAnneal   = "anneal/schedule"
+)
 
-// Backend is the rectangle bin-packing backend. The zero value is ready to
-// use; it is stateless and safe for concurrent use.
+// Backend is the non-preemptive rectangle packer. The zero value is ready
+// to use; it is stateless and safe for concurrent use.
 type Backend struct{}
 
 // New returns the rectpack backend (also registered globally on import).
@@ -60,47 +78,8 @@ func (*Backend) Declines(params sched.Params) (reason string, declined bool) {
 	return "", false
 }
 
-// hasBudget reports whether any core has a non-zero preemption budget.
-func hasBudget(budgets map[int]int) bool {
-	for _, b := range budgets {
-		if b > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// strategy is one deterministic packing pass configuration.
-type strategy struct {
-	// order ranks unstarted cores; the packer starts the first eligible
-	// core that fits (best-fit decreasing over the chosen size key).
-	order func(a, b *packCore) bool
-	// capFor bounds the width offered to a core (the best fit is the
-	// largest Pareto width <= min(cap, free wires)).
-	capFor func(c *packCore, tamWidth int) int
-	// minFor is the quality floor: a core is not started below this width
-	// (0 = any width), so a long test is never squeezed onto one wire
-	// just because a wire is free.
-	minFor func(c *packCore) int
-}
-
-// packCore is the per-core packing state of one pass.
-type packCore struct {
-	id  int
-	set *pareto.Set // capped at min(MaxWidth, TAMWidth)
-	// minAreaWidth is the Pareto width minimizing w·T(w).
-	minAreaWidth int
-
-	started bool
-	width   int
-	start   int64
-	end     int64
-}
-
-// Schedule packs the optimizer's SOC and returns the shortest schedule any
-// strategy produced. The result is non-preemptive (preemption budgets are
-// upper bounds; rectpack simply never splits a rectangle) and satisfies
-// every constraint the classic backend honors.
+// Schedule packs the optimizer's SOC with every non-preemptive seed and
+// returns the shortest schedule.
 func (*Backend) Schedule(ctx context.Context, opt *sched.Optimizer, params sched.Params) (*sched.Schedule, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -111,280 +90,86 @@ func (*Backend) Schedule(ctx context.Context, opt *sched.Optimizer, params sched
 	if err := chaos.InjectContext(ctx, siteSchedule); err != nil {
 		return nil, err
 	}
-	params = params.Defaults()
-	cores, chk, err := buildCores(ctx, opt, params)
-	if err != nil {
+	return search(ctx, span, opt, params, modePack)
+}
+
+// PreemptBackend is the splitting rectangle packer. The zero value is
+// ready to use; it is stateless and safe for concurrent use.
+type PreemptBackend struct{}
+
+// NewPreempt returns the preempt-rectpack backend (also registered
+// globally on import).
+func NewPreempt() *PreemptBackend { return &PreemptBackend{} }
+
+// Name returns "preempt-rectpack".
+func (*PreemptBackend) Name() string { return PreemptName }
+
+// Declines reports the regime this backend leaves to plain rectpack: with
+// every preemption budget zero no rectangle may ever be split, so the
+// preemptive seeds collapse into the non-preemptive ones and racing both
+// backends would duplicate work.
+func (*PreemptBackend) Declines(params sched.Params) (reason string, declined bool) {
+	if !hasBudget(params.MaxPreemptions) {
+		return "no preemption budgets (rectpack covers the non-preemptive regime)", true
+	}
+	return "", false
+}
+
+// Schedule packs the optimizer's SOC with every non-preemptive and
+// priority-preemption seed and returns the shortest placeable schedule.
+func (*PreemptBackend) Schedule(ctx context.Context, opt *sched.Optimizer, params sched.Params) (*sched.Schedule, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, span := obs.Start(ctx, "rectpack/preempt")
+	defer span.End()
+	defer obs.TimeStage("rectpack/preempt")()
+	if err := chaos.InjectContext(ctx, sitePreempt); err != nil {
 		return nil, err
 	}
-
-	var best *result
-	var firstErr error
-	for _, st := range strategies() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := pack(cores, st, chk, params.TAMWidth)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if best == nil || res.makespan < best.makespan {
-			best = res
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("rectpack: every strategy failed: %w", firstErr)
-	}
-	span.SetAttr("strategies", len(strategies()))
-	span.SetAttr("makespan", best.makespan)
-	return emit(opt, params, best)
+	return search(ctx, span, opt, params, modePreempt)
 }
 
-// buildCores validates the parameters and assembles the shared per-core
-// packing inputs: the capped Pareto sets plus the constraint checker. Both
-// the non-preemptive and the preemptive backend start here.
-func buildCores(ctx context.Context, opt *sched.Optimizer, params sched.Params) ([]*packCore, *constraint.Checker, error) {
-	if params.TAMWidth < 1 {
-		return nil, nil, fmt.Errorf("rectpack: non-positive TAM width %d", params.TAMWidth)
-	}
-	if params.MaxWidth > opt.MaxWidth() {
-		return nil, nil, fmt.Errorf("rectpack: params.MaxWidth %d exceeds optimizer cap %d", params.MaxWidth, opt.MaxWidth())
-	}
-	s := opt.SOC()
-	chk, err := constraint.New(s, constraint.Config{
-		PowerMax:        params.PowerMax,
-		IgnoreHierarchy: params.IgnoreHierarchy,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	wmax := params.MaxWidth
-	if wmax > params.TAMWidth {
-		wmax = params.TAMWidth
-	}
-	cores := make([]*packCore, 0, len(s.Cores))
-	for _, c := range s.Cores {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		set, err := opt.ParetoSet(c.ID).Capped(wmax)
-		if err != nil {
-			return nil, nil, err
-		}
-		pc := &packCore{id: c.ID, set: set, minAreaWidth: minAreaWidth(set)}
-		cores = append(cores, pc)
-	}
-	sort.Slice(cores, func(i, j int) bool { return cores[i].id < cores[j].id })
-	return cores, chk, nil
-}
+// AnnealBackend is the annealing local-search backend. The zero value is
+// ready to use; it is stateless and safe for concurrent use (each Schedule
+// call owns its own seeded generator).
+type AnnealBackend struct{}
 
-// Core orderings shared by the non-preemptive, preemptive, and annealing
-// pass portfolios (decreasing size keys; stable sorts break ties toward
-// the lower core ID).
-func orderByTime(a, b *packCore) bool   { return a.set.MinTime() > b.set.MinTime() }
-func orderByArea(a, b *packCore) bool   { return a.set.MinArea() > b.set.MinArea() }
-func orderBySerial(a, b *packCore) bool { return a.set.Time(1) > b.set.Time(1) }
-func orderByWidth(a, b *packCore) bool {
-	if a.set.MaxParetoWidth() != b.set.MaxParetoWidth() {
-		return a.set.MaxParetoWidth() > b.set.MaxParetoWidth()
-	}
-	return a.set.MinTime() > b.set.MinTime()
-}
+// NewAnneal returns the anneal backend (also registered globally on
+// import).
+func NewAnneal() *AnnealBackend { return &AnnealBackend{} }
 
-// qualityFloor returns the smallest width whose time is within stretchPct%
-// of the core's best time: starting narrower than this is worse than
-// waiting.
-func qualityFloor(stretchPct int64) func(*packCore) int {
-	return func(c *packCore) int {
-		limit := c.set.MinTime() + c.set.MinTime()*stretchPct/100
-		for _, p := range c.set.Points {
-			if p.Time <= limit {
-				return p.Width
-			}
-		}
-		return c.set.MaxParetoWidth()
-	}
-}
+// Name returns "anneal".
+func (*AnnealBackend) Name() string { return AnnealName }
 
-// strategies returns the deterministic pass portfolio, in tie-break order.
-func strategies() []strategy {
-	full := func(c *packCore, w int) int { return w }
-	frac := func(den int) func(*packCore, int) int {
-		return func(c *packCore, w int) int {
-			f := w / den
-			if f < 1 {
-				f = 1
-			}
-			return f
-		}
+// Schedule anneals outward from the best non-preemptive or ascending seed
+// and returns the shortest placeable schedule found.
+func (*AnnealBackend) Schedule(ctx context.Context, opt *sched.Optimizer, params sched.Params) (*sched.Schedule, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	minArea := func(c *packCore, w int) int { return c.minAreaWidth }
-	anyWidth := func(c *packCore) int { return 0 }
-
-	var out []strategy
-	for _, order := range []func(a, b *packCore) bool{orderByTime, orderByArea, orderBySerial, orderByWidth} {
-		for _, capFor := range []func(*packCore, int) int{full, frac(2), frac(3), frac(4), minArea} {
-			out = append(out, strategy{order: order, capFor: capFor, minFor: anyWidth})
-		}
-	}
-	for _, order := range []func(a, b *packCore) bool{orderByTime, orderByArea} {
-		for _, stretch := range []int64{25, 50, 100} {
-			out = append(out, strategy{order: order, capFor: full, minFor: qualityFloor(stretch)})
-		}
-	}
-	return out
-}
-
-// minAreaWidth returns the Pareto width minimizing w·T(w).
-func minAreaWidth(set *pareto.Set) int {
-	best := set.Points[0].Width
-	bestArea := int64(set.Points[0].Width) * set.Points[0].Time
-	for _, p := range set.Points[1:] {
-		if a := int64(p.Width) * p.Time; a < bestArea {
-			best, bestArea = p.Width, a
-		}
-	}
-	return best
-}
-
-// result is one pass's outcome before wire assignment.
-type result struct {
-	cores    []*packCore // started/width/start/end filled, id-ascending
-	makespan int64
-	events   int
-}
-
-// pack runs one event-driven best-fit-decreasing pass. At every event time
-// it starts, in strategy order, each eligible unstarted core at the
-// largest Pareto width that fits the free wires (bounded by the strategy's
-// cap and quality floor), then advances to the earliest completion.
-func pack(template []*packCore, st strategy, chk *constraint.Checker, tamWidth int) (*result, error) {
-	cores := make([]*packCore, len(template))
-	for i, c := range template {
-		cp := *c
-		cp.started = false
-		cp.width, cp.start, cp.end = 0, 0, 0
-		cores[i] = &cp
-	}
-	// cores is id-ascending, so a stable sort on the strategy key breaks
-	// ties toward the lower core ID — every pass is deterministic.
-	byOrder := make([]*packCore, len(cores))
-	copy(byOrder, cores)
-	sort.SliceStable(byOrder, func(i, j int) bool { return st.order(byOrder[i], byOrder[j]) })
-
-	running := make(map[int]bool)
-	complete := make(map[int]bool)
-	var now int64
-	avail := tamWidth
-	left := len(cores)
-	events := 0
-	for left > 0 {
-		events++
-		// Fill pass: start every eligible core the free wires can carry,
-		// biggest (by the strategy's key) first.
-		for _, c := range byOrder {
-			if c.started || avail < 1 {
-				continue
-			}
-			limit := st.capFor(c, tamWidth)
-			if limit > avail {
-				limit = avail
-			}
-			w, ok := c.set.SnapDown(limit)
-			if !ok {
-				continue
-			}
-			if floor := st.minFor(c); floor > 0 && w < floor {
-				continue
-			}
-			if !chk.OK(c.id, complete, running) {
-				continue
-			}
-			c.started = true
-			c.width = w
-			c.start = now
-			c.end = now + c.set.Time(w)
-			running[c.id] = true
-			avail -= w
-		}
-		if len(running) == 0 {
-			return nil, fmt.Errorf("rectpack: no core can start at t=%d with %d cores left", now, left)
-		}
-		// Advance to the earliest completion and retire everything that
-		// ends there.
-		var next int64 = -1
-		for _, c := range cores {
-			if running[c.id] && (next == -1 || c.end < next) {
-				next = c.end
-			}
-		}
-		for _, c := range cores {
-			if running[c.id] && c.end == next {
-				delete(running, c.id)
-				complete[c.id] = true
-				avail += c.width
-				left--
-			}
-		}
-		now = next
-	}
-	var makespan int64
-	for _, c := range cores {
-		if c.end > makespan {
-			makespan = c.end
-		}
-	}
-	return &result{cores: cores, makespan: makespan, events: events}, nil
-}
-
-// emit maps the winning pass onto concrete TAM wires and builds the
-// sched.Schedule, with wrapper metadata served from the optimizer's cache.
-func emit(opt *sched.Optimizer, params sched.Params, res *result) (*sched.Schedule, error) {
-	bin, err := rect.NewBin(params.TAMWidth)
-	if err != nil {
+	ctx, span := obs.Start(ctx, "anneal/search")
+	defer span.End()
+	defer obs.TimeStage("anneal/search")()
+	if err := chaos.InjectContext(ctx, siteAnneal); err != nil {
 		return nil, err
 	}
-	placed := make([]*packCore, len(res.cores))
-	copy(placed, res.cores)
-	sort.Slice(placed, func(i, j int) bool {
-		if placed[i].start != placed[j].start {
-			return placed[i].start < placed[j].start
-		}
-		return placed[i].id < placed[j].id
-	})
-	out := &sched.Schedule{
-		SOC:         opt.SOC().Name,
-		TAMWidth:    params.TAMWidth,
-		Params:      params,
-		Assignments: make(map[int]*sched.Assignment, len(res.cores)),
-		Makespan:    res.makespan,
-		Bin:         bin,
-		Events:      res.events,
-	}
-	for _, c := range placed {
-		p, err := bin.Place(c.id, c.width, c.start, c.end)
-		if err != nil {
-			return nil, fmt.Errorf("rectpack: wire assignment: %v", err)
-		}
-		d := opt.Design(c.id, c.width)
-		if d == nil {
-			return nil, fmt.Errorf("rectpack: no cached design for core %d width %d", c.id, c.width)
-		}
-		out.Assignments[c.id] = &sched.Assignment{
-			CoreID:   c.id,
-			Width:    c.width,
-			Pieces:   []rect.Piece{*p},
-			BaseTime: c.set.Time(c.width),
-			ScanIn:   d.ScanInMax,
-			ScanOut:  d.ScanOutMax,
+	return search(ctx, span, opt, params, modeAnneal)
+}
+
+// hasBudget reports whether any core has a non-zero preemption budget.
+func hasBudget(budgets map[int]int) bool {
+	for _, b := range budgets {
+		if b > 0 {
+			return true
 		}
 	}
-	return out, nil
+	return false
 }
 
 func init() {
 	sched.RegisterBackend(New())
-	chaos.RegisterSites(siteSchedule)
+	sched.RegisterBackend(NewPreempt())
+	sched.RegisterBackend(NewAnneal())
+	chaos.RegisterSites(siteSchedule, sitePreempt, siteAnneal)
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/lb"
 	"repro/internal/obs"
 	"repro/internal/resil"
 )
@@ -539,37 +540,19 @@ func (pb *portfolioBackend) Schedule(ctx context.Context, opt *Optimizer, params
 	return best, nil
 }
 
-// optimalityFloor returns the scheduling lower bound LB(W) = max(⌈Σ
-// minArea / W⌉, bottleneck) computed from the optimizer's cached Pareto
-// sets, or 0 when the parameters are out of the cache's range (the racers
-// will surface the real error).
+// optimalityFloor returns the scheduling lower bound LB(W) (lb.FromSets)
+// over the optimizer's cached Pareto sets, or 0 when the parameters are
+// out of the cache's range (the racers will surface the real error).
 func optimalityFloor(opt *Optimizer, params Params) int64 {
 	params = params.Defaults()
-	wmax := params.MaxWidth
-	if wmax > params.TAMWidth {
-		wmax = params.TAMWidth
-	}
-	if wmax < 1 || params.MaxWidth > opt.maxWidth || params.TAMWidth < 1 {
+	if params.MaxWidth > opt.maxWidth {
 		return 0
 	}
-	var area int64
-	var bottleneck int64
-	for _, set := range opt.sets {
-		capped, err := set.Capped(wmax)
-		if err != nil {
-			return 0
-		}
-		area += capped.MinArea()
-		if t := capped.MinTime(); t > bottleneck {
-			bottleneck = t
-		}
+	b, err := lb.FromSets(opt.sets, params.TAMWidth, params.MaxWidth)
+	if err != nil {
+		return 0
 	}
-	w := int64(params.TAMWidth)
-	lb := (area + w - 1) / w
-	if bottleneck > lb {
-		lb = bottleneck
-	}
-	return lb
+	return b.Value()
 }
 
 func init() {

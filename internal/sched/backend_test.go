@@ -7,8 +7,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
+	"repro/internal/lb"
 )
 
 func TestBackendRegistry(t *testing.T) {
@@ -127,6 +129,68 @@ func TestScheduleBackendClassicMatchesSweepBest(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Bin.Pieces(), want.Bin.Pieces()) {
 		t.Fatal("classic backend packed different pieces than SweepBest")
+	}
+}
+
+// TestOptimalityFloor: the portfolio's early-exit floor is LB(W) from the
+// optimizer's cache, equal to lb.Compute on a fresh design, and 0 for
+// parameters the cache cannot serve.
+func TestOptimalityFloor(t *testing.T) {
+	s := bench.D695()
+	opt, err := New(s, DefaultMaxWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{8, 32, 64, 68} {
+		want, err := lb.Compute(s, w, DefaultMaxWidth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := optimalityFloor(opt, Params{TAMWidth: w}); got != want.Value() {
+			t.Errorf("W=%d: floor %d, lb.Compute %d", w, got, want.Value())
+		}
+	}
+	for _, p := range []Params{{TAMWidth: 0}, {TAMWidth: 32, MaxWidth: DefaultMaxWidth + 1}} {
+		if got := optimalityFloor(opt, p); got != 0 {
+			t.Errorf("%+v: floor %d, want 0", p, got)
+		}
+	}
+}
+
+// TestPortfolioStopsAtLowerBound: a racer whose verified schedule reaches
+// the optimality floor cancels the rest of the race. Classic reaches LB(W)
+// on d695 at W=80; the other racer only returns once it is cancelled.
+func TestPortfolioStopsAtLowerBound(t *testing.T) {
+	s := bench.D695()
+	opt, err := New(s, DefaultMaxWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := Params{TAMWidth: 80, Workers: 2}
+	floor := optimalityFloor(opt, params)
+	cancelled := make(chan struct{})
+	waiter := testBackend{name: "test-waiter", fn: func(ctx context.Context, opt *Optimizer, params Params) (*Schedule, error) {
+		select {
+		case <-ctx.Done():
+			close(cancelled)
+			return nil, ctx.Err()
+		case <-time.After(10 * time.Second):
+			return nil, errors.New("never cancelled")
+		}
+	}}
+	pb := &portfolioBackend{health: make(map[string]*racerHealth)}
+	best, err := pb.race(context.Background(), opt, params, []Backend{classicBackend{}, waiter}, floor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.Makespan != floor {
+		t.Fatalf("winner makespan %d, want the floor %d", best.Makespan, floor)
+	}
+	// The race returns without waiting for a cancelled racer to exit.
+	select {
+	case <-cancelled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("reaching the floor did not cancel the other racer")
 	}
 }
 
