@@ -39,9 +39,10 @@
 // # Service
 //
 // cmd/socserved (package internal/service) serves this API over HTTP:
-// SOCs are deduplicated by Fingerprint, Planners are built once per
-// fingerprint behind singleflight dedup and held in a size-bounded LRU,
-// and long sweeps run as cancellable async jobs. The context-aware
+// SOCs are deduplicated by Fingerprint; Planners and schedule documents
+// are memoized by one singleflight-LRU, bounded by Planner count and by
+// stored bytes respectively; and long sweeps run as cancellable async
+// jobs. The context-aware
 // variants (Planner.ScheduleBestContext, Planner.SweepWidthsContext)
 // carry that cancellation down into the sweep worker pools; with a nil or
 // never-cancelled context they return exactly what their context-free

@@ -13,7 +13,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -23,7 +22,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/resil"
 )
 
 func main() {
@@ -176,34 +174,41 @@ func jsonBody(v any) []byte {
 }
 
 // do issues one request and decodes the response, retrying dial failures,
-// 429 sheds (socserved's admission control answers those with Retry-After),
-// and 5xx responses with jittered backoff before giving up.
+// 429 sheds (socserved's admission control answers those with Retry-After)
+// and 5xx responses: at most 5 attempts, with a backoff that starts at
+// 100ms and doubles.
 func do(url string, req func() (*http.Response, error), out any) {
-	_, err := resil.Retry(context.Background(), resil.RetryConfig{
-		Attempts: 5,
-		Base:     100 * time.Millisecond,
-	}, func(context.Context) (struct{}, error) {
-		resp, err := req()
-		if err != nil {
-			return struct{}{}, resil.Transient(fmt.Errorf("%s: %v (is socserved running?)", url, err))
+	backoff := 100 * time.Millisecond
+	for attempt := 1; ; attempt++ {
+		retry, err := once(url, req, out)
+		if err == nil {
+			return
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode >= 300 {
-			msg, _ := io.ReadAll(resp.Body)
-			err := fmt.Errorf("%s: HTTP %d: %s", url, resp.StatusCode, msg)
-			if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500 {
-				return struct{}{}, resil.Transient(err)
-			}
-			return struct{}{}, err
+		if !retry || attempt == 5 {
+			log.Fatal(err)
 		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return struct{}{}, fmt.Errorf("%s: decode: %v", url, err)
-		}
-		return struct{}{}, nil
-	})
-	if err != nil {
-		log.Fatal(err)
+		time.Sleep(backoff)
+		backoff *= 2
 	}
+}
+
+// once issues one request; retry reports whether its failure is worth
+// another attempt.
+func once(url string, req func() (*http.Response, error), out any) (retry bool, err error) {
+	resp, err := req()
+	if err != nil {
+		return true, fmt.Errorf("%s: %v (is socserved running?)", url, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode >= 300 {
+		msg, _ := io.ReadAll(resp.Body)
+		retry = resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500
+		return retry, fmt.Errorf("%s: HTTP %d: %s", url, resp.StatusCode, msg)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return false, fmt.Errorf("%s: decode: %v", url, err)
+	}
+	return false, nil
 }
 
 func post(url, contentType string, body []byte, out any) {

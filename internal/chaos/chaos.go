@@ -42,8 +42,7 @@ const (
 	// ModeOK passes through: the site behaves normally. It is the zero
 	// value so an unset Backend script entry is a no-op.
 	ModeOK Mode = iota
-	// ModeError makes the site return an *InjectedError (transient: it
-	// reports Temporary() == true, so resil.IsTransient retries it).
+	// ModeError makes the site return an *InjectedError.
 	ModeError
 	// ModePanic makes the site panic.
 	ModePanic
@@ -72,18 +71,15 @@ func (m Mode) String() string {
 }
 
 // InjectedError is the error a ModeError failpoint (or a scripted Backend)
-// returns. It is transient by construction — chaos models recoverable
-// infrastructure faults, and the retry/breaker layers are exactly what the
-// suite exercises.
+// returns. It models a recoverable fault: the suite checks that no cache
+// stores it and that the breaker quarantines a backend that keeps
+// returning it.
 type InjectedError struct {
 	// Site is the failpoint (or wrapped backend) that fired.
 	Site string
 }
 
 func (e *InjectedError) Error() string { return "chaos: injected failure at " + e.Site }
-
-// Temporary marks the error transient (resil.IsTransient consults it).
-func (e *InjectedError) Temporary() bool { return true }
 
 // Rule makes one failpoint fire.
 type Rule struct {

@@ -38,9 +38,6 @@ func TestErrorModeAndBookkeeping(t *testing.T) {
 	if !errors.As(err, &ie) || ie.Site != "test/a" {
 		t.Fatalf("Inject = %v, want InjectedError at test/a", err)
 	}
-	if !ie.Temporary() {
-		t.Error("injected errors must be transient")
-	}
 	if err := Inject("test/b"); err != nil {
 		t.Errorf("unarmed site returned %v", err)
 	}
@@ -266,9 +263,6 @@ func TestModeStringsAndInjectedError(t *testing.T) {
 	err := &InjectedError{Site: "test/a"}
 	if got := err.Error(); !strings.Contains(got, "test/a") {
 		t.Errorf("InjectedError.Error() = %q, want the site name in it", got)
-	}
-	if !err.Temporary() {
-		t.Error("InjectedError must be transient")
 	}
 	b := &Backend[int, int, int]{BackendName: "scripted"}
 	if got := b.Name(); got != "scripted" {

@@ -174,7 +174,10 @@ func checkGuards(pass *analysis.Pass, fd *ast.FuncDecl, guards map[*types.Var]st
 			if !ok {
 				return true
 			}
-			guard, ok := guards[fieldObj]
+			// A field of an instantiated generic struct whose type mentions
+			// a type parameter is a substituted copy; its annotation sits on
+			// the declared field.
+			guard, ok := guards[fieldObj.Origin()]
 			if !ok {
 				return true
 			}

@@ -1,12 +1,10 @@
 // Package resil holds the small, dependency-free resilience primitives the
 // scheduler and service share: a consecutive-failure circuit breaker
-// (Breaker), counting-semaphore admission control (Semaphore), and seeded
-// jittered exponential backoff (Retry). The portfolio backend uses Breaker
-// to quarantine misbehaving racers; socserved uses Semaphore to shed load
-// with 429s and Retry to ride out transient planner failures in the sweep
-// job pool. Everything here is deterministic given its inputs: Retry draws
-// jitter from a caller-seeded generator and Breaker's clock is injectable,
-// so the chaos suite can script exact failure/recovery timelines.
+// (Breaker) and counting-semaphore admission control (Semaphore). The
+// portfolio backend uses Breaker to quarantine misbehaving racers;
+// socserved uses Semaphore to shed load with 429s. Breaker's clock is
+// injectable, so the chaos suite can script exact failure/recovery
+// timelines.
 package resil
 
 import (

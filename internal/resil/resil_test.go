@@ -3,7 +3,6 @@ package resil
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 )
@@ -154,163 +153,6 @@ func TestSemaphore(t *testing.T) {
 func TestSemaphoreCapFloor(t *testing.T) {
 	if got := NewSemaphore(0).Cap(); got != 1 {
 		t.Errorf("NewSemaphore(0).Cap() = %d, want 1", got)
-	}
-}
-
-// tempErr implements the Temporary() convention like chaos.InjectedError.
-type tempErr struct{ temp bool }
-
-func (e *tempErr) Error() string   { return "tempErr" }
-func (e *tempErr) Temporary() bool { return e.temp }
-
-func TestIsTransient(t *testing.T) {
-	cases := []struct {
-		err  error
-		want bool
-	}{
-		{nil, false},
-		{errors.New("plain"), false},
-		{context.Canceled, false},
-		{context.DeadlineExceeded, false},
-		{fmt.Errorf("wrapped: %w", context.DeadlineExceeded), false},
-		{ErrTransient, true},
-		{Transient(errors.New("flaky")), true},
-		{fmt.Errorf("outer: %w", Transient(errors.New("flaky"))), true},
-		{&tempErr{temp: true}, true},
-		{&tempErr{temp: false}, false},
-	}
-	for _, c := range cases {
-		if got := IsTransient(c.err); got != c.want {
-			t.Errorf("IsTransient(%v) = %v, want %v", c.err, got, c.want)
-		}
-	}
-	inner := errors.New("flaky")
-	if !errors.Is(Transient(inner), inner) {
-		t.Error("Transient must preserve the wrapped error chain")
-	}
-	if Transient(nil) != nil {
-		t.Error("Transient(nil) must be nil")
-	}
-}
-
-func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
-	var slept []time.Duration
-	cfg := RetryConfig{
-		Attempts: 5,
-		Base:     10 * time.Millisecond,
-		Max:      40 * time.Millisecond,
-		Seed:     1,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			slept = append(slept, d)
-			return nil
-		},
-	}
-	calls := 0
-	v, err := Retry(context.Background(), cfg, func(ctx context.Context) (int, error) {
-		calls++
-		if calls < 3 {
-			return 0, Transient(errors.New("flaky"))
-		}
-		return 42, nil
-	})
-	if err != nil || v != 42 {
-		t.Fatalf("Retry = (%d, %v), want (42, nil)", v, err)
-	}
-	if calls != 3 || len(slept) != 2 {
-		t.Fatalf("calls=%d sleeps=%d, want 3 calls with 2 backoffs", calls, len(slept))
-	}
-	for i, d := range slept {
-		if maxD := time.Duration(10<<i) * time.Millisecond; d < 0 || d > maxD {
-			t.Errorf("backoff %d = %v outside [0, %v]", i, d, maxD)
-		}
-	}
-}
-
-func TestRetryBackoffDeterministicPerSeed(t *testing.T) {
-	schedule := func(seed int64) []time.Duration {
-		var slept []time.Duration
-		cfg := RetryConfig{
-			Attempts: 6,
-			Seed:     seed,
-			Sleep: func(ctx context.Context, d time.Duration) error {
-				slept = append(slept, d)
-				return nil
-			},
-		}
-		_, _ = Retry(context.Background(), cfg, func(ctx context.Context) (int, error) {
-			return 0, ErrTransient
-		})
-		return slept
-	}
-	a, b := schedule(7), schedule(7)
-	if len(a) != 5 {
-		t.Fatalf("6 attempts should back off 5 times, got %d", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at backoff %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestRetryStopsOnPermanentError(t *testing.T) {
-	calls := 0
-	perm := errors.New("permanent")
-	_, err := Retry(context.Background(), RetryConfig{Attempts: 5}, func(ctx context.Context) (int, error) {
-		calls++
-		return 0, perm
-	})
-	if !errors.Is(err, perm) || calls != 1 {
-		t.Fatalf("Retry on permanent error: calls=%d err=%v, want 1 call", calls, err)
-	}
-}
-
-func TestRetryExhaustsAttempts(t *testing.T) {
-	calls := 0
-	cfg := RetryConfig{Attempts: 4, Sleep: func(ctx context.Context, d time.Duration) error { return nil }}
-	_, err := Retry(context.Background(), cfg, func(ctx context.Context) (int, error) {
-		calls++
-		return 0, Transient(fmt.Errorf("attempt %d", calls))
-	})
-	if calls != 4 {
-		t.Fatalf("calls = %d, want 4", calls)
-	}
-	if err == nil || err.Error() != "attempt 4" {
-		t.Fatalf("Retry must report the last error, got %v", err)
-	}
-}
-
-func TestRetryRespectsContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	boom := errors.New("boom")
-	_, err := Retry(ctx, RetryConfig{Attempts: 10, Base: time.Millisecond}, func(ctx context.Context) (int, error) {
-		calls++
-		cancel() // dies mid-flight; Retry must not try again
-		return 0, Transient(boom)
-	})
-	if calls != 1 {
-		t.Fatalf("Retry after ctx cancel made %d calls, want 1", calls)
-	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the underlying failure", err)
-	}
-}
-
-// TestRetryRealBackoffSleep exercises the production sleep path (no Sleep
-// override): one transient failure, then success after a 1ms backoff.
-func TestRetryRealBackoffSleep(t *testing.T) {
-	calls := 0
-	v, err := Retry(context.Background(), RetryConfig{Attempts: 2, Base: time.Millisecond},
-		func(context.Context) (string, error) {
-			calls++
-			if calls == 1 {
-				return "", Transient(errors.New("flaky"))
-			}
-			return "ok", nil
-		})
-	if err != nil || v != "ok" || calls != 2 {
-		t.Fatalf("Retry = (%q, %v) after %d calls, want (\"ok\", nil) after 2", v, err, calls)
 	}
 }
 

@@ -113,7 +113,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ctx, cancel := s.requestCtx(r, 0)
+	ctx, cancel := s.deadlineCtx(r.Context(), 0)
 	defer cancel()
 	defer obs.TimeStage("service/batch")()
 
@@ -151,11 +151,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BatchResponse{Items: out, Stats: st})
 }
 
-// runBatchItem executes one batch item through the same validation,
-// planner resolution, and cached scheduling path as a per-request call,
-// under its own child span and per-item deadline. Failures land in the
-// item's own slot with the same status and error body a per-request call
-// would answer.
+// runBatchItem executes one batch item through scheduleItem, the same
+// path a per-request call takes, under its own child span and per-item
+// deadline. Failures land in the item's own slot with the same status and
+// error body a per-request call would answer.
 func (s *Server) runBatchItem(ctx context.Context, i int, item BatchItemJSON) BatchItemResult {
 	ctx, span := obs.Start(ctx, "batch/item")
 	defer span.End()
@@ -163,32 +162,17 @@ func (s *Server) runBatchItem(ctx context.Context, i int, item BatchItemJSON) Ba
 	span.SetAttr("soc", item.SOC)
 	defer obs.TimeStage("service/batch/item")()
 
-	fail := func(e *apiErr) BatchItemResult {
+	var doc []byte
+	var hit bool
+	e := item.Params.validate()
+	if e == nil {
+		doc, hit, e = s.scheduleItem(ctx, item.SOC, item.Params, item.Best)
+	}
+	if e != nil {
 		span.SetAttr("error", e.Error())
 		body := e.body()
 		return BatchItemResult{Index: i, Status: e.status, Error: &body}
 	}
-	if e := item.Params.validate(); e != nil {
-		return fail(e)
-	}
-	fp, ok := s.reg.Resolve(item.SOC)
-	if !ok {
-		return fail(apiError(http.StatusNotFound, fmt.Errorf("%w %q", ErrUnknownSOC, item.SOC)))
-	}
-	planner, err := s.reg.Planner(ctx, fp)
-	if err != nil {
-		return fail(apiError(http.StatusInternalServerError, err))
-	}
-	if e := preemptionsErr(planner, item.Params); e != nil {
-		return fail(e)
-	}
-	ictx, cancel := s.deadlineCtx(ctx, item.Params.TimeoutMS)
-	defer cancel()
-	doc, hit, err := s.scheduleDoc(ictx, planner, fp, item.Params, item.Best)
-	if err != nil {
-		return fail(apiError(s.scheduleStatus(err), err))
-	}
-	s.metrics.schedules.Add(1)
 	span.SetAttr("cached", hit)
 	return BatchItemResult{Index: i, Status: http.StatusOK, Cached: hit, Result: json.RawMessage(doc)}
 }

@@ -35,22 +35,25 @@ type CacheStats struct {
 	SingleflightShared int64 `json:"singleflightShared"`
 }
 
-// ResultCache is the content-addressed result cache: serialized response
-// documents keyed by (fingerprint, canonical params, mode). Storing the
-// exact bytes a cache miss served makes hits byte-identical by
-// construction. Concurrent identical requests are deduplicated
-// singleflight-style: one caller builds, the rest wait and share. Failed
-// builds are never cached and never poison waiters — a waiter whose
-// leader failed retries from the top (and becomes the new leader if the
-// slot is still empty), so a chaos-injected or timed-out build costs only
-// the callers it directly failed. Eviction is LRU by total stored bytes.
-type ResultCache struct {
+// flightLRU is the service's one memo: a keyed singleflight in front of
+// an LRU bounded by the total cost of the values it stores. The Planner
+// registry prices a Planner at 1 (a count bound) and the result cache a
+// document at its length (a byte bound). The rules, for both:
+//   - concurrent Do calls for one key share one build;
+//   - a failed build is never stored and never poisons its waiters: they
+//     retry from the top, and one of them leads the next build;
+//   - a waiter's own ctx bounds its wait; the leader still stores its value;
+//   - only finished values hold capacity, so the stored cost never exceeds
+//     it, and a value costing more than the whole capacity is served but
+//     not stored.
+type flightLRU[V any] struct {
 	mu       sync.Mutex
 	capacity int64
-	entries  map[string]*list.Element // guarded by mu; of *cacheEntry
+	cost     func(V) int64
+	entries  map[string]*list.Element // guarded by mu; of *lruEntry[V]
 	lru      *list.List               // guarded by mu; front = most recent
-	bytes    int64                    // guarded by mu
-	flights  map[string]*cacheFlight  // guarded by mu
+	used     int64                    // guarded by mu; total cost of entries
+	flights  map[string]*flight[V]    // guarded by mu
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -58,18 +61,126 @@ type ResultCache struct {
 	shared    atomic.Int64
 }
 
-type cacheEntry struct {
-	key string
-	doc []byte
+type lruEntry[V any] struct {
+	key  string
+	val  V
+	cost int64
 }
 
-// cacheFlight is one in-progress build; doc/err are written exactly once
+// flight is one in-progress build; val/err are written exactly once
 // before done is closed and read only after it.
-type cacheFlight struct {
+type flight[V any] struct {
 	done chan struct{}
-	doc  []byte
+	val  V
 	err  error
 }
+
+func newFlightLRU[V any](capacity int64, cost func(V) int64) *flightLRU[V] {
+	return &flightLRU[V]{
+		capacity: capacity,
+		cost:     cost,
+		entries:  make(map[string]*list.Element),
+		lru:      list.New(),
+		flights:  make(map[string]*flight[V]),
+	}
+}
+
+// Do returns the value for key, building it at most once across
+// concurrent identical calls. hit reports whether the answer came from
+// the store or a shared in-flight build (false: this call ran build). A
+// build error is returned to the caller that ran it and nothing is stored.
+func (c *flightLRU[V]) Do(ctx context.Context, key string, build func() (V, error)) (val V, hit bool, err error) {
+	for {
+		c.mu.Lock()
+		if elem, ok := c.entries[key]; ok {
+			c.lru.MoveToFront(elem)
+			val = elem.Value.(*lruEntry[V]).val
+			c.mu.Unlock()
+			c.hits.Add(1)
+			return val, true, nil
+		}
+		if f, ok := c.flights[key]; ok {
+			c.mu.Unlock()
+			select {
+			case <-f.done:
+			case <-ctx.Done():
+				return val, false, ctx.Err()
+			}
+			if f.err == nil {
+				c.hits.Add(1)
+				c.shared.Add(1)
+				return f.val, true, nil
+			}
+			// The leader failed. Its failure was not stored, so retry: the
+			// next lap either joins a newer flight or leads one.
+			continue
+		}
+		f := &flight[V]{done: make(chan struct{})}
+		c.flights[key] = f
+		c.mu.Unlock()
+
+		f.val, f.err = build()
+		cost := c.cost(f.val)
+		c.mu.Lock()
+		delete(c.flights, key)
+		if f.err == nil {
+			c.insertLocked(key, f.val, cost)
+		}
+		c.mu.Unlock()
+		close(f.done)
+		c.misses.Add(1)
+		return f.val, false, f.err
+	}
+}
+
+// insertLocked stores val under key (the caller's flight guarantees no
+// entry exists) and evicts from the cold end until the stored cost fits
+// capacity again. Callers hold c.mu.
+func (c *flightLRU[V]) insertLocked(key string, val V, cost int64) {
+	if cost > c.capacity {
+		return
+	}
+	c.entries[key] = c.lru.PushFront(&lruEntry[V]{key: key, val: val, cost: cost})
+	c.used += cost
+	for c.used > c.capacity {
+		e := c.lru.Remove(c.lru.Back()).(*lruEntry[V])
+		delete(c.entries, e.key)
+		c.used -= e.cost
+		c.evictions.Add(1)
+	}
+}
+
+// has reports whether a value is stored under key.
+func (c *flightLRU[V]) has(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
+	return ok
+}
+
+// Stats snapshots the counters. Bytes and CapacityBytes are in cost units:
+// bytes for the result cache, Planners for the registry.
+func (c *flightLRU[V]) Stats() CacheStats {
+	c.mu.Lock()
+	entries, used := len(c.entries), c.used
+	c.mu.Unlock()
+	return CacheStats{
+		Entries:            entries,
+		Bytes:              used,
+		CapacityBytes:      c.capacity,
+		Hits:               c.hits.Load(),
+		Misses:             c.misses.Load(),
+		Evictions:          c.evictions.Load(),
+		SingleflightShared: c.shared.Load(),
+	}
+}
+
+// ResultCache is the content-addressed result cache: serialized response
+// documents keyed by (fingerprint, canonical params, mode), bounded by
+// total stored bytes. Storing the exact bytes a cache miss served makes
+// hits byte-identical by construction, and the flightLRU rules mean a
+// chaos-injected or timed-out build costs only the caller that ran it.
+type ResultCache = flightLRU[[]byte]
 
 // NewResultCache builds a cache bounded to capacity bytes of stored
 // documents (<= 0: DefaultCacheBytes).
@@ -77,104 +188,7 @@ func NewResultCache(capacity int64) *ResultCache {
 	if capacity <= 0 {
 		capacity = DefaultCacheBytes
 	}
-	return &ResultCache{
-		capacity: capacity,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-		flights:  make(map[string]*cacheFlight),
-	}
-}
-
-// Do returns the document for key, building it at most once across
-// concurrent identical calls. hit reports whether the answer came from
-// the cache or a shared in-flight build (false: this call ran build).
-// A build error is returned to the callers that depended on that build
-// and nothing is stored.
-func (c *ResultCache) Do(ctx context.Context, key string, build func() ([]byte, error)) (doc []byte, hit bool, err error) {
-	for {
-		c.mu.Lock()
-		if elem, ok := c.entries[key]; ok {
-			c.lru.MoveToFront(elem)
-			doc := elem.Value.(*cacheEntry).doc
-			c.mu.Unlock()
-			c.hits.Add(1)
-			return doc, true, nil
-		}
-		if f, ok := c.flights[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-			if f.err == nil {
-				c.hits.Add(1)
-				c.shared.Add(1)
-				return f.doc, true, nil
-			}
-			// The leader failed. Its failure was not cached, so retry: the
-			// next lap either joins a newer flight or leads one. A caller
-			// whose own deadline is the problem exits via ctx above.
-			continue
-		}
-		f := &cacheFlight{done: make(chan struct{})}
-		c.flights[key] = f
-		c.mu.Unlock()
-
-		f.doc, f.err = build()
-		c.mu.Lock()
-		delete(c.flights, key)
-		if f.err == nil {
-			c.insertLocked(key, f.doc)
-		}
-		c.mu.Unlock()
-		close(f.done)
-		c.misses.Add(1)
-		return f.doc, false, f.err
-	}
-}
-
-// insertLocked stores doc under key and evicts from the cold end until
-// the cache fits capacity again. Documents larger than the whole cache
-// are served but not stored. Callers hold c.mu.
-func (c *ResultCache) insertLocked(key string, doc []byte) {
-	if int64(len(doc)) > c.capacity {
-		return
-	}
-	if elem, ok := c.entries[key]; ok { // lost a race with an identical build
-		c.lru.MoveToFront(elem)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, doc: doc})
-	c.bytes += int64(len(doc))
-	for c.bytes > c.capacity {
-		elem := c.lru.Back()
-		if elem == nil {
-			break
-		}
-		e := c.lru.Remove(elem).(*cacheEntry)
-		delete(c.entries, e.key)
-		c.bytes -= int64(len(e.doc))
-		c.evictions.Add(1)
-	}
-}
-
-// Stats snapshots the cache counters for /metrics.
-func (c *ResultCache) Stats() CacheStats {
-	c.mu.Lock()
-	entries := len(c.entries)
-	bytes := c.bytes
-	capacity := c.capacity
-	c.mu.Unlock()
-	return CacheStats{
-		Entries:            entries,
-		Bytes:              bytes,
-		CapacityBytes:      capacity,
-		Hits:               c.hits.Load(),
-		Misses:             c.misses.Load(),
-		Evictions:          c.evictions.Load(),
-		SingleflightShared: c.shared.Load(),
-	}
+	return newFlightLRU(capacity, func(doc []byte) int64 { return int64(len(doc)) })
 }
 
 // scheduleCacheKey is the content address of a schedule document:

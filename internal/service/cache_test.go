@@ -201,6 +201,46 @@ func TestCacheWaitersSurviveFailedLeader(t *testing.T) {
 	}
 }
 
+// TestCacheWaiterContextBoundsWait holds a build open: the in-flight
+// build holds no LRU slot, a waiter whose ctx ends returns ctx.Err()
+// without running a build of its own, and the leader still stores its
+// document for the next caller.
+func TestCacheWaiterContextBoundsWait(t *testing.T) {
+	c := NewResultCache(1 << 20)
+	started, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(context.Background(), "k", func() ([]byte, error) {
+			close(started)
+			<-release
+			return []byte("document"), nil
+		})
+		leader <- err
+	}()
+	<-started
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("in-flight build holds a slot: %+v", st)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, hit, err := c.Do(ctx, "k", func() ([]byte, error) {
+		t.Error("waiter ran its own build")
+		return nil, nil
+	}); !errors.Is(err, context.Canceled) || hit {
+		t.Fatalf("waiter: hit=%v err=%v, want its own cancellation", hit, err)
+	}
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	doc, hit, err := c.Do(context.Background(), "k", func() ([]byte, error) {
+		return nil, errors.New("rebuilt a stored document")
+	})
+	if err != nil || !hit || !bytes.Equal(doc, []byte("document")) {
+		t.Fatalf("after the leader: doc=%q hit=%v err=%v, want the stored document", doc, hit, err)
+	}
+}
+
 // TestChaosScheduleFailureNotCached drives the full HTTP path: a
 // chaos-injected scheduling failure answers 5xx/422 and must not poison
 // the cache — the retry reschedules for real, succeeds, and only then do

@@ -56,8 +56,9 @@ func TestChaosJobPanicLifecycle(t *testing.T) {
 
 // TestChaosRegistrySingleflightBuildError injects a one-shot error into
 // the Planner build failpoint and asserts the failed build is NOT cached:
-// the next caller rebuilds and succeeds, and concurrent waiters of the
-// failed build all see the same error (singleflight) without wedging.
+// the caller that ran it gets the injected error, its concurrent waiters
+// retry (one leads a fresh, healthy build) instead of inheriting the
+// error, nobody wedges, and the next caller is served.
 func TestChaosRegistrySingleflightBuildError(t *testing.T) {
 	plan := chaos.Enable(chaos.Plan{Rules: []chaos.Rule{
 		{Site: "service/registry/build", Mode: chaos.ModeError, Count: 1},
@@ -73,8 +74,8 @@ func TestChaosRegistrySingleflightBuildError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Several concurrent callers race the first (sabotaged) build. Exactly
-	// one build runs; every caller of that round gets the injected error.
+	// Several concurrent callers race the first (sabotaged) build. Only
+	// the caller that ran it sees the injected error; the rest retry.
 	const callers = 4
 	errs := make([]error, callers)
 	var wg sync.WaitGroup
@@ -99,9 +100,8 @@ func TestChaosRegistrySingleflightBuildError(t *testing.T) {
 	if failed == 0 {
 		t.Fatal("injected build error reached no caller")
 	}
-	// Late callers may have arrived after the failed entry was dropped and
-	// triggered a fresh, healthy build — that is the desired behaviour, so
-	// failed < callers is fine.
+	// Waiters of the failed build retried into a fresh, healthy build, so
+	// failed < callers is the desired behaviour.
 
 	// The failure must not be cached: the next call rebuilds and succeeds.
 	p, err := r.Planner(context.Background(), "demo8")
@@ -110,6 +110,104 @@ func TestChaosRegistrySingleflightBuildError(t *testing.T) {
 	}
 	if got := r.Stats().Builds; got < 2 {
 		t.Fatalf("builds = %d, want >= 2 (failed build + rebuild)", got)
+	}
+}
+
+// TestChaosSweepJobBuildFault submits an async sweep whose Planner build
+// eats a one-shot fault: the job ends failed (there is no retry layer),
+// the failed build is not cached, and an identical resubmission succeeds.
+func TestChaosSweepJobBuildFault(t *testing.T) {
+	plan := chaos.Enable(chaos.Plan{Rules: []chaos.Rule{
+		{Site: "service/registry/build", Mode: chaos.ModeError, Count: 1},
+	}})
+	defer plan.Disable()
+
+	_, ts := newTestService(t, Config{Preload: []string{"demo8"}})
+	client := ts.Client()
+	req := map[string]any{"soc": "demo8", "params": map[string]any{"widthLo": 8, "widthHi": 12}}
+	for _, want := range []JobState{JobFailed, JobDone} {
+		code, body := doJSON(t, client, "POST", ts.URL+"/v1/sweep", req)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: HTTP %d: %s", code, body)
+		}
+		var sub struct {
+			StatusURL string `json:"statusUrl"`
+		}
+		if err := json.Unmarshal(body, &sub); err != nil {
+			t.Fatal(err)
+		}
+		if st := pollJob(t, client, ts.URL+sub.StatusURL, 10*time.Second); st.State != want {
+			t.Fatalf("job state = %s (%q), want %s", st.State, st.Error, want)
+		}
+	}
+	if got := plan.FireCount("service/registry/build"); got != 1 {
+		t.Fatalf("build fault fired %d times, want 1", got)
+	}
+}
+
+// TestChaosSweepSubmitBackPressure fills the job pool — its only worker
+// held in a hung Planner build, its one queue slot taken — and asserts a
+// further async sweep is shed with 429 + Retry-After, and that a sweep
+// submitted after the pool closed answers 410 gone.
+func TestChaosSweepSubmitBackPressure(t *testing.T) {
+	plan := chaos.Enable(chaos.Plan{Rules: []chaos.Rule{
+		{Site: "service/registry/build", Mode: chaos.ModeHang},
+	}})
+	defer plan.Disable()
+
+	svc, ts := newTestService(t, Config{Preload: []string{"demo8"}, JobWorkers: 1, JobQueue: 1})
+	submit := func() *http.Response {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/v1/sweep", "application/json",
+			bytes.NewReader([]byte(`{"soc":"demo8","params":{"widthLo":8,"widthHi":12}}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	if resp := submit(); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first sweep: HTTP %d, want 202", resp.StatusCode)
+	}
+	for plan.Hits("service/registry/build") == 0 { // the worker is busy
+		time.Sleep(time.Millisecond)
+	}
+	if resp := submit(); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("queued sweep: HTTP %d, want 202", resp.StatusCode)
+	}
+	resp := submit()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("sweep past a full queue: HTTP %d, Retry-After %q; want 429 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	svc.Jobs().Close()
+	if resp := submit(); resp.StatusCode != http.StatusGone {
+		t.Fatalf("sweep after close: HTTP %d, want 410", resp.StatusCode)
+	}
+}
+
+// TestChaosPlannerBuildDeadline hangs every Planner build: a request
+// whose deadline ends while its Planner is still building answers the
+// 504 deadline envelope, on the schedule and the sweep paths alike.
+func TestChaosPlannerBuildDeadline(t *testing.T) {
+	plan := chaos.Enable(chaos.Plan{Rules: []chaos.Rule{
+		{Site: "service/registry/build", Mode: chaos.ModeHang},
+	}})
+	defer plan.Disable()
+
+	svc, ts := newTestService(t, Config{Preload: []string{"demo8"}})
+	for _, path := range []string{"/v1/schedule", "/v1/effective"} {
+		code, body := doJSON(t, ts.Client(), "POST", ts.URL+path,
+			map[string]any{"soc": "demo8", "params": map[string]any{"tamWidth": 16, "timeoutMs": 20}})
+		if code != http.StatusGatewayTimeout || !bytes.Contains(body, []byte(`"deadline"`)) {
+			t.Fatalf("%s: HTTP %d (want 504 deadline): %s", path, code, body)
+		}
+	}
+	if got := svc.metrics.timeouts.Load(); got != 2 {
+		t.Fatalf("timeouts counter = %d, want 2", got)
+	}
+	if st := svc.Registry().Stats(); st.Planners != 0 {
+		t.Fatalf("a timed-out build was cached: %+v", st)
 	}
 }
 

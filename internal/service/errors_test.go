@@ -55,6 +55,7 @@ func TestErrorEnvelopeAllRoutes(t *testing.T) {
 
 		// 422 unknown_core: preemption budgets for cores the SOC lacks.
 		{"schedule bad preemption core", "POST", "/v1/schedule", map[string]any{"soc": "demo8", "params": map[string]any{"tamWidth": 16, "maxPreemptions": map[string]int{"999": 1}}}, http.StatusUnprocessableEntity, CodeUnknownCore},
+		{"gantt bad preemption core", "POST", "/v1/gantt", map[string]any{"soc": "demo8", "params": map[string]any{"tamWidth": 16, "maxPreemptions": map[string]int{"999": 1}}}, http.StatusUnprocessableEntity, CodeUnknownCore},
 
 		// 422 backend_declined: a directly-named backend honestly refusing
 		// parameters outside its regime (rectpack under preemption budgets,

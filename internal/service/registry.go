@@ -1,18 +1,17 @@
 // Package service turns the repro library into a long-running SOC
-// test-scheduling service: a Planner registry that builds each SOC's
-// scheduling session at most once (singleflight) and bounds the number of
-// sessions held in memory (LRU), an asynchronous job pool for long-running
-// sweeps with cancellation, and an HTTP/JSON API (cmd/socserved) whose
-// responses are byte-identical to the library's direct Planner answers.
+// test-scheduling service: a Planner registry and a result cache of
+// schedule documents, both instances of one singleflight-LRU (flightLRU)
+// that shares concurrent builds and bounds what stays in memory; an
+// asynchronous job pool for long-running sweeps with cancellation; and an
+// HTTP/JSON API (cmd/socserved) whose responses are byte-identical to the
+// library's direct Planner answers.
 package service
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro"
 	"repro/internal/chaos"
@@ -22,8 +21,8 @@ import (
 )
 
 // siteRegistryBuild is the failpoint fired before every Planner build; the
-// chaos suite arms it to prove failed builds are not cached (the next
-// caller rebuilds) and that the sweep job pool retries transient failures.
+// chaos suite arms it to prove a failed build is not cached: the caller
+// that ran it gets the error, its waiters and the next caller rebuild.
 const siteRegistryBuild = "service/registry/build"
 
 // DefaultPlannerCapacity bounds the Planner LRU when Config leaves it
@@ -37,34 +36,16 @@ const DefaultPlannerCapacity = 32
 var ErrUnknownSOC = fmt.Errorf("service: unknown SOC")
 
 // Registry maps canonical SOC fingerprints to scheduling state. Uploaded
-// SOCs are deduplicated by socfile.Fingerprint; Planners are built lazily,
-// at most once per fingerprint at a time (concurrent requests for the same
-// fingerprint share one build), and held in an LRU bounded by capacity.
-// An evicted Planner is rebuilt on next use — the SOC description is never
-// forgotten. All methods are safe for concurrent use.
+// SOCs are deduplicated by socfile.Fingerprint; Planners are built lazily
+// through a flightLRU costing 1 per Planner, so concurrent requests for
+// one fingerprint share one build and at most capacity built Planners are
+// held. An evicted Planner is rebuilt on next use — the SOC description is
+// never forgotten. All methods are safe for concurrent use.
 type Registry struct {
 	mu       sync.Mutex
-	capacity int                      // immutable after NewRegistry
-	socs     map[string]*soc.SOC      // guarded by mu; fingerprint → validated, registry-owned SOC
-	names    map[string]string        // guarded by mu; SOC name → fingerprint (last upload wins)
-	planners map[string]*plannerEntry // guarded by mu
-	lru      *list.List               // guarded by mu; of *plannerEntry; front = most recently used
-
-	builds    atomic.Int64
-	evictions atomic.Int64
-	hits      atomic.Int64 // Planner calls answered from the cache
-}
-
-// plannerEntry is one singleflight-guarded Planner slot. The builder
-// publishes planner and err before closing ready, so waiters that block on
-// ready may read them lock-free afterwards.
-type plannerEntry struct {
-	fp      string
-	ready   chan struct{}  // closed once the build finished
-	done    bool           // guarded by Registry.mu; build finished
-	planner *repro.Planner // guarded by Registry.mu
-	err     error          // guarded by Registry.mu
-	elem    *list.Element  // guarded by Registry.mu
+	socs     map[string]*soc.SOC // guarded by mu; fingerprint → validated, registry-owned SOC
+	names    map[string]string   // guarded by mu; SOC name → fingerprint (last upload wins)
+	planners *flightLRU[*repro.Planner]
 }
 
 // NewRegistry returns a registry bounding its Planner cache to capacity
@@ -74,11 +55,9 @@ func NewRegistry(capacity int) *Registry {
 		capacity = DefaultPlannerCapacity
 	}
 	return &Registry{
-		capacity: capacity,
 		socs:     make(map[string]*soc.SOC),
 		names:    make(map[string]string),
-		planners: make(map[string]*plannerEntry),
-		lru:      list.New(),
+		planners: newFlightLRU(int64(capacity), func(*repro.Planner) int64 { return 1 }),
 	}
 }
 
@@ -131,90 +110,28 @@ func (r *Registry) SOC(key string) (*soc.SOC, string, error) {
 }
 
 // Planner returns the Planner for a fingerprint-or-name key, building it
-// on first use. Concurrent calls for the same fingerprint wait on a single
-// build; distinct fingerprints build independently. A successful build
-// enters the LRU (possibly evicting the least-recently-used completed
-// Planner); a failed build is not cached, so the error is re-derived on
-// retry. ctx carries the request trace (a "registry/planner" span records
-// whether the wrapper-design cache hit); it does not cancel the build —
-// waiters sharing the singleflight would inherit the abandonment.
+// on first use. Calls for one fingerprint share one build (a
+// "registry/planner" span records whether this call was served without
+// building); a failed build is not cached, so the next call rebuilds.
+// ctx bounds this caller's wait for another caller's build and carries
+// the request trace; repro.NewPlanner itself does not watch it.
 func (r *Registry) Planner(ctx context.Context, key string) (*repro.Planner, error) {
-	fp, ok := r.Resolve(key)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownSOC, key)
+	s, fp, err := r.SOC(key)
+	if err != nil {
+		return nil, err
 	}
 	_, span := obs.Start(ctx, "registry/planner")
 	defer span.End()
 	span.SetAttr("soc", fp)
-	r.mu.Lock()
-	if pe, ok := r.planners[fp]; ok {
-		if pe.elem != nil {
-			r.lru.MoveToFront(pe.elem)
+	p, hit, err := r.planners.Do(ctx, fp, func() (*repro.Planner, error) {
+		defer obs.TimeStage("registry/build")()
+		if err := chaos.InjectContext(ctx, siteRegistryBuild); err != nil {
+			return nil, err
 		}
-		r.mu.Unlock()
-		r.hits.Add(1)
-		span.SetAttr("cached", true)
-		<-pe.ready
-		return pe.planner, pe.err
-	}
-	s := r.socs[fp]
-	pe := &plannerEntry{fp: fp, ready: make(chan struct{})}
-	r.planners[fp] = pe
-	pe.elem = r.lru.PushFront(pe)
-	r.evictLocked(pe)
-	r.mu.Unlock()
-
-	span.SetAttr("cached", false)
-	buildDone := obs.TimeStage("registry/build")
-	var planner *repro.Planner
-	err := chaos.InjectContext(ctx, siteRegistryBuild)
-	if err == nil {
-		planner, err = repro.NewPlanner(s)
-	}
-	buildDone()
-	r.builds.Add(1)
-
-	r.mu.Lock()
-	pe.planner, pe.err, pe.done = planner, err, true
-	if err != nil {
-		r.removeLocked(pe)
-	}
-	r.mu.Unlock()
-	close(pe.ready)
-	return planner, err
-}
-
-// evictLocked trims the LRU to capacity, never evicting keep or entries
-// still building (their waiters would re-trigger concurrent builds).
-// r.mu must be held.
-func (r *Registry) evictLocked(keep *plannerEntry) {
-	for len(r.planners) > r.capacity {
-		evicted := false
-		for e := r.lru.Back(); e != nil; e = e.Prev() {
-			pe := e.Value.(*plannerEntry)
-			if pe == keep || !pe.done {
-				continue
-			}
-			r.removeLocked(pe)
-			r.evictions.Add(1)
-			evicted = true
-			break
-		}
-		if !evicted {
-			return // everything else is mid-build; exceed capacity briefly
-		}
-	}
-}
-
-// removeLocked drops an entry from the planner map and LRU. r.mu must be
-// held. In-flight waiters keep their direct entry pointer and are
-// unaffected; the Planner simply stops being cached.
-func (r *Registry) removeLocked(pe *plannerEntry) {
-	delete(r.planners, pe.fp)
-	if pe.elem != nil {
-		r.lru.Remove(pe.elem)
-		pe.elem = nil
-	}
+		return repro.NewPlanner(s)
+	})
+	span.SetAttr("cached", hit)
+	return p, err
 }
 
 // SOCInfo summarizes one registered SOC for listings.
@@ -232,12 +149,11 @@ func (r *Registry) List() []SOCInfo {
 	defer r.mu.Unlock()
 	out := make([]SOCInfo, 0, len(r.socs))
 	for fp, s := range r.socs {
-		pe, ok := r.planners[fp]
 		out = append(out, SOCInfo{
 			Fingerprint: fp,
 			Name:        s.Name,
 			Cores:       len(s.Cores),
-			Planner:     ok && pe.done && pe.err == nil,
+			Planner:     r.planners.has(fp),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -261,13 +177,14 @@ type RegistryStats struct {
 // Stats snapshots the registry counters.
 func (r *Registry) Stats() RegistryStats {
 	r.mu.Lock()
-	socs, planners := len(r.socs), len(r.planners)
+	socs := len(r.socs)
 	r.mu.Unlock()
+	st := r.planners.Stats()
 	return RegistryStats{
 		SOCs:      socs,
-		Planners:  planners,
-		Builds:    r.builds.Load(),
-		Evictions: r.evictions.Load(),
-		Hits:      r.hits.Load(),
+		Planners:  st.Entries,
+		Builds:    st.Misses,
+		Evictions: st.Evictions,
+		Hits:      st.Hits,
 	}
 }

@@ -7,8 +7,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
+	"repro/internal/chaos"
 	"repro/internal/soc"
 )
 
@@ -187,8 +189,9 @@ func TestRegistryLRUEviction(t *testing.T) {
 
 // TestRegistryConcurrentMixedWithEviction hammers a small-capacity
 // registry with mixed-fingerprint traffic — builds, rebuilds after
-// eviction, list and resolve calls — purely for -race coverage and
-// internal-invariant checking under churn.
+// eviction, list and resolve calls — under -race, and checks at every
+// step that in-flight builds hold no LRU slot: the Planner count never
+// exceeds capacity, even briefly.
 func TestRegistryConcurrentMixedWithEviction(t *testing.T) {
 	const socs = 5
 	r := NewRegistry(2) // heavy eviction churn
@@ -212,16 +215,53 @@ func TestRegistryConcurrentMixedWithEviction(t *testing.T) {
 				}
 				r.List()
 				r.Resolve(k)
-				r.Stats()
+				if n := r.Stats().Planners; n > 2 {
+					t.Errorf("planner cache holds %d, capacity 2", n)
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	st := r.Stats()
-	if st.Planners > 2+socs { // capacity may be briefly exceeded mid-build
-		t.Fatalf("planner cache grew to %d, capacity 2", st.Planners)
-	}
-	if st.SOCs != socs {
+	if st := r.Stats(); st.SOCs != socs {
 		t.Fatalf("SOCs = %d, want %d", st.SOCs, socs)
+	}
+}
+
+// TestRegistryWaiterContextBoundsWait holds a Planner build open at the
+// build failpoint: a waiter whose ctx ends mid-build returns ctx.Err()
+// without waiting for it, and the leader still stores its Planner, so the
+// next call is a hit rather than a second build.
+func TestRegistryWaiterContextBoundsWait(t *testing.T) {
+	plan := chaos.Enable(chaos.Plan{Rules: []chaos.Rule{
+		{Site: siteRegistryBuild, Mode: chaos.ModeDelay, Delay: time.Minute},
+	}})
+	defer plan.Disable()
+	r := NewRegistry(2)
+	fp, err := r.Add(bench.Demo())
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := make(chan error, 1)
+	go func() {
+		_, err := r.Planner(context.Background(), fp)
+		leader <- err
+	}()
+	for plan.Hits(siteRegistryBuild) == 0 { // the leader's flight is registered
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := r.Planner(ctx, fp); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("waiter err = %v, want its own deadline", err)
+	}
+	plan.Disable() // ends the delay: the leader's build completes
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if _, err := r.Planner(context.Background(), fp); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.Builds != 1 || st.Planners != 1 || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want 1 build stored and 1 hit", st)
 	}
 }

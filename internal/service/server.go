@@ -170,6 +170,7 @@ func (s *Server) Close() {
 // ---- handlers ----
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
+	backends := "(params.backend: " + strings.Join(sched.Backends(), "|") + ")"
 	writeJSON(w, http.StatusOK, map[string]any{
 		"service": "socserved",
 		"endpoints": []string{
@@ -179,8 +180,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 			"GET  /v1/socs",
 			"POST /v1/socs                (.soc text or JSON body)",
 			"GET  /v1/socs/{key}",
-			"POST /v1/schedule            {soc, params}        (params.backend: classic|rectpack|portfolio)",
-			"POST /v1/schedule/best       {soc, params}        (params.backend: classic|rectpack|portfolio)",
+			"POST /v1/schedule            {soc, params}        " + backends,
+			"POST /v1/schedule/best       {soc, params}        " + backends,
 			"POST /v1/batch               {items: [{soc, params, best}], workers}",
 			"POST /v1/sweep               {soc, params, wait}  (params.widthLo/widthHi/workers)",
 			"POST /v1/effective           {soc, params}        (params.widthLo/widthHi/gamma/workers)",
@@ -337,16 +338,10 @@ func (s *Server) admit(w http.ResponseWriter) (release func(), ok bool) {
 	return s.sem.Release, true
 }
 
-// requestCtx derives the work context for a scheduling request: the
-// client's timeoutMs when given, always capped by the server's MaxTimeout.
-func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
-	return s.deadlineCtx(r.Context(), timeoutMS)
-}
-
 // deadlineCtx derives a work context from parent: timeoutMS when given,
-// always capped by the server's MaxTimeout. Batch items call it directly
-// with the batch context as parent, so an item deadline can shorten but
-// never outlive the batch's.
+// always capped by the server's MaxTimeout. A batch item's parent is the
+// batch context, so an item deadline can shorten but never outlive the
+// batch's.
 func (s *Server) deadlineCtx(parent context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
 	d := s.maxTimeout
 	if timeoutMS > 0 {
@@ -383,27 +378,11 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request, best boo
 		return
 	}
 	defer release()
-	fp, ok := s.reg.Resolve(req.SOC)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("%w %q", ErrUnknownSOC, req.SOC))
-		return
-	}
-	planner, ok := s.plannerFor(w, r, fp)
-	if !ok {
-		return
-	}
-	if e := preemptionsErr(planner, req.Params); e != nil {
+	doc, hit, e := s.scheduleItem(r.Context(), req.SOC, req.Params, best)
+	if e != nil {
 		writeAPIErr(w, e)
 		return
 	}
-	ctx, cancel := s.requestCtx(r, req.Params.TimeoutMS)
-	defer cancel()
-	doc, hit, err := s.scheduleDoc(ctx, planner, fp, req.Params, best)
-	if err != nil {
-		writeError(w, s.scheduleStatus(err), err)
-		return
-	}
-	s.metrics.schedules.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", cacheLabel(hit))
 	if _, err := w.Write(doc); err != nil {
@@ -417,6 +396,28 @@ func cacheLabel(hit bool) string {
 		return "hit"
 	}
 	return "miss"
+}
+
+// scheduleItem is the one schedule path behind /v1/schedule,
+// /v1/schedule/best and every /v1/batch item: under a deadline derived
+// from ctx, resolve the SOC, fetch its Planner, check the preemption
+// budgets, then serve the document through the result cache.
+func (s *Server) scheduleItem(ctx context.Context, key string, p ParamsJSON, best bool) ([]byte, bool, *apiErr) {
+	ctx, cancel := s.deadlineCtx(ctx, p.TimeoutMS)
+	defer cancel()
+	planner, fp, e := s.plannerFor(ctx, key)
+	if e == nil {
+		e = preemptionsErr(planner, p)
+	}
+	if e != nil {
+		return nil, false, e
+	}
+	doc, hit, err := s.scheduleDoc(ctx, planner, fp, p, best)
+	if err != nil {
+		return nil, false, apiError(s.scheduleStatus(err), err)
+	}
+	s.metrics.schedules.Add(1)
+	return doc, hit, nil
 }
 
 // scheduleDoc returns the serialized schedule document for (fp, params,
@@ -498,43 +499,27 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("%w %q", ErrUnknownSOC, req.SOC))
 		return
 	}
-	p := req.Params
 	if req.Wait {
 		release, ok := s.admit(w)
 		if !ok {
 			return
 		}
 		defer release()
-		planner, ok := s.plannerFor(w, r, fp)
-		if !ok {
-			return
-		}
-		ctx, cancel := s.requestCtx(r, p.TimeoutMS)
+		ctx, cancel := s.deadlineCtx(r.Context(), req.Params.TimeoutMS)
 		defer cancel()
-		sw, err := planner.SweepWidthsContext(ctx, p.WidthLo, p.WidthHi, p.Workers)
-		if err != nil {
-			writeError(w, s.scheduleStatus(err), err)
+		sw, e := s.sweep(ctx, fp, req.Params)
+		if e != nil {
+			writeAPIErr(w, e)
 			return
 		}
-		s.metrics.sweeps.Add(1)
 		writeJSON(w, http.StatusOK, sw)
 		return
 	}
 	job, err := s.jobs.Submit("sweep "+req.SOC, func(ctx context.Context) (any, error) {
-		// Transient planner failures (a failed build is never cached — the
-		// registry rebuilds on the next call) are retried with seeded
-		// jittered backoff rather than failing the whole job.
-		sw, err := resil.Retry(ctx, resil.RetryConfig{}, func(ctx context.Context) (*repro.WidthSweep, error) {
-			planner, err := s.reg.Planner(ctx, fp)
-			if err != nil {
-				return nil, err
-			}
-			return planner.SweepWidthsContext(ctx, p.WidthLo, p.WidthHi, p.Workers)
-		})
-		if err != nil {
-			return nil, err
+		sw, e := s.sweep(ctx, fp, req.Params)
+		if e != nil {
+			return nil, e.err
 		}
-		s.metrics.sweeps.Add(1)
 		return sw, nil
 	})
 	if err != nil {
@@ -560,6 +545,23 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// sweep runs a width sweep on key's Planner under ctx: the one path
+// behind the synchronous /v1/sweep, /v1/effective and the async sweep
+// job. Requests pass a deadline-bound ctx; a job's ctx ends only when the
+// job is cancelled.
+func (s *Server) sweep(ctx context.Context, key string, p ParamsJSON) (*repro.WidthSweep, *apiErr) {
+	planner, _, e := s.plannerFor(ctx, key)
+	if e != nil {
+		return nil, e
+	}
+	sw, err := planner.SweepWidthsContext(ctx, p.WidthLo, p.WidthHi, p.Workers)
+	if err != nil {
+		return nil, apiError(s.scheduleStatus(err), err)
+	}
+	s.metrics.sweeps.Add(1)
+	return sw, nil
+}
+
 // handleEffective runs a width sweep and picks the effective TAM width
 // minimizing C(γ, W) — the paper's Problem 3 in one request. The sweep
 // bounds and γ ride in the shared params (widthLo, widthHi, gamma,
@@ -574,22 +576,16 @@ func (s *Server) handleEffective(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	planner, ok := s.plannerFor(w, r, req.SOC)
-	if !ok {
-		return
-	}
-	p := req.Params
-	ctx, cancel := s.requestCtx(r, p.TimeoutMS)
+	ctx, cancel := s.deadlineCtx(r.Context(), req.Params.TimeoutMS)
 	defer cancel()
-	sw, err := planner.SweepWidthsContext(ctx, p.WidthLo, p.WidthHi, p.Workers)
-	if err != nil {
-		writeError(w, s.scheduleStatus(err), err)
+	sw, e := s.sweep(ctx, req.SOC, req.Params)
+	if e != nil {
+		writeAPIErr(w, e)
 		return
 	}
-	s.metrics.sweeps.Add(1)
 	gamma := 0.5
-	if p.Gamma != nil {
-		gamma = *p.Gamma
+	if req.Params.Gamma != nil {
+		gamma = *req.Params.Gamma
 	}
 	eff, err := repro.PickEffectiveWidth(sw, gamma)
 	if err != nil {
@@ -612,16 +608,16 @@ func (s *Server) handleGantt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	planner, ok := s.plannerFor(w, r, req.SOC)
-	if !ok {
-		return
+	ctx, cancel := s.deadlineCtx(r.Context(), req.Params.TimeoutMS)
+	defer cancel()
+	planner, _, e := s.plannerFor(ctx, req.SOC)
+	if e == nil {
+		e = preemptionsErr(planner, req.Params)
 	}
-	if e := preemptionsErr(planner, req.Params); e != nil {
+	if e != nil {
 		writeAPIErr(w, e)
 		return
 	}
-	ctx, cancel := s.requestCtx(r, req.Params.TimeoutMS)
-	defer cancel()
 	sch, err := s.runSchedule(ctx, planner, req.Params.Options(), req.Best)
 	if err != nil {
 		writeError(w, s.scheduleStatus(err), err)
@@ -671,17 +667,21 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.jobs.Snapshot(job))
 }
 
-// plannerFor resolves a SOC key to its Planner, writing the HTTP error on
-// failure. The request context carries the trace the build span lands on.
-func (s *Server) plannerFor(w http.ResponseWriter, r *http.Request, key string) (*repro.Planner, bool) {
-	planner, err := s.reg.Planner(r.Context(), key)
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, ErrUnknownSOC) {
-			code = http.StatusNotFound
-		}
-		writeError(w, code, err)
-		return nil, false
+// plannerFor resolves a SOC key to its fingerprint and Planner: an
+// unknown key is a 404, a deadline spent waiting for the build a 504, a
+// failed build a 500. ctx carries the trace the build span lands on.
+func (s *Server) plannerFor(ctx context.Context, key string) (*repro.Planner, string, *apiErr) {
+	fp, ok := s.reg.Resolve(key)
+	if !ok {
+		return nil, "", apiError(http.StatusNotFound, fmt.Errorf("%w %q", ErrUnknownSOC, key))
 	}
-	return planner, true
+	planner, err := s.reg.Planner(ctx, fp)
+	if err != nil {
+		status := http.StatusInternalServerError
+		if errors.Is(err, context.DeadlineExceeded) {
+			status = s.scheduleStatus(err)
+		}
+		return nil, "", apiError(status, err)
+	}
+	return planner, fp, nil
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 
 	"repro"
 	"repro/internal/bench"
+	"repro/internal/sched"
 )
 
 // newTestService spins up the full stack — registry, jobs, handlers,
@@ -517,6 +519,69 @@ func TestServiceHealthAndMetrics(t *testing.T) {
 	}
 	if _, body = doJSON(t, client, "GET", ts.URL+"/", nil); !bytes.Contains(body, []byte("socserved")) {
 		t.Fatalf("index: %s", body)
+	}
+}
+
+// TestServiceIndexListsBackends asserts the index advertises every
+// registered backend as a params.backend choice.
+func TestServiceIndexListsBackends(t *testing.T) {
+	_, ts := newTestService(t, Config{})
+	code, body := doJSON(t, ts.Client(), "GET", ts.URL+"/", nil)
+	var index struct {
+		Endpoints []string `json:"endpoints"`
+	}
+	if err := json.Unmarshal(body, &index); code != http.StatusOK || err != nil {
+		t.Fatalf("index: HTTP %d (%v): %s", code, err, body)
+	}
+	for _, route := range []string{"POST /v1/schedule ", "POST /v1/schedule/best "} {
+		var choices []string
+		for _, e := range index.Endpoints {
+			if _, list, ok := strings.Cut(e, "params.backend: "); ok && strings.HasPrefix(e, route) {
+				choices = strings.Split(strings.TrimSuffix(list, ")"), "|")
+			}
+		}
+		for _, name := range sched.Backends() {
+			if !slices.Contains(choices, name) {
+				t.Errorf("%q advertises backends %v, missing %q", route, choices, name)
+			}
+		}
+	}
+}
+
+// TestServiceSOCListReportsPlanner asserts GET /v1/socs reports whether
+// each SOC's Planner is built and cached: false before first use, true
+// after it, and false again once the one-slot LRU evicted it.
+func TestServiceSOCListReportsPlanner(t *testing.T) {
+	_, ts := newTestService(t, Config{Preload: []string{"demo8", "d695"}, PlannerCapacity: 1})
+	client := ts.Client()
+	for _, step := range []struct {
+		schedule string // SOC scheduled before listing ("": none)
+		want     map[string]bool
+	}{
+		{"", map[string]bool{"demo8": false, "d695": false}},
+		{"demo8", map[string]bool{"demo8": true, "d695": false}},
+		{"d695", map[string]bool{"demo8": false, "d695": true}},
+	} {
+		if step.schedule != "" {
+			if code, body := doJSON(t, client, "POST", ts.URL+"/v1/schedule",
+				map[string]any{"soc": step.schedule, "params": ParamsJSON{TAMWidth: 16}}); code != http.StatusOK {
+				t.Fatalf("schedule %s: HTTP %d: %s", step.schedule, code, body)
+			}
+		}
+		code, body := doJSON(t, client, "GET", ts.URL+"/v1/socs", nil)
+		var list struct {
+			SOCs []SOCInfo `json:"socs"`
+		}
+		if err := json.Unmarshal(body, &list); code != http.StatusOK || err != nil {
+			t.Fatalf("list: HTTP %d (%v): %s", code, err, body)
+		}
+		got := make(map[string]bool)
+		for _, info := range list.SOCs {
+			got[info.Name] = info.Planner
+		}
+		if !reflect.DeepEqual(got, step.want) {
+			t.Fatalf("after scheduling %q: planners %v, want %v", step.schedule, got, step.want)
+		}
 	}
 }
 
