@@ -95,14 +95,17 @@ const DefaultMaxWidth = sched.DefaultMaxWidth
 // a non-classic Options.Backend dispatches to that backend's best-schedule
 // mode (rectpack and portfolio have no per-run (α, δ) grid to pin).
 func Schedule(s *SOC, opts Options) (*TestSchedule, error) {
-	if sched.IsDefaultBackend(opts.Backend) {
-		return sched.Run(s, opts)
-	}
-	o, err := sched.New(s, opts.Defaults().MaxWidth)
+	return scheduleOnce(context.Background(), s, BatchItem{Params: opts})
+}
+
+// scheduleOnce answers one request on a fresh optimizer sized to the
+// request's width cap.
+func scheduleOnce(ctx context.Context, s *SOC, it BatchItem) (*TestSchedule, error) {
+	o, err := sched.New(s, it.Params.Defaults().MaxWidth)
 	if err != nil {
 		return nil, err
 	}
-	return o.ScheduleBackend(context.Background(), opts)
+	return o.ScheduleItem(ctx, it)
 }
 
 // Planner is a reusable scheduling session for one SOC. It precomputes the
@@ -132,10 +135,15 @@ func NewPlanner(s *SOC) (*Planner, error) {
 // classic run at the given (α, δ), or — when Options.Backend names a
 // non-classic backend — that backend's best schedule.
 func (p *Planner) Schedule(opts Options) (*TestSchedule, error) {
-	if sched.IsDefaultBackend(opts.Backend) {
-		return p.opt.Run(opts)
-	}
-	return p.opt.ScheduleBackend(context.Background(), opts)
+	return p.opt.ScheduleItem(context.Background(), BatchItem{Params: opts})
+}
+
+// ScheduleItem answers one request from the cached designs under ctx: a
+// single classic run when the item leaves Best unset on the default
+// backend (as Schedule), the backend's best mode otherwise (as
+// ScheduleBestContext).
+func (p *Planner) ScheduleItem(ctx context.Context, it BatchItem) (*TestSchedule, error) {
+	return p.opt.ScheduleItem(ctx, it)
 }
 
 // ScheduleBest returns the best schedule of the backend named by
@@ -156,9 +164,10 @@ func (p *Planner) ScheduleBestContext(ctx context.Context, opts Options) (*TestS
 	return p.opt.ScheduleBackend(ctx, opts)
 }
 
-// BatchItem is one scheduling request in a Planner.ScheduleBatch call:
-// the run's Options plus the mode bit (Best selects the backend's
-// best-schedule mode, exactly the Schedule vs ScheduleBest split).
+// BatchItem is one scheduling request for Planner.ScheduleItem or
+// Planner.ScheduleBatch: the run's Options plus the mode bit (Best selects
+// the backend's best-schedule mode, exactly the Schedule vs ScheduleBest
+// split).
 type BatchItem = sched.BatchItem
 
 // BatchResult is one batch item's outcome: the schedule or the item's own
@@ -222,14 +231,7 @@ func (p *Planner) Pareto(coreID int) *ParetoSet {
 // are independent scheduler runs fanned out over opts.Workers goroutines
 // (0 = all CPUs, 1 = sequential); the result is identical either way.
 func ScheduleBest(s *SOC, opts Options) (*TestSchedule, error) {
-	if sched.IsDefaultBackend(opts.Backend) {
-		return sched.SweepBest(s, opts, nil, nil)
-	}
-	o, err := sched.New(s, opts.Defaults().MaxWidth)
-	if err != nil {
-		return nil, err
-	}
-	return o.ScheduleBackend(context.Background(), opts)
+	return scheduleOnce(context.Background(), s, BatchItem{Params: opts, Best: true})
 }
 
 // VerifySchedule re-derives every schedule invariant (packing, timing

@@ -52,12 +52,16 @@
 //
 // Planner.ScheduleBatch runs many (params, mode) items through one
 // bounded worker pool and returns one result per item, in item order.
-// Items whose parameters canonicalize to the same key (Options.Workers
-// excluded, defaults folded) are computed once and share the resulting
-// schedule. The HTTP surface mirrors this as POST /v1/batch, backed by a
-// content-addressed result cache keyed by (fingerprint, canonical params,
-// mode): repeat schedule requests — batched or not — are served the exact
-// bytes of the first answer, with hit/miss/eviction counters on /metrics.
+// Each item is answered by Planner.ScheduleItem, the one dispatch that
+// Schedule, ScheduleBest and the service share: a classic single run for
+// a non-Best item on the default backend, the backend's best mode
+// otherwise. Items with the same mode-canonical key (BatchItem.Key:
+// Options.Workers excluded, defaults folded, Best implied for non-classic
+// backends) are computed once and share the resulting schedule. The HTTP
+// surface mirrors this as POST /v1/batch, backed by a content-addressed
+// result cache keyed by (fingerprint, BatchItem.Key): repeat schedule
+// requests — batched or not — are served the exact bytes of the first
+// answer, with hit/miss/eviction counters on /metrics.
 //
 // # Concurrency
 //

@@ -19,8 +19,7 @@
 // leaf telemetry package obs (fired failpoints open a "chaos/<site>" span
 // so injected faults are visible in traces) — the packages it instruments
 // (sched, rectpack, service) import it, so any other import back would
-// cycle. The Backend wrapper in backend.go is generic over the scheduler's
-// types for the same reason.
+// cycle.
 package chaos
 
 import (
@@ -40,7 +39,7 @@ type Mode int
 
 const (
 	// ModeOK passes through: the site behaves normally. It is the zero
-	// value so an unset Backend script entry is a no-op.
+	// value.
 	ModeOK Mode = iota
 	// ModeError makes the site return an *InjectedError.
 	ModeError
@@ -70,12 +69,11 @@ func (m Mode) String() string {
 	return fmt.Sprintf("chaos.Mode(%d)", int(m))
 }
 
-// InjectedError is the error a ModeError failpoint (or a scripted Backend)
-// returns. It models a recoverable fault: the suite checks that no cache
-// stores it and that the breaker quarantines a backend that keeps
-// returning it.
+// InjectedError is the error a ModeError failpoint returns. It models a
+// recoverable fault: the suite checks that no cache stores it and that the
+// breaker quarantines a backend that keeps returning it.
 type InjectedError struct {
-	// Site is the failpoint (or wrapped backend) that fired.
+	// Site is the failpoint that fired.
 	Site string
 }
 

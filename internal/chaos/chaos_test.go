@@ -189,63 +189,6 @@ func TestSitesSorted(t *testing.T) {
 	}
 }
 
-func TestBackendScript(t *testing.T) {
-	inner := func(ctx context.Context, opt int, params string) (int, error) { return 7, nil }
-	b := &Backend[int, string, int]{BackendName: "flaky", Inner: inner}
-	b.Script(Act{Mode: ModeError}, Act{Mode: ModeError})
-
-	for i := 0; i < 2; i++ {
-		var ie *InjectedError
-		if _, err := b.Schedule(context.Background(), 0, ""); !errors.As(err, &ie) {
-			t.Fatalf("call %d: err = %v, want InjectedError", i, err)
-		}
-	}
-	if v, err := b.Schedule(context.Background(), 0, ""); err != nil || v != 7 {
-		t.Fatalf("exhausted script: got (%d, %v), want (7, nil)", v, err)
-	}
-	if b.Calls() != 3 {
-		t.Errorf("Calls() = %d, want 3", b.Calls())
-	}
-
-	b.Script(Act{Mode: ModePanic})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scripted panic did not panic")
-			}
-		}()
-		_, _ = b.Schedule(context.Background(), 0, "")
-	}()
-
-	release := make(chan struct{})
-	b.Script(Act{Mode: ModeHang, Until: release})
-	got := make(chan int, 1)
-	go func() {
-		v, _ := b.Schedule(context.Background(), 0, "")
-		got <- v
-	}()
-	select {
-	case v := <-got:
-		t.Fatalf("hang returned early with %d", v)
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(release)
-	select {
-	case v := <-got:
-		if v != 7 {
-			t.Errorf("released hang returned %d, want 7", v)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("closing Until did not release the hang")
-	}
-
-	var nilInner Backend[int, string, int]
-	nilInner.BackendName = "empty"
-	if _, err := nilInner.Schedule(context.Background(), 0, ""); err == nil {
-		t.Error("nil Inner should fail passed-through calls")
-	}
-}
-
 func TestModeStringsAndInjectedError(t *testing.T) {
 	want := map[Mode]string{
 		ModeOK:    "ok",
@@ -263,9 +206,5 @@ func TestModeStringsAndInjectedError(t *testing.T) {
 	err := &InjectedError{Site: "test/a"}
 	if got := err.Error(); !strings.Contains(got, "test/a") {
 		t.Errorf("InjectedError.Error() = %q, want the site name in it", got)
-	}
-	b := &Backend[int, int, int]{BackendName: "scripted"}
-	if got := b.Name(); got != "scripted" {
-		t.Errorf("Backend.Name() = %q, want %q", got, "scripted")
 	}
 }

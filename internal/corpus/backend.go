@@ -39,12 +39,7 @@ func ReplaySchedule(sc Scenario, backend string) (*sched.Schedule, []byte, error
 	if err != nil {
 		return nil, nil, fmt.Errorf("corpus: %s: optimizer: %w", sc.Name, err)
 	}
-	var sch *sched.Schedule
-	if sc.SingleRun && sched.IsDefaultBackend(backend) {
-		sch, err = opt.Run(params)
-	} else {
-		sch, err = opt.ScheduleBackend(context.Background(), params)
-	}
+	sch, err := opt.ScheduleItem(context.Background(), sched.BatchItem{Params: params, Best: !sc.SingleRun})
 	if err != nil {
 		return nil, nil, fmt.Errorf("corpus: %s: backend %q: %w", sc.Name, backend, err)
 	}

@@ -135,9 +135,9 @@ func (b *Bin) PlacePreferred(coreID int, width int, start, end int64, prefer []i
 	sort.Ints(wires)
 	for _, w := range wires {
 		// Insert keeping busy[w] sorted by start. Placements arrive in
-		// near-ascending start order (assignWires processes fragments
-		// globally sorted), so this is O(1) amortized where a re-sort
-		// per placement was O(k log k).
+		// near-ascending start order (sched's Assemble processes
+		// fragments globally sorted), so this is O(1) amortized where a
+		// re-sort per placement was O(k log k).
 		ivs := append(b.busy[w], ival{start, end})
 		for i := len(ivs) - 1; i > 0 && ivs[i-1].start > ivs[i].start; i-- {
 			ivs[i-1], ivs[i] = ivs[i], ivs[i-1]

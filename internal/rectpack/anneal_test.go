@@ -163,7 +163,7 @@ func TestNeighborUndo(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := sched.Params{TAMWidth: 24, MaxPreemptions: mp}.Defaults()
-	cores, _, err := buildCores(context.Background(), opt, params)
+	cores, _, err := buildCores(opt, params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/obs"
 	"repro/internal/pareto"
-	"repro/internal/rect"
 	"repro/internal/sched"
 )
 
@@ -30,36 +29,17 @@ type core struct {
 	budget int         // preemption budget: resumes after a gap
 }
 
-// buildCores validates the parameters and assembles the id-ascending
-// per-core inputs plus the constraint checker.
-func buildCores(ctx context.Context, opt *sched.Optimizer, params sched.Params) ([]*core, *constraint.Checker, error) {
-	if params.TAMWidth < 1 {
-		return nil, nil, fmt.Errorf("rectpack: non-positive TAM width %d", params.TAMWidth)
-	}
-	if params.MaxWidth > opt.MaxWidth() {
-		return nil, nil, fmt.Errorf("rectpack: params.MaxWidth %d exceeds optimizer cap %d", params.MaxWidth, opt.MaxWidth())
-	}
-	s := opt.SOC()
-	chk, err := constraint.New(s, constraint.Config{
-		PowerMax:        params.PowerMax,
-		IgnoreHierarchy: params.IgnoreHierarchy,
-	})
+// buildCores runs the optimizer's shared set-up and assembles the
+// id-ascending per-core inputs plus the constraint checker.
+func buildCores(opt *sched.Optimizer, params sched.Params) ([]*core, *constraint.Checker, error) {
+	chk, sets, err := opt.Setup(params)
 	if err != nil {
 		return nil, nil, err
 	}
-	wmax := min(params.MaxWidth, params.TAMWidth)
-	cores := make([]*core, 0, len(s.Cores))
-	for _, c := range s.Cores {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		set, err := opt.ParetoSet(c.ID).Capped(wmax)
-		if err != nil {
-			return nil, nil, err
-		}
-		cores = append(cores, &core{id: c.ID, set: set, budget: params.MaxPreemptions[c.ID]})
+	cores := make([]*core, len(sets))
+	for i, set := range sets {
+		cores[i] = &core{id: set.CoreID, set: set, budget: params.MaxPreemptions[set.CoreID]}
 	}
-	sort.Slice(cores, func(i, j int) bool { return cores[i].id < cores[j].id })
 	return cores, chk, nil
 }
 
@@ -195,11 +175,6 @@ const (
 	simDone
 )
 
-// span is one closed segment of a (possibly split) rectangle.
-type span struct {
-	start, end int64
-}
-
 // simCore is the per-core state of one decode.
 type simCore struct {
 	state     simState
@@ -208,7 +183,7 @@ type simCore struct {
 	segStart  int64
 	yieldAt   int64 // forced split instant; -1 = none
 	yieldedAt int64 // instant of the last forced split (no same-instant resume)
-	segs      []span
+	segs      []sched.Span
 	preempts  int
 	penalty   int64
 }
@@ -239,7 +214,7 @@ func (s *simCore) suspend(now int64) {
 // is a preemption and pays the wrapper's penalty; a victim re-admitted at
 // the instant it was suspended merges back into its segment for free.
 func (s *simCore) resume(c *core, now int64, penFor func(id, width int) int64) {
-	if s.segs[len(s.segs)-1].end < now {
+	if s.segs[len(s.segs)-1].End < now {
 		pen := penFor(c.id, s.width)
 		s.preempts++
 		s.penalty += pen
@@ -253,10 +228,10 @@ func (s *simCore) resume(c *core, now int64, penFor func(id, width int) int64) {
 // preemption gaps are the only split points.
 func (s *simCore) closeSeg(end int64) {
 	s.remaining -= end - s.segStart
-	if n := len(s.segs); n > 0 && s.segs[n-1].end == s.segStart {
-		s.segs[n-1].end = end
+	if n := len(s.segs); n > 0 && s.segs[n-1].End == s.segStart {
+		s.segs[n-1].End = end
 	} else {
-		s.segs = append(s.segs, span{s.segStart, end})
+		s.segs = append(s.segs, sched.Span{Start: s.segStart, End: end})
 	}
 }
 
@@ -419,74 +394,24 @@ func preemptFor(cores []*core, sim []simCore, perm []int, pos, want, avail int, 
 	return avail + freed, true
 }
 
-// emit maps a decoded solution onto concrete TAM wires and builds the
-// sched.Schedule, with wrapper metadata served from the optimizer's cache.
-// Fragments are placed in (start, core ID) order; a resumed segment
-// prefers its previous wires, exactly like the classic scheduler's
+// emit lays a decoded solution onto concrete TAM wires with the
+// optimizer's shared assembler, which places a resumed segment on its
+// previous wires when it can, exactly like the classic scheduler's
 // preempted resumes. Split layouts are busier than one-piece ones, so
-// first-fit placement can run out of simultaneously free wires; that is an
-// error here, and the search falls back to its next candidate.
+// first-fit placement can run out of simultaneously free wires; the
+// assembler then fails, and the search falls back to its next candidate.
 func emit(opt *sched.Optimizer, params sched.Params, cores []*core, res *decoded) (*sched.Schedule, error) {
-	bin, err := rect.NewBin(params.TAMWidth)
+	layouts := make([]sched.CoreLayout, len(cores))
+	for i, c := range cores {
+		s := &res.sim[i]
+		layouts[i] = sched.CoreLayout{ID: c.id, Width: s.width, Spans: s.segs, Preemptions: s.preempts, Penalty: s.penalty}
+	}
+	sch, err := opt.Assemble(params, layouts)
 	if err != nil {
 		return nil, err
 	}
-	type frag struct {
-		ci  int
-		seg span
-	}
-	var frags []frag
-	for i := range res.sim {
-		for _, sg := range res.sim[i].segs {
-			frags = append(frags, frag{i, sg})
-		}
-	}
-	sort.Slice(frags, func(i, j int) bool {
-		if frags[i].seg.start != frags[j].seg.start {
-			return frags[i].seg.start < frags[j].seg.start
-		}
-		return cores[frags[i].ci].id < cores[frags[j].ci].id
-	})
-	out := &sched.Schedule{
-		SOC:         opt.SOC().Name,
-		TAMWidth:    params.TAMWidth,
-		Params:      params,
-		Assignments: make(map[int]*sched.Assignment, len(cores)),
-		Makespan:    res.makespan,
-		Bin:         bin,
-		Events:      res.events,
-	}
-	for _, f := range frags {
-		c := cores[f.ci]
-		s := &res.sim[f.ci]
-		var prefer []int
-		a := out.Assignments[c.id]
-		if a != nil {
-			prefer = a.Pieces[len(a.Pieces)-1].Wires
-		}
-		p, err := bin.PlacePreferred(c.id, s.width, f.seg.start, f.seg.end, prefer)
-		if err != nil {
-			return nil, fmt.Errorf("rectpack: wire assignment: %v", err)
-		}
-		if a == nil {
-			d := opt.Design(c.id, s.width)
-			if d == nil {
-				return nil, fmt.Errorf("rectpack: no cached design for core %d width %d", c.id, s.width)
-			}
-			a = &sched.Assignment{
-				CoreID:        c.id,
-				Width:         s.width,
-				Preemptions:   s.preempts,
-				PenaltyCycles: s.penalty,
-				BaseTime:      c.set.Time(s.width),
-				ScanIn:        d.ScanInMax,
-				ScanOut:       d.ScanOutMax,
-			}
-			out.Assignments[c.id] = a
-		}
-		a.Pieces = append(a.Pieces, *p)
-	}
-	return out, nil
+	sch.Events = res.events
+	return sch, nil
 }
 
 // search runs the engine in one backend's mode: it decodes the mode's
@@ -497,7 +422,7 @@ func emit(opt *sched.Optimizer, params sched.Params, cores []*core, res *decoded
 // to the next candidate. Deterministic under a fixed Params.Seed.
 func search(ctx context.Context, sp *obs.Span, opt *sched.Optimizer, params sched.Params, m mode) (*sched.Schedule, error) {
 	params = params.Defaults()
-	cores, chk, err := buildCores(ctx, opt, params)
+	cores, chk, err := buildCores(opt, params)
 	if err != nil {
 		return nil, err
 	}

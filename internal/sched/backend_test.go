@@ -273,9 +273,6 @@ func TestOptimizerAccessorsAndUnknownCoreError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := o.MaxWidth(); got != 64 {
-		t.Errorf("MaxWidth() = %d, want 64", got)
-	}
 	sets := o.ParetoSets()
 	if len(sets) != len(s.Cores) {
 		t.Errorf("ParetoSets() has %d entries, want %d", len(sets), len(s.Cores))

@@ -49,23 +49,39 @@ func (p Params) CanonicalKey() string {
 	return sb.String()
 }
 
-// BatchItem is one scheduling request in a batch: the run's Params plus
-// the mode bit. Best selects the backend's best-schedule mode; with the
-// classic default backend and Best false, the item is a single run at the
-// given (α, δ) — exactly the Schedule vs ScheduleBest split of the
-// one-at-a-time API.
+// BatchItem is one scheduling request: the run's Params plus the mode bit.
+// Best selects the backend's best-schedule mode; with the classic default
+// backend and Best false, the item is a single run at the given (α, δ) —
+// exactly the Schedule vs ScheduleBest split of the one-at-a-time API.
 type BatchItem struct {
 	Params Params
 	Best   bool
 }
 
-// key returns the item's result-cache address: the Params' canonical key
-// plus the effective mode. Non-classic backends have no single-run mode
-// (both paths dispatch to the backend's best schedule), so their Best bit
-// canonicalizes to true and both spellings share one computation.
-func (it BatchItem) key() string {
-	best := it.Best || !IsDefaultBackend(it.Params.Backend)
-	return fmt.Sprintf("best=%t|%s", best, it.Params.CanonicalKey())
+// best reports the item's effective mode. Non-classic backends have no
+// single-run mode, so for them both spellings mean the best mode.
+func (it BatchItem) best() bool {
+	return it.Best || !IsDefaultBackend(it.Params.Backend)
+}
+
+// Key returns the item's mode-canonical result-cache address: the effective
+// mode plus the Params' canonical key. Two items with equal keys produce
+// byte-identical schedules, so every spelling of one computation shares a
+// key.
+func (it BatchItem) Key() string {
+	return fmt.Sprintf("best=%t|%s", it.best(), it.Params.CanonicalKey())
+}
+
+// ScheduleItem answers one request: one classic Run at the given (α, δ)
+// for a single-run item, the backend's best mode (ScheduleBackend)
+// otherwise. It is the one dispatch the repro API, ScheduleBatch, the
+// service and the corpus replayer share, so they can never disagree about
+// which requests take the single-run path.
+func (o *Optimizer) ScheduleItem(ctx context.Context, it BatchItem) (*Schedule, error) {
+	if it.best() {
+		return o.ScheduleBackend(ctx, it.Params)
+	}
+	return o.Run(it.Params)
 }
 
 // BatchResult is one item's outcome: the schedule, or the item's own
@@ -87,15 +103,12 @@ type BatchResult struct {
 // fail with ctx's error.
 func (o *Optimizer) ScheduleBatch(ctx context.Context, items []BatchItem, workers int) []BatchResult {
 	results := make([]BatchResult, len(items))
-	if len(items) == 0 {
-		return results
-	}
 	// Deduplicate: first occurrence of each key computes, the rest share.
 	firstOf := make(map[string]int, len(items))
 	unique := make([]int, 0, len(items))
 	share := make([]int, len(items)) // item index -> computing item index
 	for i, it := range items {
-		k := it.key()
+		k := it.Key()
 		if j, ok := firstOf[k]; ok {
 			share[i] = j
 			continue
@@ -104,51 +117,18 @@ func (o *Optimizer) ScheduleBatch(ctx context.Context, items []BatchItem, worker
 		share[i] = i
 		unique = append(unique, i)
 	}
-
-	n := ResolveWorkers(workers)
-	if n > len(unique) {
-		n = len(unique)
-	}
-	idxCh := make(chan int)
-	done := make(chan struct{}, n)
-	for w := 0; w < n; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := range idxCh {
-				results[i] = o.runBatchItem(ctx, items[i])
-			}
-		}()
-	}
-	for _, i := range unique {
-		idxCh <- i
-	}
-	close(idxCh)
-	for w := 0; w < n; w++ {
-		<-done
-	}
+	ForEach(workers, len(unique), func(k int) {
+		i := unique[k]
+		if err := ctx.Err(); err != nil {
+			results[i].Err = err
+			return
+		}
+		results[i].Schedule, results[i].Err = o.ScheduleItem(ctx, items[i])
+	})
 	for i := range items {
 		if share[i] != i {
 			results[i] = results[share[i]]
 		}
 	}
 	return results
-}
-
-// runBatchItem executes one unique batch item, mirroring the dispatch of
-// the one-at-a-time API: classic single-run for (Best=false, default
-// backend), the named backend's best mode otherwise.
-func (o *Optimizer) runBatchItem(ctx context.Context, it BatchItem) BatchResult {
-	if err := ctx.Err(); err != nil {
-		return BatchResult{Err: err}
-	}
-	var (
-		sch *Schedule
-		err error
-	)
-	if it.Best || !IsDefaultBackend(it.Params.Backend) {
-		sch, err = o.ScheduleBackend(ctx, it.Params)
-	} else {
-		sch, err = o.Run(it.Params)
-	}
-	return BatchResult{Schedule: sch, Err: err}
 }

@@ -8,9 +8,11 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -170,7 +172,7 @@ func (s *Schedule) DataVolume() int64 { return int64(s.TAMWidth) * s.Makespan }
 
 // coreState is the paper's Fig. 3 data structure.
 type coreState struct {
-	core        *soc.Core
+	id          int
 	pset        *pareto.Set
 	pref        int   // preferred TAM width (Initialize)
 	assigned    int   // TAM width assigned at first begin; fixed afterwards
@@ -183,15 +185,24 @@ type coreState struct {
 	preempts    int   // resume-after-gap count
 	maxPreempts int   // designer-specified budget
 	design      *wrapper.Design
-	spans       []span // closed logical pieces, seamless ones merged
+	spans       []Span // closed logical pieces, seamless ones merged
 	penalty     int64
 	runStart    int64 // start of the currently open piece
 }
 
-// span is a logical schedule fragment before wires are assigned.
-type span struct {
-	start, end int64
-	width      int
+// Span is one closed time interval [Start, End) of a core's test.
+type Span struct{ Start, End int64 }
+
+// CoreLayout is one core's logical schedule before wires are chosen: its
+// TAM width (fixed for every span, the vertical-split rule), its spans in
+// time order with seamless continuations merged, and the preemptions and
+// penalty cycles its scheduler counted.
+type CoreLayout struct {
+	ID          int
+	Width       int
+	Spans       []Span
+	Preemptions int
+	Penalty     int64
 }
 
 // Optimizer schedules one SOC repeatedly with different parameters,
@@ -242,10 +253,6 @@ func New(s *soc.SOC, maxWidth int) (*Optimizer, error) {
 // SOC returns the optimizer's SOC.
 func (o *Optimizer) SOC() *soc.SOC { return o.soc }
 
-// MaxWidth returns the per-core width cap the optimizer's caches were
-// built under.
-func (o *Optimizer) MaxWidth() int { return o.maxWidth }
-
 // ParetoSet returns the cached Pareto set of a core (full width cap).
 func (o *Optimizer) ParetoSet(coreID int) *pareto.Set { return o.sets[coreID] }
 
@@ -274,152 +281,154 @@ func Run(s *soc.SOC, params Params) (*Schedule, error) {
 	return o.Run(params)
 }
 
-// Run schedules the optimizer's SOC under the given parameters.
-// params.MaxWidth must not exceed the optimizer's cap.
-func (o *Optimizer) Run(params Params) (*Schedule, error) {
+// Setup is the prologue every scheduling backend shares. It checks params
+// (Defaults applied) against the optimizer's caches, builds the constraint
+// checker, and returns every core's Pareto set capped at min(MaxWidth,
+// TAMWidth), in core-ID order. The sets are read-only views of the cache.
+func (o *Optimizer) Setup(params Params) (*constraint.Checker, []*pareto.Set, error) {
 	params = params.Defaults()
 	if params.TAMWidth < 1 {
-		return nil, fmt.Errorf("sched: non-positive TAM width %d", params.TAMWidth)
+		return nil, nil, fmt.Errorf("sched: non-positive TAM width %d", params.TAMWidth)
 	}
 	if params.MaxWidth > o.maxWidth {
-		return nil, fmt.Errorf("sched: params.MaxWidth %d exceeds optimizer cap %d", params.MaxWidth, o.maxWidth)
+		return nil, nil, fmt.Errorf("sched: params.MaxWidth %d exceeds optimizer cap %d", params.MaxWidth, o.maxWidth)
 	}
-	s := o.soc
-	chk, err := constraint.New(s, constraint.Config{
+	chk, err := constraint.New(o.soc, constraint.Config{
 		PowerMax:        params.PowerMax,
 		IgnoreHierarchy: params.IgnoreHierarchy,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-
-	wmax := params.MaxWidth
-	if wmax > params.TAMWidth {
-		wmax = params.TAMWidth
-	}
-
-	// Initialize (Fig. 5): Pareto rectangles and preferred widths.
-	states := make(map[int]*coreState, len(s.Cores))
-	var order []int
-	for _, c := range s.Cores {
+	wmax := min(params.MaxWidth, params.TAMWidth)
+	sets := make([]*pareto.Set, 0, len(o.soc.Cores))
+	for _, c := range o.soc.Cores {
 		ps, err := o.sets[c.ID].Capped(wmax)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		st := &coreState{core: c, pset: ps}
-		st.pref = ps.PreferredWidth(params.Percent, params.Delta)
-		if params.MaxPreemptions != nil {
-			st.maxPreempts = params.MaxPreemptions[c.ID]
-		}
-		states[c.ID] = st
-		order = append(order, c.ID)
+		sets = append(sets, ps)
 	}
-	sort.Ints(order)
+	sort.Slice(sets, func(i, j int) bool { return sets[i].CoreID < sets[j].CoreID })
+	return chk, sets, nil
+}
 
+// Assemble is the epilogue every scheduling backend shares: it lays the
+// logical schedule onto concrete TAM wires and builds the Schedule (Events
+// is left to the caller). Fragments are placed in (start, core ID) order,
+// each on the lowest free wires after first trying the wires of the core's
+// previous fragment, so a preempted test resumes on its original wiring
+// when it can. First-fit in start order always succeeds when no instant
+// needs more than TAMWidth wires (interval graphs are perfect); a layout
+// that does fails with an error. Each Assignment takes BaseTime, ScanIn and
+// ScanOut from the design cache and records Preemptions and PenaltyCycles
+// exactly as the layout states them, for Verify to cross-check.
+func (o *Optimizer) Assemble(params Params, layouts []CoreLayout) (*Schedule, error) {
 	bin, err := rect.NewBin(params.TAMWidth)
 	if err != nil {
 		return nil, err
 	}
-
-	run := &runner{
-		opt:    o,
-		soc:    s,
-		params: params,
-		chk:    chk,
-		states: states,
-		order:  order,
-	}
-	run.ord = make([]*coreState, len(order))
-	for i, id := range order {
-		run.ord[i] = states[id]
-	}
-	if err := run.schedule(); err != nil {
-		return nil, err
-	}
-	if err := assignWires(bin, states, order); err != nil {
-		return nil, err
-	}
-
 	out := &Schedule{
-		SOC:         s.Name,
+		SOC:         o.soc.Name,
 		TAMWidth:    params.TAMWidth,
 		Params:      params,
-		Assignments: make(map[int]*Assignment, len(states)),
+		Assignments: make(map[int]*Assignment, len(layouts)),
 		Bin:         bin,
-		Events:      run.events,
 	}
-	for i := range bin.Pieces() {
-		p := bin.Pieces()[i]
-		a := out.Assignments[p.CoreID]
-		if a == nil {
-			a = &Assignment{CoreID: p.CoreID}
-			out.Assignments[p.CoreID] = a
-		}
-		a.Pieces = append(a.Pieces, p)
+	type frag struct {
+		id, width int
+		span      Span
 	}
-	for id, st := range states {
-		a := out.Assignments[id]
-		if a == nil {
-			return nil, fmt.Errorf("sched: core %d has no pieces after wire assignment", id)
+	frags := make([]frag, 0, len(layouts))
+	for _, l := range layouts {
+		if len(l.Spans) == 0 {
+			return nil, fmt.Errorf("sched: core %d has no spans", l.ID)
 		}
-		a.Width = st.assigned
-		a.Preemptions = st.preempts
-		a.PenaltyCycles = st.penalty
-		a.BaseTime = st.pset.Time(st.assigned)
-		a.ScanIn = st.design.ScanInMax
-		a.ScanOut = st.design.ScanOutMax
-		sort.Slice(a.Pieces, func(i, j int) bool { return a.Pieces[i].Start < a.Pieces[j].Start })
-		if e := a.End(); e > out.Makespan {
-			out.Makespan = e
+		d := o.Design(l.ID, l.Width)
+		if d == nil {
+			return nil, fmt.Errorf("sched: no cached design for core %d width %d", l.ID, l.Width)
 		}
+		out.Assignments[l.ID] = &Assignment{
+			CoreID:        l.ID,
+			Width:         l.Width,
+			Pieces:        make([]rect.Piece, 0, len(l.Spans)),
+			Preemptions:   l.Preemptions,
+			PenaltyCycles: l.Penalty,
+			BaseTime:      d.TestTime(),
+			ScanIn:        d.ScanInMax,
+			ScanOut:       d.ScanOutMax,
+		}
+		for _, sp := range l.Spans {
+			frags = append(frags, frag{l.ID, l.Width, sp})
+		}
+	}
+	slices.SortFunc(frags, func(a, b frag) int {
+		if c := cmp.Compare(a.span.Start, b.span.Start); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	for _, f := range frags {
+		a := out.Assignments[f.id]
+		var prefer []int
+		if n := len(a.Pieces); n > 0 {
+			prefer = a.Pieces[n-1].Wires
+		}
+		p, err := bin.PlacePreferred(f.id, f.width, f.span.Start, f.span.End, prefer)
+		if err != nil {
+			return nil, fmt.Errorf("sched: wire assignment: %v", err)
+		}
+		a.Pieces = append(a.Pieces, *p)
+		out.Makespan = max(out.Makespan, f.span.End)
 	}
 	return out, nil
 }
 
-// assignWires maps the logical schedule onto concrete TAM wires. Fragments
-// are processed in global start order (then core ID), each taking the
-// lowest free wires with a preference for the wires the same core used
-// before (so preempted tests resume on their original wiring when
-// possible). Because the scheduler never oversubscribes capacity, first-fit
-// in start order always succeeds (interval graphs are perfect).
-func assignWires(bin *rect.Bin, states map[int]*coreState, order []int) error {
-	type frag struct {
-		coreID int
-		s      span
+// Run schedules the optimizer's SOC under the given parameters.
+// params.MaxWidth must not exceed the optimizer's cap.
+func (o *Optimizer) Run(params Params) (*Schedule, error) {
+	params = params.Defaults()
+	chk, sets, err := o.Setup(params)
+	if err != nil {
+		return nil, err
 	}
-	var frags []frag
-	for _, id := range order {
-		for _, sp := range states[id].spans {
-			frags = append(frags, frag{coreID: id, s: sp})
-		}
+	// Initialize (Fig. 5): Pareto rectangles and preferred widths.
+	run := &runner{
+		opt:    o,
+		params: params,
+		chk:    chk,
+		states: make(map[int]*coreState, len(sets)),
+		ord:    make([]*coreState, len(sets)),
 	}
-	sort.Slice(frags, func(i, j int) bool {
-		if frags[i].s.start != frags[j].s.start {
-			return frags[i].s.start < frags[j].s.start
-		}
-		return frags[i].coreID < frags[j].coreID
-	})
-	prev := make(map[int][]int)
-	for _, f := range frags {
-		p, err := bin.PlacePreferred(f.coreID, f.s.width, f.s.start, f.s.end, prev[f.coreID])
-		if err != nil {
-			return fmt.Errorf("sched: wire assignment: %v", err)
-		}
-		prev[f.coreID] = p.Wires
+	for i, ps := range sets {
+		st := &coreState{id: ps.CoreID, pset: ps, pref: ps.PreferredWidth(params.Percent, params.Delta)}
+		st.maxPreempts = params.MaxPreemptions[st.id]
+		run.states[st.id] = st
+		run.ord[i] = st
 	}
-	return nil
+	if err := run.schedule(); err != nil {
+		return nil, err
+	}
+	layouts := make([]CoreLayout, len(run.ord))
+	for i, st := range run.ord {
+		layouts[i] = CoreLayout{ID: st.id, Width: st.assigned, Spans: st.spans, Preemptions: st.preempts, Penalty: st.penalty}
+	}
+	sch, err := o.Assemble(params, layouts)
+	if err != nil {
+		return nil, err
+	}
+	sch.Events = run.events
+	return sch, nil
 }
 
 // runner holds the mutable state of one TAM_schedule_optimizer execution.
 type runner struct {
 	opt    *Optimizer // read-only: supplies cached wrapper designs
-	soc    *soc.SOC
 	params Params
 	chk    *constraint.Checker
 	states map[int]*coreState
-	order  []int
-	// ord holds the states in ascending core-ID order (aligned with
-	// order), so the per-instant priority scans avoid map lookups.
+	// ord holds the states in ascending core-ID order, so the per-instant
+	// priority scans avoid map lookups.
 	ord []*coreState
 
 	now      int64
@@ -434,7 +443,7 @@ type runner struct {
 func (r *runner) schedule() error {
 	r.complete = make(map[int]bool)
 	r.running = make(map[int]bool)
-	r.left = len(r.order)
+	r.left = len(r.ord)
 	r.wAvail = r.params.TAMWidth
 
 	for r.left > 0 {
@@ -481,7 +490,7 @@ func (r *runner) assignCapped() bool {
 		if !st.begun || st.complete || st.running || st.preempts < st.maxPreempts {
 			continue
 		}
-		if st.assigned > r.wAvail || !r.chk.OK(st.core.ID, r.complete, r.running) {
+		if st.assigned > r.wAvail || !r.chk.OK(st.id, r.complete, r.running) {
 			continue
 		}
 		if best == nil || st.remaining > best.remaining {
@@ -503,7 +512,7 @@ func (r *runner) assignResumable() bool {
 		if !st.begun || st.complete || st.running || st.preempts >= st.maxPreempts {
 			continue
 		}
-		if st.assigned > r.wAvail || !r.chk.OK(st.core.ID, r.complete, r.running) {
+		if st.assigned > r.wAvail || !r.chk.OK(st.id, r.complete, r.running) {
 			continue
 		}
 		if best == nil || st.remaining > best.remaining {
@@ -522,7 +531,7 @@ func (r *runner) assignResumable() bool {
 func (r *runner) assignNew() bool {
 	var best *coreState
 	for _, st := range r.ord {
-		if st.begun || st.pref > r.wAvail || !r.chk.OK(st.core.ID, r.complete, r.running) {
+		if st.begun || st.pref > r.wAvail || !r.chk.OK(st.id, r.complete, r.running) {
 			continue
 		}
 		if best == nil || st.pset.Time(st.pref) > best.pset.Time(best.pref) {
@@ -550,7 +559,7 @@ func (r *runner) insertSqueezed() bool {
 		if st.begun || st.pref <= r.wAvail || st.pref > r.wAvail+r.params.InsertSlack {
 			continue
 		}
-		if !r.chk.OK(st.core.ID, r.complete, r.running) {
+		if !r.chk.OK(st.id, r.complete, r.running) {
 			continue
 		}
 		if best == nil || st.pref < best.pref {
@@ -603,10 +612,10 @@ func (r *runner) widenFresh() bool {
 // assignFresh starts a never-begun core at the given width. The wrapper
 // design comes from the optimizer's cache — no design work happens here.
 func (r *runner) assignFresh(st *coreState, width int) {
-	d := r.opt.Design(st.core.ID, width)
+	d := r.opt.Design(st.id, width)
 	if d == nil {
 		// Width in 1..maxWidth and core validated: cannot happen.
-		panic(fmt.Sprintf("sched: no cached design for core %d width %d", st.core.ID, width))
+		panic(fmt.Sprintf("sched: no cached design for core %d width %d", st.id, width))
 	}
 	st.design = d
 	st.assigned = width
@@ -635,7 +644,7 @@ func (r *runner) open(st *coreState) {
 	st.running = true
 	st.runStart = r.now
 	st.end = r.now + st.remaining
-	r.running[st.core.ID] = true
+	r.running[st.id] = true
 	r.wAvail -= st.assigned
 }
 
@@ -643,9 +652,9 @@ func (r *runner) open(st *coreState) {
 // wider design from the optimizer's cache.
 func (r *runner) reopenWider(st *coreState, width int) {
 	r.wAvail += st.assigned
-	d := r.opt.Design(st.core.ID, width)
+	d := r.opt.Design(st.id, width)
 	if d == nil {
-		panic(fmt.Sprintf("sched: no cached design for core %d width %d", st.core.ID, width))
+		panic(fmt.Sprintf("sched: no cached design for core %d width %d", st.id, width))
 	}
 	st.design = d
 	st.assigned = width
@@ -675,10 +684,10 @@ func (r *runner) update() error {
 		st := r.states[id]
 		elapsed := newTime - st.runStart
 		if elapsed > 0 {
-			if n := len(st.spans); n > 0 && st.spans[n-1].end == st.runStart && st.spans[n-1].width == st.assigned {
-				st.spans[n-1].end = newTime
+			if n := len(st.spans); n > 0 && st.spans[n-1].End == st.runStart {
+				st.spans[n-1].End = newTime
 			} else {
-				st.spans = append(st.spans, span{start: st.runStart, end: newTime, width: st.assigned})
+				st.spans = append(st.spans, Span{Start: st.runStart, End: newTime})
 			}
 		}
 		st.remaining -= elapsed
@@ -698,8 +707,8 @@ func (r *runner) update() error {
 
 // deadlockError reports why no core can make progress.
 func (r *runner) deadlockError() error {
-	for _, id := range r.order {
-		st := r.states[id]
+	for _, st := range r.ord {
+		id := st.id
 		if st.complete {
 			continue
 		}
@@ -864,11 +873,16 @@ func (o *Optimizer) SweepBestContext(ctx context.Context, params Params, percent
 // is retained as the differential-testing oracle for SweepBest.
 func (o *Optimizer) sweepBestRef(ctx context.Context, params Params, percents, deltas []int) (*Schedule, error) {
 	grid := buildGrid(params, percents, deltas)
-	all := make([]int, len(grid))
-	for i := range all {
-		all[i] = i
+	return o.runGridBest(ctx, params.Workers, grid, allIndices(len(grid)))
+}
+
+// allIndices returns 0, 1, ..., n-1.
+func allIndices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
 	}
-	return o.runGridBest(ctx, params.Workers, grid, all)
+	return out
 }
 
 // buildGrid expands params and the percent/delta (and, when unset, slack)
@@ -906,43 +920,19 @@ func buildGrid(params Params, percents, deltas []int) []Params {
 // fingerprint are the same scheduler run: percent and delta influence a
 // run only through pareto.Set.PreferredWidth at Initialize.
 func (o *Optimizer) gridReps(grid []Params) []int {
-	all := func() []int {
-		out := make([]int, len(grid))
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
 	if len(grid) == 0 {
 		return nil
 	}
-	// All grid points share TAMWidth/MaxWidth, so the per-core width cap
-	// is common. An invalid cap fails identically at every point inside
-	// Run; keep the full grid so error selection is untouched.
-	pd := grid[0].Defaults()
-	wmax := pd.MaxWidth
-	if wmax > pd.TAMWidth {
-		wmax = pd.TAMWidth
-	}
-	if wmax < 1 || pd.MaxWidth > o.maxWidth {
-		return all()
-	}
-	ids := make([]int, 0, len(o.sets))
-	for id := range o.sets {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	capped := make([]*pareto.Set, len(ids))
-	for k, id := range ids {
-		ps, err := o.sets[id].Capped(wmax)
-		if err != nil {
-			return all() // cannot happen: wmax >= 1
-		}
-		capped[k] = ps
+	// Grid points differ only in Percent, Delta and InsertSlack, none of
+	// which Setup reads, so a set-up error fails identically at every point
+	// inside Run; keep the full grid so error selection is untouched.
+	_, capped, err := o.Setup(grid[0])
+	if err != nil {
+		return allIndices(len(grid))
 	}
 	seen := make(map[string]bool, len(grid))
 	reps := make([]int, 0, len(grid))
-	key := make([]byte, 0, 2*(len(ids)+2))
+	key := make([]byte, 0, 2*(len(capped)+2))
 	for i, p := range grid {
 		key = key[:0]
 		key = append(key, byte(p.InsertSlack>>8), byte(p.InsertSlack))

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -119,22 +118,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	workers := batchWorkers(req.Workers, len(req.Items))
 	out := make([]BatchItemResult, len(req.Items))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i] = s.runBatchItem(ctx, i, req.Items[i])
-			}
-		}()
-	}
-	for i := range req.Items {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	// ForEach, not ForEachContext: every slot must be filled, so items
+	// still run (and answer 504) once the batch deadline has passed.
+	sched.ForEach(workers, len(req.Items), func(i int) {
+		out[i] = s.runBatchItem(ctx, i, req.Items[i])
+	})
 
 	st := BatchStats{Items: len(req.Items), Workers: workers}
 	for i := range out {

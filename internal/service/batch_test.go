@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+	"time"
 )
 
 // indentDoc re-indents an embedded batch result to top level, recovering
@@ -184,6 +185,33 @@ func TestBatchValidation(t *testing.T) {
 		var envelope errorEnvelope
 		if err := json.Unmarshal(body, &envelope); err != nil || envelope.Error.Code != tc.code {
 			t.Fatalf("%s: body %q, want code %s", tc.name, body, tc.code)
+		}
+	}
+}
+
+// TestBatchDeadlineFillsEverySlot: once the batch deadline has passed,
+// every item still gets its own answer — a 504 with code "deadline" — and
+// none is left as an empty slot that the summary would count as ok.
+func TestBatchDeadlineFillsEverySlot(t *testing.T) {
+	_, ts := newTestService(t, Config{Preload: []string{"d695"}, MaxTimeout: time.Nanosecond})
+	items := make([]map[string]any, 8)
+	for i := range items {
+		items[i] = map[string]any{"soc": "d695", "params": ParamsJSON{TAMWidth: 16 + i}}
+	}
+	code, body := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/batch", map[string]any{"items": items, "workers": 2})
+	if code != http.StatusOK {
+		t.Fatalf("batch: HTTP %d: %s", code, body)
+	}
+	var resp BatchResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Items) != 8 || resp.Stats.Failed != 8 {
+		t.Fatalf("%d items, stats %+v; want 8 items, all failed", len(resp.Items), resp.Stats)
+	}
+	for i, it := range resp.Items {
+		if it.Status != http.StatusGatewayTimeout || it.Error == nil || it.Error.Code != CodeDeadline {
+			t.Errorf("item %d = %+v, want 504 %s", i, it, CodeDeadline)
 		}
 	}
 }

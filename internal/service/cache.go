@@ -3,12 +3,10 @@ package service
 import (
 	"container/list"
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro"
-	"repro/internal/sched"
 )
 
 // DefaultCacheBytes bounds the result cache when Config.CacheBytes leaves
@@ -191,12 +189,9 @@ func NewResultCache(capacity int64) *ResultCache {
 	return newFlightLRU(capacity, func(doc []byte) int64 { return int64(len(doc)) })
 }
 
-// scheduleCacheKey is the content address of a schedule document:
-// fingerprint + effective mode + canonical params. Non-classic backends
-// canonicalize Best to true (both routes dispatch to the backend's best
-// mode), and CanonicalKey folds defaults and drops Workers, so every
-// spelling of the same computation shares one entry.
-func scheduleCacheKey(fp string, opts repro.Options, best bool) string {
-	best = best || !sched.IsDefaultBackend(opts.Backend)
-	return fmt.Sprintf("sched|%s|best=%t|%s", fp, best, opts.CanonicalKey())
+// scheduleCacheKey is the content address of a schedule document: the
+// SOC fingerprint plus the item's mode-canonical key (sched.BatchItem.Key),
+// so every spelling of the same computation shares one entry.
+func scheduleCacheKey(fp string, it repro.BatchItem) string {
+	return "sched|" + fp + "|" + it.Key()
 }

@@ -425,9 +425,9 @@ func (s *Server) scheduleItem(ctx context.Context, key string, p ParamsJSON, bes
 // scheduler and stores the exact bytes it serves, so every later hit (and
 // every concurrent singleflight waiter) is byte-identical to the miss.
 func (s *Server) scheduleDoc(ctx context.Context, planner *repro.Planner, fp string, p ParamsJSON, best bool) ([]byte, bool, error) {
-	opts := p.Options()
-	return s.cache.Do(ctx, scheduleCacheKey(fp, opts, best), func() ([]byte, error) {
-		sch, err := s.runSchedule(ctx, planner, opts, best)
+	it := repro.BatchItem{Params: p.Options(), Best: best}
+	return s.cache.Do(ctx, scheduleCacheKey(fp, it), func() ([]byte, error) {
+		sch, err := s.runSchedule(ctx, planner, it)
 		if err != nil {
 			return nil, err
 		}
@@ -439,16 +439,16 @@ func (s *Server) scheduleDoc(ctx context.Context, planner *repro.Planner, fp str
 	})
 }
 
-// runSchedule dispatches a schedule request: /v1/schedule/best always runs
-// the selected backend's best mode, /v1/schedule does too for non-classic
-// backends (rectpack and portfolio have no single-run (α, δ) grid point to
-// pin), and only the classic default keeps the historical single-run path.
+// runSchedule runs a schedule request through the Planner's one dispatch
+// (Planner.ScheduleItem): /v1/schedule/best always runs the selected
+// backend's best mode, /v1/schedule does too for non-classic backends, and
+// only the classic default keeps the single-run path.
 // The work runs in its own goroutine so the handler honors ctx's deadline
 // even on the context-free classic single-run path; on timeout the worker
 // is abandoned (its result discarded), and its panics are contained here
 // rather than in the HTTP middleware so an abandoned worker can never
 // crash the process.
-func (s *Server) runSchedule(ctx context.Context, planner *repro.Planner, opts repro.Options, best bool) (*repro.TestSchedule, error) {
+func (s *Server) runSchedule(ctx context.Context, planner *repro.Planner, it repro.BatchItem) (*repro.TestSchedule, error) {
 	defer obs.TimeStage("service/schedule")()
 	if err := chaos.InjectContext(ctx, siteSchedule); err != nil {
 		return nil, err
@@ -466,11 +466,7 @@ func (s *Server) runSchedule(ctx context.Context, planner *repro.Planner, opts r
 			}
 			ch <- res
 		}()
-		if best || !sched.IsDefaultBackend(opts.Backend) {
-			res.sch, res.err = planner.ScheduleBestContext(ctx, opts)
-		} else {
-			res.sch, res.err = planner.Schedule(opts)
-		}
+		res.sch, res.err = planner.ScheduleItem(ctx, it)
 	}()
 	select {
 	case res := <-ch:
@@ -618,7 +614,7 @@ func (s *Server) handleGantt(w http.ResponseWriter, r *http.Request) {
 		writeAPIErr(w, e)
 		return
 	}
-	sch, err := s.runSchedule(ctx, planner, req.Params.Options(), req.Best)
+	sch, err := s.runSchedule(ctx, planner, repro.BatchItem{Params: req.Params.Options(), Best: req.Best})
 	if err != nil {
 		writeError(w, s.scheduleStatus(err), err)
 		return
