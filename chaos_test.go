@@ -160,8 +160,7 @@ func TestChaosKillSearchBackendsMatchesGolden(t *testing.T) {
 // the annealing search and replays the whole corpus: the portfolio must
 // degrade to the packing backend serving the scenario's regime — rectpack
 // without preemption budgets, preempt-rectpack with them — with bytes
-// identical to that backend's own chaos-free replay, and classic —
-// breaker-exempt by design — must never be quarantined.
+// identical to that backend's own chaos-free replay.
 func TestChaosKillClassicDegradesToRectpack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus chaos replay skipped in -short mode")
@@ -208,11 +207,8 @@ func TestChaosKillClassicDegradesToRectpack(t *testing.T) {
 		}
 	})
 	stats := sched.PortfolioStats()
-	if got := stats[sched.DefaultBackend]; got.State != "exempt" || got.Quarantined != 0 {
-		t.Errorf("classic must never be quarantined: %+v", got)
-	}
-	if got := stats[rectpack.Name]; got.Won == 0 || got.State != "closed" {
-		t.Errorf("rectpack should be winning with a closed breaker: %+v", got)
+	if got := stats[rectpack.Name]; got.Won == 0 {
+		t.Errorf("rectpack should be winning: %+v", got)
 	}
 	if got := stats[rectpack.PreemptName]; got.Won == 0 {
 		t.Errorf("preempt-rectpack should win the budget-bearing scenarios: %+v", got)

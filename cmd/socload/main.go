@@ -221,9 +221,8 @@ func reportBackends(base string) {
 		Backends []struct {
 			Name string `json:"name"`
 			Race struct {
-				Won   int64  `json:"won"`
-				Lost  int64  `json:"lost"`
-				State string `json:"state"`
+				Won  int64 `json:"won"`
+				Lost int64 `json:"lost"`
 			} `json:"race"`
 			Latency struct {
 				Count int64 `json:"count"`
@@ -235,10 +234,10 @@ func reportBackends(base string) {
 	if err := getJSON(base+"/v1/backends", &disc); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("  %-10s %6s %6s %10s %10s %10s %10s\n", "backend", "won", "lost", "state", "count", "p50", "p99")
+	fmt.Printf("  %-10s %6s %6s %10s %10s %10s\n", "backend", "won", "lost", "count", "p50", "p99")
 	for _, b := range disc.Backends {
-		fmt.Printf("  %-10s %6d %6d %10s %10d %10v %10v\n",
-			b.Name, b.Race.Won, b.Race.Lost, b.Race.State, b.Latency.Count,
+		fmt.Printf("  %-10s %6d %6d %10d %10v %10v\n",
+			b.Name, b.Race.Won, b.Race.Lost, b.Latency.Count,
 			time.Duration(b.Latency.P50Ns).Round(time.Microsecond),
 			time.Duration(b.Latency.P99Ns).Round(time.Microsecond))
 	}

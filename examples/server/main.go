@@ -144,7 +144,6 @@ func main() {
 			Race struct {
 				Won     int64   `json:"won"`
 				Lost    int64   `json:"lost"`
-				State   string  `json:"state"`
 				WinRate float64 `json:"winRate"`
 			} `json:"race"`
 			Latency struct {
@@ -155,11 +154,11 @@ func main() {
 		} `json:"backends"`
 	}
 	get(*addr+"/v1/backends", &disc)
-	fmt.Printf("%-10s %5s %5s %8s %10s %10s %10s\n",
-		"backend", "won", "lost", "winrate", "state", "p50", "p99")
+	fmt.Printf("%-10s %5s %5s %8s %10s %10s\n",
+		"backend", "won", "lost", "winrate", "p50", "p99")
 	for _, b := range disc.Backends {
-		fmt.Printf("%-10s %5d %5d %7.0f%% %10s %10s %10s\n",
-			b.Name, b.Race.Won, b.Race.Lost, 100*b.Race.WinRate, b.Race.State,
+		fmt.Printf("%-10s %5d %5d %7.0f%% %10s %10s\n",
+			b.Name, b.Race.Won, b.Race.Lost, 100*b.Race.WinRate,
 			time.Duration(b.Latency.P50Ns).Round(time.Microsecond),
 			time.Duration(b.Latency.P99Ns).Round(time.Microsecond))
 	}

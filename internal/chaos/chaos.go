@@ -70,8 +70,8 @@ func (m Mode) String() string {
 }
 
 // InjectedError is the error a ModeError failpoint returns. It models a
-// recoverable fault: the suite checks that no cache stores it and that the
-// breaker quarantines a backend that keeps returning it.
+// recoverable fault: the suite checks that no cache stores it and that a
+// portfolio race still returns a schedule while any racer survives it.
 type InjectedError struct {
 	// Site is the failpoint that fired.
 	Site string

@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -82,12 +83,7 @@ func Replay(sc Scenario) (map[string][]byte, error) {
 	}
 
 	// Layer 1: the frozen schedule, serialized exactly as schedio emits it.
-	var schBest *sched.Schedule
-	if sc.SingleRun {
-		schBest, err = opt.Run(params)
-	} else {
-		schBest, err = opt.SweepBest(params, nil, nil)
-	}
+	schBest, err := opt.ScheduleItem(context.Background(), sched.BatchItem{Params: params, Best: !sc.SingleRun})
 	if err != nil {
 		return nil, fmt.Errorf("corpus: %s: schedule: %w", sc.Name, err)
 	}

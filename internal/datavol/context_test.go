@@ -11,8 +11,8 @@ import (
 	"repro/internal/sched"
 )
 
-// TestRunContextMatchesRun asserts nil and Background contexts leave the
-// sweep byte-identical to the context-free path, sequential and parallel.
+// TestRunContextMatchesRun asserts nil and Background contexts leave
+// RunWithContext's sweep byte-identical to Run's, sequential and parallel.
 func TestRunContextMatchesRun(t *testing.T) {
 	s, err := bench.ByName("demo8")
 	if err != nil {
@@ -26,12 +26,16 @@ func TestRunContextMatchesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, ctx := range []context.Context{nil, context.Background()} {
-			got, err := RunContext(ctx, s, cfg)
+			opt, err := sched.New(s, sched.DefaultMaxWidth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := RunWithContext(ctx, opt, cfg)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("workers=%d: RunContext differs from Run", workers)
+				t.Fatalf("workers=%d: RunWithContext differs from Run", workers)
 			}
 		}
 	}

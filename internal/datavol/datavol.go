@@ -78,20 +78,11 @@ type Config struct {
 // over cfg.Workers goroutines; see Config.Workers for the determinism
 // guarantee.
 func Run(s *soc.SOC, cfg Config) (*Sweep, error) {
-	return RunContext(context.Background(), s, cfg)
-}
-
-// RunContext is Run with cancellation: once ctx is done the sweep stops
-// scheduling further widths (and the per-width parameter-grid sweeps stop
-// launching grid points), in-flight scheduler runs finish, and ctx's error
-// is returned. A nil ctx behaves like context.Background(), and an
-// uncancellable context leaves the Sweep byte-identical to Run.
-func RunContext(ctx context.Context, s *soc.SOC, cfg Config) (*Sweep, error) {
 	opt, err := sched.New(s, cfg.Params.Defaults().MaxWidth)
 	if err != nil {
 		return nil, err
 	}
-	return RunWithContext(ctx, opt, cfg)
+	return RunWith(opt, cfg)
 }
 
 // RunWith is Run against a pre-built scheduler optimizer, reusing its
@@ -102,8 +93,11 @@ func RunWith(opt *sched.Optimizer, cfg Config) (*Sweep, error) {
 	return RunWithContext(context.Background(), opt, cfg)
 }
 
-// RunWithContext is RunWith with cancellation (see RunContext for the
-// contract).
+// RunWithContext is RunWith with cancellation: once ctx is done the sweep
+// stops scheduling further widths (and the per-width parameter-grid sweeps
+// stop launching grid points), in-flight scheduler runs finish, and ctx's
+// error is returned. A nil ctx behaves like context.Background(), and an
+// uncancellable context leaves the Sweep byte-identical to RunWith.
 func RunWithContext(ctx context.Context, opt *sched.Optimizer, cfg Config) (*Sweep, error) {
 	if ctx == nil {
 		ctx = context.Background()

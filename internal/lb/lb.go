@@ -45,27 +45,11 @@ func Compute(s *soc.SOC, w, maxWidth int) (Bound, error) {
 	if maxWidth < 1 {
 		return Bound{}, fmt.Errorf("lb: non-positive max width %d", maxWidth)
 	}
-	cap := maxWidth
-	if cap > w {
-		cap = w
+	sets, err := pareto.ComputeAll(s, min(w, maxWidth))
+	if err != nil {
+		return Bound{}, err
 	}
-	var area, bottleneck int64
-	for _, c := range s.Cores {
-		ps, err := pareto.Compute(c, cap)
-		if err != nil {
-			return Bound{}, err
-		}
-		area += ps.MinArea()
-		if t := ps.MinTime(); t > bottleneck {
-			bottleneck = t
-		}
-	}
-	return Bound{
-		TAMWidth:        w,
-		AreaBound:       ceilDiv(area, int64(w)),
-		BottleneckBound: bottleneck,
-		MinArea:         area,
-	}, nil
+	return FromSets(sets, w, maxWidth)
 }
 
 // FromSets computes the same bound as Compute from precomputed Pareto sets
@@ -104,21 +88,6 @@ func FromSets(sets map[int]*pareto.Set, w, maxWidth int) (Bound, error) {
 		BottleneckBound: bottleneck,
 		MinArea:         area,
 	}, nil
-}
-
-// MinArea returns A = Σ_i min_w w·T_i(w) with per-core widths capped at
-// maxWidth. It pins the SOC's total test-data footprint and is the quantity
-// our synthetic benchmark SOCs are calibrated against.
-func MinArea(s *soc.SOC, maxWidth int) (int64, error) {
-	var area int64
-	for _, c := range s.Cores {
-		ps, err := pareto.Compute(c, maxWidth)
-		if err != nil {
-			return 0, err
-		}
-		area += ps.MinArea()
-	}
-	return area, nil
 }
 
 func ceilDiv(a, b int64) int64 {

@@ -82,10 +82,11 @@ func TestBottleneckDominates(t *testing.T) {
 
 func TestAreaBoundScalesWithWidth(t *testing.T) {
 	s := bench.P22810Like()
-	area, err := MinArea(s, 64)
+	full, err := Compute(s, 64, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
+	area := full.MinArea
 	if area != bench.AreaP22810 {
 		t.Fatalf("MinArea = %d, calibration target %d", area, bench.AreaP22810)
 	}

@@ -155,3 +155,22 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("after Reset, %d histograms remain", got)
 	}
 }
+
+// TestTimeStageAndLatencySnapshot: TimeStage records one sample into the
+// package-level Stages registry, LatencySnapshot reports it, and
+// ResetLatency empties every package-level registry.
+func TestTimeStageAndLatencySnapshot(t *testing.T) {
+	ResetLatency()
+	t.Cleanup(ResetLatency)
+	TimeStage("test/stage")()
+	Routes.Observe("GET /test", time.Microsecond)
+	Backends.Observe("test-backend", time.Microsecond)
+	snap := LatencySnapshot()
+	if snap.Stages["test/stage"].Count != 1 || snap.Routes["GET /test"].Count != 1 || snap.Backends["test-backend"].Count != 1 {
+		t.Fatalf("LatencySnapshot = %+v, want one sample in each registry", snap)
+	}
+	ResetLatency()
+	if snap := LatencySnapshot(); len(snap.Stages)+len(snap.Routes)+len(snap.Backends) != 0 {
+		t.Fatalf("after ResetLatency: %+v", snap)
+	}
+}

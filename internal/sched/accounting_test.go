@@ -1,7 +1,7 @@
 package sched
 
 // Race-accounting audit: one portfolio call contributes at most one
-// counter (Won / Lost / Failed / TimedOut / Declined / Quarantined) per
+// counter (Won / Lost / Failed / TimedOut / Declined) per
 // backend, so WinRate and the /v1/backends rows never double-count a
 // race. The table drives a switchable fake through every synthetic
 // outcome and checks both the fake's own row and the partition invariant
@@ -54,7 +54,7 @@ func registerAcctFake() {
 // counterSum is every per-race counter of one row; the partition
 // invariant says one portfolio call adds at most 1 to it per backend.
 func counterSum(s BackendRaceStats) int64 {
-	return s.Won + s.Lost + s.Failed + s.TimedOut + s.Declined + s.Quarantined
+	return s.Won + s.Lost + s.Failed + s.TimedOut + s.Declined
 }
 
 func TestPortfolioRaceAccounting(t *testing.T) {
@@ -97,22 +97,12 @@ func TestPortfolioRaceAccounting(t *testing.T) {
 			if st.Declined != 3 || counterSum(st) != 3 {
 				t.Errorf("want Declined=3 and no other counters, got %+v", st)
 			}
-			if st.State != "closed" {
-				t.Errorf("declining is not failing: breaker state %q, want closed", st.State)
-			}
 		}},
-		{"quarantine counts the sat-out race once", "fail", DefaultBreakerThreshold + 1, func(t *testing.T, st BackendRaceStats) {
-			// The first threshold races fail and open the breaker; the final
-			// race is sat out entirely — one Quarantined, not a Failed plus
-			// a Quarantined.
-			if st.Failed != DefaultBreakerThreshold || st.Quarantined != 1 {
-				t.Errorf("want Failed=%d Quarantined=1, got %+v", DefaultBreakerThreshold, st)
-			}
-			if got, want := counterSum(st), int64(DefaultBreakerThreshold+1); got != want {
-				t.Errorf("counter sum %d over %d races: a race was double-counted (%+v)", got, want, st)
-			}
-			if st.State != "open" {
-				t.Errorf("breaker state %q, want open", st.State)
+		{"failures in a row keep racing", "fail", 4, func(t *testing.T, st BackendRaceStats) {
+			// No earlier race benches a backend: each of the four races
+			// runs it and counts its failure.
+			if st.Failed != 4 || counterSum(st) != 4 {
+				t.Errorf("want Failed=4 and no other counters, got %+v", st)
 			}
 		}},
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/lb"
 	"repro/internal/obs"
-	"repro/internal/resil"
 )
 
 // DefaultBackend is the backend used when Params.Backend is empty: the
@@ -174,16 +173,9 @@ func (classicBackend) Schedule(ctx context.Context, opt *Optimizer, params Param
 	return opt.SweepBestContext(ctx, params, nil, nil)
 }
 
-// Circuit-breaker defaults for portfolio racers: a backend is quarantined
-// after DefaultBreakerThreshold consecutive failures or timeouts and is
-// probed again (half-open) after DefaultBreakerCooldown.
-const (
-	DefaultBreakerThreshold = 3
-	DefaultBreakerCooldown  = 30 * time.Second
-)
-
 // BackendRaceStats is one backend's cumulative portfolio-race record,
-// exposed on the service's /metrics endpoint.
+// exposed on the service's /metrics and /v1/backends endpoints. One
+// portfolio call adds at most one to a backend's counters.
 type BackendRaceStats struct {
 	// Won counts races this backend's schedule won.
 	Won int64 `json:"won"`
@@ -196,43 +188,25 @@ type BackendRaceStats struct {
 	// Declined counts races it was skipped from after declining the
 	// parameters (see Decliner).
 	Declined int64 `json:"declined"`
-	// Quarantined counts races it sat out entirely with an open breaker.
-	// A benched backend re-raced by the degradation path is counted by
-	// that race's outcome instead, so one portfolio call contributes at
-	// most one counter per backend.
-	Quarantined int64 `json:"quarantined"`
-	// State is the breaker state ("closed", "open", "half-open"), or
-	// "exempt" for classic, which is never quarantined.
-	State string `json:"state"`
 	// WinRate is Won/(Won+Lost) — the fraction of decided races this
 	// backend's schedule won (0 when it never finished a race).
 	WinRate float64 `json:"winRate"`
-	// BreakerTransitions counts the backend's breaker state changes
-	// (0 for the exempt classic backend).
-	BreakerTransitions int64 `json:"breakerTransitions"`
 }
 
-// racerHealth is one backend's breaker plus its race record.
-type racerHealth struct {
-	breaker *resil.Breaker   // nil for classic: the baseline is never benched
-	stats   BackendRaceStats // guarded by portfolioBackend.mu
-}
-
-// portfolioBackend races every other registered backend on the shared
-// optimizer (bounded by params.Workers) and returns the shortest verified
-// schedule. Each racer's result is re-verified before it may win, so a
-// buggy backend can never poison the portfolio. When a verified schedule
-// reaches the scheduling lower bound LB(W) the race is over — the shared
-// context is cancelled and remaining racers stop early.
+// portfolioBackend races every other registered backend that accepts the
+// parameters on the shared optimizer (bounded by params.Workers) and
+// returns the shortest verified schedule. Each racer's result is
+// re-verified before it may win, so a buggy backend can never poison the
+// portfolio. When a verified schedule reaches the scheduling lower bound
+// LB(W) the race is over — the shared context is cancelled and remaining
+// racers stop early.
 //
 // Resilience: each racer runs in its own goroutine with panics contained
 // and, when params.BackendTimeout is set, a per-racer deadline — a hung
 // backend is abandoned in place and cannot delay the race beyond its
-// deadline. A consecutive-failure circuit breaker per backend (classic
-// exempt) benches repeat offenders for DefaultBreakerCooldown, after which
-// one half-open probe decides re-admission; if every admitted racer fails,
-// the portfolio degrades gracefully by racing the benched backends too,
-// so it returns a schedule whenever any backend at all survives.
+// deadline. The race returns a schedule whenever any racer survives.
+// Every call races every backend that accepts the parameters: the race
+// records only observe, so no earlier race decides who runs.
 //
 // The returned makespan is deterministic: it is never worse than the best
 // single backend, and an early cancel only fires for LB(W)-optimal
@@ -243,28 +217,22 @@ type racerHealth struct {
 // finisher may cancel an equally-good rival mid-run, so which optimal
 // layout is returned can vary run to run.
 type portfolioBackend struct {
-	mu     sync.Mutex
-	health map[string]*racerHealth // guarded by mu
+	mu    sync.Mutex
+	stats map[string]*BackendRaceStats // guarded by mu
 }
 
-// thePortfolio is the registered portfolio instance; its breaker state is
+// thePortfolio is the registered portfolio instance; its race records are
 // process-wide, like the backend registry itself.
-var thePortfolio = &portfolioBackend{health: make(map[string]*racerHealth)}
+var thePortfolio = &portfolioBackend{stats: make(map[string]*BackendRaceStats)}
 
 // PortfolioStats returns every raced backend's cumulative race record,
 // keyed by backend name. Backends that never raced are absent.
 func PortfolioStats() map[string]BackendRaceStats {
 	thePortfolio.mu.Lock()
 	defer thePortfolio.mu.Unlock()
-	out := make(map[string]BackendRaceStats, len(thePortfolio.health))
-	for name, h := range thePortfolio.health {
-		s := h.stats
-		if h.breaker == nil {
-			s.State = "exempt"
-		} else {
-			s.State = h.breaker.State().String()
-			s.BreakerTransitions = h.breaker.Transitions()
-		}
+	out := make(map[string]BackendRaceStats, len(thePortfolio.stats))
+	for name, st := range thePortfolio.stats {
+		s := *st
 		if decided := s.Won + s.Lost; decided > 0 {
 			s.WinRate = float64(s.Won) / float64(decided)
 		}
@@ -273,87 +241,41 @@ func PortfolioStats() map[string]BackendRaceStats {
 	return out
 }
 
-// ResetPortfolioHealth discards all breaker state and race counters
-// (tests only — chaos plans would otherwise leak quarantines across tests).
+// ResetPortfolioHealth discards every backend's race record, so a test or
+// benchmark run counts from zero. The records never decide who races, so
+// resetting them changes no schedule.
 func ResetPortfolioHealth() {
 	thePortfolio.mu.Lock()
 	defer thePortfolio.mu.Unlock()
-	thePortfolio.health = make(map[string]*racerHealth)
+	thePortfolio.stats = make(map[string]*BackendRaceStats)
 }
 
 func (pb *portfolioBackend) Name() string { return "portfolio" }
 
-// healthFor returns the backend's health record, creating it on first use.
-func (pb *portfolioBackend) healthFor(name string) *racerHealth {
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	h, ok := pb.health[name]
+// recordLocked returns the backend's race record, creating it on first use.
+func (pb *portfolioBackend) recordLocked(name string) *BackendRaceStats {
+	st, ok := pb.stats[name]
 	if !ok {
-		h = &racerHealth{}
-		if name != DefaultBackend {
-			h.breaker = resil.NewBreaker(DefaultBreakerThreshold, DefaultBreakerCooldown)
-		}
-		pb.health[name] = h
+		st = &BackendRaceStats{}
+		pb.stats[name] = st
 	}
-	return h
+	return st
 }
 
-// admit splits racers by breaker verdict. Classic (nil breaker) is always
-// admitted. Quarantine counters are not bumped here: whether a benched
-// racer actually sits the race out is only known once the degradation
-// path has (or has not) re-raced it — Schedule calls markQuarantined for
-// the racers that truly never ran.
-func (pb *portfolioBackend) admit(racers []Backend) (admitted, benched []Backend) {
-	for _, b := range racers {
-		h := pb.healthFor(b.Name())
-		if h.breaker == nil || h.breaker.Allow() {
-			admitted = append(admitted, b)
-			continue
-		}
-		benched = append(benched, b)
-	}
-	return admitted, benched
-}
-
-// markQuarantined bumps the quarantine counter for racers that sat out a
-// whole portfolio call behind an open breaker. Every racer already has a
-// health record (admit created it).
-func (pb *portfolioBackend) markQuarantined(benched []Backend) {
-	if len(benched) == 0 {
+// observe counts one racer's failure or timeout. A finish is counted as
+// Won or Lost once the race is decided, and an outcome after the race was
+// already decided (raceCtx cancelled) is not the backend's fault and is
+// ignored.
+func (pb *portfolioBackend) observe(raceCtx context.Context, name string, sch *Schedule, err error) {
+	if sch != nil || raceCtx.Err() != nil {
 		return
 	}
 	pb.mu.Lock()
 	defer pb.mu.Unlock()
-	for _, b := range benched {
-		pb.health[b.Name()].stats.Quarantined++
-	}
-}
-
-// observe feeds one racer's outcome to its breaker and counters. Outcomes
-// after the race was already decided (raceCtx cancelled) are not the
-// backend's fault and are ignored.
-func (pb *portfolioBackend) observe(raceCtx context.Context, name string, sch *Schedule, err error) {
-	if raceCtx.Err() != nil && sch == nil {
-		return
-	}
-	h := pb.healthFor(name)
-	pb.mu.Lock()
-	switch {
-	case sch != nil:
-		// Won/Lost is recorded once the race is decided; a finish always
-		// closes the breaker.
-	case errors.Is(err, context.DeadlineExceeded):
-		h.stats.TimedOut++
-	default:
-		h.stats.Failed++
-	}
-	pb.mu.Unlock()
-	if h.breaker != nil {
-		if sch != nil {
-			h.breaker.Success()
-		} else {
-			h.breaker.Failure()
-		}
+	if st := pb.recordLocked(name); errors.Is(err, context.DeadlineExceeded) {
+		st.TimedOut++
+	} else {
+		st.Failed++
 	}
 }
 
@@ -366,11 +288,11 @@ func (pb *portfolioBackend) recordOutcome(racers []Backend, results []*Schedule,
 		if sch == nil {
 			continue
 		}
-		h := pb.health[racers[i].Name()]
+		st := pb.recordLocked(racers[i].Name())
 		if i == best {
-			h.stats.Won++
+			st.Won++
 		} else {
-			h.stats.Lost++
+			st.Lost++
 		}
 	}
 }
@@ -431,8 +353,8 @@ func runRacer(raceCtx context.Context, b Backend, opt *Optimizer, params Params)
 	}
 }
 
-// race runs one heat over the given racers and returns the best verified
-// schedule plus the first failure (for the all-failed error message).
+// race runs every racer and returns the best verified schedule, or an
+// error naming the first racer's failure when none finished.
 func (pb *portfolioBackend) race(ctx context.Context, opt *Optimizer, params Params, racers []Backend, floor int64) (*Schedule, error) {
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -456,13 +378,12 @@ func (pb *portfolioBackend) race(ctx context.Context, opt *Optimizer, params Par
 		}
 	}
 	if best < 0 {
-		//soclint:allow backendreg terminal error scan; the race is already over
 		for i, err := range errs {
 			if err != nil {
 				return nil, fmt.Errorf("sched: portfolio: every backend failed; %s: %w", racers[i].Name(), err)
 			}
 		}
-		return nil, nil
+		return nil, errors.New("sched: portfolio: race cancelled before any backend finished")
 	}
 	pb.recordOutcome(racers, results, best)
 	return results[best], nil
@@ -489,9 +410,8 @@ func (pb *portfolioBackend) Schedule(ctx context.Context, opt *Optimizer, params
 		if _, skip := BackendDeclines(b, params); skip {
 			// Honest capability reporting: a decliner is skipped, never
 			// raced blind — its schedule would silently ignore the regime.
-			h := pb.healthFor(name)
 			pb.mu.Lock()
-			h.stats.Declined++
+			pb.recordLocked(name).Declined++
 			pb.mu.Unlock()
 			declined++
 			continue
@@ -505,39 +425,16 @@ func (pb *portfolioBackend) Schedule(ctx context.Context, opt *Optimizer, params
 		return nil, fmt.Errorf("sched: portfolio has no backends to race")
 	}
 	floor := optimalityFloor(opt, params)
-	admitted, benched := pb.admit(racers)
 	ctx, span := obs.Start(ctx, "portfolio/race")
 	defer span.End()
-	span.SetAttr("racers", len(admitted))
-	span.SetAttr("benched", len(benched))
+	span.SetAttr("racers", len(racers))
 	span.SetAttr("declined", declined)
 	span.SetAttr("floor", floor)
-	best, raceErr := pb.race(ctx, opt, params, admitted, floor)
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	best, err := pb.race(ctx, opt, params, racers, floor)
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return nil, ctxErr
 	}
-	if best == nil && len(benched) > 0 {
-		// Graceful degradation: every admitted racer failed, so the benched
-		// ones are the only hope — better a quarantined backend's verified
-		// schedule than no schedule. A finisher here also closes its breaker,
-		// and the re-raced backends are counted by this race's outcome, not
-		// as quarantined.
-		if best, raceErr = pb.race(ctx, opt, params, benched, floor); best != nil {
-			return best, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	} else {
-		pb.markQuarantined(benched)
-	}
-	if best == nil {
-		if raceErr != nil {
-			return nil, raceErr
-		}
-		return nil, fmt.Errorf("sched: portfolio: race cancelled before any backend finished")
-	}
-	return best, nil
+	return best, err
 }
 
 // optimalityFloor returns the scheduling lower bound LB(W) (lb.FromSets)

@@ -178,7 +178,7 @@ func TestPortfolioStopsAtLowerBound(t *testing.T) {
 			return nil, errors.New("never cancelled")
 		}
 	}}
-	pb := &portfolioBackend{health: make(map[string]*racerHealth)}
+	pb := &portfolioBackend{stats: make(map[string]*BackendRaceStats)}
 	best, err := pb.race(context.Background(), opt, params, []Backend{classicBackend{}, waiter}, floor)
 	if err != nil {
 		t.Fatal(err)

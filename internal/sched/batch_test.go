@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -61,6 +62,45 @@ func TestScheduleItemDispatch(t *testing.T) {
 	} {
 		if got := tc.it.Key(); got != tc.want {
 			t.Errorf("Key(%+v) = %q, want %q", tc.it, got, tc.want)
+		}
+	}
+}
+
+// TestScheduleBatchSharesAndIsolates: items with equal keys share one
+// schedule, a failing item fails alone, results are the same for any
+// worker count, and once ctx is done every item fails with ctx's error.
+func TestScheduleBatchSharesAndIsolates(t *testing.T) {
+	opt, err := New(bench.Demo(), DefaultMaxWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := []BatchItem{
+		{Params: Params{TAMWidth: 16}},
+		{Params: Params{TAMWidth: 16, Backend: "no-such-backend"}},
+		{Params: Params{TAMWidth: 16, Workers: 3}}, // Workers is not part of the key
+		{Params: Params{TAMWidth: 12}, Best: true},
+	}
+	seq := opt.ScheduleBatch(context.Background(), items, 1)
+	if seq[0].Err != nil || seq[3].Err != nil {
+		t.Fatalf("valid items failed: %v, %v", seq[0].Err, seq[3].Err)
+	}
+	if !errors.Is(seq[1].Err, ErrUnknownBackend) {
+		t.Fatalf("bad item err = %v, want ErrUnknownBackend", seq[1].Err)
+	}
+	if seq[2].Schedule != seq[0].Schedule {
+		t.Fatal("items with equal keys did not share one schedule")
+	}
+	for i, r := range opt.ScheduleBatch(context.Background(), items, 4) {
+		if !reflect.DeepEqual(r.Schedule, seq[i].Schedule) || (r.Err == nil) != (seq[i].Err == nil) {
+			t.Errorf("item %d differs between 1 and 4 workers", i)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i, r := range opt.ScheduleBatch(ctx, items, 2) {
+		if r.Schedule != nil || !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("item %d after cancel: (%v, %v), want (nil, context.Canceled)", i, r.Schedule, r.Err)
 		}
 	}
 }

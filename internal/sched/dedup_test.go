@@ -9,6 +9,13 @@ import (
 	"repro/internal/wrapper"
 )
 
+// sweepBestRef is the pre-deduplication sweep: every grid point runs. It
+// is the differential-testing oracle for SweepBest.
+func (o *Optimizer) sweepBestRef(ctx context.Context, params Params, percents, deltas []int) (*Schedule, error) {
+	grid := buildGrid(params, percents, deltas)
+	return o.runGridBest(ctx, params.Workers, grid, allIndices(len(grid)))
+}
+
 // TestSweepBestDedupMatchesFullGrid asserts the tentpole bar for the grid
 // deduplication: SweepBest (unique preferred-width fingerprints only) must
 // return a schedule identical — field for field, wire for wire, params

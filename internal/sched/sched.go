@@ -81,10 +81,10 @@ type Params struct {
 	// field — Optimizer.Run itself ignores it and echoes it back.
 	Backend string
 	// BackendTimeout bounds each racer in a portfolio race: a racer that
-	// exceeds it is abandoned (counted as timed out by its circuit
-	// breaker) without delaying the others. Zero means no per-racer
-	// deadline. Non-portfolio backends ignore it — callers wanting a
-	// whole-request deadline use the context instead.
+	// exceeds it is abandoned (counted as timed out in its race record)
+	// without delaying the others, and the next race runs it again. Zero
+	// means no per-racer deadline. Non-portfolio backends ignore it —
+	// callers wanting a whole-request deadline use the context instead.
 	BackendTimeout time.Duration
 	// Seed seeds randomized backends (anneal). The same seed always
 	// produces byte-identical schedules; zero means DefaultSeed.
@@ -821,19 +821,11 @@ func verify(s *soc.SOC, sch *Schedule, design func(*soc.Core, int) (*wrapper.Des
 // (percent 1..10, delta 0..4 by default) and returns the best schedule.
 // Grids may be overridden; empty slices mean the defaults.
 func SweepBest(s *soc.SOC, params Params, percents, deltas []int) (*Schedule, error) {
-	return SweepBestContext(context.Background(), s, params, percents, deltas)
-}
-
-// SweepBestContext is SweepBest with cancellation: once ctx is done the
-// sweep stops launching grid points, lets in-flight runs finish, and
-// returns ctx's error. A nil ctx behaves like context.Background(), and an
-// uncancellable context leaves the result byte-identical to SweepBest.
-func SweepBestContext(ctx context.Context, s *soc.SOC, params Params, percents, deltas []int) (*Schedule, error) {
 	o, err := New(s, params.Defaults().MaxWidth)
 	if err != nil {
 		return nil, err
 	}
-	return o.SweepBestContext(ctx, params, percents, deltas)
+	return o.SweepBest(params, percents, deltas)
 }
 
 // SweepBest runs the optimizer over a (percent, delta, insert-slack) grid
@@ -862,18 +854,13 @@ func (o *Optimizer) SweepBest(params Params, percents, deltas []int) (*Schedule,
 	return o.SweepBestContext(context.Background(), params, percents, deltas)
 }
 
-// SweepBestContext is SweepBest with cancellation (see the package-level
-// SweepBestContext for the contract).
+// SweepBestContext is SweepBest with cancellation: once ctx is done the
+// sweep stops launching grid points, lets in-flight runs finish, and
+// returns ctx's error. A nil ctx behaves like context.Background(), and an
+// uncancellable context leaves the result byte-identical to SweepBest.
 func (o *Optimizer) SweepBestContext(ctx context.Context, params Params, percents, deltas []int) (*Schedule, error) {
 	grid := buildGrid(params, percents, deltas)
 	return o.runGridBest(ctx, params.Workers, grid, o.gridReps(grid))
-}
-
-// sweepBestRef is the pre-deduplication sweep: every grid point runs. It
-// is retained as the differential-testing oracle for SweepBest.
-func (o *Optimizer) sweepBestRef(ctx context.Context, params Params, percents, deltas []int) (*Schedule, error) {
-	grid := buildGrid(params, percents, deltas)
-	return o.runGridBest(ctx, params.Workers, grid, allIndices(len(grid)))
 }
 
 // allIndices returns 0, 1, ..., n-1.

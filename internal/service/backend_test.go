@@ -91,6 +91,43 @@ func TestScheduleBackendMatchesLibrary(t *testing.T) {
 	}
 }
 
+// TestPortfolioAnswerIndependentOfHistory: a portfolio answer depends only
+// on its request. Earlier races whose racers time out change no later
+// race's field, so a server that served them answers a portfolio request
+// with the same bytes as a fresh server.
+func TestPortfolioAnswerIndependentOfHistory(t *testing.T) {
+	sched.ResetPortfolioHealth()
+	t.Cleanup(sched.ResetPortfolioHealth)
+	req := map[string]any{
+		"soc":    "d695",
+		"params": map[string]any{"tamWidth": 32, "backend": "portfolio", "workers": 1},
+	}
+	resp, want := postJSON(t, backendTestServer(t), "/v1/schedule/best", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fresh server: HTTP %d: %s", resp.StatusCode, want)
+	}
+
+	ts := backendTestServer(t)
+	// Every racer may miss a 1 ms deadline, so these answers go unchecked.
+	for _, w := range []int{20, 21, 22} {
+		postJSON(t, ts, "/v1/schedule/best", map[string]any{
+			"soc":    "d695",
+			"params": map[string]any{"tamWidth": w, "backend": "portfolio", "workers": 1, "backendTimeoutMs": 1},
+		})
+	}
+	resp, got := postJSON(t, ts, "/v1/schedule/best", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("server with history: HTTP %d: %s", resp.StatusCode, got)
+	}
+	if !bytes.Equal(got, want) {
+		// Decoded only to name the makespans; the byte comparison is the check.
+		var g, w struct{ Makespan int64 }
+		_ = json.Unmarshal(got, &g)
+		_ = json.Unmarshal(want, &w)
+		t.Fatalf("after three timed-out portfolio races the answer differs from a fresh server's: makespan %d, want %d", g.Makespan, w.Makespan)
+	}
+}
+
 func TestScheduleUnknownBackend422(t *testing.T) {
 	ts := backendTestServer(t)
 	for _, path := range []string{"/v1/schedule", "/v1/schedule/best", "/v1/gantt"} {

@@ -238,14 +238,16 @@ func TestChaosServiceRequestDeadline(t *testing.T) {
 	}
 }
 
-// TestChaosServiceAdmissionShed fills the admission semaphore and asserts
+// TestChaosServiceAdmissionShed takes the only admission token and asserts
 // scheduling requests are shed with 429 + Retry-After, the shed counter
 // climbs, and capacity freeing up restores service.
 func TestChaosServiceAdmissionShed(t *testing.T) {
 	svc, ts := newTestService(t, Config{Preload: []string{"demo8"}, MaxConcurrent: 1})
 	client := ts.Client()
 
-	if !svc.sem.TryAcquire() {
+	select {
+	case svc.admission <- struct{}{}:
+	default:
 		t.Fatal("could not take the only admission slot")
 	}
 	req := map[string]any{"soc": "demo8", "params": ParamsJSON{TAMWidth: 16}}
@@ -261,7 +263,7 @@ func TestChaosServiceAdmissionShed(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("429 response missing Retry-After header")
 	}
-	svc.sem.Release()
+	<-svc.admission
 
 	if code, body := doJSON(t, client, "POST", ts.URL+"/v1/schedule", req); code != http.StatusOK {
 		t.Fatalf("post-shed schedule: HTTP %d: %s", code, body)

@@ -97,12 +97,13 @@ func TestErrorCodeSheds(t *testing.T) {
 	svc, ts := newTestService(t, Config{Preload: []string{"demo8"}, MaxConcurrent: 1})
 	client := ts.Client()
 
-	// Occupy the only admission slot from inside the semaphore, then watch
-	// a request get shed.
-	if !svc.sem.TryAcquire() {
+	// Hold the only admission token, then watch a request get shed.
+	select {
+	case svc.admission <- struct{}{}:
+	default:
 		t.Fatal("could not take the only admission slot")
 	}
-	defer svc.sem.Release()
+	defer func() { <-svc.admission }()
 
 	req, err := http.NewRequest("POST", ts.URL+"/v1/schedule",
 		strings.NewReader(`{"soc":"demo8","params":{"tamWidth":16}}`))

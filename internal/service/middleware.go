@@ -32,9 +32,9 @@ type Metrics struct {
 
 // MetricsSnapshot is the JSON form of the counters plus registry/job
 // state, served by GET /metrics. Backends carries every backend's
-// cumulative portfolio-race record (races won/lost/failed/timed-out and
-// quarantine benchings, breaker state and transitions, win rate); Latency
-// carries the per-route, per-backend, and per-stage latency histograms.
+// cumulative portfolio-race record (races won, lost, failed, timed out
+// and declined, and the win rate); Latency carries the per-route,
+// per-backend, and per-stage latency histograms.
 type MetricsSnapshot struct {
 	UptimeSeconds float64                           `json:"uptimeSeconds"`
 	Requests      int64                             `json:"requests"`

@@ -116,9 +116,6 @@ func TestObservability(t *testing.T) {
 	if !reflect.DeepEqual(names, sched.Backends()) {
 		t.Fatalf("backend rows %v, want sorted %v", names, sched.Backends())
 	}
-	if st := byName["classic"].Race.State; st != "exempt" {
-		t.Fatalf("classic state %q, want exempt", st)
-	}
 	// Exactly one decided race: the second (identical) schedule request was
 	// answered by the result cache, so no second portfolio race ran.
 	for _, name := range []string{"classic", "rectpack"} {

@@ -16,7 +16,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/chaos"
 	"repro/internal/obs"
-	"repro/internal/resil"
 	"repro/internal/sched"
 	"repro/internal/socfile"
 )
@@ -70,7 +69,7 @@ type Server struct {
 	cache      *ResultCache
 	metrics    Metrics
 	tracer     *obs.Tracer
-	sem        *resil.Semaphore
+	admission  chan struct{} // one token per scheduling request in flight
 	maxTimeout time.Duration
 	draining   atomic.Bool
 	log        *log.Logger
@@ -96,7 +95,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:       NewJobs(cfg.JobWorkers, cfg.JobQueue, cfg.JobRetained, cfg.JobQueueWait),
 		cache:      NewResultCache(cfg.CacheBytes),
 		tracer:     obs.NewTracer(0),
-		sem:        resil.NewSemaphore(maxConcurrent),
+		admission:  make(chan struct{}, maxConcurrent),
 		maxTimeout: maxTimeout,
 		log:        cfg.Logger,
 		start:      time.Now(),
@@ -235,8 +234,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // record and its observed scheduling latency.
 type BackendInfo struct {
 	Name string `json:"name"`
-	// Race is the backend's cumulative portfolio-race record. A backend
-	// that never raced reports State "idle" and zero counters.
+	// Race is the backend's cumulative portfolio-race record; a backend
+	// that never raced reports zero counters.
 	Race sched.BackendRaceStats `json:"race"`
 	// Latency summarizes every observed scheduling run of this backend
 	// (direct dispatch and portfolio racer legs alike).
@@ -244,20 +243,13 @@ type BackendInfo struct {
 }
 
 // handleBackends answers GET /v1/backends: every registered backend with
-// its race record, quarantine state, and latency quantiles, sorted by
-// name.
+// its race record and latency quantiles, sorted by name.
 func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
 	race := sched.PortfolioStats()
 	lat := obs.Backends.Snapshot()
 	out := make([]BackendInfo, 0, 4)
 	for _, name := range sched.Backends() {
-		info := BackendInfo{Name: name, Latency: lat[name]}
-		if st, ok := race[name]; ok {
-			info.Race = st
-		} else {
-			info.Race.State = "idle"
-		}
-		out = append(out, info)
+		out = append(out, BackendInfo{Name: name, Race: race[name], Latency: lat[name]})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"backends": out})
 }
@@ -328,14 +320,16 @@ func (s *Server) handleSOCGet(w http.ResponseWriter, r *http.Request) {
 // again" beats queueing work a deadline will kill anyway. On success the
 // caller must call the returned release.
 func (s *Server) admit(w http.ResponseWriter) (release func(), ok bool) {
-	if !s.sem.TryAcquire() {
+	select {
+	case s.admission <- struct{}{}:
+		return func() { <-s.admission }, true
+	default:
 		s.metrics.shed.Add(1)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("service: at capacity (%d scheduling requests in flight)", s.sem.Cap()))
+			fmt.Errorf("service: at capacity (%d scheduling requests in flight)", cap(s.admission)))
 		return nil, false
 	}
-	return s.sem.Release, true
 }
 
 // deadlineCtx derives a work context from parent: timeoutMS when given,

@@ -9,9 +9,9 @@ import (
 
 // designWrapperRef is the original, straightforwardly-greedy Design_wrapper
 // implementation: a linear min-scan for the BFD partition and cell-by-cell
-// water-filling (O(n·w) in the wrapper cell count). It is retained solely
-// as the differential-testing oracle for DesignWrapper, which must produce
-// byte-identical designs; it is not used on any production path.
+// water-filling (O(n·w) in the wrapper cell count). It is the
+// differential-testing oracle for DesignWrapper, which must produce
+// byte-identical designs, and is compiled into tests only.
 func designWrapperRef(c *soc.Core, width int) (*Design, error) {
 	if c == nil {
 		return nil, fmt.Errorf("wrapper: nil core")
