@@ -1,4 +1,4 @@
-package repro
+package repro_test
 
 // One benchmark per table and figure of the DAC 2002 paper, plus the
 // ablations DESIGN.md calls out. Each benchmark regenerates its artifact
@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/corpus"
 	"repro/internal/datavol"
 	"repro/internal/experiments"
 	"repro/internal/lb"
@@ -261,6 +262,40 @@ func BenchmarkScheduleD695Anneal(b *testing.B) { benchScheduleBackend(b, "anneal
 // BenchmarkScheduleD695Portfolio tracks the racing meta-backend (which
 // runs every other backend, so it bounds the whole registry's cost).
 func BenchmarkScheduleD695Portfolio(b *testing.B) { benchScheduleBackend(b, "portfolio", 0) }
+
+// BenchmarkScheduleConstrainedCorpus tracks the Conflict check's refusal
+// path, which the BenchmarkScheduleD695* runs never take: d695 carries no
+// precedence, power or BIST constraint. Each sub-benchmark runs anneal or
+// the grid-swept classic best on one constrained corpus scenario at that
+// scenario's own params.
+func BenchmarkScheduleConstrainedCorpus(b *testing.B) {
+	for _, name := range []string{"mixed24-all-constraints-w32", "monster48-w48"} {
+		sc, ok := corpus.ByName(name)
+		if !ok {
+			b.Fatalf("no corpus scenario %q", name)
+		}
+		s := sc.Build()
+		params, err := sc.ResolveParams(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opt, err := sched.New(s, sched.DefaultMaxWidth)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, backend := range []string{"anneal", sched.DefaultBackend} {
+			p := params
+			p.Backend = backend
+			b.Run(name+"/"+backend, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := opt.ScheduleBackend(context.Background(), p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
 
 // BenchmarkParetoSets measures Pareto staircase construction for a full SOC.
 func BenchmarkParetoSets(b *testing.B) {

@@ -7,25 +7,34 @@
 package constraint
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/soc"
 )
 
-// Checker answers "may core i start (or resume) now?" given the set of
-// currently running cores. It is stateless with respect to time: callers
-// tell it which cores are complete and which are running.
+// Checker is the immutable constraint model of one SOC under one Config,
+// stored densely by core ID (1..n, the IDs soc.Validate guarantees):
+// per-core test power and BIST engine, predecessor and successor lists,
+// and one exclusion list per core that merges its concurrency partners
+// (explicit ones, plus hierarchy ones unless IgnoreHierarchy) with the
+// cores sharing its BIST engine. It is safe for concurrent use. A
+// schedule under construction keeps its running and complete sets in a
+// State (NewState), which answers the Conflict subroutine in O(1);
+// ValidateTimeline checks a finished schedule against the same lists.
 type Checker struct {
-	soc *soc.SOC
-	// preds[i] lists cores that must complete before core i may begin.
-	preds map[int][]int
-	// conc[i] holds the set of cores that may not run concurrently with i.
-	conc map[int]map[int]bool
-	// engine[i] is core i's BIST engine, or -1.
-	engine map[int]int
-	// power[i] is core i's test power.
-	power map[int]int
+	// power[id] is core id's test power; index 0 is unused.
+	power []int
+	// engine[id] is core id's BIST engine, or -1.
+	engine []int
+	// preds lists the cores that must complete before id may begin, in
+	// declaration order; succs is its transpose.
+	preds, succs adjacency
+	// excl lists, ascending, the cores that may not run while id runs. It
+	// is symmetric: b is in a's row exactly when a is in b's.
+	excl adjacency
 	// powerMax is the budget; 0 disables the check.
 	powerMax int
 }
@@ -40,49 +49,116 @@ type Config struct {
 	IgnoreHierarchy bool
 }
 
-// New builds a Checker for the SOC. It derives hierarchy concurrency
-// constraints, indexes explicit constraints, and rejects precedence cycles.
-func New(s *soc.SOC, cfg Config) (*Checker, error) {
-	c := &Checker{
-		soc:    s,
-		preds:  make(map[int][]int),
-		conc:   make(map[int]map[int]bool),
-		engine: make(map[int]int),
-		power:  make(map[int]int),
+// adjacency holds one list per core in a single backing slice: core id's
+// list is list[start[id]:start[id+1]].
+type adjacency struct {
+	start, list []int
+}
+
+// newAdjacency builds the lists of cores 1..n from the edges that edges
+// passes to add, keeping each list in emission order. edges runs twice:
+// once to size the lists and once to fill them.
+func newAdjacency(n int, edges func(add func(from, to int))) adjacency {
+	start := make([]int, n+2)
+	edges(func(from, _ int) { start[from+1]++ })
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
 	}
-	c.powerMax = s.PowerMax
+	list := make([]int, start[n+1])
+	// Fill with start[id] as core id's cursor; afterwards start[id] holds
+	// the end of id's list, so shift everything back by one.
+	edges(func(from, to int) {
+		list[start[from]] = to
+		start[from]++
+	})
+	copy(start[1:], start[:n+1])
+	start[0] = 0
+	return adjacency{start: start, list: list}
+}
+
+func (a adjacency) row(id int) []int { return a.list[a.start[id]:a.start[id+1]] }
+
+// New builds a Checker for the SOC, whose cores must carry IDs 1..n in
+// order. It derives hierarchy concurrency constraints, indexes explicit
+// constraints and BIST-engine sharing, and rejects precedence cycles and
+// budgets no single test can meet.
+func New(s *soc.SOC, cfg Config) (*Checker, error) {
+	n := len(s.Cores)
+	known := func(id int) bool { return id >= 1 && id <= n }
+	c := &Checker{
+		power:    make([]int, n+1),
+		engine:   make([]int, n+1),
+		powerMax: s.PowerMax,
+	}
 	if cfg.PowerMax > 0 {
 		c.powerMax = cfg.PowerMax
 	}
-	for _, core := range s.Cores {
-		c.engine[core.ID] = core.Test.BISTEngine
+	var bist []int // cores with a BIST engine, grouped by engine below
+	for i, core := range s.Cores {
+		if core.ID != i+1 {
+			return nil, fmt.Errorf("constraint: core at index %d has ID %d, want %d", i, core.ID, i+1)
+		}
 		c.power[core.ID] = core.TestPower()
+		c.engine[core.ID] = core.Test.BISTEngine
+		if core.Test.BISTEngine >= 0 {
+			bist = append(bist, core.ID)
+		}
 	}
 	for _, p := range s.Precedences {
-		c.preds[p.After] = append(c.preds[p.After], p.Before)
-	}
-	addConc := func(a, b int) {
-		if c.conc[a] == nil {
-			c.conc[a] = make(map[int]bool)
+		if !known(p.Before) || !known(p.After) {
+			return nil, fmt.Errorf("constraint: precedence %d<%d names an unknown core", p.Before, p.After)
 		}
-		if c.conc[b] == nil {
-			c.conc[b] = make(map[int]bool)
-		}
-		c.conc[a][b] = true
-		c.conc[b][a] = true
 	}
-	for _, cc := range s.Concurrencies {
-		addConc(cc.A, cc.B)
-	}
+	conc := s.Concurrencies
 	if !cfg.IgnoreHierarchy {
-		for _, cc := range s.HierarchyConcurrencies() {
-			addConc(cc.A, cc.B)
+		conc = append(slices.Clip(conc), s.HierarchyConcurrencies()...)
+	}
+	for _, cc := range conc {
+		if !known(cc.A) || !known(cc.B) {
+			return nil, fmt.Errorf("constraint: concurrency %d~%d names an unknown core", cc.A, cc.B)
 		}
 	}
+	slices.SortStableFunc(bist, func(a, b int) int { return cmp.Compare(c.engine[a], c.engine[b]) })
+
+	c.preds = newAdjacency(n, func(add func(from, to int)) {
+		for _, p := range s.Precedences {
+			add(p.After, p.Before)
+		}
+	})
+	c.succs = newAdjacency(n, func(add func(from, to int)) {
+		for _, p := range s.Precedences {
+			add(p.Before, p.After)
+		}
+	})
+	c.excl = newAdjacency(n, func(add func(from, to int)) {
+		for _, cc := range conc {
+			add(cc.A, cc.B)
+			add(cc.B, cc.A)
+		}
+		// Every pair inside each run of cores sharing an engine.
+		for lo := 0; lo < len(bist); {
+			hi := lo + 1
+			for hi < len(bist) && c.engine[bist[hi]] == c.engine[bist[lo]] {
+				hi++
+			}
+			for _, a := range bist[lo:hi] {
+				for _, b := range bist[lo:hi] {
+					if a != b {
+						add(a, b)
+					}
+				}
+			}
+			lo = hi
+		}
+	})
+	for id := 1; id <= n; id++ {
+		slices.Sort(c.excl.row(id))
+	}
+
 	if err := c.checkAcyclic(); err != nil {
 		return nil, err
 	}
-	if err := c.checkFeasible(); err != nil {
+	if err := c.checkFeasible(s); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -90,48 +166,33 @@ func New(s *soc.SOC, cfg Config) (*Checker, error) {
 
 // checkAcyclic rejects precedence cycles via Kahn's algorithm.
 func (c *Checker) checkAcyclic() error {
-	indeg := make(map[int]int)
-	succ := make(map[int][]int)
-	for _, core := range c.soc.Cores {
-		indeg[core.ID] = 0
-	}
-	for after, befores := range c.preds {
-		for _, b := range befores {
-			succ[b] = append(succ[b], after)
-			indeg[after]++
-		}
-	}
-	var queue []int
-	for id, d := range indeg {
-		if d == 0 {
+	n := len(c.power) - 1
+	indeg := make([]int, n+1)
+	queue := make([]int, 0, n)
+	for id := 1; id <= n; id++ {
+		if indeg[id] = len(c.preds.row(id)); indeg[id] == 0 {
 			queue = append(queue, id)
 		}
 	}
-	sort.Ints(queue)
-	done := 0
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		done++
-		for _, nx := range succ[id] {
-			indeg[nx]--
-			if indeg[nx] == 0 {
+	for i := 0; i < len(queue); i++ {
+		for _, nx := range c.succs.row(queue[i]) {
+			if indeg[nx]--; indeg[nx] == 0 {
 				queue = append(queue, nx)
 			}
 		}
 	}
-	if done != len(c.soc.Cores) {
+	if len(queue) != n {
 		return fmt.Errorf("constraint: precedence constraints contain a cycle")
 	}
 	return nil
 }
 
 // checkFeasible rejects budgets no single test can meet.
-func (c *Checker) checkFeasible() error {
+func (c *Checker) checkFeasible(s *soc.SOC) error {
 	if c.powerMax == 0 {
 		return nil
 	}
-	for _, core := range c.soc.Cores {
+	for _, core := range s.Cores {
 		if p := c.power[core.ID]; p > c.powerMax {
 			return fmt.Errorf("constraint: core %d (%s) dissipates %d > power budget %d; no schedule exists",
 				core.ID, core.Name, p, c.powerMax)
@@ -140,65 +201,119 @@ func (c *Checker) checkFeasible() error {
 	return nil
 }
 
-// PowerMax returns the effective budget (0 when unconstrained).
-func (c *Checker) PowerMax() int { return c.powerMax }
+// sharesEngine reports whether cores a and b use the same BIST engine.
+func (c *Checker) sharesEngine(a, b int) bool {
+	return c.engine[a] >= 0 && c.engine[a] == c.engine[b]
+}
 
-// Power returns core id's test power.
-func (c *Checker) Power(id int) int { return c.power[id] }
+// State is the running and complete sets of one schedule under
+// construction, kept as three counters per core so that OK is O(1) and
+// no method allocates: predecessors not yet complete, running cores that
+// exclude the core, and the running cores' total power. A State belongs
+// to one run and is not safe for concurrent use.
+type State struct {
+	chk   *Checker
+	cores []coreState // indexed by core ID
+	power int         // total power of the running cores
+}
 
-// Predecessors returns the cores that must complete before id may begin.
-func (c *Checker) Predecessors(id int) []int { return c.preds[id] }
+// coreState is one core's entry in a State.
+type coreState struct {
+	waiting  int // predecessors not yet complete
+	excluded int // running cores that exclude this one
+	running  bool
+	complete bool
+}
 
-// Conflict reports why core id may not start now, or "" when it may.
-// complete maps finished cores; running maps currently scheduled cores.
-// It mirrors the paper's Conflict subroutine: precedence (lines 2-3),
-// concurrency (4-5), power (6-9), and BIST-scan conflicts (10-11).
-func (c *Checker) Conflict(id int, complete, running map[int]bool) string {
-	for _, pre := range c.preds[id] {
-		if !complete[pre] {
+// NewState returns a State with no core running or complete.
+func (c *Checker) NewState() *State {
+	st := &State{chk: c, cores: make([]coreState, len(c.power))}
+	for id := range st.cores {
+		st.cores[id].waiting = len(c.preds.row(id))
+	}
+	return st
+}
+
+// OK reports whether core id, which must not be running, may start (or
+// resume) now. It equals Conflict(id) == "" without building the reason.
+func (st *State) OK(id int) bool {
+	cs := &st.cores[id]
+	return cs.waiting == 0 && cs.excluded == 0 &&
+		(st.chk.powerMax == 0 || st.power+st.chk.power[id] <= st.chk.powerMax)
+}
+
+// Start records that core id, which must not be running, now runs.
+func (st *State) Start(id int) {
+	st.cores[id].running = true
+	st.power += st.chk.power[id]
+	for _, o := range st.chk.excl.row(id) {
+		st.cores[o].excluded++
+	}
+}
+
+// Stop records that the running core id no longer runs (it is suspended
+// or was only tentatively running).
+func (st *State) Stop(id int) {
+	st.cores[id].running = false
+	st.power -= st.chk.power[id]
+	for _, o := range st.chk.excl.row(id) {
+		st.cores[o].excluded--
+	}
+}
+
+// Complete records that core id has finished its test, stopping it first
+// when it is running. Each core completes at most once.
+func (st *State) Complete(id int) {
+	if st.cores[id].running {
+		st.Stop(id)
+	}
+	st.cores[id].complete = true
+	for _, o := range st.chk.succs.row(id) {
+		st.cores[o].waiting--
+	}
+}
+
+// Conflict reports why core id, which must not be running, may not start
+// now, or "" when it may. It mirrors the paper's Conflict subroutine:
+// precedence (lines 2-3), concurrency (4-5), power (6-9), and BIST-scan
+// conflicts (10-11). It builds its reason from scratch; OK is the
+// allocation-free test for the inner loops.
+func (st *State) Conflict(id int) string {
+	c := st.chk
+	for _, pre := range c.preds.row(id) {
+		if !st.cores[pre].complete {
 			return fmt.Sprintf("precedence: core %d must complete before core %d", pre, id)
 		}
 	}
-	for other := range running {
-		if c.conc[id][other] {
-			return fmt.Sprintf("concurrency: core %d may not run with core %d", id, other)
+	for _, o := range c.excl.row(id) {
+		if st.cores[o].running && !c.sharesEngine(id, o) {
+			return fmt.Sprintf("concurrency: core %d may not run with core %d", id, o)
 		}
 	}
-	if c.powerMax > 0 {
-		sum := c.power[id]
-		for other := range running {
-			sum += c.power[other]
-		}
-		if sum > c.powerMax {
-			return fmt.Sprintf("power: %d exceeds budget %d", sum, c.powerMax)
-		}
+	if sum := st.power + c.power[id]; c.powerMax > 0 && sum > c.powerMax {
+		return fmt.Sprintf("power: %d exceeds budget %d", sum, c.powerMax)
 	}
-	if e := c.engine[id]; e >= 0 {
-		for other := range running {
-			if c.engine[other] == e {
-				return fmt.Sprintf("bist: cores %d and %d share BIST engine %d", id, other, e)
-			}
+	for _, o := range c.excl.row(id) {
+		if st.cores[o].running {
+			return fmt.Sprintf("bist: cores %d and %d share BIST engine %d", id, o, c.engine[id])
 		}
 	}
 	return ""
 }
 
-// OK reports whether core id may start now.
-func (c *Checker) OK(id int, complete, running map[int]bool) bool {
-	return c.Conflict(id, complete, running) == ""
-}
-
 // ValidateTimeline checks a completed schedule: for every core interval
 // set, precedence, concurrency, BIST and power constraints must hold at
-// every instant. intervals maps core ID to its (start, end) pieces.
+// every instant. intervals maps core ID to its (start, end) pieces; IDs
+// outside the SOC are ignored.
 func (c *Checker) ValidateTimeline(intervals map[int][]Interval) error {
+	n := len(c.power) - 1
 	// Precedence: After's first start must be >= Before's last end.
-	for after, befores := range c.preds {
+	for after := 1; after <= n; after++ {
 		ai := intervals[after]
 		if len(ai) == 0 {
 			continue
 		}
-		for _, b := range befores {
+		for _, b := range c.preds.row(after) {
 			bi := intervals[b]
 			if len(bi) == 0 {
 				return fmt.Errorf("constraint: core %d scheduled but predecessor %d never runs", after, b)
@@ -210,22 +325,15 @@ func (c *Checker) ValidateTimeline(intervals map[int][]Interval) error {
 		}
 	}
 	// Pairwise checks at overlap: concurrency + BIST.
-	ids := make([]int, 0, len(intervals))
-	for id := range intervals {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for i, a := range ids {
-		for _, b := range ids[i+1:] {
-			if !overlaps(intervals[a], intervals[b]) {
+	for a := 1; a <= n; a++ {
+		for _, b := range c.excl.row(a) {
+			if b <= a || !overlaps(intervals[a], intervals[b]) {
 				continue
 			}
-			if c.conc[a][b] {
-				return fmt.Errorf("constraint: concurrency violation: cores %d and %d overlap", a, b)
+			if c.sharesEngine(a, b) {
+				return fmt.Errorf("constraint: BIST engine %d shared by overlapping cores %d and %d", c.engine[a], a, b)
 			}
-			if ea, eb := c.engine[a], c.engine[b]; ea >= 0 && ea == eb {
-				return fmt.Errorf("constraint: BIST engine %d shared by overlapping cores %d and %d", ea, a, b)
-			}
+			return fmt.Errorf("constraint: concurrency violation: cores %d and %d overlap", a, b)
 		}
 	}
 	// Power: sweep events.
@@ -235,8 +343,8 @@ func (c *Checker) ValidateTimeline(intervals map[int][]Interval) error {
 			delta int
 		}
 		var evs []ev
-		for id, ivs := range intervals {
-			for _, iv := range ivs {
+		for id := 1; id <= n; id++ {
+			for _, iv := range intervals[id] {
 				evs = append(evs, ev{iv.Start, c.power[id]}, ev{iv.End, -c.power[id]})
 			}
 		}

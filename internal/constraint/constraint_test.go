@@ -22,12 +22,17 @@ func testSOC() *soc.SOC {
 	}
 }
 
-func sets(ids ...int) map[int]bool {
-	m := make(map[int]bool)
-	for _, id := range ids {
-		m[id] = true
+// stateOf returns a State of chk with the given cores complete and the
+// given cores running.
+func stateOf(chk *Checker, complete, running []int) *State {
+	st := chk.NewState()
+	for _, id := range complete {
+		st.Complete(id)
 	}
-	return m
+	for _, id := range running {
+		st.Start(id)
+	}
+	return st
 }
 
 func TestPrecedenceConflict(t *testing.T) {
@@ -35,32 +40,35 @@ func TestPrecedenceConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg := chk.Conflict(5, sets(), sets()); !strings.Contains(msg, "precedence") {
+	if msg := stateOf(chk, nil, nil).Conflict(5); !strings.Contains(msg, "precedence") {
 		t.Fatalf("core 5 should wait for 3: %q", msg)
 	}
-	if msg := chk.Conflict(5, sets(3), sets()); msg != "" {
+	if msg := stateOf(chk, []int{3}, nil).Conflict(5); msg != "" {
 		t.Fatalf("core 5 should start after 3 completes: %q", msg)
+	}
+	if !stateOf(chk, nil, nil).OK(1) {
+		t.Fatal("OK(1) false with empty state")
 	}
 }
 
 func TestConcurrencyConflict(t *testing.T) {
 	chk, _ := New(testSOC(), Config{})
-	if msg := chk.Conflict(1, sets(), sets(5)); !strings.Contains(msg, "concurrency") {
+	if msg := stateOf(chk, nil, []int{5}).Conflict(1); !strings.Contains(msg, "concurrency") {
 		t.Fatalf("explicit concurrency not enforced: %q", msg)
 	}
 	// Hierarchy: 2 inside 1, implicit exclusion both directions.
-	if msg := chk.Conflict(2, sets(), sets(1)); !strings.Contains(msg, "concurrency") {
+	if msg := stateOf(chk, nil, []int{1}).Conflict(2); !strings.Contains(msg, "concurrency") {
 		t.Fatalf("hierarchy exclusion not enforced: %q", msg)
 	}
-	if msg := chk.Conflict(1, sets(), sets(2)); !strings.Contains(msg, "concurrency") {
+	if msg := stateOf(chk, nil, []int{2}).Conflict(1); !strings.Contains(msg, "concurrency") {
 		t.Fatalf("hierarchy exclusion not symmetric: %q", msg)
 	}
 	// IgnoreHierarchy drops only the implicit ones.
 	chk2, _ := New(testSOC(), Config{IgnoreHierarchy: true})
-	if msg := chk2.Conflict(2, sets(), sets(1)); msg != "" {
+	if msg := stateOf(chk2, nil, []int{1}).Conflict(2); msg != "" {
 		t.Fatalf("IgnoreHierarchy kept implicit constraint: %q", msg)
 	}
-	if msg := chk2.Conflict(1, sets(), sets(5)); msg == "" {
+	if msg := stateOf(chk2, nil, []int{5}).Conflict(1); msg == "" {
 		t.Fatal("IgnoreHierarchy dropped explicit constraint")
 	}
 }
@@ -72,17 +80,17 @@ func TestPowerConflict(t *testing.T) {
 	}
 	// 100 + 50 = 150 fits exactly... but 1 and 2 are hierarchy-excluded;
 	// use 1 (100) with 4 (60): 160 > 150.
-	if msg := chk.Conflict(4, sets(), sets(1)); !strings.Contains(msg, "power") {
+	if msg := stateOf(chk, nil, []int{1}).Conflict(4); !strings.Contains(msg, "power") {
 		t.Fatalf("power excess not caught: %q", msg)
 	}
 	// 1 (100) alone is fine; adding 5 (30) stays at 130 but 1~5 conflicts
 	// first; use 2 (50) with 4 (60) = 110, fine.
-	if msg := chk.Conflict(4, sets(), sets(2)); msg != "" {
+	if msg := stateOf(chk, nil, []int{2}).Conflict(4); msg != "" {
 		t.Fatalf("feasible power rejected: %q", msg)
 	}
 	// Power disabled when budget is zero.
 	chk2, _ := New(testSOC(), Config{})
-	if msg := chk2.Conflict(4, sets(), sets(1)); msg != "" {
+	if msg := stateOf(chk2, nil, []int{1}).Conflict(4); msg != "" {
 		t.Fatalf("unbudgeted power check fired: %q", msg)
 	}
 }
@@ -97,10 +105,10 @@ func TestPowerInfeasible(t *testing.T) {
 
 func TestBISTConflict(t *testing.T) {
 	chk, _ := New(testSOC(), Config{})
-	if msg := chk.Conflict(4, sets(), sets(3)); !strings.Contains(msg, "bist") {
+	if msg := stateOf(chk, nil, []int{3}).Conflict(4); !strings.Contains(msg, "bist") {
 		t.Fatalf("shared BIST engine not caught: %q", msg)
 	}
-	if msg := chk.Conflict(4, sets(3), sets()); msg != "" {
+	if msg := stateOf(chk, []int{3}, nil).Conflict(4); msg != "" {
 		t.Fatalf("sequential BIST rejected: %q", msg)
 	}
 }
@@ -113,22 +121,6 @@ func TestPrecedenceCycle(t *testing.T) {
 	}
 }
 
-func TestAccessors(t *testing.T) {
-	chk, _ := New(testSOC(), Config{PowerMax: 400})
-	if chk.PowerMax() != 400 {
-		t.Fatalf("PowerMax = %d", chk.PowerMax())
-	}
-	if chk.Power(1) != 100 {
-		t.Fatalf("Power(1) = %d", chk.Power(1))
-	}
-	if pre := chk.Predecessors(5); len(pre) != 1 || pre[0] != 3 {
-		t.Fatalf("Predecessors(5) = %v", pre)
-	}
-	if !chk.OK(1, sets(), sets()) {
-		t.Fatal("OK(1) false with empty state")
-	}
-}
-
 func TestPowerFallbackToSOC(t *testing.T) {
 	s := testSOC()
 	s.PowerMax = 120
@@ -136,13 +128,13 @@ func TestPowerFallbackToSOC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chk.PowerMax() != 120 {
-		t.Fatalf("SOC PowerMax not picked up: %d", chk.PowerMax())
+	if chk.powerMax != 120 {
+		t.Fatalf("SOC PowerMax not picked up: %d", chk.powerMax)
 	}
 	// Config overrides.
 	chk2, _ := New(s, Config{PowerMax: 300})
-	if chk2.PowerMax() != 300 {
-		t.Fatalf("override PowerMax = %d", chk2.PowerMax())
+	if chk2.powerMax != 300 {
+		t.Fatalf("override PowerMax = %d", chk2.powerMax)
 	}
 }
 

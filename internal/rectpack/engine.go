@@ -256,8 +256,7 @@ type decoded struct {
 func decode(cores []*core, g *genome, chk *constraint.Checker, tamWidth int, penFor func(id, width int) int64) (*decoded, error) {
 	n := len(cores)
 	sim := make([]simCore, n)
-	running := make(map[int]bool, n)
-	complete := make(map[int]bool, n)
+	cs := chk.NewState()
 	var now int64
 	avail := tamWidth
 	left := n
@@ -275,23 +274,23 @@ func decode(cores []*core, g *genome, chk *constraint.Checker, tamWidth int, pen
 				if now <= s.yieldedAt {
 					continue
 				}
-				if avail < s.width || !chk.OK(c.id, complete, running) {
+				if avail < s.width || !cs.OK(c.id) {
 					if !g.preempt {
 						continue
 					}
-					free, ok := preemptFor(cores, sim, g.perm, pos, s.width, avail, now, chk, complete, running)
+					free, ok := preemptFor(cores, sim, g.perm, pos, s.width, avail, now, cs)
 					if !ok {
 						continue
 					}
 					avail = free
 				}
 				s.resume(c, now, penFor)
-				running[c.id] = true
+				cs.Start(c.id)
 				avail -= s.width
 			case simUnstarted:
 				floor := g.floor[ci]
 				w, ok := c.set.SnapDown(min(g.cap[ci], avail))
-				if !ok || (floor > 0 && w < floor) || !chk.OK(c.id, complete, running) {
+				if !ok || (floor > 0 && w < floor) || !cs.OK(c.id) {
 					if !g.preempt {
 						continue
 					}
@@ -300,7 +299,7 @@ func decode(cores []*core, g *genome, chk *constraint.Checker, tamWidth int, pen
 					if w, ok = c.set.SnapDown(g.cap[ci]); !ok || (floor > 0 && w < floor) {
 						continue
 					}
-					free, ok := preemptFor(cores, sim, g.perm, pos, w, avail, now, chk, complete, running)
+					free, ok := preemptFor(cores, sim, g.perm, pos, w, avail, now, cs)
 					if !ok {
 						continue
 					}
@@ -310,12 +309,9 @@ func decode(cores []*core, g *genome, chk *constraint.Checker, tamWidth int, pen
 				if s.start(c, w, now, g.split[ci]) {
 					splits++
 				}
-				running[c.id] = true
+				cs.Start(c.id)
 				avail -= w
 			}
-		}
-		if len(running) == 0 {
-			return nil, fmt.Errorf("rectpack: no core can run at t=%d with %d cores left", now, left)
 		}
 		// Advance to the earliest segment end or forced split among the
 		// running cores, then retire or suspend everything landing there.
@@ -333,6 +329,9 @@ func decode(cores []*core, g *genome, chk *constraint.Checker, tamWidth int, pen
 				next = end
 			}
 		}
+		if next == -1 {
+			return nil, fmt.Errorf("rectpack: no core can run at t=%d with %d cores left", now, left)
+		}
 		for i := range sim {
 			s := &sim[i]
 			if s.state != simRunning {
@@ -342,13 +341,12 @@ func decode(cores []*core, g *genome, chk *constraint.Checker, tamWidth int, pen
 			if s.yieldAt >= 0 && s.yieldAt < end && s.yieldAt == next {
 				s.suspend(next)
 				s.yieldedAt = next
-				delete(running, cores[i].id)
+				cs.Stop(cores[i].id)
 				avail += s.width
 			} else if end == next {
 				s.closeSeg(next)
 				s.state = simDone
-				delete(running, cores[i].id)
-				complete[cores[i].id] = true
+				cs.Complete(cores[i].id)
 				avail += s.width
 				left--
 			}
@@ -366,7 +364,7 @@ func decode(cores []*core, g *genome, chk *constraint.Checker, tamWidth int, pen
 // returned with ok true. When too few wires can be freed, or the
 // constraint checker refuses the core even with the victims gone, nothing
 // changes and ok is false.
-func preemptFor(cores []*core, sim []simCore, perm []int, pos, want, avail int, now int64, chk *constraint.Checker, complete, running map[int]bool) (int, bool) {
+func preemptFor(cores []*core, sim []simCore, perm []int, pos, want, avail int, now int64, cs *constraint.State) (int, bool) {
 	var victims []int
 	freed := 0
 	for vpos := len(perm) - 1; vpos > pos && avail+freed < want; vpos-- {
@@ -380,11 +378,11 @@ func preemptFor(cores []*core, sim []simCore, perm []int, pos, want, avail int, 
 		return avail, false
 	}
 	for _, vi := range victims {
-		delete(running, cores[vi].id)
+		cs.Stop(cores[vi].id)
 	}
-	if !chk.OK(cores[perm[pos]].id, complete, running) {
+	if !cs.OK(cores[perm[pos]].id) {
 		for _, vi := range victims {
-			running[cores[vi].id] = true
+			cs.Start(cores[vi].id)
 		}
 		return avail, false
 	}

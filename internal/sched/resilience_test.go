@@ -16,25 +16,27 @@ import (
 // tests. Registered once per binary (the registry has no unregister), they
 // return an immediate error while their switch is off so unrelated
 // portfolio tests just see one more failing racer.
-var resilFakes = struct {
-	once    sync.Once
-	hang    atomic.Bool   // "test-hung" blocks, ignoring ctx, while set
-	release chan struct{} // closed once to reap abandoned test-hung goroutines
-	panics  atomic.Bool   // "test-panicking" panics while set
-	flaky   atomic.Bool   // "test-flaky" fails while set, else runs the sweep
-}{release: make(chan struct{})}
+var resilFakes struct {
+	once sync.Once
+	// hang, while set, makes "test-hung" block, ignoring ctx, until the
+	// channel it points to is closed. Each test sets its own channel.
+	hang   atomic.Pointer[chan struct{}]
+	panics atomic.Bool // "test-panicking" panics while set
+	flaky  atomic.Bool // "test-flaky" fails while set, else runs the sweep
+}
 
 func registerResilFakes() {
 	resilFakes.once.Do(func() {
 		RegisterBackend(testBackend{
 			name: "test-hung",
 			fn: func(ctx context.Context, opt *Optimizer, params Params) (*Schedule, error) {
-				if !resilFakes.hang.Load() {
+				release := resilFakes.hang.Load()
+				if release == nil {
 					return nil, errors.New("test-hung: off")
 				}
 				// Deliberately ignores ctx — the pathological racer the
 				// per-racer deadline exists for.
-				<-resilFakes.release
+				<-*release
 				return nil, errors.New("test-hung: released")
 			},
 		})
@@ -69,10 +71,11 @@ func TestPortfolioHungRacerBoundedByBackendTimeout(t *testing.T) {
 	registerResilFakes()
 	ResetPortfolioHealth()
 	t.Cleanup(ResetPortfolioHealth)
-	resilFakes.hang.Store(true)
+	release := make(chan struct{})
+	resilFakes.hang.Store(&release)
 	t.Cleanup(func() {
-		resilFakes.hang.Store(false)
-		close(resilFakes.release) // reap abandoned racer goroutines
+		resilFakes.hang.Store(nil)
+		close(release) // reap this run's abandoned racer goroutines
 	})
 
 	s := bench.Demo()

@@ -216,7 +216,7 @@ type CoreLayout struct {
 // New returns, the SOC, the cached Pareto sets, and the cached wrapper
 // designs are never mutated: Run allocates every piece of mutable state
 // per call (the runner, the per-core coreStates, the rect.Bin, the
-// constraint.Checker), and pareto.Set.Capped hands out read-only views
+// constraint.State), and pareto.Set.Capped hands out read-only views
 // that share the immutable time table. SweepBest and datavol.Run exploit
 // this by fanning Run calls out over a worker pool (see Params.Workers).
 // Callers must not mutate the SOC passed to New while the Optimizer is in
@@ -396,14 +396,12 @@ func (o *Optimizer) Run(params Params) (*Schedule, error) {
 	run := &runner{
 		opt:    o,
 		params: params,
-		chk:    chk,
-		states: make(map[int]*coreState, len(sets)),
+		cs:     chk.NewState(),
 		ord:    make([]*coreState, len(sets)),
 	}
 	for i, ps := range sets {
 		st := &coreState{id: ps.CoreID, pset: ps, pref: ps.PreferredWidth(params.Percent, params.Delta)}
 		st.maxPreempts = params.MaxPreemptions[st.id]
-		run.states[st.id] = st
 		run.ord[i] = st
 	}
 	if err := run.schedule(); err != nil {
@@ -425,24 +423,19 @@ func (o *Optimizer) Run(params Params) (*Schedule, error) {
 type runner struct {
 	opt    *Optimizer // read-only: supplies cached wrapper designs
 	params Params
-	chk    *constraint.Checker
-	states map[int]*coreState
-	// ord holds the states in ascending core-ID order, so the per-instant
-	// priority scans avoid map lookups.
+	// cs holds the running and complete sets the Conflict checks read.
+	cs *constraint.State
+	// ord holds the states in ascending core-ID order.
 	ord []*coreState
 
-	now      int64
-	wAvail   int
-	complete map[int]bool
-	running  map[int]bool
-	left     int // count of incomplete cores
-	events   int
+	now    int64
+	wAvail int
+	left   int // count of incomplete cores
+	events int
 }
 
 // schedule is the main loop of Fig. 4.
 func (r *runner) schedule() error {
-	r.complete = make(map[int]bool)
-	r.running = make(map[int]bool)
 	r.left = len(r.ord)
 	r.wAvail = r.params.TAMWidth
 
@@ -490,7 +483,7 @@ func (r *runner) assignCapped() bool {
 		if !st.begun || st.complete || st.running || st.preempts < st.maxPreempts {
 			continue
 		}
-		if st.assigned > r.wAvail || !r.chk.OK(st.id, r.complete, r.running) {
+		if st.assigned > r.wAvail || !r.cs.OK(st.id) {
 			continue
 		}
 		if best == nil || st.remaining > best.remaining {
@@ -512,7 +505,7 @@ func (r *runner) assignResumable() bool {
 		if !st.begun || st.complete || st.running || st.preempts >= st.maxPreempts {
 			continue
 		}
-		if st.assigned > r.wAvail || !r.chk.OK(st.id, r.complete, r.running) {
+		if st.assigned > r.wAvail || !r.cs.OK(st.id) {
 			continue
 		}
 		if best == nil || st.remaining > best.remaining {
@@ -531,7 +524,7 @@ func (r *runner) assignResumable() bool {
 func (r *runner) assignNew() bool {
 	var best *coreState
 	for _, st := range r.ord {
-		if st.begun || st.pref > r.wAvail || !r.chk.OK(st.id, r.complete, r.running) {
+		if st.begun || st.pref > r.wAvail || !r.cs.OK(st.id) {
 			continue
 		}
 		if best == nil || st.pset.Time(st.pref) > best.pset.Time(best.pref) {
@@ -559,7 +552,7 @@ func (r *runner) insertSqueezed() bool {
 		if st.begun || st.pref <= r.wAvail || st.pref > r.wAvail+r.params.InsertSlack {
 			continue
 		}
-		if !r.chk.OK(st.id, r.complete, r.running) {
+		if !r.cs.OK(st.id) {
 			continue
 		}
 		if best == nil || st.pref < best.pref {
@@ -644,7 +637,7 @@ func (r *runner) open(st *coreState) {
 	st.running = true
 	st.runStart = r.now
 	st.end = r.now + st.remaining
-	r.running[st.id] = true
+	r.cs.Start(st.id)
 	r.wAvail -= st.assigned
 }
 
@@ -671,17 +664,18 @@ func (r *runner) reopenWider(st *coreState, width int) {
 func (r *runner) update() error {
 	r.events++
 	var newTime int64 = -1
-	for id := range r.running {
-		st := r.states[id]
-		if newTime == -1 || st.end < newTime {
+	for _, st := range r.ord {
+		if st.running && (newTime == -1 || st.end < newTime) {
 			newTime = st.end
 		}
 	}
 	if newTime == -1 {
 		return r.deadlockError()
 	}
-	for id := range r.running {
-		st := r.states[id]
+	for _, st := range r.ord {
+		if !st.running {
+			continue
+		}
 		elapsed := newTime - st.runStart
 		if elapsed > 0 {
 			if n := len(st.spans); n > 0 && st.spans[n-1].End == st.runStart {
@@ -695,10 +689,11 @@ func (r *runner) update() error {
 		st.end = newTime
 		if st.remaining == 0 {
 			st.complete = true
-			r.complete[id] = true
+			r.cs.Complete(st.id)
 			r.left--
+		} else {
+			r.cs.Stop(st.id)
 		}
-		delete(r.running, id)
 	}
 	r.now = newTime
 	r.wAvail = r.params.TAMWidth
@@ -712,7 +707,7 @@ func (r *runner) deadlockError() error {
 		if st.complete {
 			continue
 		}
-		if msg := r.chk.Conflict(id, r.complete, r.running); msg != "" {
+		if msg := r.cs.Conflict(id); msg != "" {
 			return fmt.Errorf("sched: deadlock at t=%d: core %d blocked (%s)", r.now, id, msg)
 		}
 		if st.begun && st.assigned > r.params.TAMWidth {
