@@ -41,8 +41,8 @@ type (
 	// Options tunes one scheduling run (TAM width, α/δ, preemption,
 	// power budget, heuristic toggles).
 	Options = sched.Params
-	// TestSchedule is a completed schedule with per-core assignments and
-	// the wire-level packed bin.
+	// TestSchedule is a completed schedule: per-core assignments whose
+	// pieces carry their concrete TAM wires.
 	TestSchedule = sched.Schedule
 	// CoreAssignment is one core's disposition in a schedule.
 	CoreAssignment = sched.Assignment
@@ -80,10 +80,12 @@ var ErrUnknownBackend = sched.ErrUnknownBackend
 type UnknownCoreError = sched.UnknownCoreError
 
 // SchedulerBackends returns the names of the registered scheduling
-// backends, sorted: "classic" (the paper's heuristic), "portfolio" (race
-// everything, keep the shortest verified schedule), "rectpack" (best-fit
-// decreasing rectangle bin packing), plus anything else registered through
-// sched.RegisterBackend.
+// backends, sorted: "anneal" (simulated annealing over the packer's
+// genomes), "classic" (the paper's heuristic), "portfolio" (race
+// everything, keep the shortest verified schedule), "preempt-rectpack"
+// (the packer with priority preemption, for runs with preemption budgets),
+// "rectpack" (best-fit decreasing rectangle bin packing), plus anything
+// else registered through sched.RegisterBackend.
 func SchedulerBackends() []string { return sched.Backends() }
 
 // DefaultMaxWidth is the per-core TAM width cap (the paper's 64).
@@ -207,8 +209,10 @@ func (p *Planner) SweepWidthsContext(ctx context.Context, lo, hi, workers int) (
 	return datavol.RunWithContext(ctx, p.opt, datavol.Config{WidthLo: lo, WidthHi: hi, Workers: workers})
 }
 
-// Verify re-derives every schedule invariant, with wrapper designs served
-// from the cache.
+// Verify is CheckInvariants plus the timing model: every structural
+// invariant, then each core's base time and preemption penalty against its
+// wrapper design and the makespan against the last piece end, with wrapper
+// designs served from the cache.
 func (p *Planner) Verify(sch *TestSchedule) error {
 	return p.opt.Verify(sch)
 }
@@ -234,8 +238,10 @@ func ScheduleBest(s *SOC, opts Options) (*TestSchedule, error) {
 	return scheduleOnce(context.Background(), s, BatchItem{Params: opts, Best: true})
 }
 
-// VerifySchedule re-derives every schedule invariant (packing, timing
-// model, constraints) from first principles.
+// VerifySchedule is CheckInvariants plus the timing model: every
+// structural invariant (packing, constraints), then each core's base time
+// and preemption penalty against a freshly designed wrapper and the
+// makespan against the last piece end.
 func VerifySchedule(s *SOC, sch *TestSchedule) error {
 	return sched.Verify(s, sch)
 }
@@ -244,9 +250,10 @@ func VerifySchedule(s *SOC, sch *TestSchedule) error {
 // from the raw assignments it re-derives that every core is tested exactly
 // once, no TAM wire carries two tests at once, the power budget is never
 // exceeded, and every precedence and mutual-exclusion edge is honored.
-// Unlike VerifySchedule it never consults the timing model or wrapper
-// designs, so it accepts any correct schedule regardless of which backend
-// (or external tool) produced it.
+// VerifySchedule and Planner.Verify are this check plus the timing model;
+// CheckInvariants never consults the timing model or wrapper designs, so
+// it accepts any correct schedule regardless of which backend (or
+// external tool) produced it.
 func CheckInvariants(s *SOC, sch *TestSchedule) error {
 	return sched.CheckInvariants(s, sch)
 }

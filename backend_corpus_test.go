@@ -24,6 +24,8 @@ package repro_test
 // shapes above the per-core MaxWidth cap (wideRequests).
 
 import (
+	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -37,6 +39,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/rectpack"
 	"repro/internal/sched"
+	"repro/internal/schedio"
 )
 
 // digestFile is the committed digest table: one "<scenario> W=<width>
@@ -226,6 +229,61 @@ func TestCorpusBackendInvariants(t *testing.T) {
 			t.Errorf("neither search backend clears the bar: preempt-rectpack %d, anneal %d ties-or-beats, want > 14", pr, an)
 		}
 	})
+}
+
+// TestPortfolioBytesIndependentOfWorkers: a portfolio answer depends only
+// on its request, and Workers is not part of the request's key. Every
+// corpus scenario and every wide request is replayed several times at
+// Workers = 4 through Optimizer.ScheduleItem, the path the service takes,
+// and every run must give the Workers = 1 bytes. The scenarios whose race
+// reaches LB(W) are the ones an early exit could make timing-dependent.
+func TestPortfolioBytesIndependentOfWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("portfolio worker replay skipped in -short mode")
+	}
+	const runs = 4
+	scenarios := corpus.All()
+	for _, wr := range wideRequests {
+		sc, ok := corpus.ByName(wr.scenario)
+		if !ok {
+			t.Fatalf("no corpus scenario %q", wr.scenario)
+		}
+		sc.Name = fmt.Sprintf("%s@W%d", sc.Name, wr.width)
+		sc.Params.TAMWidth = wr.width
+		scenarios = append(scenarios, sc)
+	}
+	for _, sc := range scenarios {
+		t.Run(sc.Name, func(t *testing.T) {
+			s := sc.Build()
+			params, err := sc.ResolveParams(s) // Workers = 1
+			if err != nil {
+				t.Fatal(err)
+			}
+			params.Backend = "portfolio"
+			opt, err := sched.New(s, sched.DefaultMaxWidth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc := func(params sched.Params) []byte {
+				sch, err := opt.ScheduleItem(context.Background(), sched.BatchItem{Params: params, Best: true})
+				if err != nil {
+					t.Fatalf("workers %d: %v", params.Workers, err)
+				}
+				var buf bytes.Buffer
+				if err := schedio.Save(&buf, sch); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			want := doc(params)
+			params.Workers = 4
+			for run := 1; run <= runs; run++ {
+				if got := doc(params); !bytes.Equal(got, want) {
+					t.Fatalf("run %d of %d at Workers = 4 differs from Workers = 1:\n%s", run, runs, corpus.Diff(want, got))
+				}
+			}
+		})
+	}
 }
 
 // checkDigests compares the schedio digests of this run with the committed

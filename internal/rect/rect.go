@@ -1,12 +1,14 @@
-// Package rect provides the rectangle-packing substrate used by the DAC
-// 2002 scheduling framework: core tests are rectangles (height = TAM width,
+// Package rect is the TAM wire allocator behind sched's Optimizer.Assemble.
+// In the DAC 2002 framework core tests are rectangles (height = TAM width,
 // width = testing time) packed into a bin of fixed height (the SOC TAM
 // width W) and unbounded width (time). Rectangles may be split vertically
 // (a core's wires need not be contiguous: TAM wires fork and merge) and —
 // for preemptive schedules — horizontally into same-height pieces.
 //
-// The package tracks occupancy at wire granularity, assigns concrete wire
-// IDs to every placement, and validates the packing invariants.
+// A Bin tracks occupancy at wire granularity and assigns concrete wire IDs
+// to every placement. It keeps no record of the pieces it hands out: the
+// schedule's assignments are the only placement record, and
+// sched.CheckInvariants validates them.
 package rect
 
 import (
@@ -36,7 +38,6 @@ func (p *Piece) Duration() int64 { return p.End - p.Start }
 // width (time). The zero value is unusable; use NewBin.
 type Bin struct {
 	height int
-	pieces []Piece
 	// busy[w] holds, per wire, the placed intervals sorted by start.
 	busy [][]ival
 }
@@ -49,25 +50,6 @@ func NewBin(height int) (*Bin, error) {
 		return nil, fmt.Errorf("rect: non-positive bin height %d", height)
 	}
 	return &Bin{height: height, busy: make([][]ival, height)}, nil
-}
-
-// Height returns the bin's height (total TAM width).
-func (b *Bin) Height() int { return b.height }
-
-// Pieces returns the placed pieces in placement order. The slice is shared;
-// callers must not mutate it.
-func (b *Bin) Pieces() []Piece { return b.pieces }
-
-// FreeWiresAt returns the wire indices free during [start, end), in
-// ascending order.
-func (b *Bin) FreeWiresAt(start, end int64) []int {
-	var free []int
-	for w := 0; w < b.height; w++ {
-		if b.wireFree(w, start, end) {
-			free = append(free, w)
-		}
-	}
-	return free
 }
 
 // wireFree reports whether wire w has no interval overlapping [start, end).
@@ -88,23 +70,19 @@ func (b *Bin) wireFree(w int, start, end int64) bool {
 	return lo == len(ivs) || ivs[lo].start >= end
 }
 
-// Place occupies width wires during [start, end) for coreID, choosing the
+// PlacePreferred occupies width wires during [start, end) for coreID and
+// returns the placed piece, its wires in ascending order. Wires listed in
+// prefer are chosen first when free, so a test that is preempted and
+// resumed keeps its TAM wiring wherever possible; the rest are the
 // lowest-numbered free wires (first-fit; the chosen set may be
-// non-contiguous, which is exactly the paper's fork-and-merge). It returns
-// the placed piece or an error when fewer than width wires are free.
-func (b *Bin) Place(coreID int, width int, start, end int64) (*Piece, error) {
-	return b.PlacePreferred(coreID, width, start, end, nil)
-}
-
-// PlacePreferred is Place with wire-stability: wires listed in prefer are
-// chosen first when free, so a test that is preempted and resumed (or a
-// multi-piece schedule replay) keeps its TAM wiring wherever possible.
-func (b *Bin) PlacePreferred(coreID int, width int, start, end int64, prefer []int) (*Piece, error) {
+// non-contiguous, which is exactly the paper's fork-and-merge). It fails
+// when fewer than width wires are free.
+func (b *Bin) PlacePreferred(coreID int, width int, start, end int64, prefer []int) (Piece, error) {
 	if width < 1 {
-		return nil, fmt.Errorf("rect: core %d: non-positive width %d", coreID, width)
+		return Piece{}, fmt.Errorf("rect: core %d: non-positive width %d", coreID, width)
 	}
 	if start < 0 || end <= start {
-		return nil, fmt.Errorf("rect: core %d: bad interval [%d,%d)", coreID, start, end)
+		return Piece{}, fmt.Errorf("rect: core %d: bad interval [%d,%d)", coreID, start, end)
 	}
 	wires := make([]int, 0, width)
 	taken := func(w int) bool {
@@ -129,7 +107,7 @@ func (b *Bin) PlacePreferred(coreID int, width int, start, end int64, prefer []i
 		}
 	}
 	if len(wires) < width {
-		return nil, fmt.Errorf("rect: core %d: need %d wires in [%d,%d), only %d free",
+		return Piece{}, fmt.Errorf("rect: core %d: need %d wires in [%d,%d), only %d free",
 			coreID, width, start, end, len(wires))
 	}
 	sort.Ints(wires)
@@ -144,105 +122,5 @@ func (b *Bin) PlacePreferred(coreID int, width int, start, end int64, prefer []i
 		}
 		b.busy[w] = ivs
 	}
-	b.pieces = append(b.pieces, Piece{CoreID: coreID, Start: start, End: end, Wires: wires})
-	return &b.pieces[len(b.pieces)-1], nil
-}
-
-// Makespan returns the time at which the last piece ends (the filled bin
-// width, i.e. the SOC testing time), or 0 for an empty bin.
-func (b *Bin) Makespan() int64 {
-	var m int64
-	for i := range b.pieces {
-		if b.pieces[i].End > m {
-			m = b.pieces[i].End
-		}
-	}
-	return m
-}
-
-// UsedArea returns the total wire-cycles covered by pieces.
-func (b *Bin) UsedArea() int64 {
-	var a int64
-	for i := range b.pieces {
-		a += int64(b.pieces[i].Width()) * b.pieces[i].Duration()
-	}
-	return a
-}
-
-// IdleArea returns the unfilled wire-cycles of the bin up to its makespan
-// (the paper's idle time on TAM wires).
-func (b *Bin) IdleArea() int64 {
-	return int64(b.height)*b.Makespan() - b.UsedArea()
-}
-
-// Utilization returns the fraction of the bin that is filled, in [0,1].
-func (b *Bin) Utilization() float64 {
-	if m := b.Makespan(); m > 0 {
-		return float64(b.UsedArea()) / float64(int64(b.height)*m)
-	}
-	return 0
-}
-
-// WidthInUseAt returns the number of wires busy at the given instant.
-func (b *Bin) WidthInUseAt(t int64) int {
-	n := 0
-	for w := 0; w < b.height; w++ {
-		for _, iv := range b.busy[w] {
-			if iv.start <= t && t < iv.end {
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
-
-// Validate re-checks every packing invariant from the raw pieces:
-// wire indices in range, no wire double-booked, and per-core pieces
-// non-overlapping in time.
-func (b *Bin) Validate() error {
-	perWire := make(map[int][]ival)
-	perCore := make(map[int][]ival)
-	for i := range b.pieces {
-		p := &b.pieces[i]
-		if p.Start < 0 || p.End <= p.Start {
-			return fmt.Errorf("rect: piece %d (core %d) has bad interval [%d,%d)", i, p.CoreID, p.Start, p.End)
-		}
-		if len(p.Wires) == 0 {
-			return fmt.Errorf("rect: piece %d (core %d) has no wires", i, p.CoreID)
-		}
-		seen := make(map[int]bool, len(p.Wires))
-		for _, w := range p.Wires {
-			if w < 0 || w >= b.height {
-				return fmt.Errorf("rect: piece %d (core %d) uses wire %d outside bin height %d", i, p.CoreID, w, b.height)
-			}
-			if seen[w] {
-				return fmt.Errorf("rect: piece %d (core %d) lists wire %d twice", i, p.CoreID, w)
-			}
-			seen[w] = true
-			perWire[w] = append(perWire[w], ival{p.Start, p.End})
-		}
-		perCore[p.CoreID] = append(perCore[p.CoreID], ival{p.Start, p.End})
-	}
-	for w, ivs := range perWire {
-		if err := checkDisjoint(ivs); err != nil {
-			return fmt.Errorf("rect: wire %d double-booked: %v", w, err)
-		}
-	}
-	for c, ivs := range perCore {
-		if err := checkDisjoint(ivs); err != nil {
-			return fmt.Errorf("rect: core %d pieces overlap in time: %v", c, err)
-		}
-	}
-	return nil
-}
-
-func checkDisjoint(ivs []ival) error {
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].start < ivs[j].start })
-	for i := 1; i < len(ivs); i++ {
-		if ivs[i].start < ivs[i-1].end {
-			return fmt.Errorf("[%d,%d) overlaps [%d,%d)", ivs[i].start, ivs[i].end, ivs[i-1].start, ivs[i-1].end)
-		}
-	}
-	return nil
+	return Piece{CoreID: coreID, Start: start, End: end, Wires: wires}, nil
 }

@@ -2,7 +2,7 @@ package rect
 
 import (
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -20,83 +20,57 @@ func TestNewBin(t *testing.T) {
 	if _, err := NewBin(0); err == nil {
 		t.Fatal("height 0 accepted")
 	}
-	b := mustBin(t, 4)
-	if b.Height() != 4 {
-		t.Fatalf("Height = %d", b.Height())
-	}
 }
 
 func TestPlaceAndAccounting(t *testing.T) {
 	b := mustBin(t, 4)
-	p1, err := b.Place(1, 2, 0, 10)
+	p1, err := b.PlacePreferred(1, 2, 0, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1.Width() != 2 || p1.Duration() != 10 {
 		t.Fatalf("piece geometry wrong: %+v", p1)
 	}
-	p2, err := b.Place(2, 2, 0, 5)
+	p2, err := b.PlacePreferred(2, 2, 0, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sharesWire(p1.Wires, p2.Wires) {
-		t.Fatalf("overlapping placements share wires: %v %v", p1.Wires, p2.Wires)
-	}
-	if _, err := b.Place(3, 1, 2, 4); err == nil {
-		t.Fatal("overfull interval accepted")
-	}
-	if _, err := b.Place(3, 1, 5, 8); err != nil {
-		t.Fatalf("free interval rejected: %v", err)
-	}
-	if got := b.Makespan(); got != 10 {
-		t.Fatalf("Makespan = %d, want 10", got)
-	}
-	if got := b.UsedArea(); got != 2*10+2*5+1*3 {
-		t.Fatalf("UsedArea = %d", got)
-	}
-	if got := b.IdleArea(); got != 4*10-33 {
-		t.Fatalf("IdleArea = %d", got)
-	}
-	if u := b.Utilization(); u < 0.82 || u > 0.83 {
-		t.Fatalf("Utilization = %v", u)
-	}
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func sharesWire(a, b []int) bool {
-	set := make(map[int]bool)
-	for _, w := range a {
-		set[w] = true
-	}
-	for _, w := range b {
-		if set[w] {
-			return true
+	for _, w := range p2.Wires {
+		if slices.Contains(p1.Wires, w) {
+			t.Fatalf("overlapping placements share wires: %v %v", p1.Wires, p2.Wires)
 		}
 	}
-	return false
+	if _, err := b.PlacePreferred(3, 1, 2, 4, nil); err == nil {
+		t.Fatal("overfull interval accepted")
+	}
+	p3, err := b.PlacePreferred(3, 1, 5, 8, nil)
+	if err != nil {
+		t.Fatalf("free interval rejected: %v", err)
+	}
+	if p3.Width() != 1 || p3.Duration() != 3 || !slices.Contains(p2.Wires, p3.Wires[0]) {
+		t.Fatalf("piece %+v, want one of core 2's wires, freed at 5, for 3 cycles", p3)
+	}
 }
 
 func TestPlaceErrors(t *testing.T) {
 	b := mustBin(t, 2)
-	if _, err := b.Place(1, 0, 0, 1); err == nil {
+	if _, err := b.PlacePreferred(1, 0, 0, 1, nil); err == nil {
 		t.Error("width 0 accepted")
 	}
-	if _, err := b.Place(1, 1, -1, 1); err == nil {
+	if _, err := b.PlacePreferred(1, 1, -1, 1, nil); err == nil {
 		t.Error("negative start accepted")
 	}
-	if _, err := b.Place(1, 1, 5, 5); err == nil {
+	if _, err := b.PlacePreferred(1, 1, 5, 5, nil); err == nil {
 		t.Error("empty interval accepted")
 	}
-	if _, err := b.Place(1, 3, 0, 1); err == nil {
+	if _, err := b.PlacePreferred(1, 3, 0, 1, nil); err == nil {
 		t.Error("width beyond bin height accepted")
 	}
 }
 
 func TestPlacePreferredKeepsWires(t *testing.T) {
 	b := mustBin(t, 8)
-	p1, err := b.Place(1, 3, 0, 10)
+	p1, err := b.PlacePreferred(1, 3, 0, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +80,11 @@ func TestPlacePreferredKeepsWires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range p1.Wires {
-		if p1.Wires[i] != p2.Wires[i] {
-			t.Fatalf("preferred wires not kept: %v vs %v", p1.Wires, p2.Wires)
-		}
+	if !slices.Equal(p1.Wires, p2.Wires) {
+		t.Fatalf("preferred wires not kept: %v vs %v", p1.Wires, p2.Wires)
 	}
 	// Occupy one of them; the resume picks a replacement but keeps the rest.
-	if _, err := b.Place(2, 1, 40, 50); err != nil { // wire 0 busy for [40,50)
+	if _, err := b.PlacePreferred(2, 1, 40, 50, nil); err != nil { // wire 0 busy for [40,50)
 		t.Fatal(err)
 	}
 	p3, err := b.PlacePreferred(1, 3, 40, 50, p1.Wires)
@@ -121,81 +93,20 @@ func TestPlacePreferredKeepsWires(t *testing.T) {
 	}
 	kept := 0
 	for _, w := range p3.Wires {
-		for _, o := range p1.Wires {
-			if w == o {
-				kept++
-			}
+		if slices.Contains(p1.Wires, w) {
+			kept++
 		}
 	}
 	if kept < 2 {
 		t.Fatalf("kept only %d preferred wires: %v vs %v", kept, p1.Wires, p3.Wires)
 	}
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
-func TestFreeWiresAt(t *testing.T) {
-	b := mustBin(t, 3)
-	if _, err := b.Place(1, 2, 0, 10); err != nil {
-		t.Fatal(err)
-	}
-	free := b.FreeWiresAt(0, 10)
-	if len(free) != 1 {
-		t.Fatalf("FreeWiresAt = %v, want one wire", free)
-	}
-	if got := b.FreeWiresAt(10, 20); len(got) != 3 {
-		t.Fatalf("after makespan FreeWiresAt = %v", got)
-	}
-}
-
-func TestWidthInUseAt(t *testing.T) {
-	b := mustBin(t, 4)
-	b.Place(1, 2, 0, 10)
-	b.Place(2, 1, 5, 15)
-	cases := []struct {
-		t    int64
-		want int
-	}{{0, 2}, {4, 2}, {5, 3}, {9, 3}, {10, 1}, {14, 1}, {15, 0}}
-	for _, tc := range cases {
-		if got := b.WidthInUseAt(tc.t); got != tc.want {
-			t.Errorf("WidthInUseAt(%d) = %d, want %d", tc.t, got, tc.want)
-		}
-	}
-}
-
-func TestValidateCatchesCorruption(t *testing.T) {
-	b := mustBin(t, 4)
-	p, err := b.Place(1, 2, 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the piece wire list to duplicate a wire.
-	saved := p.Wires[1]
-	p.Wires[1] = p.Wires[0]
-	if err := b.Validate(); err == nil || !strings.Contains(err.Error(), "twice") {
-		t.Fatalf("duplicate wire not caught: %v", err)
-	}
-	p.Wires[1] = saved
-
-	p.Wires[1] = 99
-	if err := b.Validate(); err == nil || !strings.Contains(err.Error(), "outside bin") {
-		t.Fatalf("out-of-range wire not caught: %v", err)
-	}
-	p.Wires[1] = saved
-
-	// Same-core overlapping pieces.
-	b2 := mustBin(t, 4)
-	b2.Place(1, 1, 0, 10)
-	b2.Place(1, 1, 5, 15)
-	if err := b2.Validate(); err == nil || !strings.Contains(err.Error(), "overlap in time") {
-		t.Fatalf("same-core overlap not caught: %v", err)
-	}
-}
-
-// Property: random sequences of placements keep the bin consistent —
-// Validate passes, per-instant width usage never exceeds the height, and
-// used area equals the sum over sampled instants of widths (spot-checked).
+// Property: random sequences of placements, with random preferred wires,
+// against a free-wire count kept by the test itself. A placement succeeds
+// exactly when enough wires are free; the piece it returns lists distinct
+// in-range wires in ascending order, every one free, and includes every
+// free preferred wire it had room for.
 func TestRandomPackingProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -204,35 +115,66 @@ func TestRandomPackingProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		placed := 0
+		var placed []Piece
+		free := func(w int, start, end int64) bool {
+			for _, p := range placed {
+				if p.Start < end && start < p.End && slices.Contains(p.Wires, w) {
+					return false
+				}
+			}
+			return true
+		}
 		for i := 0; i < 40; i++ {
 			w := 1 + rng.Intn(h)
 			start := int64(rng.Intn(200))
 			end := start + int64(1+rng.Intn(50))
 			core := 1 + i // distinct cores: same-core overlap not at issue here
-			free := b.FreeWiresAt(start, end)
-			_, err := b.Place(core, w, start, end)
-			if len(free) >= w {
-				if err != nil {
-					t.Logf("placement rejected with %d free >= %d: %v", len(free), w, err)
+			prefer := rng.Perm(h + 2)[:rng.Intn(h+2)]
+			for j := range prefer {
+				prefer[j]-- // includes -1 and h: out-of-range preferences are ignored
+			}
+			nFree, preferFree := 0, 0
+			for wire := 0; wire < h; wire++ {
+				if free(wire, start, end) {
+					nFree++
+					if slices.Contains(prefer, wire) {
+						preferFree++
+					}
+				}
+			}
+			p, err := b.PlacePreferred(core, w, start, end, prefer)
+			if nFree < w {
+				if err == nil {
+					t.Logf("placement accepted with %d free < %d", nFree, w)
 					return false
 				}
-				placed++
-			} else if err == nil {
-				t.Logf("placement accepted with %d free < %d", len(free), w)
+				continue
+			}
+			if err != nil {
+				t.Logf("placement rejected with %d free >= %d: %v", nFree, w, err)
 				return false
 			}
-		}
-		if err := b.Validate(); err != nil {
-			t.Logf("validate: %v", err)
-			return false
-		}
-		for probe := 0; probe < 20; probe++ {
-			if b.WidthInUseAt(int64(rng.Intn(260))) > h {
+			if p.CoreID != core || p.Start != start || p.End != end || p.Width() != w || !slices.IsSorted(p.Wires) {
+				t.Logf("piece %+v, want core %d [%d,%d) on %d sorted wires", p, core, start, end, w)
 				return false
 			}
+			kept := 0
+			for j, wire := range p.Wires {
+				if wire < 0 || wire >= h || (j > 0 && wire == p.Wires[j-1]) || !free(wire, start, end) {
+					t.Logf("piece %+v takes wire %d, which is out of range, repeated or busy", p, wire)
+					return false
+				}
+				if slices.Contains(prefer, wire) {
+					kept++
+				}
+			}
+			if kept != min(w, preferFree) {
+				t.Logf("piece %+v keeps %d preferred wires of %v, want %d", p, kept, prefer, min(w, preferFree))
+				return false
+			}
+			placed = append(placed, p)
 		}
-		return placed > 0 || h == 0
+		return len(placed) > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

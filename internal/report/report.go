@@ -5,11 +5,14 @@
 package report
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
+	"repro/internal/rect"
 	"repro/internal/sched"
 )
 
@@ -115,6 +118,20 @@ func WriteCSV(w io.Writer, headers []string, rows [][]string) error {
 	return nil
 }
 
+// pieces returns every piece of the schedule's assignments in (start, core
+// ID) order, the order Optimizer.Assemble places them in, so later pieces
+// draw over earlier ones the same way for every schedule.
+func pieces(sch *sched.Schedule) []rect.Piece {
+	var out []rect.Piece
+	for _, a := range sch.Assignments {
+		out = append(out, a.Pieces...)
+	}
+	slices.SortFunc(out, func(a, b rect.Piece) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.CoreID, b.CoreID))
+	})
+	return out
+}
+
 // Gantt renders an ASCII Gantt chart of a schedule: one row per TAM wire,
 // time on the horizontal axis, each cell showing the core occupying the
 // wire (the paper's Fig. 2 bin view). cols is the target chart width in
@@ -136,7 +153,7 @@ func Gantt(w io.Writer, sch *sched.Schedule, cols int) error {
 		const g = "123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 		return g[(coreID-1)%len(g)]
 	}
-	for _, p := range sch.Bin.Pieces() {
+	for _, p := range pieces(sch) {
 		c0 := int(float64(p.Start) / scale)
 		c1 := int(float64(p.End)/scale + 0.9999)
 		if c1 > cols {
@@ -205,7 +222,7 @@ func SVG(w io.Writer, sch *sched.Schedule) error {
 		"#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948",
 		"#b07aa1", "#ff9da7", "#9c755f", "#bab0ac", "#2f4b7c", "#d45087",
 	}
-	for _, p := range sch.Bin.Pieces() {
+	for _, p := range pieces(sch) {
 		color := palette[(p.CoreID-1)%len(palette)]
 		x := float64(marginL) + float64(p.Start)*xScale
 		wdt := float64(p.End-p.Start) * xScale

@@ -104,8 +104,8 @@ func TestAssembleResumeWires(t *testing.T) {
 
 // TestAssembleKeepsPreemptionCount: Assemble stores the preemption count
 // and penalty exactly as passed, never re-derived from the gaps, so a
-// scheduler that miscounts is caught by Verify instead of being silently
-// corrected.
+// scheduler that miscounts is caught by CheckInvariants, inside Verify,
+// instead of being silently corrected.
 func TestAssembleKeepsPreemptionCount(t *testing.T) {
 	sch, opt := demoSchedule(t)
 	layouts := layoutsOf(sch)
@@ -145,8 +145,8 @@ func TestAssembleKeepsPreemptionCount(t *testing.T) {
 	if got := wrong.Assignments[l.ID].Preemptions; got != 2 {
 		t.Fatalf("stored %d preemptions, passed 2", got)
 	}
-	if err := opt.Verify(wrong); err == nil || !strings.Contains(err.Error(), "recorded preemptions") {
-		t.Fatalf("miscounted preemptions: Verify = %v, want a recorded-preemptions rejection", err)
+	if err := opt.Verify(wrong); err == nil || !strings.Contains(err.Error(), "claims 2 preemptions") {
+		t.Fatalf("miscounted preemptions: Verify = %v, want a claims-2-preemptions rejection", err)
 	}
 }
 

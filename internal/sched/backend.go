@@ -20,8 +20,9 @@ const DefaultBackend = "classic"
 
 // Backend is one scheduling strategy. A backend produces its best schedule
 // for the optimizer's SOC under the given parameters; the grid-swept paper
-// heuristic ("classic"), the rectangle bin packer ("rectpack"), and the
-// racing meta-backend ("portfolio") all implement it. Implementations must
+// heuristic ("classic"), the rectangle bin packer in its three seed sets
+// ("rectpack", "preempt-rectpack" and "anneal"), and the racing
+// meta-backend ("portfolio") all implement it. Implementations must
 // be safe for concurrent use: Schedule may be called from many goroutines
 // with distinct optimizers, and the portfolio backend races backends in
 // parallel against one shared optimizer.
@@ -198,8 +199,8 @@ type BackendRaceStats struct {
 // returns the shortest verified schedule. Each racer's result is
 // re-verified before it may win, so a buggy backend can never poison the
 // portfolio. When a verified schedule reaches the scheduling lower bound
-// LB(W) the race is over — the shared context is cancelled and remaining
-// racers stop early.
+// LB(W), no later racer in race order can win: those racers are cancelled
+// or never started, while earlier ones run on and keep their tie-break.
 //
 // Resilience: each racer runs in its own goroutine with panics contained
 // and, when params.BackendTimeout is set, a per-racer deadline — a hung
@@ -208,14 +209,12 @@ type BackendRaceStats struct {
 // Every call races every backend that accepts the parameters: the race
 // records only observe, so no earlier race decides who runs.
 //
-// The returned makespan is deterministic: it is never worse than the best
-// single backend, and an early cancel only fires for LB(W)-optimal
-// schedules, which no racer can beat. The exact schedule bytes are
-// deterministic too when the race runs sequentially (Workers = 1, as the
-// corpus replayer pins): equal-makespan ties then break toward the
-// alphabetically first backend. With parallel racers an LB(W)-optimal
-// finisher may cancel an equally-good rival mid-run, so which optimal
-// layout is returned can vary run to run.
+// The returned schedule is the same for any Workers: it is never worse
+// than the best single backend, an early cancel only fires for
+// LB(W)-optimal schedules, which no racer can beat, and equal-makespan
+// ties break toward the alphabetically first backend. Only a
+// BackendTimeout makes the answer timing-dependent, by design; it is part
+// of the cache key.
 type portfolioBackend struct {
 	mu    sync.Mutex
 	stats map[string]*BackendRaceStats // guarded by mu
@@ -263,11 +262,11 @@ func (pb *portfolioBackend) recordLocked(name string) *BackendRaceStats {
 }
 
 // observe counts one racer's failure or timeout. A finish is counted as
-// Won or Lost once the race is decided, and an outcome after the race was
-// already decided (raceCtx cancelled) is not the backend's fault and is
-// ignored.
-func (pb *portfolioBackend) observe(raceCtx context.Context, name string, sch *Schedule, err error) {
-	if sch != nil || raceCtx.Err() != nil {
+// Won or Lost once the race is decided, and an outcome after the racer's
+// own context was cancelled (an earlier racer reached the floor, or the
+// caller gave up) is not the backend's fault and is ignored.
+func (pb *portfolioBackend) observe(racerCtx context.Context, name string, sch *Schedule, err error) {
+	if sch != nil || racerCtx.Err() != nil {
 		return
 	}
 	pb.mu.Lock()
@@ -354,18 +353,33 @@ func runRacer(raceCtx context.Context, b Backend, opt *Optimizer, params Params)
 }
 
 // race runs every racer and returns the best verified schedule, or an
-// error naming the first racer's failure when none finished.
+// error naming the first racer's failure when none finished. Each racer
+// runs under its own context. A racer that reaches the floor cancels only
+// the racers after it in race order, and a cancelled racer is not started,
+// so the racers before it run to completion: the winner is the first
+// racer at the floor, or else the shortest with ties to the first — the
+// Workers = 1 answer for any worker count.
 func (pb *portfolioBackend) race(ctx context.Context, opt *Optimizer, params Params, racers []Backend, floor int64) (*Schedule, error) {
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	ctxs := make([]context.Context, len(racers))
+	cancels := make([]context.CancelFunc, len(racers))
+	for i := range racers {
+		ctxs[i], cancels[i] = context.WithCancel(ctx)
+		defer cancels[i]()
+	}
 	results := make([]*Schedule, len(racers))
 	errs := make([]error, len(racers))
-	ForEachContext(raceCtx, params.Workers, len(racers), func(i int) {
-		sch, err := runRacer(raceCtx, racers[i], opt, params)
-		pb.observe(raceCtx, racers[i].Name(), sch, err)
+	ForEachContext(ctx, params.Workers, len(racers), func(i int) {
+		if ctxs[i].Err() != nil {
+			return // an earlier racer reached the floor
+		}
+		sch, err := runRacer(ctxs[i], racers[i], opt, params)
+		pb.observe(ctxs[i], racers[i].Name(), sch, err)
 		results[i], errs[i] = sch, err
 		if sch != nil && floor > 0 && sch.Makespan <= floor {
-			cancel() // a verified optimum: no racer can do better
+			// A verified optimum: no later racer can win.
+			for _, cancel := range cancels[i+1:] {
+				cancel()
+			}
 		}
 	})
 	best := -1

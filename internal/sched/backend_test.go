@@ -127,7 +127,7 @@ func TestScheduleBackendClassicMatchesSweepBest(t *testing.T) {
 	if !reflect.DeepEqual(got.Params, wantParams) {
 		t.Fatalf("classic backend params %+v, SweepBest %+v", got.Params, want.Params)
 	}
-	if !reflect.DeepEqual(got.Bin.Pieces(), want.Bin.Pieces()) {
+	if !reflect.DeepEqual(got.Assignments, want.Assignments) {
 		t.Fatal("classic backend packed different pieces than SweepBest")
 	}
 }
@@ -158,8 +158,8 @@ func TestOptimalityFloor(t *testing.T) {
 }
 
 // TestPortfolioStopsAtLowerBound: a racer whose verified schedule reaches
-// the optimality floor cancels the rest of the race. Classic reaches LB(W)
-// on d695 at W=80; the other racer only returns once it is cancelled.
+// the optimality floor cancels the racers after it. Classic reaches LB(W)
+// on d695 at W=80; the racer after it only returns once it is cancelled.
 func TestPortfolioStopsAtLowerBound(t *testing.T) {
 	s := bench.D695()
 	opt, err := New(s, DefaultMaxWidth)

@@ -22,8 +22,7 @@ func (e *UnknownCoreError) Error() string {
 }
 
 // unknownCore returns the lowest assignment core ID the SOC does not
-// define, as a typed error, or nil. Shared by Verify and CheckInvariants
-// so the two verifiers report the same defect identically.
+// define, as a typed error, or nil.
 func unknownCore(s *soc.SOC, sch *Schedule) *UnknownCoreError {
 	known := make(map[int]bool, len(s.Cores))
 	for _, c := range s.Cores {
@@ -41,15 +40,17 @@ func unknownCore(s *soc.SOC, sch *Schedule) *UnknownCoreError {
 	return &UnknownCoreError{CoreID: bad}
 }
 
-// CheckInvariants is the backend-independent property checker: it re-derives
-// every safety invariant a schedule must satisfy straight from the raw
-// assignments, without consulting the timing model or the wrapper designs
-// (Verify covers those). Every registered backend's output must pass:
+// CheckInvariants is the backend-independent property checker and the only
+// structural one: it re-derives every safety invariant a schedule must
+// satisfy straight from the raw assignments, the schedule's one placement
+// record, without consulting the timing model or the wrapper designs.
+// Verify is CheckInvariants plus those. Every registered backend's output
+// must pass:
 //
 //   - every assignment references a core the SOC defines (*UnknownCoreError
 //     otherwise) and every core is tested exactly once: it has exactly one
-//     assignment, with at least one piece, and its pieces never overlap in
-//     time;
+//     assignment, with at least one piece, and its pieces are stored in
+//     time order and never overlap;
 //   - split tests are whole: a core's segment durations sum to its claimed
 //     BaseTime + PenaltyCycles and its resume gaps match Preemptions, so a
 //     preemptive schedule cannot drop cycles from a segment;
@@ -103,6 +104,8 @@ func CheckInvariants(s *soc.SOC, sch *Schedule) error {
 		if a.Width < 1 {
 			return fmt.Errorf("sched: core %d assigned non-positive width %d", c.ID, a.Width)
 		}
+		gaps := 0
+		var total int64
 		for i := range a.Pieces {
 			p := &a.Pieces[i]
 			if p.Start < 0 || p.End <= p.Start {
@@ -122,15 +125,22 @@ func CheckInvariants(s *soc.SOC, sch *Schedule) error {
 				seen[w] = true
 				perWire[w] = append(perWire[w], wireIval{p.Start, p.End, c.ID})
 			}
-			intervals[c.ID] = append(intervals[c.ID], constraint.Interval{Start: p.Start, End: p.End})
-		}
-		ivs := intervals[c.ID]
-		sort.Slice(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
-		for i := 1; i < len(ivs); i++ {
-			if ivs[i].Start < ivs[i-1].End {
-				return fmt.Errorf("sched: core %d tested twice at once: [%d,%d) overlaps [%d,%d)",
-					c.ID, ivs[i].Start, ivs[i].End, ivs[i-1].Start, ivs[i-1].End)
+			if i > 0 {
+				prev := &a.Pieces[i-1]
+				if p.Start < prev.Start {
+					return fmt.Errorf("sched: core %d pieces out of time order: [%d,%d) stored after [%d,%d)",
+						c.ID, p.Start, p.End, prev.Start, prev.End)
+				}
+				if p.Start < prev.End {
+					return fmt.Errorf("sched: core %d tested twice at once: [%d,%d) overlaps [%d,%d)",
+						c.ID, p.Start, p.End, prev.Start, prev.End)
+				}
+				if p.Start > prev.End {
+					gaps++
+				}
 			}
+			total += p.Duration()
+			intervals[c.ID] = append(intervals[c.ID], constraint.Interval{Start: p.Start, End: p.End})
 		}
 		// Split tests must still test the whole core: the segment durations
 		// sum to the assignment's own claim, BaseTime plus the preemption
@@ -140,14 +150,6 @@ func CheckInvariants(s *soc.SOC, sch *Schedule) error {
 		if a.Preemptions < 0 || a.PenaltyCycles < 0 {
 			return fmt.Errorf("sched: core %d has negative preemption accounting (%d preemptions, %d penalty cycles)",
 				c.ID, a.Preemptions, a.PenaltyCycles)
-		}
-		gaps := 0
-		var total int64
-		for i, iv := range ivs {
-			total += iv.End - iv.Start
-			if i > 0 && iv.Start > ivs[i-1].End {
-				gaps++
-			}
 		}
 		if gaps != a.Preemptions {
 			return fmt.Errorf("sched: core %d claims %d preemptions but its pieces show %d resume gaps",

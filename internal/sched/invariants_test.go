@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,20 +85,89 @@ func TestCheckInvariantsMissingCore(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsWireOverlap: every placement defect is caught by
+// CheckInvariants, and identically by both Verify forms, since the
+// assignments are the schedule's only placement record and Verify is
+// CheckInvariants plus the timing model.
 func TestCheckInvariantsWireOverlap(t *testing.T) {
-	sch, opt := demoSchedule(t)
-	// Move one core onto another core's exact wires and interval so a TAM
-	// wire carries two tests at once.
-	for _, id := range []int{1, 2} {
-		if sch.Assignments[id] == nil {
-			t.Fatalf("demo schedule has no core %d", id)
-		}
-	}
-	a, b := sch.Assignments[1], sch.Assignments[2]
-	a.Width = b.Width
-	a.Pieces = []rect.Piece{{CoreID: a.CoreID, Start: b.Pieces[0].Start, End: b.Pieces[0].End, Wires: append([]int(nil), b.Pieces[0].Wires...)}}
-	if err := CheckInvariants(opt.SOC(), sch); err == nil {
-		t.Fatal("wire-overlapping schedule accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(sch *Schedule)
+		want   string
+	}{
+		{
+			// Move core 1 onto core 2's exact wires and interval so a TAM
+			// wire carries two tests at once.
+			name: "another core's wires and interval",
+			mutate: func(sch *Schedule) {
+				a, b := sch.Assignments[1], sch.Assignments[2]
+				a.Width, a.BaseTime = b.Width, b.BaseTime
+				a.Pieces = []rect.Piece{{CoreID: a.CoreID, Start: b.Pieces[0].Start, End: b.Pieces[0].End, Wires: slices.Clone(b.Pieces[0].Wires)}}
+			},
+			want: "double-booked",
+		},
+		{
+			// Replace only the wires of core 4's first piece with three of
+			// core 6's, which carry core 6 over the same interval.
+			name: "assignment wires only",
+			mutate: func(sch *Schedule) {
+				a, b := sch.Assignments[4], sch.Assignments[6]
+				a.Pieces[0].Wires = slices.Clone(b.Pieces[0].Wires[:a.Width])
+			},
+			want: "double-booked",
+		},
+		{
+			name: "wire listed twice",
+			mutate: func(sch *Schedule) {
+				ws := sch.Assignments[6].Pieces[0].Wires
+				ws[1] = ws[0]
+			},
+			want: "twice",
+		},
+		{
+			name: "wire outside the TAM",
+			mutate: func(sch *Schedule) {
+				ws := sch.Assignments[6].Pieces[0].Wires
+				ws[len(ws)-1] = sch.TAMWidth
+			},
+			want: "outside TAM width",
+		},
+		{
+			// Split core 3's test seamlessly in two (a valid schedule when
+			// stored in time order) and store the halves reversed.
+			name: "pieces out of time order",
+			mutate: func(sch *Schedule) {
+				a := sch.Assignments[3]
+				p := a.Pieces[0]
+				mid := p.Start + p.Duration()/2
+				first, second := p, p
+				first.End, second.Start = mid, mid
+				a.Pieces = []rect.Piece{second, first}
+			},
+			want: "out of time order",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sch, opt := demoSchedule(t)
+			for _, id := range []int{1, 2, 3, 4, 6} {
+				if sch.Assignments[id] == nil {
+					t.Fatalf("demo schedule has no core %d", id)
+				}
+			}
+			tc.mutate(sch)
+			for _, c := range []struct {
+				name string
+				err  error
+			}{
+				{"CheckInvariants", CheckInvariants(opt.SOC(), sch)},
+				{"Verify", Verify(opt.SOC(), sch)},
+				{"Optimizer.Verify", opt.Verify(sch)},
+			} {
+				if c.err == nil || !strings.Contains(c.err.Error(), tc.want) {
+					t.Errorf("%s = %v, want an error containing %q", c.name, c.err, tc.want)
+				}
+			}
+		})
 	}
 }
 

@@ -154,17 +154,31 @@ type Schedule struct {
 	Assignments map[int]*Assignment
 	// Makespan is the SOC testing time in cycles.
 	Makespan int64
-	// Bin is the packed bin with wire-level occupancy.
-	Bin *rect.Bin
 	// Events counts scheduler Update iterations (a complexity metric).
 	Events int
 }
 
+// usedArea returns the wire-cycles the assignments' pieces cover.
+func (s *Schedule) usedArea() int64 {
+	var used int64
+	for _, a := range s.Assignments {
+		for i := range a.Pieces {
+			used += int64(a.Pieces[i].Width()) * a.Pieces[i].Duration()
+		}
+	}
+	return used
+}
+
 // IdleArea returns the unused wire-cycles up to the makespan.
-func (s *Schedule) IdleArea() int64 { return s.Bin.IdleArea() }
+func (s *Schedule) IdleArea() int64 { return int64(s.TAMWidth)*s.Makespan - s.usedArea() }
 
 // Utilization returns the TAM wire utilization in [0,1].
-func (s *Schedule) Utilization() float64 { return s.Bin.Utilization() }
+func (s *Schedule) Utilization() float64 {
+	if s.Makespan > 0 {
+		return float64(s.usedArea()) / float64(int64(s.TAMWidth)*s.Makespan)
+	}
+	return 0
+}
 
 // DataVolume returns the tester data volume for this schedule:
 // per-pin vector memory depth (= makespan) times the number of TAM pins.
@@ -215,12 +229,12 @@ type CoreLayout struct {
 // An Optimizer is safe for concurrent use by multiple goroutines. After
 // New returns, the SOC, the cached Pareto sets, and the cached wrapper
 // designs are never mutated: Run allocates every piece of mutable state
-// per call (the runner, the per-core coreStates, the rect.Bin, the
-// constraint.State), and pareto.Set.Capped hands out read-only views
-// that share the immutable time table. SweepBest and datavol.Run exploit
-// this by fanning Run calls out over a worker pool (see Params.Workers).
-// Callers must not mutate the SOC passed to New while the Optimizer is in
-// use.
+// per call (the runner, the per-core coreStates, the constraint.State and
+// Assemble's wire allocator), and pareto.Set.Capped hands out read-only
+// views that share the immutable time table. SweepBest and datavol.Run
+// exploit this by fanning Run calls out over a worker pool (see
+// Params.Workers). Callers must not mutate the SOC passed to New while the
+// Optimizer is in use.
 type Optimizer struct {
 	soc      *soc.SOC
 	maxWidth int
@@ -322,7 +336,7 @@ func (o *Optimizer) Setup(params Params) (*constraint.Checker, []*pareto.Set, er
 // needs more than TAMWidth wires (interval graphs are perfect); a layout
 // that does fails with an error. Each Assignment takes BaseTime, ScanIn and
 // ScanOut from the design cache and records Preemptions and PenaltyCycles
-// exactly as the layout states them, for Verify to cross-check.
+// exactly as the layout states them, for CheckInvariants to cross-check.
 func (o *Optimizer) Assemble(params Params, layouts []CoreLayout) (*Schedule, error) {
 	bin, err := rect.NewBin(params.TAMWidth)
 	if err != nil {
@@ -333,7 +347,6 @@ func (o *Optimizer) Assemble(params Params, layouts []CoreLayout) (*Schedule, er
 		TAMWidth:    params.TAMWidth,
 		Params:      params,
 		Assignments: make(map[int]*Assignment, len(layouts)),
-		Bin:         bin,
 	}
 	type frag struct {
 		id, width int
@@ -378,7 +391,7 @@ func (o *Optimizer) Assemble(params Params, layouts []CoreLayout) (*Schedule, er
 		if err != nil {
 			return nil, fmt.Errorf("sched: wire assignment: %v", err)
 		}
-		a.Pieces = append(a.Pieces, *p)
+		a.Pieces = append(a.Pieces, p)
 		out.Makespan = max(out.Makespan, f.span.End)
 	}
 	return out, nil
@@ -717,12 +730,12 @@ func (r *runner) deadlockError() error {
 	return fmt.Errorf("sched: deadlock at t=%d with %d cores left", r.now, r.left)
 }
 
-// Verify re-derives every schedule invariant from first principles:
-// bin validity (wires, overlaps), per-core total time = T(width) plus
-// preemption penalties, piece widths equal per core, preemption budgets,
-// precedence/concurrency/power/BIST timelines, and makespan consistency.
-// It redesigns every wrapper from scratch; Optimizer.Verify is the cached
-// equivalent.
+// Verify is CheckInvariants plus the timing model: on top of every
+// structural invariant (wires, overlaps, split-test accounting, power,
+// precedence and mutual exclusion) it checks each core's BaseTime and
+// PenaltyCycles against a wrapper designed at its width, and the makespan
+// against the last piece end. It redesigns every wrapper from scratch;
+// Optimizer.Verify is the cached equivalent.
 func Verify(s *soc.SOC, sch *Schedule) error {
 	return verify(s, sch, wrapper.DesignWrapper)
 }
@@ -741,60 +754,12 @@ func (o *Optimizer) Verify(sch *Schedule) error {
 
 // verify implements Verify with a pluggable wrapper-design source.
 func verify(s *soc.SOC, sch *Schedule, design func(*soc.Core, int) (*wrapper.Design, error)) error {
-	if err := sch.Bin.Validate(); err != nil {
+	if err := CheckInvariants(s, sch); err != nil {
 		return err
 	}
-	chk, err := constraint.New(s, constraint.Config{
-		PowerMax:        sch.Params.PowerMax,
-		IgnoreHierarchy: sch.Params.IgnoreHierarchy,
-	})
-	if err != nil {
-		return err
-	}
-	if err := unknownCore(s, sch); err != nil {
-		return err
-	}
-	intervals := make(map[int][]constraint.Interval)
 	var makespan int64
 	for _, c := range s.Cores {
 		a := sch.Assignments[c.ID]
-		if a == nil {
-			return fmt.Errorf("sched: core %d never scheduled", c.ID)
-		}
-		if len(a.Pieces) == 0 {
-			return fmt.Errorf("sched: core %d has no pieces", c.ID)
-		}
-		gaps := 0
-		var total int64
-		for i := range a.Pieces {
-			p := &a.Pieces[i]
-			if p.Width() != a.Width {
-				return fmt.Errorf("sched: core %d piece %d has width %d, assignment says %d (vertical-split rule)",
-					c.ID, i, p.Width(), a.Width)
-			}
-			if i > 0 {
-				prev := &a.Pieces[i-1]
-				if p.Start < prev.End {
-					return fmt.Errorf("sched: core %d pieces out of order", c.ID)
-				}
-				if p.Start > prev.End {
-					gaps++
-				}
-			}
-			total += p.Duration()
-			intervals[c.ID] = append(intervals[c.ID], constraint.Interval{Start: p.Start, End: p.End})
-			if p.End > makespan {
-				makespan = p.End
-			}
-		}
-		if gaps != a.Preemptions {
-			return fmt.Errorf("sched: core %d has %d gaps but %d recorded preemptions", c.ID, gaps, a.Preemptions)
-		}
-		want := a.BaseTime + a.PenaltyCycles
-		if total != want {
-			return fmt.Errorf("sched: core %d scheduled %d cycles, want %d (T=%d + penalty %d)",
-				c.ID, total, want, a.BaseTime, a.PenaltyCycles)
-		}
 		d, err := design(c, a.Width)
 		if err != nil {
 			return err
@@ -805,11 +770,12 @@ func verify(s *soc.SOC, sch *Schedule, design func(*soc.Core, int) (*wrapper.Des
 		if pen := int64(a.Preemptions) * d.PreemptionPenalty(); pen != a.PenaltyCycles {
 			return fmt.Errorf("sched: core %d penalty %d, want %d", c.ID, a.PenaltyCycles, pen)
 		}
+		makespan = max(makespan, a.End())
 	}
 	if makespan != sch.Makespan {
 		return fmt.Errorf("sched: makespan %d, pieces end at %d", sch.Makespan, makespan)
 	}
-	return chk.ValidateTimeline(intervals)
+	return nil
 }
 
 // SweepBest runs the scheduler over the paper's parameter grid

@@ -354,6 +354,23 @@ func TestScheduleAccessors(t *testing.T) {
 			t.Fatalf("core %d TotalTime %d != BaseTime %d + penalty %d", a.CoreID, a.TotalTime(), a.BaseTime, a.PenaltyCycles)
 		}
 	}
+	// Exact areas from the pieces: on W=4, two wires over [0,10), two over
+	// [0,5) and one over [5,8) cover 33 of the 40 wire-cycles.
+	opt, err := New(smallSOC(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := opt.Assemble(Params{TAMWidth: 4}, []CoreLayout{
+		{ID: 1, Width: 2, Spans: []Span{{0, 10}}},
+		{ID: 2, Width: 2, Spans: []Span{{0, 5}}},
+		{ID: 3, Width: 1, Spans: []Span{{5, 8}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc.IdleArea() != 40-33 || acc.Utilization() != 33.0/40 {
+		t.Fatalf("IdleArea = %d, Utilization = %v, want 7 and 0.825", acc.IdleArea(), acc.Utilization())
+	}
 }
 
 // Property: random SOCs schedule successfully at random widths and all

@@ -2,6 +2,7 @@ package schedio
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -19,6 +20,38 @@ func fuzzSOC(tb testing.TB) *soc.SOC {
 		tb.Fatal(err)
 	}
 	return s
+}
+
+// hugeWidthDoc is a 151-byte schedule of demo8 that claims two billion TAM
+// wires and tests no core.
+const hugeWidthDoc = `{"version":1,"soc":"demo8","tamWidth":2000000000,"params":{"percent":5,"delta":1,"insertSlack":3,"maxWidth":64},"makespan":0,"dataVolume":0,"cores":[]}`
+
+// mutatedDocs saves demo8's W=16 schedule as valid, and twice more after
+// mutating it in memory: conflict moves core 4's first piece onto three
+// wires core 6 holds at the same time, and unsorted reverses the wire list
+// of core 6's first piece.
+func mutatedDocs(tb testing.TB) (valid, conflict, unsorted []byte) {
+	tb.Helper()
+	s := fuzzSOC(tb)
+	save := func(mutate func(*sched.Schedule)) []byte {
+		sch, err := sched.Run(s, sched.Params{TAMWidth: 16, Percent: 5, Delta: 1})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		mutate(sch)
+		var buf bytes.Buffer
+		if err := Save(&buf, sch); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	valid = save(func(*sched.Schedule) {})
+	conflict = save(func(sch *sched.Schedule) {
+		a, b := sch.Assignments[4], sch.Assignments[6]
+		a.Pieces[0].Wires = slices.Clone(b.Pieces[0].Wires[:a.Width])
+	})
+	unsorted = save(func(sch *sched.Schedule) { slices.Reverse(sch.Assignments[6].Pieces[0].Wires) })
+	return valid, conflict, unsorted
 }
 
 // seedSchedules serializes a few real schedules (plain, preemptive,
@@ -54,6 +87,12 @@ func seedSchedules(f *testing.F) {
 	f.Add([]byte(`{"version":1,"soc":"demo8","tamWidth":0}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(``))
+	// The paths Load hands to Verify: a TAM width no allocation may
+	// follow, a wire conflict, and an unsorted wire list.
+	_, conflict, unsorted := mutatedDocs(f)
+	f.Add([]byte(hugeWidthDoc))
+	f.Add(conflict)
+	f.Add(unsorted)
 }
 
 // FuzzLoadSchedule asserts that Load never panics on arbitrary bytes, and

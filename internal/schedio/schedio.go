@@ -127,9 +127,11 @@ func SaveFile(path string, sch *sched.Schedule) error {
 }
 
 // Load reads a schedule and reconstructs it against the SOC it was
-// produced for. The reconstructed schedule is re-verified (packing,
-// timing model, constraints) before being returned, so a tampered or
-// stale file is rejected rather than silently trusted.
+// produced for. The pieces are taken straight from the file, each wire
+// list sorted, and the schedule is re-verified (wires, timing model,
+// constraints) before being returned, so a tampered or stale file is
+// rejected rather than silently trusted. Load allocates in proportion to
+// the document, never to the TAM width it claims.
 func Load(r io.Reader, s *soc.SOC) (*sched.Schedule, error) {
 	var f File
 	dec := json.NewDecoder(r)
@@ -142,13 +144,6 @@ func Load(r io.Reader, s *soc.SOC) (*sched.Schedule, error) {
 	}
 	if f.SOC != s.Name {
 		return nil, fmt.Errorf("schedio: schedule is for SOC %q, loaded against %q", f.SOC, s.Name)
-	}
-	if f.TAMWidth < 1 {
-		return nil, fmt.Errorf("schedio: bad TAM width %d", f.TAMWidth)
-	}
-	bin, err := rect.NewBin(f.TAMWidth)
-	if err != nil {
-		return nil, fmt.Errorf("schedio: %v", err)
 	}
 	sch := &sched.Schedule{
 		SOC:      f.SOC,
@@ -165,9 +160,11 @@ func Load(r io.Reader, s *soc.SOC) (*sched.Schedule, error) {
 		},
 		Assignments: make(map[int]*sched.Assignment, len(f.Cores)),
 		Makespan:    f.Makespan,
-		Bin:         bin,
 	}
 	for _, cj := range f.Cores {
+		if _, dup := sch.Assignments[cj.CoreID]; dup {
+			return nil, fmt.Errorf("schedio: core %d listed twice", cj.CoreID)
+		}
 		a := &sched.Assignment{
 			CoreID:        cj.CoreID,
 			Width:         cj.Width,
@@ -178,11 +175,10 @@ func Load(r io.Reader, s *soc.SOC) (*sched.Schedule, error) {
 			ScanOut:       cj.ScanOut,
 		}
 		for _, pj := range cj.Pieces {
-			placed, err := placeExact(bin, cj.CoreID, pj)
-			if err != nil {
-				return nil, err
-			}
-			a.Pieces = append(a.Pieces, *placed)
+			// Wire lists are canonical in ascending order, as Assemble
+			// emits them; conflicts are Verify's to report.
+			sort.Ints(pj.Wires)
+			a.Pieces = append(a.Pieces, rect.Piece{CoreID: cj.CoreID, Start: pj.Start, End: pj.End, Wires: pj.Wires})
 		}
 		sch.Assignments[cj.CoreID] = a
 	}
@@ -204,27 +200,4 @@ func LoadFile(path string, s *soc.SOC) (*sched.Schedule, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return sch, nil
-}
-
-// placeExact re-occupies exactly the serialized wires, ensuring the file's
-// wire assignment is conflict-free (PlacePreferred with every wire pinned).
-func placeExact(bin *rect.Bin, coreID int, pj PieceJSON) (*rect.Piece, error) {
-	if len(pj.Wires) == 0 {
-		return nil, fmt.Errorf("schedio: core %d piece [%d,%d) has no wires", coreID, pj.Start, pj.End)
-	}
-	p, err := bin.PlacePreferred(coreID, len(pj.Wires), pj.Start, pj.End, pj.Wires)
-	if err != nil {
-		return nil, fmt.Errorf("schedio: core %d: %v", coreID, err)
-	}
-	// PlacePreferred falls back to other wires when a preferred one is
-	// busy; for an exact replay that is corruption, not flexibility.
-	want := append([]int(nil), pj.Wires...)
-	sort.Ints(want)
-	for i, w := range p.Wires {
-		if want[i] != w {
-			return nil, fmt.Errorf("schedio: core %d piece [%d,%d): wires %v unavailable (conflict in file)",
-				coreID, pj.Start, pj.End, pj.Wires)
-		}
-	}
-	return p, nil
 }

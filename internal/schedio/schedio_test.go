@@ -3,6 +3,7 @@ package schedio
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -143,6 +144,53 @@ func TestLoadRejectsWireConflicts(t *testing.T) {
 	}
 	if _, err := Load(strings.NewReader(mutated), s); err == nil {
 		t.Fatal("wire-conflicting file accepted")
+	}
+}
+
+// TestLoadLeavesWiresToVerify: Load builds the pieces straight from the
+// file, sorting each wire list, and wire defects are Verify's to report.
+func TestLoadLeavesWiresToVerify(t *testing.T) {
+	s := fuzzSOC(t)
+	valid, conflict, unsorted := mutatedDocs(t)
+	if _, err := Load(bytes.NewReader(conflict), s); err == nil || !strings.Contains(err.Error(), "TAM wire 6 double-booked") {
+		t.Fatalf("Load of a wire conflict = %v, want a double-booked wire 6", err)
+	}
+	sch, err := Load(bytes.NewReader(unsorted), s)
+	if err != nil {
+		t.Fatalf("Load of an unsorted wire list: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, sch); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), valid) {
+		t.Fatalf("unsorted wire list not restored to ascending order:\n%s", buf.Bytes())
+	}
+	dup := strings.Replace(string(valid), `"cores": [`, `"cores": [{"coreId": 1, "width": 1, "baseTime": 1, "preemptions": 0, "scanIn": 0, "scanOut": 0, "pieces": []},`, 1)
+	if _, err := Load(strings.NewReader(dup), s); err == nil || !strings.Contains(err.Error(), "core 1 listed twice") {
+		t.Fatalf("Load of a core listed twice = %v", err)
+	}
+}
+
+// TestLoadMemoryBoundedByDocument: Load allocates in proportion to the
+// document, never to the TAM width it claims. A 151-byte file claiming two
+// billion wires fails verification after under 1 MiB of allocation.
+func TestLoadMemoryBoundedByDocument(t *testing.T) {
+	s := fuzzSOC(t)
+	if len(hugeWidthDoc) != 151 {
+		t.Fatalf("document is %d bytes, want 151", len(hugeWidthDoc))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(strings.NewReader(hugeWidthDoc), s)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "fails verification") {
+		t.Fatalf("Load = %v, want a verification error", err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Load allocated %d bytes", alloc)
+	if alloc >= 1<<20 {
+		t.Fatalf("Load allocated %d bytes for a %d-byte document, want under 1 MiB", alloc, len(hugeWidthDoc))
 	}
 }
 

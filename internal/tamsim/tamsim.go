@@ -76,15 +76,19 @@ func (r *Result) PayloadEfficiency() float64 {
 	return float64(r.PayloadBits) / float64(r.DataVolume)
 }
 
-// Simulate executes the schedule. It fails on any inconsistency: wire
-// double-booking, cycle-count mismatches against the wrapper timing model,
-// BIST engine double-acquisition, or response mismatches in bit-level mode.
+// Simulate executes the schedule. It fails on any inconsistency: BIST
+// engine double-acquisition, any sched.CheckInvariants violation (wire
+// double-booking among them), cycle-count mismatches against the wrapper
+// timing model, or response mismatches in bit-level mode.
 func Simulate(s *soc.SOC, sch *sched.Schedule, opts Options) (*Result, error) {
 	if opts.BitLevelMaxBits == 0 {
 		opts.BitLevelMaxBits = 2_000_000
 	}
-	if err := sch.Bin.Validate(); err != nil {
-		return nil, fmt.Errorf("tamsim: %v", err)
+	if err := checkBISTExclusion(s, sch); err != nil {
+		return nil, err
+	}
+	if err := sched.CheckInvariants(s, sch); err != nil {
+		return nil, fmt.Errorf("tamsim: %w", err)
 	}
 	res := &Result{
 		SOC:      s.Name,
@@ -92,15 +96,8 @@ func Simulate(s *soc.SOC, sch *sched.Schedule, opts Options) (*Result, error) {
 		Cores:    make(map[int]*CoreResult, len(s.Cores)),
 	}
 
-	if err := checkBISTExclusion(s, sch); err != nil {
-		return nil, err
-	}
-
 	for _, c := range s.Cores {
 		a := sch.Assignments[c.ID]
-		if a == nil {
-			return nil, fmt.Errorf("tamsim: core %d missing from schedule", c.ID)
-		}
 		cr, err := simulateCore(c, a, opts)
 		if err != nil {
 			return nil, err
@@ -144,10 +141,10 @@ func checkBISTExclusion(s *soc.SOC, sch *sched.Schedule) error {
 	}
 	var evs []ev
 	for _, c := range s.Cores {
-		if c.Test.BISTEngine < 0 {
-			continue
-		}
 		a := sch.Assignments[c.ID]
+		if c.Test.BISTEngine < 0 || a == nil || len(a.Pieces) == 0 {
+			continue // no engine, or a defect CheckInvariants reports
+		}
 		evs = append(evs,
 			ev{t: a.Start(), core: c.ID, engine: c.Test.BISTEngine},
 			ev{t: a.End(), release: true, core: c.ID, engine: c.Test.BISTEngine},
