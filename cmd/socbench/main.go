@@ -62,7 +62,7 @@ func main() {
 		benchcmp  = flag.String("benchcmp", "", "baseline benchjson file to gate against; compares -benchnew (or the file just written by -benchjson) and exits 1 on regression")
 		benchnew  = flag.String("benchnew", "", "current benchjson file for -benchcmp (default: the -benchjson path)")
 		benchmax  = flag.Float64("benchmaxpct", 25, "max tolerated ns/op regression percent for the -benchcmp gate")
-		obsTables = flag.Bool("obs", false, "schedule every corpus scenario with every backend and print the per-backend and per-stage latency tables")
+		obsTables = flag.Bool("obs", false, "schedule every corpus scenario with every backend and print the per-span latency table")
 	)
 	flag.Parse()
 
@@ -450,17 +450,18 @@ func runBackends(socs []*soc.SOC, quick bool, workers int) {
 }
 
 // runObs schedules every corpus scenario with every registered backend
-// (telemetry on, registries reset first) and prints the per-backend and
-// per-stage latency tables — the offline counterpart of the service's
-// /metrics latency block. -quick restricts the sweep to the first eight
-// scenarios.
+// that accepts the scenario's parameters, each run under its own trace so
+// every span it opens lands in the span histograms (registry reset
+// first), and prints the per-span latency table — the offline
+// counterpart of the service's /metrics latency block. -quick restricts
+// the sweep to the first eight scenarios.
 func runObs(quick bool, workers int) {
 	obs.ResetLatency()
+	tracer := obs.NewTracer(1)
 	scenarios := corpus.All()
 	if quick && len(scenarios) > 8 {
 		scenarios = scenarios[:8]
 	}
-	names := sched.Backends()
 	for _, sc := range scenarios {
 		s := sc.Build()
 		params, err := sc.ResolveParams(s)
@@ -472,19 +473,29 @@ func runObs(quick bool, workers int) {
 			fatal(fmt.Errorf("%s: %w", sc.Name, err))
 		}
 		params.Workers = workers
-		for _, n := range names {
+		for _, n := range sched.Backends() {
 			p := params
 			p.Backend = n
-			if _, err := opt.ScheduleBackend(context.Background(), p); err != nil {
+			if b, err := sched.BackendByName(n); err == nil {
+				if _, declined := sched.BackendDeclines(b, p); declined {
+					continue // as the portfolio does: a decliner is not run
+				}
+			}
+			if err := scheduleTraced(tracer, opt, p); err != nil {
 				fatal(fmt.Errorf("%s/%s: %w", sc.Name, n, err))
 			}
 		}
 	}
-	fmt.Printf("telemetry over %d corpus scenarios x %d backends\n\n", len(scenarios), len(names))
-	lat := obs.LatencySnapshot()
-	mustRender(latencyTable("Per-backend scheduling latency", lat.Backends))
-	fmt.Println()
-	mustRender(latencyTable("Per-stage latency", lat.Stages))
+	fmt.Printf("telemetry over %d corpus scenarios\n", len(scenarios))
+	mustRender(latencyTable("Per-span latency", obs.SpanLatency()))
+}
+
+// scheduleTraced runs one backend under a trace of its own.
+func scheduleTraced(tracer *obs.Tracer, opt *sched.Optimizer, params sched.Params) error {
+	ctx, span := tracer.StartTrace(context.Background(), "socbench/run")
+	defer span.End()
+	_, err := opt.ScheduleBackend(ctx, params)
+	return err
 }
 
 // latencyTable renders one histogram registry snapshot, sorted by name.

@@ -3,13 +3,16 @@
 // spans that are intentionally left open.
 package obs
 
-import "context"
+import (
+	"context"
+	"time"
+)
 
 // Span mirrors the real span handle.
 type Span struct{}
 
-// End mirrors the real span close.
-func (s *Span) End() {}
+// End mirrors the real span close, which returns the span's duration.
+func (s *Span) End() time.Duration { return 0 }
 
 // SetAttr mirrors the real attribute setter.
 func (s *Span) SetAttr(k string, v any) {}

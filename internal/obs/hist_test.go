@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"sync"
@@ -156,21 +157,39 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestTimeStageAndLatencySnapshot: TimeStage records one sample into the
-// package-level Stages registry, LatencySnapshot reports it, and
-// ResetLatency empties every package-level registry.
-func TestTimeStageAndLatencySnapshot(t *testing.T) {
+// TestSpanEndFeedsLatency: the first End of a span returns its duration
+// and records it under the span's name, a repeated End records nothing,
+// a nil span ends at 0, and ResetLatency empties the registry.
+func TestSpanEndFeedsLatency(t *testing.T) {
 	ResetLatency()
 	t.Cleanup(ResetLatency)
-	TimeStage("test/stage")()
-	Routes.Observe("GET /test", time.Microsecond)
-	Backends.Observe("test-backend", time.Microsecond)
-	snap := LatencySnapshot()
-	if snap.Stages["test/stage"].Count != 1 || snap.Routes["GET /test"].Count != 1 || snap.Backends["test-backend"].Count != 1 {
-		t.Fatalf("LatencySnapshot = %+v, want one sample in each registry", snap)
+	tr := NewTracer(1)
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	tr.SetClock(clk.now)
+	ctx, root := tr.StartTrace(context.Background(), "test/root")
+	_, child := Start(ctx, "test/child")
+	clk.advance(5 * time.Millisecond)
+	if d := child.End(); d != 5*time.Millisecond {
+		t.Fatalf("child End = %v, want 5ms", d)
+	}
+	clk.advance(time.Millisecond)
+	if d := child.End(); d != 5*time.Millisecond {
+		t.Fatalf("second child End = %v, want the first End's 5ms", d)
+	}
+	if d := root.End(); d != 6*time.Millisecond {
+		t.Fatalf("root End = %v, want 6ms", d)
+	}
+	var none *Span
+	if d := none.End(); d != 0 {
+		t.Fatalf("nil span End = %v, want 0", d)
+	}
+	snap := SpanLatency()
+	if len(snap) != 2 || snap["test/child"].Count != 1 || snap["test/child"].MaxNs != (5*time.Millisecond).Nanoseconds() ||
+		snap["test/root"].Count != 1 || snap["test/root"].MaxNs != (6*time.Millisecond).Nanoseconds() {
+		t.Fatalf("SpanLatency = %+v, want one 5ms child and one 6ms root sample", snap)
 	}
 	ResetLatency()
-	if snap := LatencySnapshot(); len(snap.Stages)+len(snap.Routes)+len(snap.Backends) != 0 {
+	if snap := SpanLatency(); len(snap) != 0 {
 		t.Fatalf("after ResetLatency: %+v", snap)
 	}
 }

@@ -13,19 +13,20 @@
 //
 // Histograms: Histogram is a log-linear bucketed latency histogram —
 // recording is a handful of atomic adds, snapshotting estimates
-// p50/p90/p99 within ±12.5% — and Registry keys histograms by name. The
-// package-level Routes, Backends, and Stages registries are the process-
-// wide surfaces the service merges into /metrics and socbench -obs prints.
+// p50/p90/p99 within ±12.5% — and Registry keys histograms by name.
+// Spans are the only timer: Span.End records every span's duration into
+// one process-wide registry keyed by span name, which the service serves
+// as the /metrics latency block and socbench -obs prints (SpanLatency).
+// Span names are therefore series names, so they must come from a
+// bounded set — constants, mux patterns, registered backends and
+// failpoints — never from request data.
 //
 // Nothing here influences scheduling output: telemetry observes the
 // byte-deterministic layers, it never feeds back into them, so the golden
 // corpus is byte-identical with tracing and histograms enabled.
 package obs
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 // ctxKey carries the active *Span through a context.
 type ctxKey struct{}
@@ -54,14 +55,4 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	}
 	sp := parent.child(name)
 	return context.WithValue(ctx, ctxKey{}, sp), sp
-}
-
-// TimeStage starts timing a pipeline stage and returns the function that
-// stops the clock and records the elapsed time into the package-level
-// Stages registry — use as `defer obs.TimeStage("rectpack/pack")()`.
-// Deterministic packages (rectpack) use this instead of reading the wall
-// clock themselves: the time.Now stays here, outside their output paths.
-func TimeStage(name string) func() {
-	start := time.Now()
-	return func() { Stages.Observe(name, time.Since(start)) }
 }

@@ -59,38 +59,14 @@ func (r *Registry) Reset() {
 	r.hists = make(map[string]*Histogram)
 }
 
-// The process-wide latency registries. Routes is recorded by the HTTP
-// middleware (one histogram per method+route), Backends by the scheduler
-// dispatch and every portfolio racer leg (per backend name), and Stages
-// by pipeline-stage instrumentation (planner builds, sweeps, rectpack
-// packing). The service merges all three into /metrics.
-var (
-	Routes   = NewRegistry()
-	Backends = NewRegistry()
-	Stages   = NewRegistry()
-)
+// spans is the process-wide latency registry: Span.End records every
+// span's duration here, under the span's name.
+var spans = NewRegistry()
 
-// Latency is the JSON form of the three package-level registries, merged
-// into the service's MetricsSnapshot.
-type Latency struct {
-	Routes   map[string]HistSnapshot `json:"routes"`
-	Backends map[string]HistSnapshot `json:"backends"`
-	Stages   map[string]HistSnapshot `json:"stages"`
-}
+// SpanLatency summarizes the process-wide span histograms, keyed by span
+// name.
+func SpanLatency() map[string]HistSnapshot { return spans.Snapshot() }
 
-// LatencySnapshot summarizes the package-level registries.
-func LatencySnapshot() Latency {
-	return Latency{
-		Routes:   Routes.Snapshot(),
-		Backends: Backends.Snapshot(),
-		Stages:   Stages.Snapshot(),
-	}
-}
-
-// ResetLatency discards the package-level registries (tests, socbench
-// -obs).
-func ResetLatency() {
-	Routes.Reset()
-	Backends.Reset()
-	Stages.Reset()
-}
+// ResetLatency discards the process-wide span histograms (tests,
+// socbench -obs, perfbench).
+func ResetLatency() { spans.Reset() }

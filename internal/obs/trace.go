@@ -183,13 +183,16 @@ func (s *Span) SetAttr(key string, value any) {
 	s.mu.Unlock()
 }
 
-// End closes the span (first End wins). Ending the root span publishes
-// the whole trace into its tracer's ring; children still open at that
-// point — abandoned racers, say — are exported clamped to the root's end.
-// No-op on a nil span.
-func (s *Span) End() {
+// End closes the span and returns its duration. The first End wins: it
+// records the duration into the process-wide histogram of the span's name
+// (SpanLatency), the only place a duration is recorded, and ending the
+// root span publishes the whole trace into its tracer's ring; children
+// still open at that point — abandoned racers, say — are exported clamped
+// to the root's end. A later End records nothing and returns the first
+// End's duration. A nil span returns 0.
+func (s *Span) End() time.Duration {
 	if s == nil {
-		return
+		return 0
 	}
 	now := s.tracer.now()
 	s.mu.Lock()
@@ -197,10 +200,15 @@ func (s *Span) End() {
 	if !ended {
 		s.end = now
 	}
+	d := s.end.Sub(s.start)
 	s.mu.Unlock()
-	if !ended && s == s.root {
-		s.tracer.publish(s)
+	if !ended {
+		spans.Observe(s.name, d)
+		if s == s.root {
+			s.tracer.publish(s)
+		}
 	}
+	return d
 }
 
 // endTime returns the span's end timestamp (zero while open).

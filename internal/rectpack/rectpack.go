@@ -86,7 +86,6 @@ func (*Backend) Schedule(ctx context.Context, opt *sched.Optimizer, params sched
 	}
 	ctx, span := obs.Start(ctx, "rectpack/pack")
 	defer span.End()
-	defer obs.TimeStage("rectpack/pack")()
 	if err := chaos.InjectContext(ctx, siteSchedule); err != nil {
 		return nil, err
 	}
@@ -123,7 +122,6 @@ func (*PreemptBackend) Schedule(ctx context.Context, opt *sched.Optimizer, param
 	}
 	ctx, span := obs.Start(ctx, "rectpack/preempt")
 	defer span.End()
-	defer obs.TimeStage("rectpack/preempt")()
 	if err := chaos.InjectContext(ctx, sitePreempt); err != nil {
 		return nil, err
 	}
@@ -150,7 +148,6 @@ func (*AnnealBackend) Schedule(ctx context.Context, opt *sched.Optimizer, params
 	}
 	ctx, span := obs.Start(ctx, "anneal/search")
 	defer span.End()
-	defer obs.TimeStage("anneal/search")()
 	if err := chaos.InjectContext(ctx, siteAnneal); err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/lb"
@@ -142,9 +141,7 @@ func (o *Optimizer) ScheduleBackend(ctx context.Context, params Params) (*Schedu
 	}
 	ctx, span := obs.Start(ctx, "backend/"+b.Name())
 	defer span.End()
-	start := time.Now()
 	sch, err := b.Schedule(ctx, o, params)
-	obs.Backends.Observe(b.Name(), time.Since(start))
 	if sch != nil {
 		span.SetAttr("makespan", sch.Makespan)
 	}
@@ -313,14 +310,12 @@ func runRacer(raceCtx context.Context, b Backend, opt *Optimizer, params Params)
 	}
 	ch := make(chan rres, 1) // buffered: an abandoned racer's send never blocks
 	go func() {
-		sctx, span := obs.Start(rctx, "racer/"+b.Name())
-		start := time.Now()
+		sctx, span := obs.Start(rctx, "backend/"+b.Name())
 		var r rres
 		defer func() {
 			if p := recover(); p != nil {
 				r = rres{nil, fmt.Errorf("sched: backend %s panicked: %v", b.Name(), p)}
 			}
-			obs.Backends.Observe(b.Name(), time.Since(start))
 			if r.err != nil {
 				span.SetAttr("error", r.err.Error())
 			} else if r.sch != nil {

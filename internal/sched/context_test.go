@@ -3,9 +3,11 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 )
@@ -98,6 +100,34 @@ func TestForEachContextNilMatchesForEach(t *testing.T) {
 		}
 		if n := calls.Load(); n != 1000 {
 			t.Fatalf("workers=%d: %d calls, want 1000", workers, n)
+		}
+	}
+}
+
+// TestForEachContextPanicReachesCaller: a panic in fn reaches the caller's
+// recover with its value whatever the worker count. On the parallel path
+// it is re-raised on the calling goroutine once every other worker has
+// returned, so no fn call outlives ForEachContext.
+func TestForEachContextPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var running atomic.Int64
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			ForEachContext(context.Background(), workers, 100, func(i int) {
+				running.Add(1)
+				defer running.Add(-1)
+				if i == 37 {
+					panic(fmt.Sprintf("boom %d", i))
+				}
+				time.Sleep(100 * time.Microsecond)
+			})
+		}()
+		if got != "boom 37" {
+			t.Fatalf("workers=%d: recovered %v, want \"boom 37\"", workers, got)
+		}
+		if n := running.Load(); n != 0 {
+			t.Fatalf("workers=%d: %d fn calls still running after the panic reached the caller", workers, n)
 		}
 	}
 }

@@ -959,6 +959,11 @@ func ForEach(workers, n int, fn func(int)) {
 // the loop was cut short, nil when every index ran. A nil ctx behaves like
 // context.Background(), which makes ForEachContext(nil, ...) — and any
 // never-cancelled context — index-for-index identical to ForEach.
+//
+// A panic in fn reaches the caller as on the sequential path: once a
+// worker panics no new fn calls start, and after the other workers return
+// the first panic value is raised again on the calling goroutine, where
+// the caller's recover can see it.
 func ForEachContext(ctx context.Context, workers, n int, fn func(int)) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -978,11 +983,18 @@ func ForEachContext(ctx context.Context, workers, n int, fn func(int)) error {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var panicked atomic.Bool
+	var first any // the first worker's panic value; read after wg.Wait
 	for g := 0; g < w; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ctx.Err() == nil {
+			defer func() {
+				if p := recover(); p != nil && panicked.CompareAndSwap(false, true) {
+					first = p
+				}
+			}()
+			for ctx.Err() == nil && !panicked.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
@@ -992,6 +1004,9 @@ func ForEachContext(ctx context.Context, workers, n int, fn func(int)) error {
 		}()
 	}
 	wg.Wait()
+	if panicked.Load() {
+		panic(first)
+	}
 	return ctx.Err()
 }
 

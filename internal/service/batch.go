@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -114,7 +115,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := s.deadlineCtx(r.Context(), 0)
 	defer cancel()
-	defer obs.TimeStage("service/batch")()
 
 	workers := batchWorkers(req.Workers, len(req.Items))
 	out := make([]BatchItemResult, len(req.Items))
@@ -142,13 +142,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // runBatchItem executes one batch item through scheduleItem, the same
 // path a per-request call takes, under its own child span and per-item
 // deadline. Failures land in the item's own slot with the same status and
-// error body a per-request call would answer.
-func (s *Server) runBatchItem(ctx context.Context, i int, item BatchItemJSON) BatchItemResult {
+// error body a per-request call would answer; a panic is recovered into
+// the slot as the middleware would answer it (500 internal), since the
+// item may run on a batch worker goroutine no other recover covers.
+func (s *Server) runBatchItem(ctx context.Context, i int, item BatchItemJSON) (res BatchItemResult) {
 	ctx, span := obs.Start(ctx, "batch/item")
 	defer span.End()
 	span.SetAttr("index", i)
 	span.SetAttr("soc", item.SOC)
-	defer obs.TimeStage("service/batch/item")()
+	defer func() {
+		if p := recover(); p != nil {
+			s.metrics.panics.Add(1)
+			s.logf("msg=panic item=%d trace=%s err=%q\n%s", i, span.TraceID(), fmt.Sprint(p), debug.Stack())
+			span.SetAttr("error", "internal error")
+			res = BatchItemResult{Index: i, Status: http.StatusInternalServerError,
+				Error: &ErrorBody{Code: CodeInternal, Message: "internal error"}}
+		}
+	}()
 
 	var doc []byte
 	var hit bool

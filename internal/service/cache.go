@@ -3,6 +3,7 @@ package service
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -40,6 +41,8 @@ type CacheStats struct {
 //   - concurrent Do calls for one key share one build;
 //   - a failed build is never stored and never poisons its waiters: they
 //     retry from the top, and one of them leads the next build;
+//   - a build that panics fails its flight the same way, and the panic
+//     then continues to the leader's caller;
 //   - a waiter's own ctx bounds its wait; the leader still stores its value;
 //   - only finished values hold capacity, so the stored cost never exceeds
 //     it, and a value costing more than the whole capacity is served but
@@ -65,8 +68,9 @@ type lruEntry[V any] struct {
 	cost int64
 }
 
-// flight is one in-progress build; val/err are written exactly once
-// before done is closed and read only after it.
+// flight is one in-progress build; the leader writes val/err before done
+// is closed, and waiters read them only after it. err starts as
+// errBuildPanicked, which a build that returns overwrites.
 type flight[V any] struct {
 	done chan struct{}
 	val  V
@@ -113,11 +117,23 @@ func (c *flightLRU[V]) Do(ctx context.Context, key string, build func() (V, erro
 			// next lap either joins a newer flight or leads one.
 			continue
 		}
-		f := &flight[V]{done: make(chan struct{})}
+		f := &flight[V]{done: make(chan struct{}), err: errBuildPanicked}
 		c.flights[key] = f
 		c.mu.Unlock()
+		return c.lead(key, f, build)
+	}
+}
 
-		f.val, f.err = build()
+// errBuildPanicked is the error a flight keeps when its build panics
+// instead of returning, so its waiters retry.
+var errBuildPanicked = errors.New("service: build panicked")
+
+// lead runs build as the leader of key's flight f. The flight ends however
+// build does, even by a panic: a value is stored, a failure is not, and
+// closing done releases the waiters to take the value or retry. A panic
+// then continues to the leader's caller.
+func (c *flightLRU[V]) lead(key string, f *flight[V], build func() (V, error)) (V, bool, error) {
+	defer func() {
 		cost := c.cost(f.val)
 		c.mu.Lock()
 		delete(c.flights, key)
@@ -127,8 +143,9 @@ func (c *flightLRU[V]) Do(ctx context.Context, key string, build func() (V, erro
 		c.mu.Unlock()
 		close(f.done)
 		c.misses.Add(1)
-		return f.val, false, f.err
-	}
+	}()
+	f.val, f.err = build()
+	return f.val, false, f.err
 }
 
 // insertLocked stores val under key (the caller's flight guarantees no

@@ -201,6 +201,27 @@ func TestCacheWaitersSurviveFailedLeader(t *testing.T) {
 	}
 }
 
+// TestCachePanickingBuildRetiresFlight: a build that panics reaches its
+// caller as that panic and leaves no flight behind, so the next Do on the
+// key runs a build of its own instead of waiting out its deadline.
+func TestCachePanickingBuildRetiresFlight(t *testing.T) {
+	c := NewResultCache(1 << 20)
+	func() {
+		defer func() {
+			if p := recover(); p != "boom" {
+				t.Fatalf("recovered %v, want the build's panic", p)
+			}
+		}()
+		_, _, _ = c.Do(context.Background(), "k", func() ([]byte, error) { panic("boom") })
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	doc, hit, err := c.Do(ctx, "k", func() ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || hit || !bytes.Equal(doc, []byte("ok")) {
+		t.Fatalf("after a panicking build: doc=%q hit=%v err=%v, want its own build's document", doc, hit, err)
+	}
+}
+
 // TestCacheWaiterContextBoundsWait holds a build open: the in-flight
 // build holds no LRU slot, a waiter whose ctx ends returns ctx.Err()
 // without running a build of its own, and the leader still stores its

@@ -113,6 +113,70 @@ func TestChaosRegistrySingleflightBuildError(t *testing.T) {
 	}
 }
 
+// TestChaosPlannerBuildPanic: a Planner build that panics answers its
+// request 500 and leaves the SOC usable: the next request builds again
+// and answers 200 instead of waiting out its deadline for a flight that
+// never ends.
+func TestChaosPlannerBuildPanic(t *testing.T) {
+	plan := chaos.Enable(chaos.Plan{Rules: []chaos.Rule{
+		{Site: "service/registry/build", Mode: chaos.ModePanic, Count: 1},
+	}})
+	defer plan.Disable()
+
+	svc, ts := newTestService(t, Config{Preload: []string{"d695"}, MaxTimeout: 3 * time.Second})
+	req := map[string]any{"soc": "d695", "params": ParamsJSON{TAMWidth: 16}}
+	for _, want := range []int{http.StatusInternalServerError, http.StatusOK} {
+		if code, body := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/schedule", req); code != want {
+			t.Fatalf("schedule: HTTP %d, want %d: %s", code, want, body)
+		}
+	}
+	if got := svc.metrics.panics.Load(); got != 1 {
+		t.Fatalf("panics = %d, want 1", got)
+	}
+}
+
+// TestChaosBatchItemPanic: a Planner build that panics on a batch worker
+// goroutine fails only its own item, as the middleware answers a panic
+// (500 internal); the batch answers 200 and the process survives. Which
+// item fails depends on which build reaches the failpoint first.
+func TestChaosBatchItemPanic(t *testing.T) {
+	plan := chaos.Enable(chaos.Plan{Rules: []chaos.Rule{
+		{Site: "service/registry/build", Mode: chaos.ModePanic, Count: 1},
+	}})
+	defer plan.Disable()
+
+	svc, ts := newTestService(t, Config{Preload: []string{"d695", "demo8"}, MaxTimeout: 3 * time.Second})
+	items := []map[string]any{
+		{"soc": "d695", "params": ParamsJSON{TAMWidth: 16}},
+		{"soc": "demo8", "params": ParamsJSON{TAMWidth: 16}},
+	}
+	code, body := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/batch", map[string]any{"items": items, "workers": 2})
+	if code != http.StatusOK {
+		t.Fatalf("batch: HTTP %d: %s", code, body)
+	}
+	var resp BatchResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for i, it := range resp.Items {
+		switch {
+		case it.Status == http.StatusOK && it.Error == nil:
+		case it.Status == http.StatusInternalServerError && it.Error != nil &&
+			it.Error.Code == CodeInternal && it.Error.Message == "internal error":
+			failed++
+		default:
+			t.Fatalf("item %d = %+v, want 200 or 500 %s", i, it, CodeInternal)
+		}
+	}
+	if failed != 1 || resp.Stats.OK != 1 || resp.Stats.Failed != 1 {
+		t.Fatalf("%d items failed, stats %+v; want exactly one 500 and one 200", failed, resp.Stats)
+	}
+	if got := svc.metrics.panics.Load(); got != 1 {
+		t.Fatalf("panics = %d, want 1", got)
+	}
+}
+
 // TestChaosSweepJobBuildFault submits an async sweep whose Planner build
 // eats a one-shot fault: the job ends failed (there is no retry layer),
 // the failed build is not cached, and an identical resubmission succeeds.

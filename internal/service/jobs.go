@@ -341,18 +341,19 @@ func (j *Jobs) worker() {
 	}
 }
 
-// runTraced runs one job under its own trace ("job/<kind>"), recording the
-// trace ID on the job and the run duration in the stage histograms. With no
-// tracer set it is exactly runJob.
+// runTraced runs one job under its own trace, recording the trace ID on
+// the job. Every job's root span is "job/run", with the job's kind as an
+// attribute: the kind names the request's SOC, and a span name is a
+// latency series. With no tracer set it is exactly runJob.
 func (j *Jobs) runTraced(jb *Job, run func(context.Context) (any, error), ctx context.Context) (any, error) {
-	tctx, span := j.tracer.StartTrace(ctx, "job/"+jb.kind)
+	tctx, span := j.tracer.StartTrace(ctx, "job/run")
 	defer span.End()
+	span.SetAttr("kind", jb.kind)
 	if span != nil {
 		j.mu.Lock()
 		jb.trace = span.TraceID()
 		j.mu.Unlock()
 	}
-	defer obs.TimeStage("jobs/run")()
 	result, err := runJob(run, tctx)
 	if err != nil {
 		span.SetAttr("error", err.Error())

@@ -33,8 +33,10 @@ type Metrics struct {
 // MetricsSnapshot is the JSON form of the counters plus registry/job
 // state, served by GET /metrics. Backends carries every backend's
 // cumulative portfolio-race record (races won, lost, failed, timed out
-// and declined, and the win rate); Latency carries the per-route,
-// per-backend, and per-stage latency histograms.
+// and declined, and the win rate); Latency carries one latency histogram
+// per span name (obs.SpanLatency): the routes' root spans (mux patterns,
+// plus "unmatched"), "backend/<name>", the pipeline stages and the job
+// and batch-item spans.
 type MetricsSnapshot struct {
 	UptimeSeconds float64                           `json:"uptimeSeconds"`
 	Requests      int64                             `json:"requests"`
@@ -51,7 +53,7 @@ type MetricsSnapshot struct {
 	Registry      RegistryStats                     `json:"registry"`
 	Jobs          JobsStats                         `json:"jobs"`
 	Backends      map[string]sched.BackendRaceStats `json:"backends"`
-	Latency       obs.Latency                       `json:"latency"`
+	Latency       map[string]obs.HistSnapshot       `json:"latency"`
 }
 
 // statusWriter captures the response status for logging and metrics.
@@ -82,29 +84,6 @@ func (w *statusWriter) Status() int {
 		return http.StatusOK
 	}
 	return w.status
-}
-
-// routeLabel normalizes a request to its route pattern (path parameters
-// collapsed) for the per-route latency histograms and trace names, so
-// /v1/jobs/job-000042 and /v1/jobs/job-000007 share one series.
-func routeLabel(r *http.Request) string {
-	p := r.URL.Path
-	switch {
-	case strings.HasPrefix(p, "/v1/jobs/"):
-		switch {
-		case strings.HasSuffix(p, "/result"):
-			p = "/v1/jobs/{id}/result"
-		case strings.HasSuffix(p, "/cancel"):
-			p = "/v1/jobs/{id}/cancel"
-		default:
-			p = "/v1/jobs/{id}"
-		}
-	case strings.HasPrefix(p, "/v1/socs/"):
-		p = "/v1/socs/{key}"
-	case strings.HasPrefix(p, "/v1/traces/"):
-		p = "/v1/traces/{id}"
-	}
-	return r.Method + " " + p
 }
 
 // responseRecorder buffers a handler's response so the middleware can
@@ -144,18 +123,28 @@ type tracedResponse struct {
 // middleware wraps the API mux with panic recovery, structured request
 // logging, the request counters, and per-request tracing: every request
 // runs under a root span (ID echoed in X-Trace-Id, tree retained for
-// GET /v1/traces/{id}), its latency lands in the per-route histograms,
-// and ?debug=trace returns the handler's JSON answer wrapped in a trace
-// envelope. A panic in a handler becomes a 500 with a JSON body instead
-// of tearing down the connection state.
-func (s *Server) middleware(next http.Handler) http.Handler {
+// GET /v1/traces/{id}) whose End records the route's latency and the
+// logged duration, and ?debug=trace returns the handler's JSON answer
+// wrapped in a trace envelope. A panic in a handler becomes a 500 with a
+// JSON body instead of tearing down the connection state.
+//
+// The root span, and with it the latency series, is named after the mux
+// pattern that serves the request, so /v1/jobs/job-000042 and
+// /v1/jobs/job-000007 share "GET /v1/jobs/{id}". Every request the mux
+// answers itself is "unmatched": 404 and 405 come with no pattern, and a
+// redirect with a handler of the mux's own rather than one of the
+// HandlerFuncs New registers. So the series stay bounded by the route
+// table whatever paths clients send.
+func (s *Server) middleware(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		s.metrics.requests.Add(1)
 		s.metrics.inflight.Add(1)
 		defer s.metrics.inflight.Add(-1)
 
-		route := routeLabel(r)
+		h, route := mux.Handler(r)
+		if _, registered := h.(http.HandlerFunc); !registered || route == "" {
+			route = "unmatched"
+		}
 		ctx, span := s.tracer.StartTrace(r.Context(), route)
 		traceID := span.TraceID()
 		if span != nil {
@@ -186,17 +175,15 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 			case status >= 400:
 				s.metrics.status4xx.Add(1)
 			}
-			elapsed := time.Since(start)
-			obs.Routes.Observe(route, elapsed)
 			span.SetAttr("status", status)
-			span.End()
+			dur := span.End()
 			s.logf("method=%s path=%s status=%d dur=%s trace=%s",
-				r.Method, r.URL.Path, status, elapsed.Round(time.Microsecond), traceID)
+				r.Method, r.URL.Path, status, dur.Round(time.Microsecond), traceID)
 			if rec != nil {
 				s.writeTraced(w, rec, traceID)
 			}
 		}()
-		next.ServeHTTP(sw, r)
+		mux.ServeHTTP(sw, r)
 	})
 }
 

@@ -3,12 +3,14 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -131,7 +133,8 @@ func TestObservability(t *testing.T) {
 		}
 	}
 
-	// /metrics grows the latency block: per-route, per-backend, per-stage.
+	// /metrics serves one latency series per span name: the route's root
+	// span, the backend spans and the pipeline stages.
 	code, raw = doJSON(t, client, "GET", ts.URL+"/metrics", nil)
 	if code != http.StatusOK {
 		t.Fatalf("GET /metrics status %d", code)
@@ -140,23 +143,102 @@ func TestObservability(t *testing.T) {
 	if err := json.Unmarshal(raw, &ms); err != nil {
 		t.Fatal(err)
 	}
-	if h := ms.Latency.Routes["POST /v1/schedule/best"]; h.Count < 2 || h.MaxNs < h.P50Ns {
+	if h := ms.Latency["POST /v1/schedule/best"]; h.Count < 2 || h.MaxNs < h.P50Ns {
 		t.Fatalf("route histogram = %+v", h)
 	}
-	if h := ms.Latency.Backends["portfolio"]; h.Count < 1 {
+	if h := ms.Latency["backend/portfolio"]; h.Count < 1 {
 		t.Fatalf("portfolio backend histogram = %+v", h)
 	}
 	if ms.Cache.Hits < 1 || ms.Cache.Misses < 1 {
 		t.Fatalf("cache stats = %+v, want the repeat request counted as a hit", ms.Cache)
 	}
-	if h := ms.Latency.Stages["registry/build"]; h.Count < 1 {
-		t.Fatalf("registry/build stage histogram = %+v", h)
+	if h := ms.Latency["registry/build"]; h.Count < 1 {
+		t.Fatalf("registry/build histogram = %+v", h)
 	}
 	if ms.Registry.Hits < 1 {
 		t.Fatalf("registry hits = %d, want >= 1 (second schedule reused the planner)", ms.Registry.Hits)
 	}
 	if ms.Backends["rectpack"].WinRate < 0 {
 		t.Fatalf("metrics backends = %+v", ms.Backends)
+	}
+}
+
+// TestUnmatchedRequestsShareOneSeries: requests the mux serves with none
+// of its patterns — unknown paths, a wrong method, a path-cleaning
+// redirect — share one "unmatched" latency series, so distinct paths
+// cannot grow /metrics without bound.
+func TestUnmatchedRequestsShareOneSeries(t *testing.T) {
+	obs.ResetLatency()
+	t.Cleanup(obs.ResetLatency)
+	svc, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	serve := func(method, path string, want int) {
+		t.Helper()
+		rr := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rr, httptest.NewRequest(method, path, nil))
+		if rr.Code != want {
+			t.Fatalf("%s %s: HTTP %d, want %d", method, path, rr.Code, want)
+		}
+	}
+	const unknown = 5000
+	for i := 0; i < unknown; i++ {
+		serve("GET", fmt.Sprintf("/no-such-route-%d", i), http.StatusNotFound)
+	}
+	serve("DELETE", "/v1/socs", http.StatusMethodNotAllowed)
+	serve("GET", "/v1//socs", http.StatusMovedPermanently)
+	serve("GET", "/v1/socs", http.StatusOK)
+
+	lat := obs.SpanLatency()
+	if got := lat["unmatched"].Count; got != unknown+2 {
+		t.Fatalf("unmatched count = %d, want %d", got, unknown+2)
+	}
+	if got := lat["GET /v1/socs"].Count; got != 1 {
+		t.Fatalf("GET /v1/socs count = %d, want 1 (the redirect is not the route's)", got)
+	}
+	if len(lat) != 2 {
+		t.Fatalf("%d latency series, want 2: %v", len(lat), reflect.ValueOf(lat).MapKeys())
+	}
+}
+
+// TestJobsShareOneSeries: async jobs for different SOCs all run under a
+// "job/run" root span, whose kind (naming the SOC) is an attribute, so
+// they share one latency series.
+func TestJobsShareOneSeries(t *testing.T) {
+	obs.ResetLatency()
+	t.Cleanup(obs.ResetLatency)
+	svc, ts := newTestService(t, Config{Preload: []string{"demo8", "d695"}})
+	for _, soc := range []string{"demo8", "d695"} {
+		code, body := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/sweep",
+			map[string]any{"soc": soc, "params": map[string]any{"widthLo": 8, "widthHi": 9}})
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %s: HTTP %d: %s", soc, code, body)
+		}
+		var sub struct {
+			Job JobStatus `json:"job"`
+		}
+		if err := json.Unmarshal(body, &sub); err != nil {
+			t.Fatal(err)
+		}
+		st := pollJob(t, ts.Client(), ts.URL+"/v1/jobs/"+sub.Job.ID, 30*time.Second)
+		if st.State != JobDone {
+			t.Fatalf("%s job: %s (%q)", soc, st.State, st.Error)
+		}
+		td, ok := svc.Tracer().Get(st.TraceID)
+		if !ok || td.Root.Name != "job/run" || td.Root.Attrs["kind"] != "sweep "+soc {
+			t.Fatalf("%s job trace root = %+v, want job/run with its kind as an attribute", soc, td.Root)
+		}
+	}
+	var jobSeries []string
+	for name := range obs.SpanLatency() {
+		if strings.HasPrefix(name, "job") {
+			jobSeries = append(jobSeries, name)
+		}
+	}
+	if len(jobSeries) != 1 || jobSeries[0] != "job/run" || obs.SpanLatency()["job/run"].Count != 2 {
+		t.Fatalf("job series %v, want one job/run series counting both jobs", jobSeries)
 	}
 }
 
@@ -194,9 +276,11 @@ func TestMiddlewareDefaultStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	h := svc.middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /silent", func(w http.ResponseWriter, r *http.Request) {
 		// Write nothing: net/http sends an implicit 200 on return.
-	}))
+	})
+	h := svc.middleware(mux)
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/silent", nil))
 	if rr.Code != http.StatusOK {

@@ -112,7 +112,8 @@ func (r *Registry) SOC(key string) (*soc.SOC, string, error) {
 // Planner returns the Planner for a fingerprint-or-name key, building it
 // on first use. Calls for one fingerprint share one build (a
 // "registry/planner" span records whether this call was served without
-// building); a failed build is not cached, so the next call rebuilds.
+// building, and the build itself is its "registry/build" child); a failed
+// build is not cached, so the next call rebuilds.
 // ctx bounds this caller's wait for another caller's build and carries
 // the request trace; repro.NewPlanner itself does not watch it.
 func (r *Registry) Planner(ctx context.Context, key string) (*repro.Planner, error) {
@@ -120,11 +121,12 @@ func (r *Registry) Planner(ctx context.Context, key string) (*repro.Planner, err
 	if err != nil {
 		return nil, err
 	}
-	_, span := obs.Start(ctx, "registry/planner")
+	ctx, span := obs.Start(ctx, "registry/planner")
 	defer span.End()
 	span.SetAttr("soc", fp)
 	p, hit, err := r.planners.Do(ctx, fp, func() (*repro.Planner, error) {
-		defer obs.TimeStage("registry/build")()
+		ctx, span := obs.Start(ctx, "registry/build")
+		defer span.End()
 		if err := chaos.InjectContext(ctx, siteRegistryBuild); err != nil {
 			return nil, err
 		}

@@ -226,7 +226,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Registry:      s.reg.Stats(),
 		Jobs:          s.jobs.Stats(),
 		Backends:      sched.PortfolioStats(),
-		Latency:       obs.LatencySnapshot(),
+		Latency:       obs.SpanLatency(),
 	})
 }
 
@@ -238,7 +238,8 @@ type BackendInfo struct {
 	// that never raced reports zero counters.
 	Race sched.BackendRaceStats `json:"race"`
 	// Latency summarizes every observed scheduling run of this backend
-	// (direct dispatch and portfolio racer legs alike).
+	// (direct dispatch and portfolio racer legs alike): its "backend/<name>"
+	// span series.
 	Latency obs.HistSnapshot `json:"latency"`
 }
 
@@ -246,10 +247,10 @@ type BackendInfo struct {
 // its race record and latency quantiles, sorted by name.
 func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
 	race := sched.PortfolioStats()
-	lat := obs.Backends.Snapshot()
+	lat := obs.SpanLatency()
 	out := make([]BackendInfo, 0, 4)
 	for _, name := range sched.Backends() {
-		out = append(out, BackendInfo{Name: name, Race: race[name], Latency: lat[name]})
+		out = append(out, BackendInfo{Name: name, Race: race[name], Latency: lat["backend/"+name]})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"backends": out})
 }
@@ -443,8 +444,15 @@ func (s *Server) scheduleDoc(ctx context.Context, planner *repro.Planner, fp str
 // rather than in the HTTP middleware so an abandoned worker can never
 // crash the process.
 func (s *Server) runSchedule(ctx context.Context, planner *repro.Planner, it repro.BatchItem) (*repro.TestSchedule, error) {
-	defer obs.TimeStage("service/schedule")()
+	ctx, span := obs.Start(ctx, "service/schedule")
+	defer span.End()
 	if err := chaos.InjectContext(ctx, siteSchedule); err != nil {
+		return nil, err
+	}
+	// A deadline already spent answers here, after the failpoint: once the
+	// worker runs, the select below picks at random between a fast result
+	// and an expired ctx.
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	type result struct {
