@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -28,14 +29,21 @@ func loadBenchReport(path string) (benchJSONReport, error) {
 // human-readable delta table and the list of gate failures: any benchmark
 // tracked by the baseline that regressed more than maxPct percent, or that
 // vanished from the current report. New benchmarks (in current only) are
-// listed informationally and never fail the gate.
+// listed informationally and never fail the gate. When both reports record
+// allocations, the rows in both also show allocs/op and B/op, which never
+// gate.
 func compareBenchReports(base, cur benchJSONReport, maxPct float64) (table string, failures []string) {
 	curByName := make(map[string]benchJSONResult, len(cur.Benchmarks))
 	for _, b := range cur.Benchmarks {
 		curByName[b.Name] = b
 	}
+	allocs := hasAllocs(base) && hasAllocs(cur)
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-28s %14s %14s %9s\n", "benchmark", "base ns/op", "new ns/op", "delta")
+	fmt.Fprintf(&sb, "%-28s %14s %14s %9s", "benchmark", "base ns/op", "new ns/op", "delta")
+	if allocs {
+		fmt.Fprintf(&sb, " %12s %12s %12s %12s", "base allocs", "new allocs", "base B/op", "new B/op")
+	}
+	sb.WriteString("\n")
 	for _, b := range base.Benchmarks {
 		nb, ok := curByName[b.Name]
 		if !ok {
@@ -58,7 +66,11 @@ func compareBenchReports(base, cur benchJSONReport, maxPct float64) (table strin
 			failures = append(failures,
 				fmt.Sprintf("%s: %d -> %d ns/op (%+.1f%%, limit +%.0f%%)", b.Name, b.NsPerOp, nb.NsPerOp, delta, maxPct))
 		}
-		fmt.Fprintf(&sb, "%-28s %14d %14d %+8.1f%%%s\n", b.Name, b.NsPerOp, nb.NsPerOp, delta, mark)
+		fmt.Fprintf(&sb, "%-28s %14d %14d %+8.1f%%", b.Name, b.NsPerOp, nb.NsPerOp, delta)
+		if allocs {
+			fmt.Fprintf(&sb, " %12d %12d %12d %12d", b.AllocsPerOp, nb.AllocsPerOp, b.BytesPerOp, nb.BytesPerOp)
+		}
+		sb.WriteString(mark + "\n")
 	}
 	for _, b := range cur.Benchmarks {
 		if _, ok := curByName[b.Name]; ok {
@@ -66,6 +78,11 @@ func compareBenchReports(base, cur benchJSONReport, maxPct float64) (table strin
 		}
 	}
 	return sb.String(), failures
+}
+
+// hasAllocs reports whether a report records allocations.
+func hasAllocs(rep benchJSONReport) bool {
+	return slices.ContainsFunc(rep.Benchmarks, func(b benchJSONResult) bool { return b.AllocsPerOp > 0 || b.BytesPerOp > 0 })
 }
 
 // runBenchCmp is the -benchcmp gate: compare newPath against basePath and

@@ -69,6 +69,35 @@ func TestCompareBenchReports(t *testing.T) {
 			t.Fatalf("improvements must pass: %v", failures)
 		}
 	})
+
+	t.Run("allocation-columns-need-both-files", func(t *testing.T) {
+		// A baseline written before allocations were recorded against a
+		// report that records them: ns/op still gates, and there is no
+		// allocation column to compare.
+		cur := mkReport("A", 1300, "B", 2000, "C", 500)
+		for i := range cur.Benchmarks {
+			cur.Benchmarks[i].AllocsPerOp, cur.Benchmarks[i].BytesPerOp = 7, 4096
+		}
+		table, failures := compareBenchReports(base, cur, 25)
+		if len(failures) != 1 || !strings.Contains(failures[0], "A") {
+			t.Fatalf("want exactly one ns/op failure for A (+30%%), got %v", failures)
+		}
+		if strings.Contains(table, "allocs") || strings.Contains(table, "4096") {
+			t.Errorf("allocation columns shown with a baseline that has none:\n%s", table)
+		}
+		// Both files carry them: the columns appear and never gate.
+		withAllocs := mkReport("A", 1000, "B", 2000, "C", 500)
+		for i := range withAllocs.Benchmarks {
+			withAllocs.Benchmarks[i].AllocsPerOp, withAllocs.Benchmarks[i].BytesPerOp = 1, 64
+		}
+		table, failures = compareBenchReports(withAllocs, cur, 25)
+		if len(failures) != 1 || !strings.Contains(failures[0], "A") {
+			t.Fatalf("want exactly one ns/op failure for A (+30%%), got %v", failures)
+		}
+		if !strings.Contains(table, "base allocs") || !strings.Contains(table, "4096") {
+			t.Errorf("allocation columns missing when both files carry them:\n%s", table)
+		}
+	})
 }
 
 func TestLoadBenchReportBaseline(t *testing.T) {

@@ -148,6 +148,10 @@ type benchJSONResult struct {
 	Name       string `json:"name"`
 	Iterations int    `json:"iterations"`
 	NsPerOp    int64  `json:"ns_per_op"`
+	// AllocsPerOp and BytesPerOp are absent from files written before
+	// socbench recorded allocations.
+	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`
+	BytesPerOp  int64 `json:"bytes_per_op,omitempty"`
 }
 
 // runBenchJSON times the representative workloads (the same shapes as the
@@ -305,11 +309,14 @@ func runBenchJSON(path, note string) {
 	for _, w := range workloads {
 		r := testing.Benchmark(w.fn)
 		rep.Benchmarks = append(rep.Benchmarks, benchJSONResult{
-			Name:       w.name,
-			Iterations: r.N,
-			NsPerOp:    r.NsPerOp(),
+			Name:        w.name,
+			Iterations:  r.N,
+			NsPerOp:     r.NsPerOp(),
+			AllocsPerOp: r.AllocsPerOp(),
+			BytesPerOp:  r.AllocedBytesPerOp(),
 		})
-		fmt.Fprintf(os.Stderr, "socbench: %-24s %10d ns/op (%d iterations)\n", w.name, r.NsPerOp(), r.N)
+		fmt.Fprintf(os.Stderr, "socbench: %-24s %10d ns/op %8d allocs/op %10d B/op (%d iterations)\n",
+			w.name, r.NsPerOp(), r.AllocsPerOp(), r.AllocedBytesPerOp(), r.N)
 	}
 	out := os.Stdout
 	if path != "-" {

@@ -54,9 +54,9 @@ type Config struct {
 	// (the paper plots 0..80; widths below 4 are uninformative and slow).
 	WidthLo, WidthHi int
 	// Params carries scheduler settings applied at every width; TAMWidth
-	// is overwritten per sample. Preemption is normally disabled for
-	// data-volume studies (the paper's Table 2 uses the non-preemptive
-	// times).
+	// and Workers are overwritten per sample. Preemption is normally
+	// disabled for data-volume studies (the paper's Table 2 uses the
+	// non-preemptive times).
 	Params sched.Params
 	// Percents, Deltas optionally override the per-width parameter grid
 	// used to pick the best schedule (defaults: paper grid).
@@ -65,11 +65,8 @@ type Config struct {
 	// GOMAXPROCS, 1 forces the fully sequential path. Every width is an
 	// independent scheduler run against a shared read-only Optimizer, and
 	// samples are collected in width order, so the resulting Sweep is
-	// identical regardless of the worker count. When the width fan-out is
-	// parallel (Workers != 1) the per-width parameter-grid sweep runs
-	// sequentially to avoid oversubscribing the pool; Workers == 1 also
-	// pins the grid sweep to one worker unless Params.Workers explicitly
-	// requests grid-level parallelism.
+	// identical regardless of the worker count. Each width's
+	// parameter-grid sweep runs sequentially.
 	Workers int
 }
 
@@ -127,12 +124,7 @@ func RunWithContext(ctx context.Context, opt *sched.Optimizer, cfg Config) (*Swe
 		}
 		w := cfg.WidthLo + i
 		p := cfg.Params
-		p.TAMWidth = w
-		if cfg.Workers != 1 {
-			p.Workers = 1 // don't oversubscribe the width pool
-		} else if p.Workers == 0 {
-			p.Workers = 1 // Workers == 1 means fully sequential
-		}
+		p.TAMWidth, p.Workers = w, 1
 		best, err := opt.SweepBestContext(ctx, p, cfg.Percents, cfg.Deltas)
 		if err != nil {
 			errs[i] = fmt.Errorf("datavol: width %d: %v", w, err)

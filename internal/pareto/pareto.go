@@ -156,7 +156,8 @@ func (s *Set) MinArea() int64 {
 
 // Capped returns a view of the set restricted to widths 1..cap. The Pareto
 // points of the capped staircase are exactly the prefix of the full set's
-// points, so this is cheap; the underlying time table is shared.
+// points, so this is cheap: the view shares the receiver's Points (capped
+// at their length, so an append copies) and time table.
 // cap values at or above MaxWidth return the receiver unchanged.
 func (s *Set) Capped(cap int) (*Set, error) {
 	if cap < 1 {
@@ -165,14 +166,8 @@ func (s *Set) Capped(cap int) (*Set, error) {
 	if cap >= s.MaxWidth {
 		return s, nil
 	}
-	out := &Set{CoreID: s.CoreID, MaxWidth: cap, times: s.times[:cap]}
-	for _, p := range s.Points {
-		if p.Width > cap {
-			break
-		}
-		out.Points = append(out.Points, p)
-	}
-	return out, nil
+	n := sort.Search(len(s.Points), func(k int) bool { return s.Points[k].Width > cap })
+	return &Set{CoreID: s.CoreID, MaxWidth: cap, Points: s.Points[:n:n], times: s.times[:cap]}, nil
 }
 
 // Staircase returns the full (width, time) series for w = 1..MaxWidth,

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/rect"
 	"repro/internal/sched"
 )
 
@@ -121,12 +120,12 @@ func WriteCSV(w io.Writer, headers []string, rows [][]string) error {
 // pieces returns every piece of the schedule's assignments in (start, core
 // ID) order, the order Optimizer.Assemble places them in, so later pieces
 // draw over earlier ones the same way for every schedule.
-func pieces(sch *sched.Schedule) []rect.Piece {
-	var out []rect.Piece
+func pieces(sch *sched.Schedule) []sched.Piece {
+	var out []sched.Piece
 	for _, a := range sch.Assignments {
 		out = append(out, a.Pieces...)
 	}
-	slices.SortFunc(out, func(a, b rect.Piece) int {
+	slices.SortFunc(out, func(a, b sched.Piece) int {
 		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.CoreID, b.CoreID))
 	})
 	return out

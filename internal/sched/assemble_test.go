@@ -1,10 +1,14 @@
 package sched
 
 import (
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
+
+	"repro/internal/bench"
 )
 
 // layoutsOf turns a schedule back into the logical layouts Assemble takes.
@@ -45,9 +49,12 @@ func TestAssembleErrors(t *testing.T) {
 			{ID: 2, Width: 1, Spans: []Span{{5, 15}}},
 		}, "wire assignment"},
 		{"no spans", 4, []CoreLayout{{ID: 1, Width: 2}}, "no spans"},
+		{"zero core width", 4, []CoreLayout{{ID: 1, Width: 0, Spans: []Span{{0, 10}}}}, "no cached design"},
 		{"width above the cache", 16, []CoreLayout{{ID: 1, Width: 9, Spans: []Span{{0, 10}}}}, "no cached design"},
 		{"unknown core", 4, []CoreLayout{{ID: 99, Width: 1, Spans: []Span{{0, 10}}}}, "no cached design"},
-		{"zero TAM width", 0, nil, "non-positive bin height"},
+		{"negative start", 4, []CoreLayout{{ID: 1, Width: 1, Spans: []Span{{-1, 10}}}}, "bad span"},
+		{"empty span", 4, []CoreLayout{{ID: 1, Width: 1, Spans: []Span{{0, 10}, {20, 20}}}}, "bad span"},
+		{"zero TAM width", 0, nil, "non-positive TAM width"},
 	} {
 		sch, err := opt.Assemble(Params{TAMWidth: tc.w}, tc.layouts)
 		if err == nil || sch != nil || !strings.Contains(err.Error(), tc.want) {
@@ -162,4 +169,146 @@ func TestAssembleRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, sch) {
 		t.Fatal("assembled schedule differs from the Run that produced its layouts")
 	}
+}
+
+// TestAssembleRandomLayoutsProperty: random d695 layouts, W from 1 to 32,
+// each core in one to four spans with seamless and gapped resumes, against
+// counts the test keeps itself. Assemble succeeds exactly when no fragment
+// start sees more than W wires in use. Every piece carries its span on
+// Width distinct ascending wires in [0, W), no wire carries two fragments
+// at once, and a resumed fragment keeps min(width, its previous wires that
+// are free at its start), free meaning that no fragment placed before it
+// in (start, core ID) order still holds the wire.
+func TestAssembleRandomLayoutsProperty(t *testing.T) {
+	opt, err := New(bench.D695(), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var placed, rejected int
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		w := 1 + rng.Intn(32)
+		var layouts []CoreLayout
+		for _, c := range opt.SOC().Cores {
+			l := CoreLayout{ID: c.ID, Width: 1 + rng.Intn(max(1, w/3))}
+			start := int64(rng.Intn(400))
+			for range 1 + rng.Intn(4) {
+				end := start + int64(1+rng.Intn(60))
+				l.Spans = append(l.Spans, Span{start, end})
+				start = end // the next span resumes seamlessly, or after a gap
+				if rng.Intn(2) == 0 {
+					start += int64(1 + rng.Intn(60))
+				}
+			}
+			layouts = append(layouts, l)
+		}
+		type frag struct {
+			id, width int
+			span      Span
+		}
+		var frags []frag
+		var makespan int64
+		for _, l := range layouts {
+			for _, sp := range l.Spans {
+				frags = append(frags, frag{l.ID, l.Width, sp})
+				makespan = max(makespan, sp.End)
+			}
+		}
+		peak := 0
+		for _, f := range frags {
+			inUse := 0
+			for _, g := range frags {
+				if g.span.Start <= f.span.Start && f.span.Start < g.span.End {
+					inUse += g.width
+				}
+			}
+			peak = max(peak, inUse)
+		}
+		sch, err := opt.Assemble(Params{TAMWidth: w}, layouts)
+		if peak > w {
+			rejected++
+			if err == nil || !strings.Contains(err.Error(), "wire assignment") {
+				t.Logf("W=%d, peak %d: got (%v, %v), want a wire assignment error", w, peak, sch, err)
+				return false
+			}
+			return true
+		}
+		if err != nil {
+			t.Logf("W=%d, peak %d: %v", w, peak, err)
+			return false
+		}
+		placed++
+		if sch.Makespan != makespan {
+			t.Logf("makespan %d, want %d", sch.Makespan, makespan)
+			return false
+		}
+		var pieces []Piece
+		for _, l := range layouts {
+			a := sch.Assignments[l.ID]
+			if len(a.Pieces) != len(l.Spans) {
+				t.Logf("core %d: %d pieces for %d spans", l.ID, len(a.Pieces), len(l.Spans))
+				return false
+			}
+			for i, p := range a.Pieces {
+				if p.CoreID != l.ID || p.Start != l.Spans[i].Start || p.End != l.Spans[i].End || p.Width() != l.Width {
+					t.Logf("core %d piece %d %+v, want span %v on %d wires", l.ID, i, p, l.Spans[i], l.Width)
+					return false
+				}
+				for j, wire := range p.Wires {
+					if wire < 0 || wire >= w || (j > 0 && wire <= p.Wires[j-1]) {
+						t.Logf("core %d piece %d wires %v: not distinct ascending in [0,%d)", l.ID, i, p.Wires, w)
+						return false
+					}
+				}
+			}
+			pieces = append(pieces, a.Pieces...)
+		}
+		before := func(q, p Piece) bool { return q.Start < p.Start || (q.Start == p.Start && q.CoreID < p.CoreID) }
+		for _, p := range pieces {
+			for _, q := range pieces {
+				if q.CoreID == p.CoreID && q.Start == p.Start {
+					continue
+				}
+				for _, wire := range p.Wires {
+					if slices.Contains(q.Wires, wire) && q.Start < p.End && p.Start < q.End {
+						t.Logf("wire %d carries core %d [%d,%d) and core %d [%d,%d)", wire, p.CoreID, p.Start, p.End, q.CoreID, q.Start, q.End)
+						return false
+					}
+				}
+			}
+		}
+		for _, l := range layouts {
+			a := sch.Assignments[l.ID]
+			for i := 1; i < len(a.Pieces); i++ {
+				p, prev := a.Pieces[i], a.Pieces[i-1].Wires
+				free, kept := 0, 0
+				for _, wire := range prev {
+					held := false
+					for _, q := range pieces {
+						if before(q, p) && q.End > p.Start && slices.Contains(q.Wires, wire) {
+							held = true
+						}
+					}
+					if !held {
+						free++
+					}
+					if slices.Contains(p.Wires, wire) {
+						kept++
+					}
+				}
+				if kept != min(l.Width, free) {
+					t.Logf("core %d resume %d keeps %d of %v, want min(%d, %d free)", l.ID, i, kept, prev, l.Width, free)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if placed == 0 || rejected == 0 {
+		t.Fatalf("%d layouts placed and %d rejected; the generator must exercise both", placed, rejected)
+	}
+	t.Logf("%d layouts placed, %d rejected", placed, rejected)
 }

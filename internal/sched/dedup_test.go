@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -9,11 +8,29 @@ import (
 	"repro/internal/wrapper"
 )
 
-// sweepBestRef is the pre-deduplication sweep: every grid point runs. It
-// is the differential-testing oracle for SweepBest.
-func (o *Optimizer) sweepBestRef(ctx context.Context, params Params, percents, deltas []int) (*Schedule, error) {
-	grid := buildGrid(params, percents, deltas)
-	return o.runGridBest(ctx, params.Workers, grid, allIndices(len(grid)))
+// sweepBestRef is the pre-deduplication sweep and the differential-testing
+// oracle for SweepBest: a plain sequential Run of every grid point, the
+// first point of the smallest makespan winning, or the first error when
+// every point fails.
+func (o *Optimizer) sweepBestRef(params Params, percents, deltas []int) (*Schedule, error) {
+	var best *Schedule
+	var firstErr error
+	for _, p := range buildGrid(params, percents, deltas) {
+		sch, err := o.Run(p)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		if best == nil || sch.Makespan < best.Makespan {
+			best = sch
+		}
+	}
+	if best == nil {
+		return nil, firstErr
+	}
+	return best, nil
 }
 
 // TestSweepBestDedupMatchesFullGrid asserts the tentpole bar for the grid
@@ -38,7 +55,7 @@ func TestSweepBestDedupMatchesFullGrid(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s W=%d workers=%d: %v", name, w, workers, err)
 				}
-				want, err := opt.sweepBestRef(context.Background(), p, detPercents, detDeltas)
+				want, err := opt.sweepBestRef(p, detPercents, detDeltas)
 				if err != nil {
 					t.Fatalf("%s W=%d workers=%d (ref): %v", name, w, workers, err)
 				}
@@ -61,7 +78,11 @@ func TestSweepBestDedupCollapsesGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := buildGrid(Params{TAMWidth: 32}, nil, nil)
-	reps := opt.gridReps(grid)
+	_, sets, err := opt.Setup(grid[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := gridReps(grid, sets)
 	if len(reps) == 0 || len(reps) >= len(grid) {
 		t.Fatalf("dedup collapsed %d grid points to %d; expected a strict, non-empty reduction", len(grid), len(reps))
 	}
@@ -93,7 +114,7 @@ func TestSweepBestDedupEveryPointFails(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			p := Params{TAMWidth: 32, PowerMax: 1, Workers: workers}
 			_, gotErr := opt.SweepBest(p, detPercents, detDeltas)
-			_, wantErr := opt.sweepBestRef(context.Background(), p, detPercents, detDeltas)
+			_, wantErr := opt.sweepBestRef(p, detPercents, detDeltas)
 			if gotErr == nil || wantErr == nil {
 				t.Fatalf("%s workers=%d: expected both paths to fail, got %v / %v", name, workers, gotErr, wantErr)
 			}

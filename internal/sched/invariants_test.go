@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/rect"
 )
 
 // demoSchedule builds a valid schedule of the demo SOC (hierarchy,
@@ -62,7 +61,7 @@ func TestCheckInvariantsUnknownCore(t *testing.T) {
 	sch.Assignments[9999] = &Assignment{
 		CoreID: 9999,
 		Width:  1,
-		Pieces: []rect.Piece{{CoreID: 9999, Start: 0, End: 1, Wires: []int{0}}},
+		Pieces: []Piece{{CoreID: 9999, Start: 0, End: 1, Wires: []int{0}}},
 	}
 	err := CheckInvariants(opt.SOC(), sch)
 	var uce *UnknownCoreError
@@ -102,7 +101,7 @@ func TestCheckInvariantsWireOverlap(t *testing.T) {
 			mutate: func(sch *Schedule) {
 				a, b := sch.Assignments[1], sch.Assignments[2]
 				a.Width, a.BaseTime = b.Width, b.BaseTime
-				a.Pieces = []rect.Piece{{CoreID: a.CoreID, Start: b.Pieces[0].Start, End: b.Pieces[0].End, Wires: slices.Clone(b.Pieces[0].Wires)}}
+				a.Pieces = []Piece{{CoreID: a.CoreID, Start: b.Pieces[0].Start, End: b.Pieces[0].End, Wires: slices.Clone(b.Pieces[0].Wires)}}
 			},
 			want: "double-booked",
 		},
@@ -142,7 +141,7 @@ func TestCheckInvariantsWireOverlap(t *testing.T) {
 				mid := p.Start + p.Duration()/2
 				first, second := p, p
 				first.End, second.Start = mid, mid
-				a.Pieces = []rect.Piece{second, first}
+				a.Pieces = []Piece{second, first}
 			},
 			want: "out of time order",
 		},
@@ -213,7 +212,7 @@ func TestCheckInvariantsPrecedence(t *testing.T) {
 	after := s.Precedences[0].After
 	a := sch.Assignments[after]
 	dur := a.Pieces[0].End - a.Pieces[0].Start
-	a.Pieces = []rect.Piece{{CoreID: after, Start: 0, End: dur, Wires: a.Pieces[0].Wires}}
+	a.Pieces = []Piece{{CoreID: after, Start: 0, End: dur, Wires: a.Pieces[0].Wires}}
 	if err := CheckInvariants(s, sch); err == nil {
 		t.Fatal("precedence-violating schedule accepted")
 	}
@@ -224,7 +223,7 @@ func TestVerifyUnknownCoreTyped(t *testing.T) {
 	sch.Assignments[777] = &Assignment{
 		CoreID: 777,
 		Width:  1,
-		Pieces: []rect.Piece{{CoreID: 777, Start: 0, End: 1, Wires: []int{0}}},
+		Pieces: []Piece{{CoreID: 777, Start: 0, End: 1, Wires: []int{0}}},
 	}
 	for _, v := range []error{Verify(opt.SOC(), sch), opt.Verify(sch)} {
 		var uce *UnknownCoreError

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/constraint"
 	"repro/internal/pareto"
-	"repro/internal/rect"
 	"repro/internal/soc"
 	"repro/internal/wrapper"
 )
@@ -114,7 +113,7 @@ type Assignment struct {
 	// vertical-split rule demands equal heights).
 	Width int
 	// Pieces are the scheduled time spans with concrete wire sets.
-	Pieces []rect.Piece
+	Pieces []Piece
 	// Preemptions counts resume-after-gap events for this core.
 	Preemptions int
 	// PenaltyCycles is the total extra time added by preemptions
@@ -126,6 +125,25 @@ type Assignment struct {
 	// at the assigned width.
 	ScanIn, ScanOut int
 }
+
+// Piece is one placed fragment of a core's rectangle: the core occupies
+// |Wires| TAM wires from Start (inclusive) to End (exclusive).
+type Piece struct {
+	// CoreID identifies the test the piece belongs to.
+	CoreID int
+	// Start and End bound the piece in cycles, Start < End.
+	Start, End int64
+	// Wires lists the concrete TAM wire indices (0-based, < TAMWidth,
+	// ascending) carrying the piece. They need not be contiguous
+	// (fork-and-merge).
+	Wires []int
+}
+
+// Width returns the piece's TAM width.
+func (p *Piece) Width() int { return len(p.Wires) }
+
+// Duration returns the piece's length in cycles.
+func (p *Piece) Duration() int64 { return p.End - p.Start }
 
 // Start returns the first begin time.
 func (a *Assignment) Start() int64 { return a.Pieces[0].Start }
@@ -332,15 +350,18 @@ func (o *Optimizer) Setup(params Params) (*constraint.Checker, []*pareto.Set, er
 // is left to the caller). Fragments are placed in (start, core ID) order,
 // each on the lowest free wires after first trying the wires of the core's
 // previous fragment, so a preempted test resumes on its original wiring
-// when it can. First-fit in start order always succeeds when no instant
-// needs more than TAMWidth wires (interval graphs are perfect); a layout
-// that does fails with an error. Each Assignment takes BaseTime, ScanIn and
-// ScanOut from the design cache and records Preemptions and PenaltyCycles
-// exactly as the layout states them, for CheckInvariants to cross-check.
+// when it can. In start order a wire is free exactly when the last fragment
+// placed on it has ended, so one busy-until time per wire is the whole
+// allocator, and first-fit never reaches past the summed fragment width,
+// however wide the TAM. First-fit in start order always succeeds when no
+// instant needs more than TAMWidth wires (interval graphs are perfect); a
+// layout that does fails with an error. Each Assignment takes BaseTime,
+// ScanIn and ScanOut from the design cache and records Preemptions and
+// PenaltyCycles exactly as the layout states them, for CheckInvariants to
+// cross-check.
 func (o *Optimizer) Assemble(params Params, layouts []CoreLayout) (*Schedule, error) {
-	bin, err := rect.NewBin(params.TAMWidth)
-	if err != nil {
-		return nil, err
+	if params.TAMWidth < 1 {
+		return nil, fmt.Errorf("sched: non-positive TAM width %d", params.TAMWidth)
 	}
 	out := &Schedule{
 		SOC:         o.soc.Name,
@@ -353,6 +374,7 @@ func (o *Optimizer) Assemble(params Params, layouts []CoreLayout) (*Schedule, er
 		span      Span
 	}
 	frags := make([]frag, 0, len(layouts))
+	total := 0 // summed fragment width
 	for _, l := range layouts {
 		if len(l.Spans) == 0 {
 			return nil, fmt.Errorf("sched: core %d has no spans", l.ID)
@@ -364,7 +386,7 @@ func (o *Optimizer) Assemble(params Params, layouts []CoreLayout) (*Schedule, er
 		out.Assignments[l.ID] = &Assignment{
 			CoreID:        l.ID,
 			Width:         l.Width,
-			Pieces:        make([]rect.Piece, 0, len(l.Spans)),
+			Pieces:        make([]Piece, 0, len(l.Spans)),
 			Preemptions:   l.Preemptions,
 			PenaltyCycles: l.Penalty,
 			BaseTime:      d.TestTime(),
@@ -372,7 +394,11 @@ func (o *Optimizer) Assemble(params Params, layouts []CoreLayout) (*Schedule, er
 			ScanOut:       d.ScanOutMax,
 		}
 		for _, sp := range l.Spans {
+			if sp.Start < 0 || sp.End <= sp.Start {
+				return nil, fmt.Errorf("sched: core %d: bad span [%d,%d)", l.ID, sp.Start, sp.End)
+			}
 			frags = append(frags, frag{l.ID, l.Width, sp})
+			total += l.Width
 		}
 	}
 	slices.SortFunc(frags, func(a, b frag) int {
@@ -381,17 +407,32 @@ func (o *Optimizer) Assemble(params Params, layouts []CoreLayout) (*Schedule, er
 		}
 		return cmp.Compare(a.id, b.id)
 	})
+	busy := make([]int64, min(params.TAMWidth, total)) // busy[w]: end of wire w's last fragment
 	for _, f := range frags {
 		a := out.Assignments[f.id]
-		var prefer []int
+		wires := make([]int, 0, f.width)
+		// take claims wire w if it is free at the fragment's start, and
+		// marks it busy at once so the lowest-free pass skips it.
+		take := func(w int) {
+			if len(wires) < f.width && busy[w] <= f.span.Start {
+				busy[w] = f.span.End
+				wires = append(wires, w)
+			}
+		}
 		if n := len(a.Pieces); n > 0 {
-			prefer = a.Pieces[n-1].Wires
+			for _, w := range a.Pieces[n-1].Wires {
+				take(w)
+			}
 		}
-		p, err := bin.PlacePreferred(f.id, f.width, f.span.Start, f.span.End, prefer)
-		if err != nil {
-			return nil, fmt.Errorf("sched: wire assignment: %v", err)
+		for w := 0; w < len(busy) && len(wires) < f.width; w++ {
+			take(w)
 		}
-		a.Pieces = append(a.Pieces, p)
+		if len(wires) < f.width {
+			return nil, fmt.Errorf("sched: wire assignment: core %d: need %d wires in [%d,%d), only %d free",
+				f.id, f.width, f.span.Start, f.span.End, len(wires))
+		}
+		slices.Sort(wires)
+		a.Pieces = append(a.Pieces, Piece{CoreID: f.id, Start: f.span.Start, End: f.span.End, Wires: wires})
 		out.Makespan = max(out.Makespan, f.span.End)
 	}
 	return out, nil
@@ -400,11 +441,16 @@ func (o *Optimizer) Assemble(params Params, layouts []CoreLayout) (*Schedule, er
 // Run schedules the optimizer's SOC under the given parameters.
 // params.MaxWidth must not exceed the optimizer's cap.
 func (o *Optimizer) Run(params Params) (*Schedule, error) {
-	params = params.Defaults()
 	chk, sets, err := o.Setup(params)
 	if err != nil {
 		return nil, err
 	}
+	return o.run(params, chk, sets)
+}
+
+// run is Run after Setup, so a sweep sets up once for all its grid points.
+func (o *Optimizer) run(params Params, chk *constraint.Checker, sets []*pareto.Set) (*Schedule, error) {
+	params = params.Defaults()
 	// Initialize (Fig. 5): Pareto rectangles and preferred widths.
 	run := &runner{
 		opt:    o,
@@ -819,18 +865,47 @@ func (o *Optimizer) SweepBest(params Params, percents, deltas []int) (*Schedule,
 // sweep stops launching grid points, lets in-flight runs finish, and
 // returns ctx's error. A nil ctx behaves like context.Background(), and an
 // uncancellable context leaves the result byte-identical to SweepBest.
+//
+// Grid points differ only in Percent, Delta and InsertSlack, none of which
+// Setup reads, so the sweep sets up once and every run shares the checker
+// and the capped sets. The best schedule is picked by (makespan, grid
+// index), the sequential first-grid-point tie-break, or, when every run
+// fails, the error of the lowest grid index. Results stream into a running
+// best so losing schedules are released as the sweep progresses.
 func (o *Optimizer) SweepBestContext(ctx context.Context, params Params, percents, deltas []int) (*Schedule, error) {
 	grid := buildGrid(params, percents, deltas)
-	return o.runGridBest(ctx, params.Workers, grid, o.gridReps(grid))
-}
-
-// allIndices returns 0, 1, ..., n-1.
-func allIndices(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
+	chk, sets, err := o.Setup(grid[0])
+	if err != nil {
+		return nil, err
 	}
-	return out
+	idxs := gridReps(grid, sets)
+	var mu sync.Mutex
+	var best *Schedule
+	bestIdx := len(grid)
+	var firstErr error
+	errIdx := len(grid)
+	if err := ForEachContext(ctx, params.Workers, len(idxs), func(k int) {
+		i := idxs[k]
+		sch, err := o.run(grid[i], chk, sets)
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			if i < errIdx {
+				errIdx, firstErr = i, err
+			}
+			return
+		}
+		if best == nil || sch.Makespan < best.Makespan ||
+			(sch.Makespan == best.Makespan && i < bestIdx) {
+			best, bestIdx = sch, i
+		}
+	}); err != nil {
+		return nil, err
+	}
+	if best == nil {
+		return nil, firstErr
+	}
+	return best, nil
 }
 
 // buildGrid expands params and the percent/delta (and, when unset, slack)
@@ -863,21 +938,12 @@ func buildGrid(params Params, percents, deltas []int) []Params {
 }
 
 // gridReps fingerprints every grid point by (InsertSlack, per-core
-// preferred-width vector) and returns the grid indices of the first point
-// of each distinct fingerprint, in grid order. Points sharing a
-// fingerprint are the same scheduler run: percent and delta influence a
-// run only through pareto.Set.PreferredWidth at Initialize.
-func (o *Optimizer) gridReps(grid []Params) []int {
-	if len(grid) == 0 {
-		return nil
-	}
-	// Grid points differ only in Percent, Delta and InsertSlack, none of
-	// which Setup reads, so a set-up error fails identically at every point
-	// inside Run; keep the full grid so error selection is untouched.
-	_, capped, err := o.Setup(grid[0])
-	if err != nil {
-		return allIndices(len(grid))
-	}
+// preferred-width vector over the capped sets) and returns the grid
+// indices of the first point of each distinct fingerprint, in grid order.
+// Points sharing a fingerprint are the same scheduler run: percent and
+// delta influence a run only through pareto.Set.PreferredWidth at
+// Initialize.
+func gridReps(grid []Params, capped []*pareto.Set) []int {
 	seen := make(map[string]bool, len(grid))
 	reps := make([]int, 0, len(grid))
 	key := make([]byte, 0, 2*(len(capped)+2))
@@ -894,42 +960,6 @@ func (o *Optimizer) gridReps(grid []Params) []int {
 		}
 	}
 	return reps
-}
-
-// runGridBest runs the grid points selected by idxs and returns the best
-// schedule by (makespan, grid index) — the sequential first-grid-point
-// tie-break — or, when every run fails, the error of the lowest grid
-// index. Results stream into a running best so losing schedules are
-// released as the sweep progresses instead of all being retained until a
-// final merge. A cancelled ctx abandons the sweep and returns its error.
-func (o *Optimizer) runGridBest(ctx context.Context, workers int, grid []Params, idxs []int) (*Schedule, error) {
-	var mu sync.Mutex
-	var best *Schedule
-	bestIdx := len(grid)
-	var firstErr error
-	errIdx := len(grid)
-	if err := ForEachContext(ctx, workers, len(idxs), func(k int) {
-		i := idxs[k]
-		sch, err := o.Run(grid[i])
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if i < errIdx {
-				errIdx, firstErr = i, err
-			}
-			return
-		}
-		if best == nil || sch.Makespan < best.Makespan ||
-			(sch.Makespan == best.Makespan && i < bestIdx) {
-			best, bestIdx = sch, i
-		}
-	}); err != nil {
-		return nil, err
-	}
-	if best == nil {
-		return nil, firstErr
-	}
-	return best, nil
 }
 
 // ResolveWorkers maps a Params.Workers-style knob to a concrete worker

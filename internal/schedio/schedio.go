@@ -12,7 +12,6 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/rect"
 	"repro/internal/sched"
 	"repro/internal/soc"
 )
@@ -178,7 +177,7 @@ func Load(r io.Reader, s *soc.SOC) (*sched.Schedule, error) {
 			// Wire lists are canonical in ascending order, as Assemble
 			// emits them; conflicts are Verify's to report.
 			sort.Ints(pj.Wires)
-			a.Pieces = append(a.Pieces, rect.Piece{CoreID: cj.CoreID, Start: pj.Start, End: pj.End, Wires: pj.Wires})
+			a.Pieces = append(a.Pieces, sched.Piece{CoreID: cj.CoreID, Start: pj.Start, End: pj.End, Wires: pj.Wires})
 		}
 		sch.Assignments[cj.CoreID] = a
 	}

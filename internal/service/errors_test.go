@@ -10,8 +10,9 @@ import (
 // TestErrorEnvelopeAllRoutes is the wire-contract table: every /v1 route,
 // driven into each of its failure modes, answers the single envelope
 // {"error":{"code","message"}} with the documented machine-readable code.
+// A 200 row is a request beside a rejection that must still be served.
 func TestErrorEnvelopeAllRoutes(t *testing.T) {
-	_, ts := newTestService(t, Config{Preload: []string{"demo8"}})
+	_, ts := newTestService(t, Config{Preload: []string{"demo8", "d695"}})
 	client := ts.Client()
 
 	sched16 := ParamsJSON{TAMWidth: 16}
@@ -51,6 +52,13 @@ func TestErrorEnvelopeAllRoutes(t *testing.T) {
 		{"sweep width cap", "POST", "/v1/sweep", map[string]any{"soc": "demo8", "params": map[string]any{"widthLo": 1, "widthHi": MaxRequestWidth + 1}, "wait": true}, http.StatusUnprocessableEntity, CodeBadRequest},
 		{"effective bad gamma", "POST", "/v1/effective", map[string]any{"soc": "demo8", "params": map[string]any{"widthLo": 8, "widthHi": 12, "gamma": 1.5}}, http.StatusUnprocessableEntity, CodeBadRequest},
 		{"schedule negative timeout", "POST", "/v1/schedule", map[string]any{"soc": "demo8", "params": ParamsJSON{TAMWidth: 16, TimeoutMS: -1}}, http.StatusUnprocessableEntity, CodeBadRequest},
+		// Deadlines past what a time.Duration holds: the products wrap
+		// to a deadline in the past, and to a 0.45 ms one.
+		{"schedule timeout overflow", "POST", "/v1/schedule", map[string]any{"soc": "d695", "params": ParamsJSON{TAMWidth: 32, TimeoutMS: 9223372036855}}, http.StatusUnprocessableEntity, CodeBadRequest},
+		{"best timeout overflow", "POST", "/v1/schedule/best", map[string]any{"soc": "d695", "params": ParamsJSON{TAMWidth: 32, TimeoutMS: 18446744073710}}, http.StatusUnprocessableEntity, CodeBadRequest},
+		{"portfolio backend timeout overflow", "POST", "/v1/schedule", map[string]any{"soc": "d695", "params": ParamsJSON{TAMWidth: 32, Backend: "portfolio", BackendTimeoutMS: 18446744073710}}, http.StatusUnprocessableEntity, CodeBadRequest},
+		// A one-year deadline fits and is honored.
+		{"schedule one-year timeout", "POST", "/v1/schedule", map[string]any{"soc": "d695", "params": ParamsJSON{TAMWidth: 32, TimeoutMS: 365 * 24 * 3600 * 1000}}, http.StatusOK, ""},
 		{"batch empty", "POST", "/v1/batch", map[string]any{"items": []any{}}, http.StatusUnprocessableEntity, CodeBadRequest},
 
 		// 422 unknown_core: preemption budgets for cores the SOC lacks.
@@ -70,6 +78,9 @@ func TestErrorEnvelopeAllRoutes(t *testing.T) {
 		code, body := doJSON(t, client, tc.method, ts.URL+tc.path, tc.body)
 		if code != tc.status {
 			t.Errorf("%s: HTTP %d (want %d): %s", tc.name, code, tc.status, body)
+			continue
+		}
+		if code == http.StatusOK {
 			continue
 		}
 		var envelope errorEnvelope

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"time"
 
@@ -87,14 +88,19 @@ func (p ParamsJSON) Options() repro.Options {
 // MaxRequestWidth caps every client-controlled TAM width: sweep ranges,
 // params.tamWidth, and params.maxWidth. The paper's studies stop at W=80
 // and per-core widths at 64; anything past this is a typo or an attack —
-// the scheduler allocates per-wire bin state and the sweep per-width
-// state up front, so an unbounded width would let one request OOM or
-// CPU-starve the whole server.
+// the optimizer designs every core's wrapper at every width up to
+// maxWidth and the sweep allocates per-width state up front, so an
+// unbounded width would let one request OOM or CPU-starve the whole
+// server.
 const MaxRequestWidth = 1024
 
+// maxTimeoutMS is the largest deadline, in milliseconds, a time.Duration
+// can hold; a larger timeoutMs or backendTimeoutMs would wrap around.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
 // validate applies the route-independent parameter checks: width bounds
-// (before any per-wire allocation happens), non-negative deadlines, and a
-// registered backend name. It returns nil or the apiErr to serve.
+// (before any per-width work happens), deadlines in [0, maxTimeoutMS],
+// and a registered backend name. It returns nil or the apiErr to serve.
 func (p ParamsJSON) validate() *apiErr {
 	if p.TAMWidth < 0 || p.TAMWidth > MaxRequestWidth || p.MaxWidth < 0 || p.MaxWidth > MaxRequestWidth {
 		return apiError(http.StatusUnprocessableEntity,
@@ -104,9 +110,9 @@ func (p ParamsJSON) validate() *apiErr {
 		return apiError(http.StatusUnprocessableEntity,
 			fmt.Errorf("params sweep width range [%d,%d] outside [0,%d]", p.WidthLo, p.WidthHi, MaxRequestWidth))
 	}
-	if p.TimeoutMS < 0 || p.BackendTimeoutMS < 0 {
+	if p.TimeoutMS < 0 || p.BackendTimeoutMS < 0 || p.TimeoutMS > maxTimeoutMS || p.BackendTimeoutMS > maxTimeoutMS {
 		return apiError(http.StatusUnprocessableEntity,
-			fmt.Errorf("params timeoutMs=%d backendTimeoutMs=%d must be >= 0", p.TimeoutMS, p.BackendTimeoutMS))
+			fmt.Errorf("params timeoutMs=%d backendTimeoutMs=%d outside [0,%d]", p.TimeoutMS, p.BackendTimeoutMS, maxTimeoutMS))
 	}
 	if _, err := sched.BackendByName(p.Backend); err != nil {
 		return apiError(http.StatusUnprocessableEntity, err)

@@ -47,6 +47,21 @@ func TestScheduleWithExplicitParams(t *testing.T) {
 	}
 }
 
+// TestScheduleHugeTAMWidth: wire assignment is bounded by the layout, not
+// by the claimed TAM width, so a 2^40-wire request schedules and verifies
+// like any other instead of allocating state for every claimed wire.
+func TestScheduleHugeTAMWidth(t *testing.T) {
+	s := BenchmarkSOC("d695")
+	sch, err := Schedule(s, Options{TAMWidth: 1 << 40, Percent: 10, Delta: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifySchedule(s, sch); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("makespan %d", sch.Makespan)
+}
+
 func TestConstraintOptionsFlow(t *testing.T) {
 	s := BenchmarkSOC("demo8")
 	policy, err := PreemptionPolicy(s, 2)
