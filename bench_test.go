@@ -297,6 +297,62 @@ func BenchmarkScheduleConstrainedCorpus(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleColdShapes replays the request shapes of perfbench's
+// cold-portfolio workload through the library: every corpus scenario that
+// keeps its hierarchy constraints, at its own params and at the quarter
+// points of its width window, on one worker. One op is one pass over every
+// shape the sub-benchmark's backend accepts; the planners are built before
+// the timer starts, as a warm service registry holds them.
+func BenchmarkScheduleColdShapes(b *testing.B) {
+	type shape struct {
+		opt    *sched.Optimizer
+		params sched.Params
+	}
+	var shapes []shape
+	for _, sc := range corpus.All() {
+		if sc.Params.IgnoreHierarchy {
+			continue
+		}
+		s := sc.Build()
+		params, err := sc.ResolveParams(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opt, err := sched.New(s, sched.DefaultMaxWidth)
+		if err != nil {
+			b.Fatal(err)
+		}
+		params.Workers = 1
+		n := sc.WidthHi - sc.WidthLo
+		for _, w := range []int{sc.WidthLo + n/4, sc.WidthLo + n/2, sc.WidthLo + 3*n/4} {
+			params.TAMWidth = w
+			shapes = append(shapes, shape{opt, params})
+		}
+	}
+	for _, backend := range []string{"anneal", "portfolio"} {
+		be, err := sched.BackendByName(backend)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var accepted []shape
+		for _, sh := range shapes {
+			sh.params.Backend = backend
+			if _, declined := sched.BackendDeclines(be, sh.params); !declined {
+				accepted = append(accepted, sh)
+			}
+		}
+		b.Run(backend, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, sh := range accepted {
+					if _, err := sh.opt.ScheduleBackend(context.Background(), sh.params); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkParetoSets measures Pareto staircase construction for a full SOC.
 func BenchmarkParetoSets(b *testing.B) {
 	s := bench.P93791Like()

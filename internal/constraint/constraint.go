@@ -210,7 +210,8 @@ func (c *Checker) sharesEngine(a, b int) bool {
 // construction, kept as three counters per core so that OK is O(1) and
 // no method allocates: predecessors not yet complete, running cores that
 // exclude the core, and the running cores' total power. A State belongs
-// to one run and is not safe for concurrent use.
+// to one run at a time (Reset starts the next) and is not safe for
+// concurrent use.
 type State struct {
 	chk   *Checker
 	cores []coreState // indexed by core ID
@@ -228,10 +229,18 @@ type coreState struct {
 // NewState returns a State with no core running or complete.
 func (c *Checker) NewState() *State {
 	st := &State{chk: c, cores: make([]coreState, len(c.power))}
-	for id := range st.cores {
-		st.cores[id].waiting = len(c.preds.row(id))
-	}
+	st.Reset()
 	return st
+}
+
+// Reset returns the State to NewState's: no core running or complete. It
+// reuses the State's storage and does not allocate, so a search that
+// decodes many candidates needs only one State.
+func (st *State) Reset() {
+	st.power = 0
+	for id := range st.cores {
+		st.cores[id] = coreState{waiting: len(st.chk.preds.row(id))}
+	}
 }
 
 // OK reports whether core id, which must not be running, may start (or

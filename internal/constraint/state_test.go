@@ -129,7 +129,9 @@ func regimes(t *testing.T, sc corpus.Scenario) []regime {
 // pattern, over every corpus SOC in several constraint regimes. After
 // every step, each core that is not running must get the same verdict
 // from State.OK as from the map-based reference, and State.Conflict must
-// explain exactly the refusals.
+// explain exactly the refusals. After the walk, Reset must leave every
+// core with a new State's verdicts, and the walk is replayed on the reset
+// State.
 func TestStateMatchesReference(t *testing.T) {
 	steps := 300
 	if testing.Short() {
@@ -142,18 +144,29 @@ func TestStateMatchesReference(t *testing.T) {
 				t.Fatalf("%s %s: %v", sc.Name, rg.name, err)
 			}
 			ref := newRef(rg.soc, rg.cfg)
-			rng := rand.New(rand.NewPCG(uint64(si), uint64(ri)))
-			if err := drive(chk, ref, len(rg.soc.Cores), rng, steps); err != nil {
-				t.Fatalf("%s %s: %v", sc.Name, rg.name, err)
+			st := chk.NewState()
+			for pass := range 2 {
+				rng := rand.New(rand.NewPCG(uint64(si), uint64(ri)))
+				if err := drive(st, ref, len(rg.soc.Cores), rng, steps); err != nil {
+					t.Fatalf("%s %s pass %d: %v", sc.Name, rg.name, pass, err)
+				}
+				st.Reset()
+				fresh := chk.NewState()
+				for id := 1; id <= len(rg.soc.Cores); id++ {
+					if st.OK(id) != fresh.OK(id) || st.Conflict(id) != fresh.Conflict(id) {
+						t.Fatalf("%s %s pass %d: after Reset, core %d gets OK %v, Conflict %q; a new State gives %v, %q",
+							sc.Name, rg.name, pass, id, st.OK(id), st.Conflict(id), fresh.OK(id), fresh.Conflict(id))
+					}
+				}
 			}
 		}
 	}
 }
 
-// drive runs one random sequence against a fresh State and the reference,
-// starting over whenever every core is complete.
-func drive(chk *constraint.Checker, ref *refChecker, n int, rng *rand.Rand, steps int) error {
-	st := chk.NewState()
+// drive runs one random sequence against st, which must have no core
+// running or complete, and the reference, resetting st whenever every core
+// is complete.
+func drive(st *constraint.State, ref *refChecker, n int, rng *rand.Rand, steps int) error {
 	running, complete := map[int]bool{}, map[int]bool{}
 	var trace []string
 	pick := func(want func(id int) bool) (int, bool) {
@@ -189,7 +202,7 @@ func drive(chk *constraint.Checker, ref *refChecker, n int, rng *rand.Rand, step
 	}
 	for range steps {
 		if len(complete) == n {
-			st = chk.NewState()
+			st.Reset()
 			running, complete = map[int]bool{}, map[int]bool{}
 			trace = trace[:0]
 		}
@@ -267,6 +280,7 @@ func TestStateDoesNotAllocate(t *testing.T) {
 		{"Start", st.Start},
 		{"Stop", st.Stop},
 		{"Complete", st.Complete},
+		{"Reset", func(int) { st.Reset() }},
 	} {
 		allocs := testing.AllocsPerRun(20, func() {
 			for id := 1; id <= n; id++ {

@@ -1,6 +1,7 @@
 package pareto
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,9 +9,11 @@ import (
 	"repro/internal/wrapper"
 )
 
-// TestSnapDownBoundaries table-tests the binary-search SnapDown on a set
-// with known Pareto widths, covering every boundary: below 1, exactly at a
-// Pareto width, between two Pareto widths, at MaxWidth, and beyond.
+// TestSnapDownBoundaries checks the table lookup of SnapDown against a
+// linear scan of the Pareto points at every width from below 1 to past
+// MaxWidth: on a set with known Pareto widths, on the random cores of
+// TestMinAreaMatchesExhaustive, and on every Capped(c) view of each for c
+// in 1..MaxWidth, which share the parent's table as a prefix.
 func TestSnapDownBoundaries(t *testing.T) {
 	// 8 chains of 100 bits: Pareto widths are exactly the divisors-driven
 	// drop positions of the staircase; read them from the computed set.
@@ -19,11 +22,20 @@ func TestSnapDownBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	isPareto := make(map[int]bool)
-	for _, p := range s.Points {
-		isPareto[p.Width] = true
+	for i, full := range append([]*Set{s}, randomSets(t)...) {
+		for cap := 1; cap <= full.MaxWidth; cap++ {
+			view, err := full.Capped(cap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSnapDown(t, fmt.Sprintf("set %d capped at %d", i, cap), view)
+		}
 	}
-	// Linear-scan reference for the expected answer.
+}
+
+// checkSnapDown compares s.SnapDown with a linear scan of s.Points.
+func checkSnapDown(t *testing.T, name string, s *Set) {
+	t.Helper()
 	ref := func(w int) (int, bool) {
 		best := 0
 		for _, p := range s.Points {
@@ -33,49 +45,58 @@ func TestSnapDownBoundaries(t *testing.T) {
 		}
 		return best, best != 0
 	}
-	cases := []int{-3, 0, 1, 2}
-	for _, p := range s.Points {
-		cases = append(cases, p.Width-1, p.Width, p.Width+1)
-	}
-	cases = append(cases, s.MaxWidth-1, s.MaxWidth, s.MaxWidth+1, s.MaxWidth+100)
-	for _, w := range cases {
-		got, gotOK := s.SnapDown(w)
-		want, wantOK := ref(w)
-		if got != want || gotOK != wantOK {
-			t.Errorf("SnapDown(%d) = (%d,%v), want (%d,%v)", w, got, gotOK, want, wantOK)
+	for _, w := range []int{-3, 0} {
+		if got, ok := s.SnapDown(w); got != 0 || ok {
+			t.Fatalf("%s: SnapDown(%d) = (%d,%v), want (0,false)", name, w, got, ok)
 		}
-		if gotOK && !isPareto[got] {
-			t.Errorf("SnapDown(%d) = %d is not Pareto-optimal", w, got)
+	}
+	if got, _ := s.SnapDown(s.MaxWidth + 100); got != s.MaxParetoWidth() {
+		t.Fatalf("%s: SnapDown(MaxWidth+100) = %d, want MaxParetoWidth %d", name, got, s.MaxParetoWidth())
+	}
+	for w := -1; w <= s.MaxWidth+2; w++ {
+		got, gotOK := s.SnapDown(w)
+		if want, wantOK := ref(w); got != want || gotOK != wantOK {
+			t.Fatalf("%s: SnapDown(%d) = (%d,%v), want (%d,%v)", name, w, got, gotOK, want, wantOK)
 		}
 	}
 }
 
-// TestMinAreaMatchesExhaustive asserts the Pareto-points-only MinArea
-// equals the exhaustive min over w of w·T(w) on random cores: T is
-// constant between Pareto points, so the area minimum can only sit at one.
-func TestMinAreaMatchesExhaustive(t *testing.T) {
+// randomSets returns the Pareto sets of 200 seeded random cores, each
+// under a random width cap in 1..32.
+func randomSets(t *testing.T) []*Set {
+	t.Helper()
 	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 200; i++ {
+	out := make([]*Set, 200)
+	for i := range out {
 		nchains := rng.Intn(10)
 		chains := make([]int, nchains)
 		for j := range chains {
 			chains[j] = rng.Intn(150)
 		}
 		c := scanCore(chains, rng.Intn(200), rng.Intn(200), 1+rng.Intn(100))
-		maxWidth := 1 + rng.Intn(32)
-		s, err := Compute(c, maxWidth)
+		s, err := Compute(c, 1+rng.Intn(32))
 		if err != nil {
 			t.Fatal(err)
 		}
+		out[i] = s
+	}
+	return out
+}
+
+// TestMinAreaMatchesExhaustive asserts the Pareto-points-only MinArea
+// equals the exhaustive min over w of w·T(w) on random cores: T is
+// constant between Pareto points, so the area minimum can only sit at one.
+func TestMinAreaMatchesExhaustive(t *testing.T) {
+	for i, s := range randomSets(t) {
 		exhaustive := int64(1) * s.Time(1)
-		for w := 2; w <= maxWidth; w++ {
+		for w := 2; w <= s.MaxWidth; w++ {
 			if a := int64(w) * s.Time(w); a < exhaustive {
 				exhaustive = a
 			}
 		}
 		if got := s.MinArea(); got != exhaustive {
 			t.Fatalf("case %d (maxWidth=%d): MinArea = %d, exhaustive scan = %d\npoints: %+v",
-				i, maxWidth, got, exhaustive, s.Points)
+				i, s.MaxWidth, got, exhaustive, s.Points)
 		}
 	}
 }

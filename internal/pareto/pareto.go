@@ -35,6 +35,9 @@ type Set struct {
 	Points []Point
 	// times caches T(w) for every w in 1..MaxWidth (index w-1).
 	times []int64
+	// snap holds the largest Pareto width <= w for every w in 1..MaxWidth
+	// (index w-1).
+	snap []int
 }
 
 // Compute builds the Pareto set of core c for widths 1..maxWidth.
@@ -53,7 +56,7 @@ func ComputeDesigns(c *soc.Core, maxWidth int) (*Set, []*wrapper.Design, error) 
 	if maxWidth < 1 {
 		return nil, nil, fmt.Errorf("pareto: core %d: non-positive max width %d", c.ID, maxWidth)
 	}
-	s := &Set{CoreID: c.ID, MaxWidth: maxWidth, times: make([]int64, maxWidth)}
+	s := &Set{CoreID: c.ID, MaxWidth: maxWidth, times: make([]int64, maxWidth), snap: make([]int, maxWidth)}
 	designs := make([]*wrapper.Design, maxWidth)
 	var prev int64 = -1
 	for w := 1; w <= maxWidth; w++ {
@@ -68,6 +71,7 @@ func ComputeDesigns(c *soc.Core, maxWidth int) (*Set, []*wrapper.Design, error) 
 			s.Points = append(s.Points, Point{Width: w, Time: t})
 			prev = t
 		}
+		s.snap[w-1] = s.MaxParetoWidth()
 	}
 	return s, designs, nil
 }
@@ -97,19 +101,15 @@ func (s *Set) MinTime() int64 {
 }
 
 // SnapDown returns the largest Pareto-optimal width <= w, and true when one
-// exists (w >= 1 always has one, since width 1 is Pareto-optimal). Points
-// are width-ascending, so this is a binary search — SnapDown sits inside
-// the scheduler's idle-insertion and widening inner loops.
+// exists (w >= 1 always has one, since width 1 is Pareto-optimal); widths
+// above MaxWidth snap to MaxParetoWidth. It is one lookup in a table built
+// with the staircase, not a search: SnapDown sits inside the classic
+// scheduler's idle-insertion and widening loops and the packing decoder.
 func (s *Set) SnapDown(w int) (int, bool) {
 	if w < 1 {
 		return 0, false
 	}
-	// First point with Width > w; its predecessor is the answer.
-	i := sort.Search(len(s.Points), func(k int) bool { return s.Points[k].Width > w })
-	if i == 0 {
-		return 0, false
-	}
-	return s.Points[i-1].Width, true
+	return s.snap[min(w, s.MaxWidth)-1], true
 }
 
 // PreferredWidth implements the Initialize subroutine (Fig. 5): choose the
@@ -157,7 +157,7 @@ func (s *Set) MinArea() int64 {
 // Capped returns a view of the set restricted to widths 1..cap. The Pareto
 // points of the capped staircase are exactly the prefix of the full set's
 // points, so this is cheap: the view shares the receiver's Points (capped
-// at their length, so an append copies) and time table.
+// at their length, so an append copies), time table and snap table.
 // cap values at or above MaxWidth return the receiver unchanged.
 func (s *Set) Capped(cap int) (*Set, error) {
 	if cap < 1 {
@@ -167,7 +167,7 @@ func (s *Set) Capped(cap int) (*Set, error) {
 		return s, nil
 	}
 	n := sort.Search(len(s.Points), func(k int) bool { return s.Points[k].Width > cap })
-	return &Set{CoreID: s.CoreID, MaxWidth: cap, Points: s.Points[:n:n], times: s.times[:cap]}, nil
+	return &Set{CoreID: s.CoreID, MaxWidth: cap, Points: s.Points[:n:n], times: s.times[:cap], snap: s.snap[:cap]}, nil
 }
 
 // Staircase returns the full (width, time) series for w = 1..MaxWidth,

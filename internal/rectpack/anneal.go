@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/constraint"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
@@ -16,17 +15,15 @@ import (
 // progress stalls. It returns the improvement chain, oldest first, which
 // begins with start itself. The moves are drawn from params.Seed (zero
 // means sched.DefaultSeed).
-func anneal(ctx context.Context, sp *obs.Span, cores []*core, chk *constraint.Checker, params sched.Params, penFor func(id, width int) int64, start *genome, startCost int64) ([]*genome, error) {
+func anneal(ctx context.Context, sp *obs.Span, dec *decoder, params sched.Params, start *genome, startCost int64) ([]*genome, error) {
 	seed := params.Seed
 	if seed == 0 {
 		seed = sched.DefaultSeed
 	}
 	rng := rand.New(rand.NewSource(seed))
 	wmax := min(params.MaxWidth, params.TAMWidth)
-	anyBudget := false
-	for _, c := range cores {
-		anyBudget = anyBudget || c.budget > 0
-	}
+	cores := dec.cores
+	budgeted := budgetedCores(cores)
 	chain := []*genome{start}
 	cur, curCost := start.clone(), startCost
 	bestCost := curCost
@@ -38,8 +35,8 @@ func anneal(ctx context.Context, sp *obs.Span, cores []*core, chk *constraint.Ch
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		undo := neighbor(cur, cores, wmax, anyBudget, rng)
-		res, err := decode(cores, cur, chk, params.TAMWidth, penFor)
+		u := neighbor(cur, cores, wmax, budgeted, rng)
+		res, err := dec.decode(cur)
 		cost := int64(math.MaxInt64)
 		if err == nil {
 			cost = res.makespan
@@ -55,7 +52,7 @@ func anneal(ctx context.Context, sp *obs.Span, cores []*core, chk *constraint.Ch
 				stall++
 			}
 		} else {
-			undo()
+			u.revert(cur)
 			stall++
 		}
 		if stall > iters/5 {
@@ -69,82 +66,116 @@ func anneal(ctx context.Context, sp *obs.Span, cores []*core, chk *constraint.Ch
 	return chain, nil
 }
 
-// neighbor mutates g in place with one random move and returns an undo
-// closure. Moves: swap two priority positions, relocate one core in the
-// priority order, re-aim a core at a different Pareto point, move its
-// quality floor, or (for budget-bearing cores) set, move, or clear its
-// forced split point.
-func neighbor(g *genome, cores []*core, wmax int, anyBudget bool, rng *rand.Rand) func() {
+// budgetedCores returns the positions of the cores with a preemption
+// budget, the only cores a split move may pick.
+func budgetedCores(cores []*core) []int {
+	var out []int
+	for i, c := range cores {
+		if c.budget > 0 {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// undo reverts one neighbor move: a swap or relocation between priority
+// positions i and j, or a change to core ci's cap, floor and split genes.
+type undo struct {
+	kind       undoKind
+	i, j, ci   int
+	cap, floor int
+	split      int64
+}
+
+type undoKind uint8
+
+const (
+	undoGenes undoKind = iota
+	undoSwap
+	undoRelocate
+)
+
+// revert restores g to its state before the move u records.
+func (u undo) revert(g *genome) {
+	switch u.kind {
+	case undoSwap:
+		g.perm[u.i], g.perm[u.j] = g.perm[u.j], g.perm[u.i]
+	case undoRelocate:
+		relocate(g.perm, u.j, u.i)
+	default:
+		g.cap[u.ci], g.floor[u.ci], g.split[u.ci] = u.cap, u.floor, u.split
+	}
+}
+
+// relocate moves perm[from] to position to, shifting the entries between
+// them by one and keeping their order.
+func relocate(perm []int, from, to int) {
+	v := perm[from]
+	if from < to {
+		copy(perm[from:to], perm[from+1:to+1])
+	} else {
+		copy(perm[to+1:from+1], perm[to:from])
+	}
+	perm[to] = v
+}
+
+// neighbor mutates g in place with one random move and returns the undo
+// value that reverts it. Moves: swap two priority positions, relocate one
+// core in the priority order, re-aim a core at a different Pareto point,
+// move its quality floor, or (for a core in budgeted, the positions
+// budgetedCores returns) set, move, or clear its forced split point.
+func neighbor(g *genome, cores []*core, wmax int, budgeted []int, rng *rand.Rand) undo {
 	n := len(g.perm)
 	kind := rng.Intn(100)
-	if !anyBudget && kind >= 90 {
+	if len(budgeted) == 0 && kind >= 90 {
 		kind = 60 // fold split moves into cap moves
 	}
 	switch {
 	case kind < 30: // swap two priority positions
 		i, j := rng.Intn(n), rng.Intn(n)
 		g.perm[i], g.perm[j] = g.perm[j], g.perm[i]
-		return func() { g.perm[i], g.perm[j] = g.perm[j], g.perm[i] }
+		return undo{kind: undoSwap, i: i, j: j}
 	case kind < 50: // relocate one core in the priority order
 		from, to := rng.Intn(n), rng.Intn(n)
-		v := g.perm[from]
-		g.perm = append(g.perm[:from], g.perm[from+1:]...)
-		g.perm = append(g.perm[:to], append([]int{v}, g.perm[to:]...)...)
-		return func() {
-			g.perm = append(g.perm[:to], g.perm[to+1:]...)
-			g.perm = append(g.perm[:from], append([]int{v}, g.perm[from:]...)...)
-		}
+		relocate(g.perm, from, to)
+		return undo{kind: undoRelocate, i: from, j: to}
+	}
+	var ci int
+	if kind < 90 {
+		ci = rng.Intn(n)
+	} else {
+		ci = budgeted[rng.Intn(len(budgeted))]
+	}
+	u := undo{kind: undoGenes, ci: ci, cap: g.cap[ci], floor: g.floor[ci], split: g.split[ci]}
+	set := cores[ci].set
+	switch {
 	case kind < 75: // re-aim a core at a different Pareto point
-		ci := rng.Intn(n)
-		old := g.cap[ci]
-		pts := cores[ci].set.Points
 		if rng.Intn(8) == 0 {
 			g.cap[ci] = wmax
 		} else {
-			g.cap[ci] = pts[rng.Intn(len(pts))].Width
+			g.cap[ci] = set.Points[rng.Intn(len(set.Points))].Width
 		}
-		oldFloor := g.floor[ci]
-		if w, ok := cores[ci].set.SnapDown(g.cap[ci]); ok && g.floor[ci] > w {
+		if w, ok := set.SnapDown(g.cap[ci]); ok && g.floor[ci] > w {
 			g.floor[ci] = 0 // keep the genome feasible: floor above cap never starts
 		}
-		return func() { g.cap[ci], g.floor[ci] = old, oldFloor }
 	case kind < 90: // move a core's quality floor
-		ci := rng.Intn(n)
-		old := g.floor[ci]
 		if rng.Intn(2) == 0 {
 			g.floor[ci] = 0
-		} else if w, ok := cores[ci].set.SnapDown(g.cap[ci]); ok {
-			pts := cores[ci].set.Points
-			f := pts[rng.Intn(len(pts))].Width
-			if f > w {
-				f = w
-			}
-			g.floor[ci] = f
+		} else if w, ok := set.SnapDown(g.cap[ci]); ok {
+			g.floor[ci] = min(set.Points[rng.Intn(len(set.Points))].Width, w)
 		}
-		return func() { g.floor[ci] = old }
 	default: // set, move, or clear a forced split point
-		budgeted := make([]int, 0, n)
-		for i, c := range cores {
-			if c.budget > 0 {
-				budgeted = append(budgeted, i)
-			}
-		}
-		ci := budgeted[rng.Intn(len(budgeted))]
-		old := g.split[ci]
-		if old != 0 && rng.Intn(3) == 0 {
+		if u.split != 0 && rng.Intn(3) == 0 {
 			g.split[ci] = 0
 		} else {
-			w, ok := cores[ci].set.SnapDown(g.cap[ci])
+			w, ok := set.SnapDown(g.cap[ci])
 			if !ok {
-				w = cores[ci].set.MaxParetoWidth()
+				w = set.MaxParetoWidth()
 			}
-			dur := cores[ci].set.Time(w)
+			dur := set.Time(w)
 			if dur > 1 {
 				// Split somewhere in the middle three quarters of the run.
-				lo := dur / 8
-				if lo < 1 {
-					lo = 1
-				}
+				lo := max(dur/8, 1)
 				hi := dur - dur/8
 				if hi <= lo {
 					hi = lo + 1
@@ -152,8 +183,8 @@ func neighbor(g *genome, cores []*core, wmax int, anyBudget bool, rng *rand.Rand
 				g.split[ci] = lo + rng.Int63n(hi-lo)
 			}
 		}
-		return func() { g.split[ci] = old }
 	}
+	return u
 }
 
 // iterBudget scales the annealing move count down as the SOC grows, so a

@@ -154,7 +154,7 @@ func TestIterBudget(t *testing.T) {
 }
 
 // TestNeighborUndo: every neighbor move must be perfectly reversible —
-// the annealer relies on the undo closure to reject moves without
+// the annealer relies on the undo value to reject moves without
 // re-decoding from a fresh genome.
 func TestNeighborUndo(t *testing.T) {
 	opt := optimizer(t, "d695")
@@ -167,15 +167,14 @@ func TestNeighborUndo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, anyBudget := range []bool{true, false} {
+	for _, budgeted := range [][]int{budgetedCores(cores), nil} {
 		rng := rand.New(rand.NewSource(1))
 		for _, seed := range seeds(cores, params.TAMWidth, modeAnneal) {
 			g, before := seed.clone(), seed.clone()
 			for i := 0; i < 50; i++ {
-				undo := neighbor(g, cores, params.TAMWidth, anyBudget, rng)
-				undo()
+				neighbor(g, cores, params.TAMWidth, budgeted, rng).revert(g)
 				if !reflect.DeepEqual(g, before) {
-					t.Fatalf("anyBudget=%t move %d: undo did not restore the genome", anyBudget, i)
+					t.Fatalf("budgets=%t move %d: undo did not restore the genome", budgeted != nil, i)
 				}
 			}
 		}

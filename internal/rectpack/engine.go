@@ -235,6 +235,35 @@ func (s *simCore) closeSeg(end int64) {
 	}
 }
 
+// decoder turns the genomes of one search into placements. It owns all
+// decode scratch: the per-core simulation states, whose segment slices are
+// truncated and reused, one constraint.State and preemptFor's victim list,
+// so a warmed decode allocates nothing, and a decode's result aliases that
+// scratch until the next decode. A decoder is not safe for concurrent use;
+// each search owns one.
+type decoder struct {
+	cores    []*core
+	tamWidth int
+	penFor   func(id, width int) int64 // the wrapper's preemption penalty
+	cs       *constraint.State
+	sim      []simCore // parallel to cores
+	victims  []int
+}
+
+// newDecoder returns the decoder of one search over cores at TAM width
+// tamWidth, charging preemption penalties from opt's design cache.
+func newDecoder(opt *sched.Optimizer, cores []*core, chk *constraint.Checker, tamWidth int) *decoder {
+	penFor := func(id, width int) int64 {
+		d := opt.Design(id, width)
+		if d == nil {
+			// Width in 1..maxWidth and core validated: cannot happen.
+			panic(fmt.Sprintf("rectpack: no cached design for core %d width %d", id, width))
+		}
+		return d.PreemptionPenalty()
+	}
+	return &decoder{cores: cores, tamWidth: tamWidth, penFor: penFor, cs: chk.NewState(), sim: make([]simCore, len(cores))}
+}
+
 // decoded is one genome's simulation outcome before wire assignment.
 type decoded struct {
 	sim      []simCore // parallel to the id-ascending core slice
@@ -246,6 +275,8 @@ type decoded struct {
 // decode runs the genome through the event-driven best-fit-decreasing
 // packer and returns the resulting placement, or an error when the genome
 // is infeasible (a constraint deadlock, or floors no free width meets).
+// The result aliases the decoder's scratch and stays valid only until the
+// next decode; emit may hand it to Assemble, which copies every span.
 // At every event each core is offered, in genome priority order, the
 // largest Pareto width that fits the free wires under its cap, subject to
 // its floor and the constraint checker. A core whose split gene fires
@@ -253,13 +284,15 @@ type decoded struct {
 // core may instead suspend weaker runners (preemptFor). Suspended cores
 // resume at their fixed width, paying the wrapper's preemption penalty
 // for the gap.
-func decode(cores []*core, g *genome, chk *constraint.Checker, tamWidth int, penFor func(id, width int) int64) (*decoded, error) {
-	n := len(cores)
-	sim := make([]simCore, n)
-	cs := chk.NewState()
+func (d *decoder) decode(g *genome) (decoded, error) {
+	cores, sim, cs := d.cores, d.sim, d.cs
+	for i := range sim {
+		sim[i] = simCore{segs: sim[i].segs[:0]} // keep the segments' storage
+	}
+	cs.Reset()
 	var now int64
-	avail := tamWidth
-	left := n
+	avail := d.tamWidth
+	left := len(cores)
 	events := 0
 	splits := 0
 	for left > 0 {
@@ -278,13 +311,13 @@ func decode(cores []*core, g *genome, chk *constraint.Checker, tamWidth int, pen
 					if !g.preempt {
 						continue
 					}
-					free, ok := preemptFor(cores, sim, g.perm, pos, s.width, avail, now, cs)
+					free, ok := d.preemptFor(g.perm, pos, s.width, avail, now)
 					if !ok {
 						continue
 					}
 					avail = free
 				}
-				s.resume(c, now, penFor)
+				s.resume(c, now, d.penFor)
 				cs.Start(c.id)
 				avail -= s.width
 			case simUnstarted:
@@ -299,7 +332,7 @@ func decode(cores []*core, g *genome, chk *constraint.Checker, tamWidth int, pen
 					if w, ok = c.set.SnapDown(g.cap[ci]); !ok || (floor > 0 && w < floor) {
 						continue
 					}
-					free, ok := preemptFor(cores, sim, g.perm, pos, w, avail, now, cs)
+					free, ok := d.preemptFor(g.perm, pos, w, avail, now)
 					if !ok {
 						continue
 					}
@@ -330,7 +363,7 @@ func decode(cores []*core, g *genome, chk *constraint.Checker, tamWidth int, pen
 			}
 		}
 		if next == -1 {
-			return nil, fmt.Errorf("rectpack: no core can run at t=%d with %d cores left", now, left)
+			return decoded{}, fmt.Errorf("rectpack: no core can run at t=%d with %d cores left", now, left)
 		}
 		for i := range sim {
 			s := &sim[i]
@@ -353,7 +386,7 @@ func decode(cores []*core, g *genome, chk *constraint.Checker, tamWidth int, pen
 		}
 		now = next
 	}
-	return &decoded{sim: sim, makespan: now, events: events, splits: splits}, nil
+	return decoded{sim: sim, makespan: now, events: events, splits: splits}, nil
 }
 
 // preemptFor tries to free want wires for the blocked core at priority
@@ -364,8 +397,9 @@ func decode(cores []*core, g *genome, chk *constraint.Checker, tamWidth int, pen
 // returned with ok true. When too few wires can be freed, or the
 // constraint checker refuses the core even with the victims gone, nothing
 // changes and ok is false.
-func preemptFor(cores []*core, sim []simCore, perm []int, pos, want, avail int, now int64, cs *constraint.State) (int, bool) {
-	var victims []int
+func (d *decoder) preemptFor(perm []int, pos, want, avail int, now int64) (int, bool) {
+	cores, sim, cs := d.cores, d.sim, d.cs
+	victims := d.victims[:0]
 	freed := 0
 	for vpos := len(perm) - 1; vpos > pos && avail+freed < want; vpos-- {
 		vi := perm[vpos]
@@ -374,6 +408,7 @@ func preemptFor(cores []*core, sim []simCore, perm []int, pos, want, avail int, 
 			freed += v.width
 		}
 	}
+	d.victims = victims
 	if avail+freed < want {
 		return avail, false
 	}
@@ -398,7 +433,7 @@ func preemptFor(cores []*core, sim []simCore, perm []int, pos, want, avail int, 
 // preempted resumes. Split layouts are busier than one-piece ones, so
 // first-fit placement can run out of simultaneously free wires; the
 // assembler then fails, and the search falls back to its next candidate.
-func emit(opt *sched.Optimizer, params sched.Params, cores []*core, res *decoded) (*sched.Schedule, error) {
+func emit(opt *sched.Optimizer, params sched.Params, cores []*core, res decoded) (*sched.Schedule, error) {
 	layouts := make([]sched.CoreLayout, len(cores))
 	for i, c := range cores {
 		s := &res.sim[i]
@@ -424,14 +459,7 @@ func search(ctx context.Context, sp *obs.Span, opt *sched.Optimizer, params sche
 	if err != nil {
 		return nil, err
 	}
-	penFor := func(id, width int) int64 {
-		d := opt.Design(id, width)
-		if d == nil {
-			// Width in 1..maxWidth and core validated: cannot happen.
-			panic(fmt.Sprintf("rectpack: no cached design for core %d width %d", id, width))
-		}
-		return d.PreemptionPenalty()
-	}
+	dec := newDecoder(opt, cores, chk, params.TAMWidth)
 
 	gs := seeds(cores, params.TAMWidth, m)
 	costs := make([]int64, len(gs)) // -1 = infeasible
@@ -441,7 +469,7 @@ func search(ctx context.Context, sp *obs.Span, opt *sched.Optimizer, params sche
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, err := decode(cores, g, chk, params.TAMWidth, penFor)
+		res, err := dec.decode(g)
 		if err != nil {
 			costs[i] = -1
 			if firstErr == nil {
@@ -459,7 +487,7 @@ func search(ctx context.Context, sp *obs.Span, opt *sched.Optimizer, params sche
 	}
 	chain := []*genome{gs[best]} // oldest first
 	if m == modeAnneal {
-		if chain, err = anneal(ctx, sp, cores, chk, params, penFor, gs[best], costs[best]); err != nil {
+		if chain, err = anneal(ctx, sp, dec, params, gs[best], costs[best]); err != nil {
 			return nil, err
 		}
 	}
@@ -480,7 +508,7 @@ func search(ctx context.Context, sp *obs.Span, opt *sched.Optimizer, params sche
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, err := decode(cores, g, chk, params.TAMWidth, penFor)
+		res, err := dec.decode(g)
 		if err == nil {
 			var sch *sched.Schedule
 			if sch, err = emit(opt, params, cores, res); err == nil {

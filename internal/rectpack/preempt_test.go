@@ -220,13 +220,13 @@ func TestPreemptSeedMakespans(t *testing.T) {
 		705427, 753373, 683294, 762164, 931974, 677610, 569121, 577885, 674780, 1765473,
 		636686, 592892, 574964, 598139, 1318478, 547575,
 	}
-	penFor := func(id, width int) int64 { return opt.Design(id, width).PreemptionPenalty() }
+	dec := newDecoder(opt, cores, chk, params.TAMWidth)
 	gs := seeds(cores, params.TAMWidth, modePreempt)
 	if len(gs) != len(want) {
 		t.Fatalf("%d seeds, want %d", len(gs), len(want))
 	}
 	for i, g := range gs {
-		res, err := decode(cores, g, chk, params.TAMWidth, penFor)
+		res, err := dec.decode(g)
 		if err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}

@@ -249,7 +249,7 @@ type CoreLayout struct {
 // designs are never mutated: Run allocates every piece of mutable state
 // per call (the runner, the per-core coreStates, the constraint.State and
 // Assemble's wire allocator), and pareto.Set.Capped hands out read-only
-// views that share the immutable time table. SweepBest and datavol.Run
+// views that share the immutable time and snap tables. SweepBest and datavol.Run
 // exploit this by fanning Run calls out over a worker pool (see
 // Params.Workers). Callers must not mutate the SOC passed to New while the
 // Optimizer is in use.
