@@ -110,19 +110,21 @@ func scheduleOnce(ctx context.Context, s *SOC, it BatchItem) (*TestSchedule, err
 	return o.ScheduleItem(ctx, it)
 }
 
-// Planner is a reusable scheduling session for one SOC. It precomputes the
-// per-core Pareto staircases and every (core, width) wrapper design once;
-// all subsequent scheduling runs, parameter sweeps, and width sweeps fetch
-// from those caches instead of redesigning wrappers. A service answering
-// repeated sweeps should hold one Planner per SOC — the package-level
-// Schedule/ScheduleBest/SweepWidths helpers rebuild the caches per call.
+// Planner is a reusable scheduling session for one SOC. It precomputes
+// every core's Pareto set once, designing each core's wrapper at every
+// width from 1 to 64 and keeping, per width, only the testing time and the
+// longest scan-in and scan-out; all subsequent scheduling runs, parameter
+// sweeps, and width sweeps read those tables and design no wrapper. A
+// service answering repeated sweeps should hold one Planner per SOC — the
+// package-level Schedule/ScheduleBest/SweepWidths helpers rebuild the sets
+// per call.
 //
 // A Planner is safe for concurrent use by multiple goroutines.
 type Planner struct {
 	opt *sched.Optimizer
 }
 
-// NewPlanner validates the SOC and builds the caches (width cap: the
+// NewPlanner validates the SOC and builds the Pareto sets (width cap: the
 // paper's 64 per core). The SOC must not be mutated while the Planner is
 // in use.
 func NewPlanner(s *SOC) (*Planner, error) {
@@ -133,14 +135,14 @@ func NewPlanner(s *SOC) (*Planner, error) {
 	return &Planner{opt: opt}, nil
 }
 
-// Schedule computes one test schedule from the cached designs: a single
-// classic run at the given (α, δ), or — when Options.Backend names a
-// non-classic backend — that backend's best schedule.
+// Schedule computes one test schedule from the cached Pareto sets: a
+// single classic run at the given (α, δ), or — when Options.Backend names
+// a non-classic backend — that backend's best schedule.
 func (p *Planner) Schedule(opts Options) (*TestSchedule, error) {
 	return p.opt.ScheduleItem(context.Background(), BatchItem{Params: opts})
 }
 
-// ScheduleItem answers one request from the cached designs under ctx: a
+// ScheduleItem answers one request from the cached Pareto sets under ctx: a
 // single classic run when the item leaves Best unset on the default
 // backend (as Schedule), the backend's best mode otherwise (as
 // ScheduleBestContext).
@@ -178,7 +180,7 @@ type BatchItem = sched.BatchItem
 type BatchResult = sched.BatchResult
 
 // ScheduleBatch runs many scheduling requests against the Planner's
-// cached designs with a bounded worker pool and returns one result per
+// cached Pareto sets with a bounded worker pool and returns one result per
 // item, in item order. Identical items (same canonical parameters; the
 // Workers knob is not semantic) are computed once and share the result,
 // giving library callers the same batching and deduplication semantics as
@@ -192,7 +194,7 @@ func (p *Planner) ScheduleBatch(ctx context.Context, items []BatchItem, workers 
 }
 
 // SOC returns the Planner's SOC (read-only; mutating it invalidates the
-// Planner's caches).
+// Planner's Pareto sets).
 func (p *Planner) SOC() *SOC { return p.opt.SOC() }
 
 // SweepWidths schedules the SOC at every TAM width in [lo, hi] (workers
@@ -211,17 +213,23 @@ func (p *Planner) SweepWidthsContext(ctx context.Context, lo, hi, workers int) (
 
 // Verify is CheckInvariants plus the timing model: every structural
 // invariant, then each core's base time and preemption penalty against its
-// wrapper design and the makespan against the last piece end, with wrapper
-// designs served from the cache.
+// wrapper's scan lengths and the makespan against the last piece end, with
+// the scan lengths read from the cached Pareto sets.
 func (p *Planner) Verify(sch *TestSchedule) error {
 	return p.opt.Verify(sch)
 }
 
-// WrapperDesign returns the cached wrapper design of a core at a width in
-// 1..DefaultMaxWidth (nil when out of range). The design is shared and
-// must be treated as read-only.
+// WrapperDesign designs the wrapper of a core at a width in
+// 1..DefaultMaxWidth (nil for an unknown core or a width out of range),
+// exactly as DesignWrapper does. The Planner keeps no wrapper chains, so
+// every call designs anew and the design belongs to the caller.
 func (p *Planner) WrapperDesign(coreID, width int) *WrapperDesign {
-	return p.opt.Design(coreID, width)
+	c := p.opt.SOC().Core(coreID)
+	if c == nil || width < 1 || width > DefaultMaxWidth {
+		return nil
+	}
+	d, _ := wrapper.DesignWrapper(c, width) // fails only for a nil core or width < 1
+	return d
 }
 
 // Pareto returns the cached Pareto set of a core.

@@ -182,26 +182,6 @@ func BenchmarkDesignWrapper(b *testing.B) {
 	}
 }
 
-// BenchmarkDesignWrapperCached measures the same width range served from
-// an Optimizer's (core, width) design cache — the scheduler's inner-loop
-// path since PR 2. Compare against BenchmarkDesignWrapper for the
-// cached-vs-uncached win.
-func BenchmarkDesignWrapperCached(b *testing.B) {
-	s := bench.D695()
-	opt, err := sched.New(s, sched.DefaultMaxWidth)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for w := 1; w <= 64; w++ {
-			if opt.Design(5, w) == nil {
-				b.Fatal("missing cached design")
-			}
-		}
-	}
-}
-
 // BenchmarkSweepBestD695 measures one full (α, δ, slack) parameter-grid
 // sweep at a fixed TAM width — the unit datavol.Run repeats per width.
 // Grid dedup collapses the default 225-point grid to the unique

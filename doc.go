@@ -26,15 +26,17 @@
 //	fmt.Println(sch.Makespan) // SOC testing time in cycles
 //
 // Callers issuing repeated runs or sweeps against one SOC should hold a
-// Planner: it precomputes the Pareto staircases and every (core, width)
-// wrapper design once and serves all subsequent scheduling from those
-// caches, where the package-level helpers rebuild them per call.
+// Planner: it builds every core's Pareto set once, a staircase plus a
+// per-width table of the testing time and the wrapper's longest scan-in
+// and scan-out, and serves all subsequent scheduling from those tables
+// without designing another wrapper, where the package-level helpers
+// rebuild them per call.
 //
 // The heavy lifting lives in the internal packages (soc, wrapper, pareto,
-// rect, constraint, sched, lb, datavol, bist, pattern, tamsim, baseline,
-// bench, report, experiments); this package re-exports the surface a
-// downstream user needs. The cmd/ tools regenerate every table and figure
-// of the paper; see DESIGN.md and EXPERIMENTS.md.
+// constraint, sched, rectpack, lb, datavol, bist, pattern, tamsim,
+// baseline, bench, report, experiments); this package re-exports the
+// surface a downstream user needs. The cmd/ tools regenerate every table
+// and figure of the paper; see DESIGN.md and EXPERIMENTS.md.
 //
 // # Service
 //
@@ -66,11 +68,12 @@
 // # Concurrency
 //
 // A sched.Optimizer (and therefore a Planner) is safe for concurrent use:
-// once constructed it holds only the SOC, immutable per-core Pareto sets,
-// and immutable cached wrapper designs, and every scheduling run allocates
-// its own mutable state. The parameter sweeps exploit this —
-// ScheduleBest fans the (α, δ, slack) grid and SweepWidths fans the TAM
-// width range out over a worker pool. The fan-out is bounded by the
+// once constructed it holds only the SOC and the immutable per-core Pareto
+// sets with their per-width tables, and every scheduling run allocates its
+// own mutable state (Planner.WrapperDesign designs a new wrapper per
+// call). The parameter sweeps exploit this — ScheduleBest fans the
+// (α, δ, slack) grid and SweepWidths fans the TAM width range out over a
+// worker pool. The fan-out is bounded by the
 // Workers knob (Options.Workers, or the workers argument of
 // SweepWidthsWorkers): 0 uses GOMAXPROCS, 1 forces the sequential path.
 // Parallel sweeps are deterministic: results are collected per grid point

@@ -83,8 +83,8 @@ func Run(s *soc.SOC, cfg Config) (*Sweep, error) {
 }
 
 // RunWith is Run against a pre-built scheduler optimizer, reusing its
-// Pareto-staircase and wrapper-design caches across sweeps (a service
-// answering repeated sweeps for one SOC pays the staircase construction
+// Pareto sets across sweeps (a service answering repeated sweeps for one
+// SOC pays the staircase construction, and with it every wrapper design,
 // once). The optimizer's width cap must cover cfg.Params.MaxWidth.
 func RunWith(opt *sched.Optimizer, cfg Config) (*Sweep, error) {
 	return RunWithContext(context.Background(), opt, cfg)

@@ -3,7 +3,6 @@ package pareto
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/wrapper"
@@ -101,27 +100,30 @@ func TestMinAreaMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestComputeDesigns asserts the retained designs are exactly what
-// DesignWrapper produces and consistent with the cached time table.
-func TestComputeDesigns(t *testing.T) {
+// TestTableMatchesDesignWrapper: at every width, the set's table and
+// every Capped(c) view, c in 1..MaxWidth, give the testing time, the scan
+// lengths and the preemption penalty of DesignWrapper's design.
+func TestTableMatchesDesignWrapper(t *testing.T) {
 	c := scanCore([]int{50, 40, 30, 20, 10}, 6, 4, 20)
-	s, designs, err := ComputeDesigns(c, 24)
+	s, err := Compute(c, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(designs) != 24 {
-		t.Fatalf("got %d designs, want 24", len(designs))
-	}
-	for w := 1; w <= 24; w++ {
-		want, err := wrapper.DesignWrapper(c, w)
+	for w := 1; w <= s.MaxWidth; w++ {
+		d, err := wrapper.DesignWrapper(c, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(designs[w-1], want) {
-			t.Fatalf("width %d: retained design differs from DesignWrapper", w)
-		}
-		if designs[w-1].TestTime() != s.Time(w) {
-			t.Fatalf("width %d: design time %d, set time %d", w, designs[w-1].TestTime(), s.Time(w))
+		for cap := w; cap <= s.MaxWidth; cap++ {
+			view, err := s.Capped(cap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			si, so := view.Scan(w)
+			if view.Time(w) != d.TestTime() || si != d.ScanInMax || so != d.ScanOutMax || view.Penalty(w) != d.PreemptionPenalty() {
+				t.Fatalf("width %d capped at %d: time %d, scan %d/%d, penalty %d; DesignWrapper gives %d, %d/%d, %d",
+					w, cap, view.Time(w), si, so, view.Penalty(w), d.TestTime(), d.ScanInMax, d.ScanOutMax, d.PreemptionPenalty())
+			}
 		}
 	}
 }

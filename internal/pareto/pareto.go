@@ -24,7 +24,8 @@ type Point struct {
 }
 
 // Set is the Pareto-optimal rectangle set R_i of one core, ordered by
-// strictly increasing Width and strictly decreasing Time.
+// strictly increasing Width and strictly decreasing Time, plus the core's
+// per-width table: everything a scheduler reads about the core at any width.
 type Set struct {
 	// CoreID identifies the core.
 	CoreID int
@@ -33,59 +34,65 @@ type Set struct {
 	MaxWidth int
 	// Points holds the Pareto points, Points[0].Width == 1.
 	Points []Point
-	// times caches T(w) for every w in 1..MaxWidth (index w-1).
-	times []int64
-	// snap holds the largest Pareto width <= w for every w in 1..MaxWidth
-	// (index w-1).
-	snap []int
+	// table holds one row for every w in 1..MaxWidth (index w-1).
+	table []row
 }
 
-// Compute builds the Pareto set of core c for widths 1..maxWidth.
+// row is one width's entry in a Set's table.
+type row struct {
+	time            int64 // T(w)
+	scanIn, scanOut int   // the wrapper's longest scan-in and scan-out, s_i and s_o
+	snap            int   // the largest Pareto width <= w
+}
+
+// Compute builds the Pareto set of core c for widths 1..maxWidth. It
+// designs the core's wrapper once per width and keeps only the numbers
+// the schedulers read, T(w), s_i and s_o; the wrapper chains are dropped,
+// so a set costs one table row per width.
 func Compute(c *soc.Core, maxWidth int) (*Set, error) {
-	s, _, err := ComputeDesigns(c, maxWidth)
-	return s, err
-}
-
-// ComputeDesigns builds the Pareto set of core c for widths 1..maxWidth and
-// additionally returns every wrapper design the staircase construction had
-// to produce anyway, indexed by width-1. Staircase construction is the only
-// place the framework pays for wrapper design; callers that keep the
-// returned slice (sched.Optimizer's per-(core,width) cache) never redesign
-// a wrapper again. The designs are immutable and safe to share.
-func ComputeDesigns(c *soc.Core, maxWidth int) (*Set, []*wrapper.Design, error) {
 	if maxWidth < 1 {
-		return nil, nil, fmt.Errorf("pareto: core %d: non-positive max width %d", c.ID, maxWidth)
+		return nil, fmt.Errorf("pareto: core %d: non-positive max width %d", c.ID, maxWidth)
 	}
-	s := &Set{CoreID: c.ID, MaxWidth: maxWidth, times: make([]int64, maxWidth), snap: make([]int, maxWidth)}
-	designs := make([]*wrapper.Design, maxWidth)
-	var prev int64 = -1
+	s := &Set{CoreID: c.ID, MaxWidth: maxWidth, table: make([]row, maxWidth)}
 	for w := 1; w <= maxWidth; w++ {
 		d, err := wrapper.DesignWrapper(c, w)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		designs[w-1] = d
 		t := d.TestTime()
-		s.times[w-1] = t
-		if prev == -1 || t < prev {
+		if len(s.Points) == 0 || t < s.MinTime() {
 			s.Points = append(s.Points, Point{Width: w, Time: t})
-			prev = t
 		}
-		s.snap[w-1] = s.MaxParetoWidth()
+		s.table[w-1] = row{time: t, scanIn: d.ScanInMax, scanOut: d.ScanOutMax, snap: s.MaxParetoWidth()}
 	}
-	return s, designs, nil
+	return s, nil
+}
+
+// at returns the table row of width w. Widths above MaxWidth saturate to
+// MaxWidth; widths below 1 panic (programmer error).
+func (s *Set) at(w int) *row {
+	if w < 1 {
+		panic(fmt.Sprintf("pareto: core %d: width %d < 1", s.CoreID, w))
+	}
+	return &s.table[min(w, s.MaxWidth)-1]
 }
 
 // Time returns T(w) for 1 <= w <= MaxWidth. Widths above MaxWidth saturate
 // to T(MaxWidth); widths below 1 panic (programmer error).
-func (s *Set) Time(w int) int64 {
-	if w < 1 {
-		panic(fmt.Sprintf("pareto: core %d: width %d < 1", s.CoreID, w))
-	}
-	if w > s.MaxWidth {
-		w = s.MaxWidth
-	}
-	return s.times[w-1]
+func (s *Set) Time(w int) int64 { return s.at(w).time }
+
+// Scan returns the longest scan-in and scan-out lengths of the core's
+// wrapper at width w (the paper's s_i and s_o), with Time's width rules.
+func (s *Set) Scan(w int) (scanIn, scanOut int) {
+	r := s.at(w)
+	return r.scanIn, r.scanOut
+}
+
+// Penalty returns the cycles one preemption costs at width w, s_i + s_o
+// (wrapper.Design.PreemptionPenalty), with Time's width rules.
+func (s *Set) Penalty(w int) int64 {
+	r := s.at(w)
+	return int64(r.scanIn) + int64(r.scanOut)
 }
 
 // MaxParetoWidth returns the highest Pareto-optimal width (the paper's w*):
@@ -109,7 +116,7 @@ func (s *Set) SnapDown(w int) (int, bool) {
 	if w < 1 {
 		return 0, false
 	}
-	return s.snap[min(w, s.MaxWidth)-1], true
+	return s.table[min(w, s.MaxWidth)-1].snap, true
 }
 
 // PreferredWidth implements the Initialize subroutine (Fig. 5): choose the
@@ -157,7 +164,7 @@ func (s *Set) MinArea() int64 {
 // Capped returns a view of the set restricted to widths 1..cap. The Pareto
 // points of the capped staircase are exactly the prefix of the full set's
 // points, so this is cheap: the view shares the receiver's Points (capped
-// at their length, so an append copies), time table and snap table.
+// at their length, so an append copies) and a prefix of its table.
 // cap values at or above MaxWidth return the receiver unchanged.
 func (s *Set) Capped(cap int) (*Set, error) {
 	if cap < 1 {
@@ -167,7 +174,7 @@ func (s *Set) Capped(cap int) (*Set, error) {
 		return s, nil
 	}
 	n := sort.Search(len(s.Points), func(k int) bool { return s.Points[k].Width > cap })
-	return &Set{CoreID: s.CoreID, MaxWidth: cap, Points: s.Points[:n:n], times: s.times[:cap], snap: s.snap[:cap]}, nil
+	return &Set{CoreID: s.CoreID, MaxWidth: cap, Points: s.Points[:n:n], table: s.table[:cap]}, nil
 }
 
 // Staircase returns the full (width, time) series for w = 1..MaxWidth,
@@ -175,7 +182,7 @@ func (s *Set) Capped(cap int) (*Set, error) {
 func (s *Set) Staircase() []Point {
 	out := make([]Point, s.MaxWidth)
 	for w := 1; w <= s.MaxWidth; w++ {
-		out[w-1] = Point{Width: w, Time: s.times[w-1]}
+		out[w-1] = Point{Width: w, Time: s.table[w-1].time}
 	}
 	return out
 }
@@ -183,23 +190,13 @@ func (s *Set) Staircase() []Point {
 // ComputeAll builds Pareto sets for every core of the SOC under the same
 // width cap, indexed by core ID.
 func ComputeAll(s *soc.SOC, maxWidth int) (map[int]*Set, error) {
-	sets, _, err := ComputeAllDesigns(s, maxWidth)
-	return sets, err
-}
-
-// ComputeAllDesigns builds Pareto sets and retains every wrapper design for
-// every core of the SOC, both indexed by core ID (designs additionally by
-// width-1). See ComputeDesigns.
-func ComputeAllDesigns(s *soc.SOC, maxWidth int) (map[int]*Set, map[int][]*wrapper.Design, error) {
 	sets := make(map[int]*Set, len(s.Cores))
-	designs := make(map[int][]*wrapper.Design, len(s.Cores))
 	for _, c := range s.Cores {
-		ps, ds, err := ComputeDesigns(c, maxWidth)
+		ps, err := Compute(c, maxWidth)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		sets[c.ID] = ps
-		designs[c.ID] = ds
 	}
-	return sets, designs, nil
+	return sets, nil
 }

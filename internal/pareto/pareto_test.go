@@ -50,7 +50,11 @@ func TestTimeMatchesWrapper(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := 1; w <= 12; w++ {
-		if got, want := s.Time(w), wrapper.TestTimeAt(c, w); got != want {
+		d, err := wrapper.DesignWrapper(c, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.Time(w), d.TestTime(); got != want {
 			t.Fatalf("Time(%d) = %d, wrapper says %d", w, got, want)
 		}
 	}

@@ -22,7 +22,7 @@ type decoderFixture struct {
 }
 
 func (fx *decoderFixture) decoder() *decoder {
-	return newDecoder(fx.opt, fx.cores, fx.chk, fx.params.TAMWidth)
+	return newDecoder(fx.cores, fx.chk, fx.params.TAMWidth)
 }
 
 // decoderFixtures returns the two budgeted fixtures: every preempt-rectpack
@@ -138,7 +138,7 @@ func TestAnnealStepDoesNotAllocate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec := newDecoder(opt, cores, chk, params.TAMWidth)
+		dec := newDecoder(cores, chk, params.TAMWidth)
 		budgeted := budgetedCores(cores)
 		g := seeds(cores, params.TAMWidth, modeAnneal)[0].clone()
 		rng := rand.New(rand.NewSource(1))

@@ -213,9 +213,9 @@ func (s *simCore) suspend(now int64) {
 // resume reopens a suspended core at its fixed width. A resume after a gap
 // is a preemption and pays the wrapper's penalty; a victim re-admitted at
 // the instant it was suspended merges back into its segment for free.
-func (s *simCore) resume(c *core, now int64, penFor func(id, width int) int64) {
+func (s *simCore) resume(c *core, now int64) {
 	if s.segs[len(s.segs)-1].End < now {
-		pen := penFor(c.id, s.width)
+		pen := c.set.Penalty(s.width)
 		s.preempts++
 		s.penalty += pen
 		s.remaining += pen
@@ -244,24 +244,15 @@ func (s *simCore) closeSeg(end int64) {
 type decoder struct {
 	cores    []*core
 	tamWidth int
-	penFor   func(id, width int) int64 // the wrapper's preemption penalty
 	cs       *constraint.State
 	sim      []simCore // parallel to cores
 	victims  []int
 }
 
 // newDecoder returns the decoder of one search over cores at TAM width
-// tamWidth, charging preemption penalties from opt's design cache.
-func newDecoder(opt *sched.Optimizer, cores []*core, chk *constraint.Checker, tamWidth int) *decoder {
-	penFor := func(id, width int) int64 {
-		d := opt.Design(id, width)
-		if d == nil {
-			// Width in 1..maxWidth and core validated: cannot happen.
-			panic(fmt.Sprintf("rectpack: no cached design for core %d width %d", id, width))
-		}
-		return d.PreemptionPenalty()
-	}
-	return &decoder{cores: cores, tamWidth: tamWidth, penFor: penFor, cs: chk.NewState(), sim: make([]simCore, len(cores))}
+// tamWidth.
+func newDecoder(cores []*core, chk *constraint.Checker, tamWidth int) *decoder {
+	return &decoder{cores: cores, tamWidth: tamWidth, cs: chk.NewState(), sim: make([]simCore, len(cores))}
 }
 
 // decoded is one genome's simulation outcome before wire assignment.
@@ -317,7 +308,7 @@ func (d *decoder) decode(g *genome) (decoded, error) {
 					}
 					avail = free
 				}
-				s.resume(c, now, d.penFor)
+				s.resume(c, now)
 				cs.Start(c.id)
 				avail -= s.width
 			case simUnstarted:
@@ -459,7 +450,7 @@ func search(ctx context.Context, sp *obs.Span, opt *sched.Optimizer, params sche
 	if err != nil {
 		return nil, err
 	}
-	dec := newDecoder(opt, cores, chk, params.TAMWidth)
+	dec := newDecoder(cores, chk, params.TAMWidth)
 
 	gs := seeds(cores, params.TAMWidth, m)
 	costs := make([]int64, len(gs)) // -1 = infeasible

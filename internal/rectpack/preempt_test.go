@@ -220,7 +220,7 @@ func TestPreemptSeedMakespans(t *testing.T) {
 		705427, 753373, 683294, 762164, 931974, 677610, 569121, 577885, 674780, 1765473,
 		636686, 592892, 574964, 598139, 1318478, 547575,
 	}
-	dec := newDecoder(opt, cores, chk, params.TAMWidth)
+	dec := newDecoder(cores, chk, params.TAMWidth)
 	gs := seeds(cores, params.TAMWidth, modePreempt)
 	if len(gs) != len(want) {
 		t.Fatalf("%d seeds, want %d", len(gs), len(want))

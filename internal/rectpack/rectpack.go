@@ -27,11 +27,11 @@
 //   - anneal adds two ascending orders and then runs seeded simulated
 //     annealing from the best seed, so it too is never worse than rectpack.
 //
-// All three reuse the sched.Optimizer's cached Pareto staircases and
-// wrapper designs, so no wrapper is ever redesigned here, and register
-// themselves with the sched backend registry on import. Every backend is
-// deterministic; anneal under a fixed Params.Seed (zero means
-// sched.DefaultSeed).
+// All three read the sched.Optimizer's cached Pareto sets, whose per-width
+// tables give each core's testing time and preemption penalty, so no
+// wrapper is designed here, and register themselves with the sched
+// backend registry on import. Every backend is deterministic; anneal
+// under a fixed Params.Seed (zero means sched.DefaultSeed).
 package rectpack
 
 import (

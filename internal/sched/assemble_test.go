@@ -49,9 +49,9 @@ func TestAssembleErrors(t *testing.T) {
 			{ID: 2, Width: 1, Spans: []Span{{5, 15}}},
 		}, "wire assignment"},
 		{"no spans", 4, []CoreLayout{{ID: 1, Width: 2}}, "no spans"},
-		{"zero core width", 4, []CoreLayout{{ID: 1, Width: 0, Spans: []Span{{0, 10}}}}, "no cached design"},
-		{"width above the cache", 16, []CoreLayout{{ID: 1, Width: 9, Spans: []Span{{0, 10}}}}, "no cached design"},
-		{"unknown core", 4, []CoreLayout{{ID: 99, Width: 1, Spans: []Span{{0, 10}}}}, "no cached design"},
+		{"zero core width", 4, []CoreLayout{{ID: 1, Width: 0, Spans: []Span{{0, 10}}}}, "unknown core or width"},
+		{"width above the cap", 16, []CoreLayout{{ID: 1, Width: 9, Spans: []Span{{0, 10}}}}, "unknown core or width"},
+		{"unknown core", 4, []CoreLayout{{ID: 99, Width: 1, Spans: []Span{{0, 10}}}}, "unknown core or width"},
 		{"negative start", 4, []CoreLayout{{ID: 1, Width: 1, Spans: []Span{{-1, 10}}}}, "bad span"},
 		{"empty span", 4, []CoreLayout{{ID: 1, Width: 1, Spans: []Span{{0, 10}, {20, 20}}}}, "bad span"},
 		{"zero TAM width", 0, nil, "non-positive TAM width"},
@@ -130,7 +130,7 @@ func TestAssembleKeepsPreemptionCount(t *testing.T) {
 		t.Fatal("no splittable core in the demo schedule")
 	}
 	l := &layouts[k]
-	pen := opt.Design(l.ID, l.Width).PreemptionPenalty()
+	pen := opt.ParetoSet(l.ID).Penalty(l.Width)
 	sp := l.Spans[0]
 	mid, gap := sp.Start+(sp.End-sp.Start)/2, sch.Makespan+10
 	l.Spans = []Span{{sp.Start, mid}, {mid + gap, sp.End + gap + pen}}

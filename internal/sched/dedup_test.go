@@ -2,9 +2,11 @@ package sched
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/soc"
 	"repro/internal/wrapper"
 )
 
@@ -125,37 +127,75 @@ func TestSweepBestDedupEveryPointFails(t *testing.T) {
 	}
 }
 
-// TestDesignCacheMatchesDesignWrapper asserts the (core, width) design
-// cache holds exactly what DesignWrapper would produce, over the full
-// width range, and that the cached-design Verify accepts real schedules.
-func TestDesignCacheMatchesDesignWrapper(t *testing.T) {
-	s := bench.D695()
+// TestParetoTableMatchesDesignWrapper: an Optimizer's Pareto sets give,
+// for every core at every width in 1..DefaultMaxWidth, the testing time,
+// scan lengths and preemption penalty of DesignWrapper's design, and so
+// does every Capped(c) view at every width up to c. Optimizer.Verify,
+// which reads those tables, and Verify, which designs every wrapper, both
+// accept each SOC's swept schedule.
+func TestParetoTableMatchesDesignWrapper(t *testing.T) {
+	socs := []*soc.SOC{bench.D695(), bench.P93791Like()}
+	for _, profile := range []string{"mixed", "combo", "longchain"} {
+		socs = append(socs, bench.Synth(bench.SynthConfig{Cores: 32, Seed: 1, Profile: profile}))
+	}
+	for _, s := range socs {
+		opt, err := New(s, DefaultMaxWidth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range s.Cores {
+			full := opt.ParetoSet(c.ID)
+			for w := 1; w <= DefaultMaxWidth; w++ {
+				d, err := wrapper.DesignWrapper(c, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for cap := w; cap <= DefaultMaxWidth; cap++ {
+					view, err := full.Capped(cap)
+					if err != nil {
+						t.Fatal(err)
+					}
+					si, so := view.Scan(w)
+					if view.Time(w) != d.TestTime() || si != d.ScanInMax || so != d.ScanOutMax || view.Penalty(w) != d.PreemptionPenalty() {
+						t.Fatalf("%s core %d width %d capped at %d: time %d, scan %d/%d, penalty %d; DesignWrapper gives %d, %d/%d, %d",
+							s.Name, c.ID, w, cap, view.Time(w), si, so, view.Penalty(w), d.TestTime(), d.ScanInMax, d.ScanOutMax, d.PreemptionPenalty())
+					}
+				}
+			}
+		}
+		sch, err := opt.SweepBest(Params{TAMWidth: 32, Workers: 1}, detPercents, detDeltas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := opt.Verify(sch); err != nil {
+			t.Fatalf("%s: Optimizer.Verify: %v", s.Name, err)
+		}
+		if err := Verify(s, sch); err != nil {
+			t.Fatalf("%s: Verify: %v", s.Name, err)
+		}
+	}
+}
+
+// TestOptimizerKeepsNoWrapperChains: an Optimizer retains its Pareto sets
+// and their per-width tables, not wrapper designs with their chain lists,
+// so a 200-core SOC's optimizer holds at most 8 KiB of heap per core (the
+// tables need about 2.1 KiB). Not parallel: HeapAlloc counts every
+// goroutine's allocations.
+func TestOptimizerKeepsNoWrapperChains(t *testing.T) {
+	s := bench.Synth(bench.SynthConfig{Cores: 200, Seed: 1})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	opt, err := New(s, DefaultMaxWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range s.Cores {
-		for w := 1; w <= DefaultMaxWidth; w++ {
-			want, err := wrapper.DesignWrapper(c, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := opt.Design(c.ID, w); !reflect.DeepEqual(got, want) {
-				t.Fatalf("core %d width %d: cached design differs", c.ID, w)
-			}
-		}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(opt)
+	perCore := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(len(s.Cores))
+	if perCore > 8<<10 {
+		t.Fatalf("optimizer retains %d bytes per core, want at most %d", perCore, 8<<10)
 	}
-	if opt.Design(1, 0) != nil || opt.Design(1, DefaultMaxWidth+1) != nil || opt.Design(9999, 8) != nil {
-		t.Fatal("out-of-range Design lookups must return nil")
-	}
-	sch, err := opt.SweepBest(Params{TAMWidth: 32, Workers: 1}, detPercents, detDeltas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := opt.Verify(sch); err != nil {
-		t.Fatalf("cached Verify: %v", err)
-	}
-	if err := Verify(s, sch); err != nil {
-		t.Fatalf("uncached Verify: %v", err)
-	}
+	t.Logf("optimizer retains %d bytes per core", perCore)
 }

@@ -206,17 +206,16 @@ func (s *Schedule) DataVolume() int64 { return int64(s.TAMWidth) * s.Makespan }
 type coreState struct {
 	id          int
 	pset        *pareto.Set
-	pref        int   // preferred TAM width (Initialize)
-	assigned    int   // TAM width assigned at first begin; fixed afterwards
-	firstBegin  int64 // first begin time
-	end         int64 // end time of the latest piece
-	remaining   int64 // testing time remaining
-	begun       bool  // has begun at least once
-	running     bool  // scheduled at this instant
-	complete    bool  // test finished
-	preempts    int   // resume-after-gap count
-	maxPreempts int   // designer-specified budget
-	design      *wrapper.Design
+	pref        int    // preferred TAM width (Initialize)
+	assigned    int    // TAM width assigned at first begin; fixed afterwards
+	firstBegin  int64  // first begin time
+	end         int64  // end time of the latest piece
+	remaining   int64  // testing time remaining
+	begun       bool   // has begun at least once
+	running     bool   // scheduled at this instant
+	complete    bool   // test finished
+	preempts    int    // resume-after-gap count
+	maxPreempts int    // designer-specified budget
 	spans       []Span // closed logical pieces, seamless ones merged
 	penalty     int64
 	runStart    int64 // start of the currently open piece
@@ -238,33 +237,27 @@ type CoreLayout struct {
 }
 
 // Optimizer schedules one SOC repeatedly with different parameters,
-// caching the expensive per-core Pareto staircases AND every (core, width)
-// wrapper design across runs (parameter sweeps and width sweeps reuse
-// them). The staircase construction designs every wrapper once anyway;
-// retaining the designs removes all wrapper design work from the
-// scheduler's inner loop.
+// caching every core's Pareto set across runs (parameter sweeps and width
+// sweeps reuse them). A set's per-width table holds T(w), s_i and s_o, all
+// a scheduler reads about a core, so no wrapper is designed after New.
 //
 // An Optimizer is safe for concurrent use by multiple goroutines. After
-// New returns, the SOC, the cached Pareto sets, and the cached wrapper
-// designs are never mutated: Run allocates every piece of mutable state
-// per call (the runner, the per-core coreStates, the constraint.State and
-// Assemble's wire allocator), and pareto.Set.Capped hands out read-only
-// views that share the immutable time and snap tables. SweepBest and datavol.Run
-// exploit this by fanning Run calls out over a worker pool (see
-// Params.Workers). Callers must not mutate the SOC passed to New while the
-// Optimizer is in use.
+// New returns, the SOC and the cached Pareto sets are never mutated: Run
+// allocates every piece of mutable state per call (the runner, the
+// per-core coreStates, the constraint.State and Assemble's wire
+// allocator), and pareto.Set.Capped hands out read-only views that share
+// the immutable per-width tables. SweepBest and datavol.Run exploit this
+// by fanning Run calls out over a worker pool (see Params.Workers).
+// Callers must not mutate the SOC passed to New while the Optimizer is in
+// use.
 type Optimizer struct {
 	soc      *soc.SOC
 	maxWidth int
 	sets     map[int]*pareto.Set
-	// designs caches the immutable wrapper design of every core at every
-	// width, indexed [coreID][width-1]. Populated once in New, read-only
-	// afterwards — concurrency-safe without locking.
-	designs map[int][]*wrapper.Design
 }
 
-// New validates the SOC and precomputes its Pareto sets and wrapper
-// designs up to maxWidth (0 means DefaultMaxWidth).
+// New validates the SOC and precomputes its Pareto sets up to maxWidth
+// (0 means DefaultMaxWidth).
 func New(s *soc.SOC, maxWidth int) (*Optimizer, error) {
 	if maxWidth == 0 {
 		maxWidth = DefaultMaxWidth
@@ -275,11 +268,11 @@ func New(s *soc.SOC, maxWidth int) (*Optimizer, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	sets, designs, err := pareto.ComputeAllDesigns(s, maxWidth)
+	sets, err := pareto.ComputeAll(s, maxWidth)
 	if err != nil {
 		return nil, err
 	}
-	return &Optimizer{soc: s, maxWidth: maxWidth, sets: sets, designs: designs}, nil
+	return &Optimizer{soc: s, maxWidth: maxWidth, sets: sets}, nil
 }
 
 // SOC returns the optimizer's SOC.
@@ -291,17 +284,6 @@ func (o *Optimizer) ParetoSet(coreID int) *pareto.Set { return o.sets[coreID] }
 // ParetoSets returns the cached Pareto sets of all cores, indexed by core
 // ID. The map and the sets are shared and must be treated as read-only.
 func (o *Optimizer) ParetoSets() map[int]*pareto.Set { return o.sets }
-
-// Design returns the cached wrapper design of a core at a width in
-// 1..maxWidth, or nil for unknown cores and out-of-range widths. The
-// design is shared and immutable.
-func (o *Optimizer) Design(coreID, width int) *wrapper.Design {
-	ds := o.designs[coreID]
-	if width < 1 || width > len(ds) {
-		return nil
-	}
-	return ds[width-1]
-}
 
 // Run schedules the SOC. The returned schedule satisfies all constraints;
 // Verify re-checks every invariant and is called by tests, not by Run.
@@ -356,7 +338,7 @@ func (o *Optimizer) Setup(params Params) (*constraint.Checker, []*pareto.Set, er
 // however wide the TAM. First-fit in start order always succeeds when no
 // instant needs more than TAMWidth wires (interval graphs are perfect); a
 // layout that does fails with an error. Each Assignment takes BaseTime,
-// ScanIn and ScanOut from the design cache and records Preemptions and
+// ScanIn and ScanOut from the core's Pareto set and records Preemptions and
 // PenaltyCycles exactly as the layout states them, for CheckInvariants to
 // cross-check.
 func (o *Optimizer) Assemble(params Params, layouts []CoreLayout) (*Schedule, error) {
@@ -379,19 +361,20 @@ func (o *Optimizer) Assemble(params Params, layouts []CoreLayout) (*Schedule, er
 		if len(l.Spans) == 0 {
 			return nil, fmt.Errorf("sched: core %d has no spans", l.ID)
 		}
-		d := o.Design(l.ID, l.Width)
-		if d == nil {
-			return nil, fmt.Errorf("sched: no cached design for core %d width %d", l.ID, l.Width)
+		ps := o.sets[l.ID]
+		if ps == nil || l.Width < 1 || l.Width > o.maxWidth {
+			return nil, fmt.Errorf("sched: core %d width %d: unknown core or width outside 1..%d", l.ID, l.Width, o.maxWidth)
 		}
+		si, so := ps.Scan(l.Width)
 		out.Assignments[l.ID] = &Assignment{
 			CoreID:        l.ID,
 			Width:         l.Width,
 			Pieces:        make([]Piece, 0, len(l.Spans)),
 			Preemptions:   l.Preemptions,
 			PenaltyCycles: l.Penalty,
-			BaseTime:      d.TestTime(),
-			ScanIn:        d.ScanInMax,
-			ScanOut:       d.ScanOutMax,
+			BaseTime:      ps.Time(l.Width),
+			ScanIn:        si,
+			ScanOut:       so,
 		}
 		for _, sp := range l.Spans {
 			if sp.Start < 0 || sp.End <= sp.Start {
@@ -453,7 +436,6 @@ func (o *Optimizer) run(params Params, chk *constraint.Checker, sets []*pareto.S
 	params = params.Defaults()
 	// Initialize (Fig. 5): Pareto rectangles and preferred widths.
 	run := &runner{
-		opt:    o,
 		params: params,
 		cs:     chk.NewState(),
 		ord:    make([]*coreState, len(sets)),
@@ -480,7 +462,6 @@ func (o *Optimizer) run(params Params, chk *constraint.Checker, sets []*pareto.S
 
 // runner holds the mutable state of one TAM_schedule_optimizer execution.
 type runner struct {
-	opt    *Optimizer // read-only: supplies cached wrapper designs
 	params Params
 	// cs holds the running and complete sets the Conflict checks read.
 	cs *constraint.State
@@ -661,15 +642,8 @@ func (r *runner) widenFresh() bool {
 	return true
 }
 
-// assignFresh starts a never-begun core at the given width. The wrapper
-// design comes from the optimizer's cache — no design work happens here.
+// assignFresh starts a never-begun core at the given width.
 func (r *runner) assignFresh(st *coreState, width int) {
-	d := r.opt.Design(st.id, width)
-	if d == nil {
-		// Width in 1..maxWidth and core validated: cannot happen.
-		panic(fmt.Sprintf("sched: no cached design for core %d width %d", st.id, width))
-	}
-	st.design = d
 	st.assigned = width
 	st.remaining = st.pset.Time(width)
 	st.begun = true
@@ -684,7 +658,7 @@ func (r *runner) assignFresh(st *coreState, width int) {
 func (r *runner) assignExisting(st *coreState) {
 	if st.end != r.now { // resume after a gap
 		st.preempts++
-		pen := st.design.PreemptionPenalty()
+		pen := st.pset.Penalty(st.assigned)
 		st.remaining += pen
 		st.penalty += pen
 	}
@@ -700,15 +674,9 @@ func (r *runner) open(st *coreState) {
 	r.wAvail -= st.assigned
 }
 
-// reopenWider replaces a just-opened piece with a wider one, fetching the
-// wider design from the optimizer's cache.
+// reopenWider replaces a just-opened piece with a wider one.
 func (r *runner) reopenWider(st *coreState, width int) {
 	r.wAvail += st.assigned
-	d := r.opt.Design(st.id, width)
-	if d == nil {
-		panic(fmt.Sprintf("sched: no cached design for core %d width %d", st.id, width))
-	}
-	st.design = d
 	st.assigned = width
 	st.remaining = st.pset.Time(width)
 	st.end = r.now + st.remaining
@@ -779,41 +747,53 @@ func (r *runner) deadlockError() error {
 // Verify is CheckInvariants plus the timing model: on top of every
 // structural invariant (wires, overlaps, split-test accounting, power,
 // precedence and mutual exclusion) it checks each core's BaseTime and
-// PenaltyCycles against a wrapper designed at its width, and the makespan
-// against the last piece end. It redesigns every wrapper from scratch;
-// Optimizer.Verify is the cached equivalent.
+// PenaltyCycles against the scan lengths of a wrapper designed at its
+// width, and the makespan against the last piece end. It designs every
+// wrapper from scratch; Optimizer.Verify reads the Pareto sets' tables.
 func Verify(s *soc.SOC, sch *Schedule) error {
-	return verify(s, sch, wrapper.DesignWrapper)
+	return verify(s, sch, designScan)
 }
 
 // Verify is the package-level Verify against the optimizer's SOC, with
-// wrapper designs served from the (core, width) cache instead of being
-// redesigned.
+// the scan lengths read from the Pareto sets' per-width tables; only a
+// width above the optimizer's cap designs its wrapper.
 func (o *Optimizer) Verify(sch *Schedule) error {
-	return verify(o.soc, sch, func(c *soc.Core, width int) (*wrapper.Design, error) {
-		if d := o.Design(c.ID, width); d != nil {
-			return d, nil
+	return verify(o.soc, sch, func(c *soc.Core, width int) (int, int, error) {
+		if width <= o.maxWidth {
+			si, so := o.sets[c.ID].Scan(width)
+			return si, so, nil
 		}
-		return wrapper.DesignWrapper(c, width)
+		return designScan(c, width)
 	})
 }
 
-// verify implements Verify with a pluggable wrapper-design source.
-func verify(s *soc.SOC, sch *Schedule, design func(*soc.Core, int) (*wrapper.Design, error)) error {
+// designScan designs core c's wrapper at width and returns its longest
+// scan-in and scan-out lengths.
+func designScan(c *soc.Core, width int) (scanIn, scanOut int, err error) {
+	d, err := wrapper.DesignWrapper(c, width)
+	if err != nil {
+		return 0, 0, err
+	}
+	return d.ScanInMax, d.ScanOutMax, nil
+}
+
+// verify implements Verify with a pluggable source of each core's longest
+// scan-in and scan-out at a width.
+func verify(s *soc.SOC, sch *Schedule, scan func(*soc.Core, int) (int, int, error)) error {
 	if err := CheckInvariants(s, sch); err != nil {
 		return err
 	}
 	var makespan int64
 	for _, c := range s.Cores {
 		a := sch.Assignments[c.ID]
-		d, err := design(c, a.Width)
+		si, so, err := scan(c, a.Width)
 		if err != nil {
 			return err
 		}
-		if d.TestTime() != a.BaseTime {
-			return fmt.Errorf("sched: core %d base time %d, wrapper says %d", c.ID, a.BaseTime, d.TestTime())
+		if t := wrapper.TestTime(si, so, c.Test.Patterns); t != a.BaseTime {
+			return fmt.Errorf("sched: core %d base time %d, wrapper says %d", c.ID, a.BaseTime, t)
 		}
-		if pen := int64(a.Preemptions) * d.PreemptionPenalty(); pen != a.PenaltyCycles {
+		if pen := int64(a.Preemptions) * (int64(si) + int64(so)); pen != a.PenaltyCycles {
 			return fmt.Errorf("sched: core %d penalty %d, want %d", c.ID, a.PenaltyCycles, pen)
 		}
 		makespan = max(makespan, a.End())
@@ -1077,45 +1057,32 @@ func DefaultPowerBudget(s *soc.SOC, factorPct int) int {
 	return (max*factorPct + 99) / 100
 }
 
-// LargerCorePreemptions builds the paper's Table-1 preemption policy:
-// a budget of n for the "larger cores" — those whose minimum testing time
-// is at or above the median — and 0 for the rest. It recomputes every
-// Pareto staircase; Optimizer.LargerCorePreemptions reuses the cache.
+// LargerCorePreemptions builds the paper's Table-1 preemption policy
+// under a per-core width cap of maxWidth: see
+// Optimizer.LargerCorePreemptions, which it calls on a new Optimizer.
 func LargerCorePreemptions(s *soc.SOC, maxWidth, n int) (map[int]int, error) {
 	if maxWidth < 1 {
 		return nil, fmt.Errorf("sched: non-positive max width %d", maxWidth)
 	}
-	minTime := func(c *soc.Core) (int64, error) {
-		ps, err := pareto.Compute(c, maxWidth)
-		if err != nil {
-			return 0, err
-		}
-		return ps.MinTime(), nil
+	o, err := New(s, maxWidth)
+	if err != nil {
+		return nil, err
 	}
-	return largerCorePreemptions(s, n, minTime)
+	return o.LargerCorePreemptions(n)
 }
 
-// LargerCorePreemptions is the package-level policy builder evaluated from
+// LargerCorePreemptions builds the paper's Table-1 preemption policy from
 // the optimizer's cached Pareto sets (width cap = the optimizer's
-// maxWidth), with no staircase recomputation.
+// maxWidth): a budget of n for the "larger cores" — those whose minimum
+// testing time is at or above the median — and 0 for the rest.
 func (o *Optimizer) LargerCorePreemptions(n int) (map[int]int, error) {
-	return largerCorePreemptions(o.soc, n, func(c *soc.Core) (int64, error) {
-		return o.sets[c.ID].MinTime(), nil
-	})
-}
-
-func largerCorePreemptions(s *soc.SOC, n int, minTime func(*soc.Core) (int64, error)) (map[int]int, error) {
 	type ct struct {
 		id int
 		t  int64
 	}
 	var all []ct
-	for _, c := range s.Cores {
-		t, err := minTime(c)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, ct{c.ID, t})
+	for _, c := range o.soc.Cores {
+		all = append(all, ct{c.ID, o.sets[c.ID].MinTime()})
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].t < all[j].t })
 	median := all[len(all)/2].t

@@ -26,9 +26,9 @@ import (
 const siteRegistryBuild = "service/registry/build"
 
 // DefaultPlannerCapacity bounds the Planner LRU when Config leaves it
-// unset. Planners hold every (core, width) wrapper design and Pareto
-// staircase of their SOC, so they are the registry's memory cost; SOC
-// descriptions themselves are tiny and retained for every upload.
+// unset. Planners hold every core's Pareto set, one table row per (core,
+// width) or about 2.3 KiB per core, so they are the registry's main
+// memory cost; SOC descriptions are smaller and retained for every upload.
 const DefaultPlannerCapacity = 32
 
 // ErrUnknownSOC reports a schedule/sweep request naming a SOC that was

@@ -322,13 +322,3 @@ func fill(chains []Chain, n int, loadOf func(*Chain) int, add func(*Chain, int))
 		}
 	}
 }
-
-// TestTimeAt is a convenience: design a wrapper for c at the given width and
-// return its test time. It panics only on programmer error (width < 1).
-func TestTimeAt(c *soc.Core, width int) int64 {
-	d, err := DesignWrapper(c, width)
-	if err != nil {
-		panic(err)
-	}
-	return d.TestTime()
-}

@@ -296,23 +296,6 @@ func TestBFDOptimalOnKnownInstances(t *testing.T) {
 	}
 }
 
-func TestTestTimeAt(t *testing.T) {
-	c := scanCore(1, 2, 2, 0, []int{6}, 3)
-	d, err := DesignWrapper(c, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := TestTimeAt(c, 2); got != d.TestTime() {
-		t.Fatalf("TestTimeAt = %d, want %d", got, d.TestTime())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("TestTimeAt(width 0) did not panic")
-		}
-	}()
-	TestTimeAt(c, 0)
-}
-
 func TestChainAccessors(t *testing.T) {
 	ch := Chain{ScanBits: 10, InputCells: 3, OutputCells: 2, BidirCells: 1}
 	if ch.ScanIn() != 14 {

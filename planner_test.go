@@ -62,6 +62,11 @@ func TestPlannerMatchesPackageHelpers(t *testing.T) {
 	if !reflect.DeepEqual(d, wd) {
 		t.Fatal("Planner.WrapperDesign differs from DesignWrapper")
 	}
+	// The design belongs to the caller: changing it changes no later call.
+	d.Chains[0].ScanChains, d.Chains[0].ScanBits = nil, -1
+	if !reflect.DeepEqual(p.WrapperDesign(1, 8), wd) {
+		t.Fatal("mutating a returned WrapperDesign changed the next call's result")
+	}
 	if p.WrapperDesign(1, 0) != nil || p.WrapperDesign(1, DefaultMaxWidth+1) != nil {
 		t.Fatal("out-of-range WrapperDesign must return nil")
 	}
