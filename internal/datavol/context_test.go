@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -97,5 +98,38 @@ func TestRunWithContextCancelMidSweep(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("cancelled sweep never returned")
+	}
+}
+
+// countingCtx is a context whose Err reports DeadlineExceeded from its
+// turn-th call on, so a test can expire a deadline at an exact point of a
+// sweep without a clock.
+type countingCtx struct {
+	context.Context
+	turn  int64
+	calls atomic.Int64
+}
+
+func (c *countingCtx) Err() error {
+	if c.calls.Add(1) >= c.turn {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestRunWithContextDeadlineInsideWidth: a deadline that expires inside
+// the last width's grid sweep, on the sequential path, comes back as an
+// error that errors.Is matches to context.DeadlineExceeded, so the service
+// answers 504 and counts a timeout. The third Err call falls between two
+// grid points of width 32's sweep.
+func TestRunWithContextDeadlineInsideWidth(t *testing.T) {
+	opt, err := sched.New(bench.D695(), sched.DefaultMaxWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &countingCtx{Context: context.Background(), turn: 3}
+	sw, err := RunWithContext(ctx, opt, Config{WidthLo: 32, WidthHi: 32, Workers: 1})
+	if sw != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("got (%v, %v), want an error matching context.DeadlineExceeded", sw, err)
 	}
 }

@@ -127,7 +127,7 @@ func RunWithContext(ctx context.Context, opt *sched.Optimizer, cfg Config) (*Swe
 		p.TAMWidth, p.Workers = w, 1
 		best, err := opt.SweepBestContext(ctx, p, cfg.Percents, cfg.Deltas)
 		if err != nil {
-			errs[i] = fmt.Errorf("datavol: width %d: %v", w, err)
+			errs[i] = fmt.Errorf("datavol: width %d: %w", w, err)
 			for {
 				cur := minFail.Load()
 				if int64(i) >= cur || minFail.CompareAndSwap(cur, int64(i)) {

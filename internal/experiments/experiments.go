@@ -43,11 +43,14 @@ type Table1Row struct {
 	LowerBound int64
 	// NonPreemptive, Preemptive, PowerConstrained are the scheduled SOC
 	// testing times under the three regimes (power-constrained includes
-	// preemption, as in the paper).
+	// the preemption budgets, as in the paper). The classic scheduler
+	// never splits a test, so the budgets change no schedule and
+	// Preemptive equals NonPreemptive.
 	NonPreemptive    int64
 	Preemptive       int64
 	PowerConstrained int64
-	// Preemptions counts resume-after-gap events in the power run.
+	// Preemptions counts resume-after-gap events in the power run: 0 for
+	// the classic scheduler.
 	Preemptions int
 	// PowerMax echoes the budget used.
 	PowerMax int

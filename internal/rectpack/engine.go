@@ -420,10 +420,10 @@ func (d *decoder) preemptFor(perm []int, pos, want, avail int, now int64) (int, 
 
 // emit lays a decoded solution onto concrete TAM wires with the
 // optimizer's shared assembler, which places a resumed segment on its
-// previous wires when it can, exactly like the classic scheduler's
-// preempted resumes. Split layouts are busier than one-piece ones, so
-// first-fit placement can run out of simultaneously free wires; the
-// assembler then fails, and the search falls back to its next candidate.
+// previous wires when it can. Split layouts are busier than one-piece
+// ones, so first-fit placement can run out of simultaneously free wires;
+// the assembler then fails, and the search falls back to its next
+// candidate.
 func emit(opt *sched.Optimizer, params sched.Params, cores []*core, res decoded) (*sched.Schedule, error) {
 	layouts := make([]sched.CoreLayout, len(cores))
 	for i, c := range cores {

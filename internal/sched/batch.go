@@ -73,15 +73,16 @@ func (it BatchItem) Key() string {
 }
 
 // ScheduleItem answers one request: one classic Run at the given (α, δ)
-// for a single-run item, the backend's best mode (ScheduleBackend)
-// otherwise. It is the one dispatch the repro API, ScheduleBatch, the
-// service and the corpus replayer share, so they can never disagree about
-// which requests take the single-run path.
+// for a single-run item, which checks ctx as a sweep's grid points do, the
+// backend's best mode (ScheduleBackend) otherwise. It is the one dispatch
+// the repro API, ScheduleBatch, the service and the corpus replayer share,
+// so they can never disagree about which requests take the single-run
+// path.
 func (o *Optimizer) ScheduleItem(ctx context.Context, it BatchItem) (*Schedule, error) {
 	if it.best() {
 		return o.ScheduleBackend(ctx, it.Params)
 	}
-	return o.Run(it.Params)
+	return o.runContext(ctx, it.Params)
 }
 
 // BatchResult is one item's outcome: the schedule, or the item's own

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -58,6 +59,79 @@ func TestSweepBestContextCancelled(t *testing.T) {
 		sch, err := opt.SweepBestContext(ctx, Params{TAMWidth: 32, Workers: workers}, nil, nil)
 		if sch != nil || !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: got (%v, %v), want (nil, context.Canceled)", workers, sch, err)
+		}
+	}
+}
+
+// countingCtx is a context whose Err reports DeadlineExceeded from its
+// turn-th call on, so a test can expire a deadline at an exact point of a
+// run without a clock.
+type countingCtx struct {
+	context.Context
+	turn  int64
+	calls atomic.Int64
+}
+
+func (c *countingCtx) Err() error {
+	if c.calls.Add(1) >= c.turn {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestRunnerChecksContext: a classic run checks its context every
+// ctxCheckEvents Update events, in a sweep's grid points and in
+// ScheduleItem's single run alike. Wherever the deadline expires, even
+// inside the last grid point, the call returns ctx's error and no
+// schedule; a context that never expires leaves both results
+// byte-identical to the context-free calls.
+func TestRunnerChecksContext(t *testing.T) {
+	s := bench.Synth(bench.SynthConfig{Cores: 150, Seed: 3})
+	opt, err := New(s, DefaultMaxWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepParams := Params{TAMWidth: 32, InsertSlack: DefaultInsertSlack, Workers: 1}
+	runParams := Params{TAMWidth: 32, Percent: 5, Delta: 1}
+	wantSweep, err := opt.SweepBest(sweepParams, detPercents, detDeltas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRun, err := opt.Run(runParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantRun.Events < 2*ctxCheckEvents {
+		t.Fatalf("a run takes %d events; the test needs at least %d", wantRun.Events, 2*ctxCheckEvents)
+	}
+	calls := []struct {
+		name   string
+		call   func(context.Context) (*Schedule, error)
+		want   *Schedule
+		checks int64 // Err calls of a context that never expires; 0: not pinned
+	}{
+		{"sweep", func(ctx context.Context) (*Schedule, error) {
+			return opt.SweepBestContext(ctx, sweepParams, detPercents, detDeltas)
+		}, wantSweep, 0},
+		{"single run", func(ctx context.Context) (*Schedule, error) {
+			return opt.ScheduleItem(ctx, BatchItem{Params: runParams})
+		}, wantRun, int64(wantRun.Events / ctxCheckEvents)},
+	}
+	for _, c := range calls {
+		never := &countingCtx{Context: context.Background(), turn: math.MaxInt64}
+		got, err := c.call(never)
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("%s: a context that never expires changed the result (err %v)", c.name, err)
+		}
+		n := never.calls.Load()
+		if c.checks > 0 && n != c.checks {
+			t.Fatalf("%s checked its context %d times, want %d", c.name, n, c.checks)
+		}
+		for turn := int64(1); turn <= n; turn++ {
+			ctx := &countingCtx{Context: context.Background(), turn: turn}
+			if sch, err := c.call(ctx); sch != nil || !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("%s: deadline at Err call %d of %d: got (%v, %v), want (nil, DeadlineExceeded)", c.name, turn, n, sch, err)
+			}
 		}
 	}
 }

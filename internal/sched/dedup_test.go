@@ -35,38 +35,103 @@ func (o *Optimizer) sweepBestRef(params Params, percents, deltas []int) (*Schedu
 	return best, nil
 }
 
-// TestSweepBestDedupMatchesFullGrid asserts the tentpole bar for the grid
-// deduplication: SweepBest (unique preferred-width fingerprints only) must
-// return a schedule identical — field for field, wire for wire, params
-// echo included — to the retained pre-dedup reference that runs every
-// grid point, on both benchmark SOCs, sequentially and with a worker pool.
+// synthRegimes are bench.Synth SOCs that each stress one constraint
+// regime: a power budget, extra precedences and concurrencies, one BIST
+// engine shared by every memory, and hierarchy.
+func synthRegimes() []*soc.SOC {
+	return []*soc.SOC{
+		bench.Synth(bench.SynthConfig{Name: "synth-power", Cores: 24, Seed: 11, PowerValues: true, PowerBudgetPct: 130}),
+		bench.Synth(bench.SynthConfig{Name: "synth-constraints", Cores: 24, Seed: 12, ExtraPrecedences: 6, ExtraConcurrencies: 6}),
+		bench.Synth(bench.SynthConfig{Name: "synth-bist1", Cores: 24, Seed: 13, BISTEngines: 1}),
+		bench.Synth(bench.SynthConfig{Name: "synth-hierarchy", Cores: 24, Seed: 14, HierarchyPct: 40}),
+	}
+}
+
+// TestSweepBestDedupMatchesFullGrid: SweepBest, which runs the unique
+// preferred-width fingerprints on reused runners and wires only the
+// winner, returns a schedule identical (field for field, wire for wire,
+// Events and the params echo included) to the reference that runs and
+// wires every grid point. It covers d695 and demo8, and the synthRegimes
+// SOCs with LargerCorePreemptions(3) budgets, sequentially and with a
+// worker pool.
 func TestSweepBestDedupMatchesFullGrid(t *testing.T) {
+	type input struct {
+		s       *soc.SOC
+		budgets bool
+	}
+	var inputs []input
 	for _, name := range []string{"d695", "demo8"} {
 		s, err := bench.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := New(s, DefaultMaxWidth)
+		inputs = append(inputs, input{s, false})
+	}
+	for _, s := range synthRegimes() {
+		inputs = append(inputs, input{s, true})
+	}
+	for _, in := range inputs {
+		opt, err := New(in.s, DefaultMaxWidth)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var mp map[int]int
+		if in.budgets {
+			if mp, err = opt.LargerCorePreemptions(3); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for _, w := range []int{16, 32} {
 			for _, workers := range []int{1, 4} {
-				p := Params{TAMWidth: w, Workers: workers}
+				p := Params{TAMWidth: w, MaxPreemptions: mp, Workers: workers}
 				got, err := opt.SweepBest(p, detPercents, detDeltas)
 				if err != nil {
-					t.Fatalf("%s W=%d workers=%d: %v", name, w, workers, err)
+					t.Fatalf("%s W=%d workers=%d: %v", in.s.Name, w, workers, err)
 				}
 				want, err := opt.sweepBestRef(p, detPercents, detDeltas)
 				if err != nil {
-					t.Fatalf("%s W=%d workers=%d (ref): %v", name, w, workers, err)
+					t.Fatalf("%s W=%d workers=%d (ref): %v", in.s.Name, w, workers, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s W=%d workers=%d: dedup sweep differs\n got  makespan=%d params=%+v\n want makespan=%d params=%+v",
-						name, w, workers, got.Makespan, got.Params, want.Makespan, want.Params)
+					t.Errorf("%s W=%d workers=%d: dedup sweep differs\n got  makespan=%d events=%d params=%+v\n want makespan=%d events=%d params=%+v",
+						in.s.Name, w, workers, got.Makespan, got.Events, got.Params, want.Makespan, want.Events, want.Params)
 				}
 			}
 		}
+	}
+}
+
+// TestSweepBestAllocsIndependentOfReps: a sweep allocates the same for
+// any number of distinct runs. Each worker reuses one runner, a run
+// allocates nothing, and only the winner is wired, so d695 sweeps of the
+// same 225-point grid with 3 to 105 representatives allocate within a few
+// objects of each other (92 here), where a run that allocated would add
+// dozens per representative.
+func TestSweepBestAllocsIndependentOfReps(t *testing.T) {
+	opt, err := New(bench.D695(), DefaultMaxWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base float64
+	for i, w := range []int{2, 8, 24, 48} {
+		grid := buildGrid(Params{TAMWidth: w}, nil, nil)
+		_, sets, err := opt.Setup(grid[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps, _ := gridReps(grid, sets)
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := opt.SweepBest(Params{TAMWidth: w, Workers: 1}, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if i == 0 {
+			base = allocs
+		}
+		if allocs > base+8 {
+			t.Errorf("W=%d: %d representatives allocate %.0f objects per sweep; W=2's sweep allocates %.0f", w, len(reps), allocs, base)
+		}
+		t.Logf("W=%d: %d representatives, %.0f allocations per sweep", w, len(reps), allocs)
 	}
 }
 
@@ -84,7 +149,7 @@ func TestSweepBestDedupCollapsesGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps := gridReps(grid, sets)
+	reps, _ := gridReps(grid, sets)
 	if len(reps) == 0 || len(reps) >= len(grid) {
 		t.Fatalf("dedup collapsed %d grid points to %d; expected a strict, non-empty reduction", len(grid), len(reps))
 	}

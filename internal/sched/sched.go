@@ -2,15 +2,19 @@
 // wrapper/TAM co-optimization and test scheduling by generalized rectangle
 // packing (Problems 1 and 2 of the paper). It selects a Pareto-optimal
 // rectangle (TAM width, testing time) for each core, packs rectangles into
-// the W-wire bin over time with a three-priority selection loop, fills idle
+// the W-wire bin over time with the paper's selection loop, fills idle
 // wires by squeezing in or widening rectangles, and supports precedence,
-// concurrency, power and BIST constraints plus selective test preemption.
+// concurrency, power and BIST constraints. A placed rectangle keeps its
+// wires until it ends, so this scheduler never splits a test; Assemble and
+// CheckInvariants also take the split layouts of the preemptive backends.
 package sched
 
 import (
 	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -49,7 +53,10 @@ type Params struct {
 	// within Delta wires of the highest Pareto width are promoted to it.
 	Delta int
 	// MaxPreemptions maps core ID to its preemption budget. Missing cores
-	// get 0 (non-preemptable). Nil disables preemption entirely.
+	// get 0 (non-preemptable). Nil disables preemption entirely. Only the
+	// preempt-rectpack and anneal backends spend budgets: the classic
+	// runner never splits a test, so its schedules are the same with or
+	// without them.
 	MaxPreemptions map[int]int
 	// PowerMax is the SOC power budget (0 = unconstrained; overrides the
 	// SOC's own value when set).
@@ -202,23 +209,18 @@ func (s *Schedule) Utilization() float64 {
 // per-pin vector memory depth (= makespan) times the number of TAM pins.
 func (s *Schedule) DataVolume() int64 { return int64(s.TAMWidth) * s.Makespan }
 
-// coreState is the paper's Fig. 3 data structure.
+// coreState is the paper's Fig. 3 data structure for one core. A test is
+// one rectangle: once begun it keeps its width and its wires until it ends,
+// so a begun test is complete exactly when it is no longer running.
 type coreState struct {
-	id          int
-	pset        *pareto.Set
-	pref        int    // preferred TAM width (Initialize)
-	assigned    int    // TAM width assigned at first begin; fixed afterwards
-	firstBegin  int64  // first begin time
-	end         int64  // end time of the latest piece
-	remaining   int64  // testing time remaining
-	begun       bool   // has begun at least once
-	running     bool   // scheduled at this instant
-	complete    bool   // test finished
-	preempts    int    // resume-after-gap count
-	maxPreempts int    // designer-specified budget
-	spans       []Span // closed logical pieces, seamless ones merged
-	penalty     int64
-	runStart    int64 // start of the currently open piece
+	id       int
+	pset     *pareto.Set
+	pref     int   // preferred TAM width (Initialize)
+	assigned int   // TAM width, fixed when the test begins
+	begin    int64 // begin time
+	end      int64 // end time
+	begun    bool
+	running  bool
 }
 
 // Span is one closed time interval [Start, End) of a core's test.
@@ -242,12 +244,12 @@ type CoreLayout struct {
 // a scheduler reads about a core, so no wrapper is designed after New.
 //
 // An Optimizer is safe for concurrent use by multiple goroutines. After
-// New returns, the SOC and the cached Pareto sets are never mutated: Run
-// allocates every piece of mutable state per call (the runner, the
-// per-core coreStates, the constraint.State and Assemble's wire
-// allocator), and pareto.Set.Capped hands out read-only views that share
-// the immutable per-width tables. SweepBest and datavol.Run exploit this
-// by fanning Run calls out over a worker pool (see Params.Workers).
+// New returns, the SOC and the cached Pareto sets are never mutated: each
+// Run and each sweep owns its runners (the per-core states and the
+// constraint.State) and Assemble's wire allocator, and pareto.Set.Capped
+// hands out read-only views that share the immutable per-width tables.
+// SweepBest fans its grid out over a worker pool, one reused runner per
+// worker, and datavol.Run fans its widths out (see Params.Workers).
 // Callers must not mutate the SOC passed to New while the Optimizer is in
 // use.
 type Optimizer struct {
@@ -264,6 +266,10 @@ func New(s *soc.SOC, maxWidth int) (*Optimizer, error) {
 	}
 	if maxWidth < 1 {
 		return nil, fmt.Errorf("sched: non-positive max width %d", maxWidth)
+	}
+	// gridReps' fingerprints hold each preferred width in 16 bits.
+	if maxWidth > math.MaxUint16 {
+		return nil, fmt.Errorf("sched: max width %d above %d", maxWidth, math.MaxUint16)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -424,49 +430,42 @@ func (o *Optimizer) Assemble(params Params, layouts []CoreLayout) (*Schedule, er
 // Run schedules the optimizer's SOC under the given parameters.
 // params.MaxWidth must not exceed the optimizer's cap.
 func (o *Optimizer) Run(params Params) (*Schedule, error) {
+	return o.runContext(context.Background(), params)
+}
+
+// runContext is Run with cancellation: the runner checks ctx every
+// ctxCheckEvents Update events and returns ctx's error once it is done. A
+// nil ctx behaves like context.Background().
+func (o *Optimizer) runContext(ctx context.Context, params Params) (*Schedule, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	chk, sets, err := o.Setup(params)
 	if err != nil {
 		return nil, err
 	}
-	return o.run(params, chk, sets)
-}
-
-// run is Run after Setup, so a sweep sets up once for all its grid points.
-func (o *Optimizer) run(params Params, chk *constraint.Checker, sets []*pareto.Set) (*Schedule, error) {
-	params = params.Defaults()
-	// Initialize (Fig. 5): Pareto rectangles and preferred widths.
-	run := &runner{
-		params: params,
-		cs:     chk.NewState(),
-		ord:    make([]*coreState, len(sets)),
-	}
-	for i, ps := range sets {
-		st := &coreState{id: ps.CoreID, pset: ps, pref: ps.PreferredWidth(params.Percent, params.Delta)}
-		st.maxPreempts = params.MaxPreemptions[st.id]
-		run.ord[i] = st
-	}
-	if err := run.schedule(); err != nil {
+	_, prefs := gridReps([]Params{params}, sets)
+	r := newRunner(chk, sets)
+	if err := r.run(ctx, params, prefs[0]); err != nil {
 		return nil, err
 	}
-	layouts := make([]CoreLayout, len(run.ord))
-	for i, st := range run.ord {
-		layouts[i] = CoreLayout{ID: st.id, Width: st.assigned, Spans: st.spans, Preemptions: st.preempts, Penalty: st.penalty}
-	}
-	sch, err := o.Assemble(params, layouts)
-	if err != nil {
-		return nil, err
-	}
-	sch.Events = run.events
-	return sch, nil
+	return r.assemble(o)
 }
 
-// runner holds the mutable state of one TAM_schedule_optimizer execution.
+// ctxCheckEvents is how many Update events a run goes between checks of
+// its context: one event costs O(cores), so a check every 64 bounds the
+// overrun of a deadline without a measurable cost.
+const ctxCheckEvents = 64
+
+// runner holds the mutable state of the TAM_schedule_optimizer over one
+// SOC's capped sets. run resets it for each grid point, so a sweep reuses
+// one runner per worker and a run allocates nothing.
 type runner struct {
 	params Params
 	// cs holds the running and complete sets the Conflict checks read.
 	cs *constraint.State
 	// ord holds the states in ascending core-ID order.
-	ord []*coreState
+	ord []coreState
 
 	now    int64
 	wAvail int
@@ -474,11 +473,26 @@ type runner struct {
 	events int
 }
 
-// schedule is the main loop of Fig. 4.
-func (r *runner) schedule() error {
-	r.left = len(r.ord)
-	r.wAvail = r.params.TAMWidth
+// newRunner returns a runner over the capped sets, in core-ID order.
+func newRunner(chk *constraint.Checker, sets []*pareto.Set) *runner {
+	r := &runner{cs: chk.NewState(), ord: make([]coreState, len(sets))}
+	for i, ps := range sets {
+		r.ord[i] = coreState{id: ps.CoreID, pset: ps}
+	}
+	return r
+}
 
+// run is Fig. 4's main loop. pref holds the preferred widths of
+// Initialize (Fig. 5), parallel to ord, as gridReps computed them. It
+// leaves every core's rectangle in ord and the makespan in now.
+func (r *runner) run(ctx context.Context, params Params, pref []int) error {
+	r.params = params.Defaults()
+	r.cs.Reset()
+	for i := range r.ord {
+		st := &r.ord[i]
+		*st = coreState{id: st.id, pset: st.pset, pref: pref[i]}
+	}
+	r.now, r.wAvail, r.left, r.events = 0, r.params.TAMWidth, len(r.ord), 0
 	for r.left > 0 {
 		if r.wAvail > 0 && r.fillPass() {
 			continue
@@ -486,84 +500,50 @@ func (r *runner) schedule() error {
 		if err := r.update(); err != nil {
 			return err
 		}
+		if r.events%ctxCheckEvents == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
-// fillPass attempts one assignment by priority; it returns true when it
+// assemble wires the last run's rectangles (Assemble): each core's layout
+// is its one span.
+func (r *runner) assemble(o *Optimizer) (*Schedule, error) {
+	spans := make([]Span, len(r.ord))
+	layouts := make([]CoreLayout, len(r.ord))
+	for i := range r.ord {
+		st := &r.ord[i]
+		spans[i] = Span{Start: st.begin, End: st.end}
+		layouts[i] = CoreLayout{ID: st.id, Width: st.assigned, Spans: spans[i : i+1 : i+1]}
+	}
+	sch, err := o.Assemble(r.params, layouts)
+	if err != nil {
+		return nil, err
+	}
+	sch.Events = r.events
+	return sch, nil
+}
+
+// fillPass attempts one assignment by priority and reports whether it
 // changed the bin state (so the caller re-enters with priorities reset).
+// The paper's Priorities 1 and 2 (Fig. 4 lines 5-10) restart begun tests;
+// here a begun test runs on until it ends (see update), so they never have
+// a candidate and Priority 3 comes first.
 func (r *runner) fillPass() bool {
-	if r.assignCapped() { // Priority 1 (Fig. 4 lines 5-6)
-		return true
-	}
-	if r.assignResumable() { // Priority 2 (lines 7-10)
-		return true
-	}
-	if r.assignNew() { // Priority 3 (lines 11-12)
-		return true
-	}
-	if r.params.InsertSlack >= 0 && r.insertSqueezed() { // lines 13-14
-		return true
-	}
-	if !r.params.DisableWidening && r.widenFresh() { // lines 15-16
-		return true
-	}
-	r.wAvail = 0
-	return false
-}
-
-// assignCapped handles Priority 1: begun, not running, incomplete cores
-// whose preemption budget is exhausted must be (re)started and then run to
-// completion. Cores that never had a budget (max 0) land here whenever an
-// Update momentarily unschedules them, which makes them non-preemptive by
-// construction.
-func (r *runner) assignCapped() bool {
-	var best *coreState
-	for _, st := range r.ord {
-		if !st.begun || st.complete || st.running || st.preempts < st.maxPreempts {
-			continue
-		}
-		if st.assigned > r.wAvail || !r.cs.OK(st.id) {
-			continue
-		}
-		if best == nil || st.remaining > best.remaining {
-			best = st
-		}
-	}
-	if best == nil {
-		return false
-	}
-	r.assignExisting(best)
-	return true
-}
-
-// assignResumable handles Priority 2: begun cores with preemption budget
-// left, largest remaining time first.
-func (r *runner) assignResumable() bool {
-	var best *coreState
-	for _, st := range r.ord {
-		if !st.begun || st.complete || st.running || st.preempts >= st.maxPreempts {
-			continue
-		}
-		if st.assigned > r.wAvail || !r.cs.OK(st.id) {
-			continue
-		}
-		if best == nil || st.remaining > best.remaining {
-			best = st
-		}
-	}
-	if best == nil {
-		return false
-	}
-	r.assignExisting(best)
-	return true
+	return r.assignNew() || // Priority 3 (lines 11-12)
+		(r.params.InsertSlack >= 0 && r.insertSqueezed()) || // lines 13-14
+		(!r.params.DisableWidening && r.widenFresh()) // lines 15-16
 }
 
 // assignNew handles Priority 3: cores that never began, whose preferred
 // width fits, largest testing time first.
 func (r *runner) assignNew() bool {
 	var best *coreState
-	for _, st := range r.ord {
+	for i := range r.ord {
+		st := &r.ord[i]
 		if st.begun || st.pref > r.wAvail || !r.cs.OK(st.id) {
 			continue
 		}
@@ -584,11 +564,9 @@ func (r *runner) assignNew() bool {
 // candidates the one with the smallest preferred width is chosen (it loses
 // the least by being squeezed).
 func (r *runner) insertSqueezed() bool {
-	if r.wAvail < 1 {
-		return false
-	}
 	var best *coreState
-	for _, st := range r.ord {
+	for i := range r.ord {
+		st := &r.ord[i]
 		if st.begun || st.pref <= r.wAvail || st.pref > r.wAvail+r.params.InsertSlack {
 			continue
 		}
@@ -614,14 +592,12 @@ func (r *runner) insertSqueezed() bool {
 // grow the rectangle of a core that begins exactly now, choosing the core
 // that gains the most testing time from the extra wires.
 func (r *runner) widenFresh() bool {
-	if r.wAvail < 1 {
-		return false
-	}
 	var best *coreState
 	var bestGain int64
 	var bestW int
-	for _, st := range r.ord {
-		if !st.running || st.firstBegin != r.now {
+	for i := range r.ord {
+		st := &r.ord[i]
+		if !st.running || st.begin != r.now {
 			continue
 		}
 		w, ok := st.pset.SnapDown(st.assigned + r.wAvail)
@@ -638,107 +614,68 @@ func (r *runner) widenFresh() bool {
 	}
 	// The core began at this instant: no progress has been made, so the
 	// whole rectangle is replaced by the wider, shorter one.
-	r.reopenWider(best, bestW)
+	r.wAvail -= bestW - best.assigned
+	best.assigned = bestW
+	best.end = r.now + best.pset.Time(bestW)
 	return true
 }
 
-// assignFresh starts a never-begun core at the given width.
+// assignFresh places a never-begun core at the given width from now until
+// it ends.
 func (r *runner) assignFresh(st *coreState, width int) {
 	st.assigned = width
-	st.remaining = st.pset.Time(width)
-	st.begun = true
-	st.firstBegin = r.now
-	r.open(st)
-}
-
-// assignExisting (re)starts a begun core at its fixed width. A gap since
-// its last piece is a preemption-resume: it costs one extra scan-in plus
-// scan-out and consumes one unit of the core's preemption budget
-// (Fig. 6 line 5).
-func (r *runner) assignExisting(st *coreState) {
-	if st.end != r.now { // resume after a gap
-		st.preempts++
-		pen := st.pset.Penalty(st.assigned)
-		st.remaining += pen
-		st.penalty += pen
-	}
-	r.open(st)
-}
-
-// open places the core on wires from now until its projected end.
-func (r *runner) open(st *coreState) {
-	st.running = true
-	st.runStart = r.now
-	st.end = r.now + st.remaining
+	st.begun, st.running = true, true
+	st.begin = r.now
+	st.end = r.now + st.pset.Time(width)
 	r.cs.Start(st.id)
-	r.wAvail -= st.assigned
-}
-
-// reopenWider replaces a just-opened piece with a wider one.
-func (r *runner) reopenWider(st *coreState, width int) {
-	r.wAvail += st.assigned
-	st.assigned = width
-	st.remaining = st.pset.Time(width)
-	st.end = r.now + st.remaining
 	r.wAvail -= width
 }
 
-// update is the Fig. 8 procedure: advance time to the earliest completion
-// among running cores, close all open pieces, mark completions, and release
-// all wires so every incomplete core contends again. Seamless continuations
-// (a piece that resumes exactly where the previous one ended, at the same
-// width) are merged so preemption fragments are the only split points.
+// update is the Fig. 8 procedure: advance time to the earliest end among
+// the running cores and complete every core that ends then, releasing its
+// wires. Every other running core keeps its wires, its span and its place
+// in the constraint state. The paper's Update stops them all for the
+// selection loop to place again, but they ran together on at most W wires
+// and passed the Conflict checks together, and completions only release
+// predecessors, so the loop would place each again at once and unsplit.
 func (r *runner) update() error {
 	r.events++
 	var newTime int64 = -1
-	for _, st := range r.ord {
-		if st.running && (newTime == -1 || st.end < newTime) {
+	for i := range r.ord {
+		if st := &r.ord[i]; st.running && (newTime == -1 || st.end < newTime) {
 			newTime = st.end
 		}
 	}
 	if newTime == -1 {
 		return r.deadlockError()
 	}
-	for _, st := range r.ord {
-		if !st.running {
+	for i := range r.ord {
+		st := &r.ord[i]
+		if !st.running || st.end != newTime {
 			continue
 		}
-		elapsed := newTime - st.runStart
-		if elapsed > 0 {
-			if n := len(st.spans); n > 0 && st.spans[n-1].End == st.runStart {
-				st.spans[n-1].End = newTime
-			} else {
-				st.spans = append(st.spans, Span{Start: st.runStart, End: newTime})
-			}
+		if st.end <= st.begin {
+			return fmt.Errorf("sched: core %d: non-positive test time %d at width %d", st.id, st.end-st.begin, st.assigned)
 		}
-		st.remaining -= elapsed
 		st.running = false
-		st.end = newTime
-		if st.remaining == 0 {
-			st.complete = true
-			r.cs.Complete(st.id)
-			r.left--
-		} else {
-			r.cs.Stop(st.id)
-		}
+		r.cs.Complete(st.id)
+		r.wAvail += st.assigned
+		r.left--
 	}
 	r.now = newTime
-	r.wAvail = r.params.TAMWidth
 	return nil
 }
 
-// deadlockError reports why no core can make progress.
+// deadlockError reports why no core can make progress. Nothing runs, so
+// every begun core is complete.
 func (r *runner) deadlockError() error {
-	for _, st := range r.ord {
-		id := st.id
-		if st.complete {
+	for i := range r.ord {
+		st := &r.ord[i]
+		if st.begun {
 			continue
 		}
-		if msg := r.cs.Conflict(id); msg != "" {
-			return fmt.Errorf("sched: deadlock at t=%d: core %d blocked (%s)", r.now, id, msg)
-		}
-		if st.begun && st.assigned > r.params.TAMWidth {
-			return fmt.Errorf("sched: deadlock at t=%d: core %d needs %d wires > W=%d", r.now, id, st.assigned, r.params.TAMWidth)
+		if msg := r.cs.Conflict(st.id); msg != "" {
+			return fmt.Errorf("sched: deadlock at t=%d: core %d blocked (%s)", r.now, st.id, msg)
 		}
 	}
 	return fmt.Errorf("sched: deadlock at t=%d with %d cores left", r.now, r.left)
@@ -834,58 +771,79 @@ func SweepBest(s *soc.SOC, params Params, percents, deltas []int) (*Schedule, er
 // every point fails, are bit-identical to exhaustively running the grid.
 //
 // The representative runs are independent, so they are fanned out over
-// params.Workers goroutines (0 = GOMAXPROCS, 1 = sequential). Results are
-// collected per grid point and compared in grid order, so the outcome is
-// also identical regardless of the worker count.
+// params.Workers goroutines (0 = GOMAXPROCS, 1 = sequential). The winner
+// is picked by (makespan, grid index), so the outcome is also identical
+// regardless of the worker count.
 func (o *Optimizer) SweepBest(params Params, percents, deltas []int) (*Schedule, error) {
 	return o.SweepBestContext(context.Background(), params, percents, deltas)
 }
 
 // SweepBestContext is SweepBest with cancellation: once ctx is done the
-// sweep stops launching grid points, lets in-flight runs finish, and
-// returns ctx's error. A nil ctx behaves like context.Background(), and an
-// uncancellable context leaves the result byte-identical to SweepBest.
+// sweep stops launching grid points, each running grid point stops within
+// ctxCheckEvents Update events, and the sweep returns ctx's error, never
+// the best of the runs that finished. A nil ctx behaves like
+// context.Background(), and an uncancellable context leaves the result
+// byte-identical to SweepBest.
 //
 // Grid points differ only in Percent, Delta and InsertSlack, none of which
 // Setup reads, so the sweep sets up once and every run shares the checker
-// and the capped sets. The best schedule is picked by (makespan, grid
-// index), the sequential first-grid-point tie-break, or, when every run
-// fails, the error of the lowest grid index. Results stream into a running
-// best so losing schedules are released as the sweep progresses.
+// and the capped sets. A run leaves a layout and a makespan in its runner;
+// only the winner, picked by (makespan, grid index), is wired by Assemble.
+// Workers take runners from a shared idle list and return them after each
+// run, except the runner holding the best so far, which stays out of
+// reuse until a better run replaces it: a sweep makes at most one runner
+// per worker plus one. When every run fails, the error of the lowest grid
+// index is returned.
 func (o *Optimizer) SweepBestContext(ctx context.Context, params Params, percents, deltas []int) (*Schedule, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	grid := buildGrid(params, percents, deltas)
 	chk, sets, err := o.Setup(grid[0])
 	if err != nil {
 		return nil, err
 	}
-	idxs := gridReps(grid, sets)
-	var mu sync.Mutex
-	var best *Schedule
-	bestIdx := len(grid)
-	var firstErr error
-	errIdx := len(grid)
-	if err := ForEachContext(ctx, params.Workers, len(idxs), func(k int) {
-		i := idxs[k]
-		sch, err := o.run(grid[i], chk, sets)
+	reps, prefs := gridReps(grid, sets)
+	var (
+		mu       sync.Mutex
+		idle     []*runner // runners no worker holds and no best keeps
+		best     *runner
+		bestIdx  = len(grid)
+		firstErr error
+		errIdx   = len(grid)
+	)
+	ForEachContext(ctx, params.Workers, len(reps), func(k int) {
+		mu.Lock()
+		var r *runner
+		if n := len(idle); n > 0 {
+			r, idle = idle[n-1], idle[:n-1]
+		} else {
+			r = newRunner(chk, sets)
+		}
+		mu.Unlock()
+		i := reps[k]
+		err := r.run(ctx, grid[i], prefs[k])
 		mu.Lock()
 		defer mu.Unlock()
-		if err != nil {
+		switch {
+		case err != nil:
 			if i < errIdx {
 				errIdx, firstErr = i, err
 			}
-			return
+		case best == nil || r.now < best.now || (r.now == best.now && i < bestIdx):
+			r, best, bestIdx = best, r, i
 		}
-		if best == nil || sch.Makespan < best.Makespan ||
-			(sch.Makespan == best.Makespan && i < bestIdx) {
-			best, bestIdx = sch, i
+		if r != nil {
+			idle = append(idle, r)
 		}
-	}); err != nil {
-		return nil, err
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err // a grid point was skipped or cut short
 	}
 	if best == nil {
 		return nil, firstErr
 	}
-	return best, nil
+	return best.assemble(o)
 }
 
 // buildGrid expands params and the percent/delta (and, when unset, slack)
@@ -901,7 +859,7 @@ func buildGrid(params Params, percents, deltas []int) []Params {
 	if params.InsertSlack == 0 {
 		slacks = DefaultInsertSlacks()
 	}
-	var grid []Params
+	grid := make([]Params, 0, len(slacks)*len(percents)*len(deltas))
 	for _, sl := range slacks {
 		for _, a := range percents {
 			for _, d := range deltas {
@@ -919,27 +877,44 @@ func buildGrid(params Params, percents, deltas []int) []Params {
 
 // gridReps fingerprints every grid point by (InsertSlack, per-core
 // preferred-width vector over the capped sets) and returns the grid
-// indices of the first point of each distinct fingerprint, in grid order.
-// Points sharing a fingerprint are the same scheduler run: percent and
-// delta influence a run only through pareto.Set.PreferredWidth at
-// Initialize.
-func gridReps(grid []Params, capped []*pareto.Set) []int {
-	seen := make(map[string]bool, len(grid))
-	reps := make([]int, 0, len(grid))
-	key := make([]byte, 0, 2*(len(capped)+2))
-	for i, p := range grid {
-		key = key[:0]
-		key = append(key, byte(p.InsertSlack>>8), byte(p.InsertSlack))
+// indices of the first point of each distinct fingerprint, in grid order,
+// with each one's preferred widths, parallel to capped. Points sharing a
+// fingerprint are the same scheduler run: percent and delta influence a
+// run only through pareto.Set.PreferredWidth at Initialize. Every
+// fingerprint lives in one string, so the map keys are substrings of it,
+// and the vectors in one slice: the allocations do not depend on how many
+// points are distinct. A fingerprint holds 16 bits per value, which New's
+// width cap ensures for the widths; a grid's slacks are one value or
+// DefaultInsertSlacks, which never collide.
+func gridReps(grid []Params, capped []*pareto.Set) (reps []int, prefs [][]int) {
+	n := len(capped)
+	size := 2 * (n + 1)
+	buf := make([]byte, 0, len(grid)*size)
+	for _, p := range grid {
+		buf = binary.BigEndian.AppendUint16(buf, uint16(p.InsertSlack))
 		for _, ps := range capped {
-			w := ps.PreferredWidth(p.Percent, p.Delta)
-			key = append(key, byte(w>>8), byte(w))
+			buf = binary.BigEndian.AppendUint16(buf, uint16(ps.PreferredWidth(p.Percent, p.Delta)))
 		}
-		if k := string(key); !seen[k] {
+	}
+	keys := string(buf)
+	seen := make(map[string]bool, len(grid))
+	reps = make([]int, 0, len(grid))
+	for i := range grid {
+		if k := keys[i*size : (i+1)*size]; !seen[k] {
 			seen[k] = true
 			reps = append(reps, i)
 		}
 	}
-	return reps
+	flat := make([]int, len(reps)*n)
+	prefs = make([][]int, len(reps))
+	for j, i := range reps {
+		v := flat[j*n : (j+1)*n : (j+1)*n]
+		for c := range v {
+			v[c] = int(binary.BigEndian.Uint16(buf[i*size+2+2*c:]))
+		}
+		prefs[j] = v
+	}
+	return reps, prefs
 }
 
 // ResolveWorkers maps a Params.Workers-style knob to a concrete worker

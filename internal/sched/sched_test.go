@@ -43,6 +43,9 @@ func TestRunParamErrors(t *testing.T) {
 	if _, err := New(s, -1); err == nil {
 		t.Error("negative max width accepted")
 	}
+	if _, err := New(s, 1<<16); err == nil {
+		t.Error("max width 65536 accepted; grid fingerprints hold 16-bit widths")
+	}
 	o, err := New(s, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -159,6 +162,25 @@ func TestPowerBudgetRespected(t *testing.T) {
 	free := mustRun(t, s, Params{TAMWidth: 24, Percent: 10, Delta: 2})
 	if sch.Makespan < free.Makespan {
 		t.Fatalf("power-constrained %d beats unconstrained %d with same params", sch.Makespan, free.Makespan)
+	}
+}
+
+// TestNonPositiveTestTimeFailsTheRun: a core whose width-1 test time
+// wraps int64 negative (5e15 patterns over two 1,000-bit chains) fails
+// every run that places it, with the core and its width named, so a sweep
+// never picks a layout with an empty or inverted span as its winner.
+func TestNonPositiveTestTimeFailsTheRun(t *testing.T) {
+	s := smallSOC()
+	s.Cores[0].ScanChains = []int{1000, 1000}
+	s.Cores[0].Test.Patterns = 5e15
+	for name, run := range map[string]func() (*Schedule, error){
+		"run":   func() (*Schedule, error) { return Run(s, Params{TAMWidth: 8}) },
+		"sweep": func() (*Schedule, error) { return SweepBest(s, Params{TAMWidth: 8}, detPercents, detDeltas) },
+	} {
+		sch, err := run()
+		if sch != nil || err == nil || !strings.Contains(err.Error(), "sched: core 1: non-positive test time") {
+			t.Fatalf("%s: got (%v, %v), want core 1's non-positive test time error", name, sch, err)
+		}
 	}
 }
 

@@ -439,10 +439,11 @@ func (s *Server) scheduleDoc(ctx context.Context, planner *repro.Planner, fp str
 // backend's best mode, /v1/schedule does too for non-classic backends, and
 // only the classic default keeps the single-run path.
 // The work runs in its own goroutine so the handler honors ctx's deadline
-// even on the context-free classic single-run path; on timeout the worker
-// is abandoned (its result discarded), and its panics are contained here
-// rather than in the HTTP middleware so an abandoned worker can never
-// crash the process.
+// at once, although a classic run checks ctx only every 64 schedule
+// events; on timeout the worker is abandoned (its result discarded) and
+// stops at its next check, and its panics are contained here rather than
+// in the HTTP middleware so an abandoned worker can never crash the
+// process.
 func (s *Server) runSchedule(ctx context.Context, planner *repro.Planner, it repro.BatchItem) (*repro.TestSchedule, error) {
 	ctx, span := obs.Start(ctx, "service/schedule")
 	defer span.End()
