@@ -9,6 +9,7 @@ package repro_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/lb"
 	"repro/internal/pareto"
 	"repro/internal/sched"
+	"repro/internal/socfile"
 	"repro/internal/tamsim"
 	"repro/internal/wrapper"
 )
@@ -330,6 +332,66 @@ func BenchmarkScheduleColdShapes(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSweepEffectiveShapes replays one pass of perfbench's
+// sweep-effective workload through the library: one datavol.RunWith, on
+// one worker, per effective-width request the workload sends (80 windows
+// over 21 SOCs and 421 widths). The windows are built the way the workload
+// builds them: every corpus scenario that is not a monster gives its width
+// window minus the widths an earlier scenario on the same SOC claimed, cut
+// into three near-equal chunks, each split again at any gap. The planners
+// are built before the timer starts, as a warm service registry holds
+// them.
+func BenchmarkSweepEffectiveShapes(b *testing.B) {
+	type window struct {
+		opt    *sched.Optimizer
+		lo, hi int
+	}
+	var windows []window
+	opts := make(map[string]*sched.Optimizer)
+	claimed := make(map[string]map[int]bool)
+	for _, sc := range corpus.All() {
+		if strings.HasPrefix(sc.Name, "monster") {
+			continue
+		}
+		s := sc.Build()
+		fp := socfile.Fingerprint(s)
+		if opts[fp] == nil {
+			opt, err := sched.New(s, sched.DefaultMaxWidth)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts[fp], claimed[fp] = opt, make(map[int]bool)
+		}
+		var free []int
+		for w := sc.WidthLo; w <= sc.WidthHi; w++ {
+			if !claimed[fp][w] {
+				free = append(free, w)
+				claimed[fp][w] = true
+			}
+		}
+		for p := range 3 {
+			chunk := free[p*len(free)/3 : (p+1)*len(free)/3]
+			for i := 0; i < len(chunk); {
+				j := i
+				for j+1 < len(chunk) && chunk[j+1] == chunk[j]+1 {
+					j++
+				}
+				windows = append(windows, window{opts[fp], chunk[i], chunk[j]})
+				i = j + 1
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, win := range windows {
+			if _, err := datavol.RunWith(win.opt, datavol.Config{WidthLo: win.lo, WidthHi: win.hi, Workers: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

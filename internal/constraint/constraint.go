@@ -244,7 +244,8 @@ func (st *State) Reset() {
 }
 
 // OK reports whether core id, which must not be running, may start (or
-// resume) now. It equals Conflict(id) == "" without building the reason.
+// resume) now: the paper's Conflict subroutine (Fig. 7) as a yes or no,
+// with no reason built, so every scheduler's inner loop can ask it.
 func (st *State) OK(id int) bool {
 	cs := &st.cores[id]
 	return cs.waiting == 0 && cs.excluded == 0 &&
@@ -280,34 +281,6 @@ func (st *State) Complete(id int) {
 	for _, o := range st.chk.succs.row(id) {
 		st.cores[o].waiting--
 	}
-}
-
-// Conflict reports why core id, which must not be running, may not start
-// now, or "" when it may. It mirrors the paper's Conflict subroutine:
-// precedence (lines 2-3), concurrency (4-5), power (6-9), and BIST-scan
-// conflicts (10-11). It builds its reason from scratch; OK is the
-// allocation-free test for the inner loops.
-func (st *State) Conflict(id int) string {
-	c := st.chk
-	for _, pre := range c.preds.row(id) {
-		if !st.cores[pre].complete {
-			return fmt.Sprintf("precedence: core %d must complete before core %d", pre, id)
-		}
-	}
-	for _, o := range c.excl.row(id) {
-		if st.cores[o].running && !c.sharesEngine(id, o) {
-			return fmt.Sprintf("concurrency: core %d may not run with core %d", id, o)
-		}
-	}
-	if sum := st.power + c.power[id]; c.powerMax > 0 && sum > c.powerMax {
-		return fmt.Sprintf("power: %d exceeds budget %d", sum, c.powerMax)
-	}
-	for _, o := range c.excl.row(id) {
-		if st.cores[o].running {
-			return fmt.Sprintf("bist: cores %d and %d share BIST engine %d", id, o, c.engine[id])
-		}
-	}
-	return ""
 }
 
 // ValidateTimeline checks a completed schedule: for every core interval

@@ -119,29 +119,39 @@ func (s *Set) SnapDown(w int) (int, bool) {
 	return s.table[min(w, s.MaxWidth)-1].snap, true
 }
 
-// PreferredWidth implements the Initialize subroutine (Fig. 5): choose the
-// smallest width whose testing time is within percent% of the time at
-// MaxWidth, then, if the highest Pareto-optimal width w* is at most delta
-// wires larger, promote to w* (the "bottleneck rescue" heuristic that wins
-// SOC p34392 its minimum testing time in the paper).
+// PreferredWidth implements the Initialize subroutine (Fig. 5): the
+// α-preferred width AlphaWidth(percent), promoted by Promote(·, delta).
 //
 // percent is the paper's user parameter (1..10 typically); delta is the
 // allowed width difference (0..4 typically).
 func (s *Set) PreferredWidth(percent, delta int) int {
+	return s.Promote(s.AlphaWidth(percent), delta)
+}
+
+// AlphaWidth is Initialize's α step: the smallest width whose testing time
+// is within percent% of the time at MaxWidth. It never exceeds the highest
+// Pareto-optimal width w*.
+func (s *Set) AlphaWidth(percent int) int {
 	target := s.MinTime() + (s.MinTime()*int64(percent))/100
-	pref := s.MaxParetoWidth()
 	// Points are width-ascending / time-descending: the first point at or
 	// under the target time is the smallest qualifying width.
 	for _, p := range s.Points {
 		if p.Time <= target {
-			pref = p.Width
-			break
+			return p.Width
 		}
 	}
-	if wstar := s.MaxParetoWidth(); wstar-pref <= delta {
-		pref = wstar
+	return s.MaxParetoWidth()
+}
+
+// Promote is Initialize's δ step: a width at most delta wires below the
+// highest Pareto-optimal width w* is promoted to w* (the "bottleneck
+// rescue" heuristic that wins SOC p34392 its minimum testing time in the
+// paper); any other width is returned unchanged.
+func (s *Set) Promote(width, delta int) int {
+	if wstar := s.MaxParetoWidth(); wstar-width <= delta {
+		return wstar
 	}
-	return pref
+	return width
 }
 
 // MinArea returns min over w of w·T(w) — the smallest TAM-wire-cycle area

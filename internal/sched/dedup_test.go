@@ -10,14 +10,41 @@ import (
 	"repro/internal/wrapper"
 )
 
+// fullGrid expands params and the percent/delta (and, when unset, slack)
+// axes into every grid point of a sweep, in sweep order, with Workers
+// cleared as SweepBest echoes it.
+func fullGrid(params Params, percents, deltas []int) []Params {
+	if len(percents) == 0 {
+		percents = DefaultPercents()
+	}
+	if len(deltas) == 0 {
+		deltas = DefaultDeltas()
+	}
+	slacks := []int{params.InsertSlack}
+	if params.InsertSlack == 0 {
+		slacks = DefaultInsertSlacks()
+	}
+	var grid []Params
+	for _, sl := range slacks {
+		for _, a := range percents {
+			for _, d := range deltas {
+				p := params
+				p.Percent, p.Delta, p.InsertSlack, p.Workers = a, d, sl, 0
+				grid = append(grid, p)
+			}
+		}
+	}
+	return grid
+}
+
 // sweepBestRef is the pre-deduplication sweep and the differential-testing
 // oracle for SweepBest: a plain sequential Run of every grid point, the
 // first point of the smallest makespan winning, or the first error when
-// every point fails.
+// every point fails. No run is cut short.
 func (o *Optimizer) sweepBestRef(params Params, percents, deltas []int) (*Schedule, error) {
 	var best *Schedule
 	var firstErr error
-	for _, p := range buildGrid(params, percents, deltas) {
+	for _, p := range fullGrid(params, percents, deltas) {
 		sch, err := o.Run(p)
 		if err != nil {
 			if firstErr == nil {
@@ -48,8 +75,8 @@ func synthRegimes() []*soc.SOC {
 }
 
 // TestSweepBestDedupMatchesFullGrid: SweepBest, which runs the unique
-// preferred-width fingerprints on reused runners and wires only the
-// winner, returns a schedule identical (field for field, wire for wire,
+// preferred-width fingerprints on reused runners, stops the runs that
+// cannot win and wires only the winner, returns a schedule identical (field for field, wire for wire,
 // Events and the params echo included) to the reference that runs and
 // wires every grid point. It covers d695 and demo8, and the synthRegimes
 // SOCs with LargerCorePreemptions(3) budgets, sequentially and with a
@@ -105,7 +132,7 @@ func TestSweepBestDedupMatchesFullGrid(t *testing.T) {
 // any number of distinct runs. Each worker reuses one runner, a run
 // allocates nothing, and only the winner is wired, so d695 sweeps of the
 // same 225-point grid with 3 to 105 representatives allocate within a few
-// objects of each other (92 here), where a run that allocated would add
+// objects of each other (95 here), where a run that allocated would add
 // dozens per representative.
 func TestSweepBestAllocsIndependentOfReps(t *testing.T) {
 	opt, err := New(bench.D695(), DefaultMaxWidth)
@@ -114,12 +141,11 @@ func TestSweepBestAllocsIndependentOfReps(t *testing.T) {
 	}
 	var base float64
 	for i, w := range []int{2, 8, 24, 48} {
-		grid := buildGrid(Params{TAMWidth: w}, nil, nil)
-		_, sets, err := opt.Setup(grid[0])
+		_, sets, err := opt.Setup(Params{TAMWidth: w})
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps, _ := gridReps(grid, sets)
+		reps := newGrid(Params{TAMWidth: w}, nil, nil, sets).runs()
 		allocs := testing.AllocsPerRun(3, func() {
 			if _, err := opt.SweepBest(Params{TAMWidth: w, Workers: 1}, nil, nil); err != nil {
 				t.Fatal(err)
@@ -129,9 +155,9 @@ func TestSweepBestAllocsIndependentOfReps(t *testing.T) {
 			base = allocs
 		}
 		if allocs > base+8 {
-			t.Errorf("W=%d: %d representatives allocate %.0f objects per sweep; W=2's sweep allocates %.0f", w, len(reps), allocs, base)
+			t.Errorf("W=%d: %d representatives allocate %.0f objects per sweep; W=2's sweep allocates %.0f", w, reps, allocs, base)
 		}
-		t.Logf("W=%d: %d representatives, %.0f allocations per sweep", w, len(reps), allocs)
+		t.Logf("W=%d: %d representatives, %.0f allocations per sweep", w, reps, allocs)
 	}
 }
 
@@ -144,12 +170,20 @@ func TestSweepBestDedupCollapsesGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := buildGrid(Params{TAMWidth: 32}, nil, nil)
-	_, sets, err := opt.Setup(grid[0])
+	grid := fullGrid(Params{TAMWidth: 32}, nil, nil)
+	_, sets, err := opt.Setup(Params{TAMWidth: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps, _ := gridReps(grid, sets)
+	g := newGrid(Params{TAMWidth: 32}, nil, nil, sets)
+	reps := make([]int, g.runs())
+	for k := range reps {
+		var p Params
+		reps[k], p, _ = g.point(k)
+		if !reflect.DeepEqual(p, grid[reps[k]]) {
+			t.Fatalf("representative %d is grid point %d with params %+v; the full grid has %+v", k, reps[k], p, grid[reps[k]])
+		}
+	}
 	if len(reps) == 0 || len(reps) >= len(grid) {
 		t.Fatalf("dedup collapsed %d grid points to %d; expected a strict, non-empty reduction", len(grid), len(reps))
 	}
@@ -165,28 +199,31 @@ func TestSweepBestDedupCollapsesGrid(t *testing.T) {
 }
 
 // TestSweepBestDedupEveryPointFails pins the error path: an unsatisfiable
-// power budget makes every grid point deadlock, and the dedup sweep must
-// surface the same (lowest-grid-index) error as the full grid, at any
-// worker count.
+// power budget makes every grid point fail at set-up (d695, demo8), and a
+// core whose test time wraps negative makes every run fail (small), so no
+// run finishes and none is cut short. The dedup sweep must surface the
+// same (lowest-grid-index) error as the full grid, at any worker count.
 func TestSweepBestDedupEveryPointFails(t *testing.T) {
-	for _, name := range []string{"d695", "demo8"} {
-		s, err := bench.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	overflow := smallSOC()
+	overflow.Cores[0].ScanChains, overflow.Cores[0].Test.Patterns = []int{1000, 1000}, 5e15
+	for _, s := range []*soc.SOC{bench.D695(), bench.Demo(), overflow} {
 		opt, err := New(s, DefaultMaxWidth)
 		if err != nil {
 			t.Fatal(err)
 		}
+		powerMax := 1
+		if s == overflow {
+			powerMax = 0
+		}
 		for _, workers := range []int{1, 4} {
-			p := Params{TAMWidth: 32, PowerMax: 1, Workers: workers}
+			p := Params{TAMWidth: 32, PowerMax: powerMax, Workers: workers}
 			_, gotErr := opt.SweepBest(p, detPercents, detDeltas)
 			_, wantErr := opt.sweepBestRef(p, detPercents, detDeltas)
 			if gotErr == nil || wantErr == nil {
-				t.Fatalf("%s workers=%d: expected both paths to fail, got %v / %v", name, workers, gotErr, wantErr)
+				t.Fatalf("%s workers=%d: expected both paths to fail, got %v / %v", s.Name, workers, gotErr, wantErr)
 			}
 			if gotErr.Error() != wantErr.Error() {
-				t.Errorf("%s workers=%d: errors differ:\n got  %v\n want %v", name, workers, gotErr, wantErr)
+				t.Errorf("%s workers=%d: errors differ:\n got  %v\n want %v", s.Name, workers, gotErr, wantErr)
 			}
 		}
 	}

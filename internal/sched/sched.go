@@ -216,11 +216,11 @@ type coreState struct {
 	id       int
 	pset     *pareto.Set
 	pref     int   // preferred TAM width (Initialize)
+	prefTime int64 // T(pref)
 	assigned int   // TAM width, fixed when the test begins
 	begin    int64 // begin time
 	end      int64 // end time
 	begun    bool
-	running  bool
 }
 
 // Span is one closed time interval [Start, End) of a core's test.
@@ -267,7 +267,7 @@ func New(s *soc.SOC, maxWidth int) (*Optimizer, error) {
 	if maxWidth < 1 {
 		return nil, fmt.Errorf("sched: non-positive max width %d", maxWidth)
 	}
-	// gridReps' fingerprints hold each preferred width in 16 bits.
+	// newGrid's fingerprints hold each preferred width in 16 bits.
 	if maxWidth > math.MaxUint16 {
 		return nil, fmt.Errorf("sched: max width %d above %d", maxWidth, math.MaxUint16)
 	}
@@ -321,6 +321,8 @@ func (o *Optimizer) Setup(params Params) (*constraint.Checker, []*pareto.Set, er
 		return nil, nil, err
 	}
 	wmax := min(params.MaxWidth, params.TAMWidth)
+	// soc.Validate (in New) gives core i the ID i+1, so walking the cores
+	// in order yields the sets in core-ID order.
 	sets := make([]*pareto.Set, 0, len(o.soc.Cores))
 	for _, c := range o.soc.Cores {
 		ps, err := o.sets[c.ID].Capped(wmax)
@@ -329,7 +331,6 @@ func (o *Optimizer) Setup(params Params) (*constraint.Checker, []*pareto.Set, er
 		}
 		sets = append(sets, ps)
 	}
-	sort.Slice(sets, func(i, j int) bool { return sets[i].CoreID < sets[j].CoreID })
 	return chk, sets, nil
 }
 
@@ -444,9 +445,9 @@ func (o *Optimizer) runContext(ctx context.Context, params Params) (*Schedule, e
 	if err != nil {
 		return nil, err
 	}
-	_, prefs := gridReps([]Params{params}, sets)
+	alpha := alphaWidths(make([]int, len(sets)), sets, params.Percent)
 	r := newRunner(chk, sets)
-	if err := r.run(ctx, params, prefs[0]); err != nil {
+	if _, err := r.run(ctx, params, alpha, 0, unbeaten); err != nil {
 		return nil, err
 	}
 	return r.assemble(o)
@@ -457,6 +458,20 @@ func (o *Optimizer) runContext(ctx context.Context, params Params) (*Schedule, e
 // overrun of a deadline without a measurable cost.
 const ctxCheckEvents = 64
 
+// rank orders the finished runs of a sweep: the smaller makespan wins, and
+// between equal makespans the earlier grid index.
+type rank struct {
+	makespan int64
+	idx      int
+}
+
+func (a rank) less(b rank) bool {
+	return a.makespan < b.makespan || (a.makespan == b.makespan && a.idx < b.idx)
+}
+
+// unbeaten is the bar before any run has finished: every run ranks below it.
+var unbeaten = rank{math.MaxInt64, math.MaxInt}
+
 // runner holds the mutable state of the TAM_schedule_optimizer over one
 // SOC's capped sets. run resets it for each grid point, so a sweep reuses
 // one runner per worker and a run allocates nothing.
@@ -466,47 +481,75 @@ type runner struct {
 	cs *constraint.State
 	// ord holds the states in ascending core-ID order.
 	ord []coreState
+	// pending holds the never-begun cores (indices into ord) by T(pref)
+	// descending, then index ascending; running holds the running cores by
+	// index. Each selection step scans one of them, not every core.
+	pending, running []int
+	// byMin holds every core by capped MinTime descending, then index;
+	// byMin[minAt] is the first never-begun one (see update's bound).
+	byMin []int
+	minAt int
 
 	now    int64
 	wAvail int
-	left   int // count of incomplete cores
 	events int
 }
 
 // newRunner returns a runner over the capped sets, in core-ID order.
 func newRunner(chk *constraint.Checker, sets []*pareto.Set) *runner {
-	r := &runner{cs: chk.NewState(), ord: make([]coreState, len(sets))}
+	n := len(sets)
+	lists := make([]int, 3*n)
+	r := &runner{cs: chk.NewState(), ord: make([]coreState, n),
+		pending: lists[:0:n], running: lists[n : n : 2*n], byMin: lists[2*n:]}
 	for i, ps := range sets {
 		r.ord[i] = coreState{id: ps.CoreID, pset: ps}
+		r.byMin[i] = i
 	}
+	slices.SortStableFunc(r.byMin, func(a, b int) int { return cmp.Compare(sets[b].MinTime(), sets[a].MinTime()) })
 	return r
 }
 
-// run is Fig. 4's main loop. pref holds the preferred widths of
-// Initialize (Fig. 5), parallel to ord, as gridReps computed them. It
-// leaves every core's rectangle in ord and the makespan in now.
-func (r *runner) run(ctx context.Context, params Params, pref []int) error {
+// run is Fig. 4's main loop for grid point idx of a sweep. alpha holds each
+// core's α-preferred width, parallel to ord, which Initialize (Fig. 5)
+// promotes by params.Delta. A finished run returns true and leaves every
+// core's rectangle in ord and the makespan in now. After every Update the
+// run checks update's lower bound on its makespan against bar, the best
+// run the sweep had finished when this one began: once (bound, idx) no
+// longer ranks below bar the run cannot win, and it stops and returns
+// false. A run that would finish below bar is never stopped, as its
+// bound never exceeds its makespan.
+func (r *runner) run(ctx context.Context, params Params, alpha []int, idx int, bar rank) (bool, error) {
 	r.params = params.Defaults()
 	r.cs.Reset()
+	r.pending, r.running = r.pending[:0], r.running[:0]
 	for i := range r.ord {
 		st := &r.ord[i]
-		*st = coreState{id: st.id, pset: st.pset, pref: pref[i]}
+		st.pref = st.pset.Promote(alpha[i], r.params.Delta)
+		st.prefTime, st.begun = st.pset.Time(st.pref), false
+		r.pending = append(r.pending, i)
 	}
-	r.now, r.wAvail, r.left, r.events = 0, r.params.TAMWidth, len(r.ord), 0
-	for r.left > 0 {
+	slices.SortFunc(r.pending, func(a, b int) int {
+		return cmp.Or(cmp.Compare(r.ord[b].prefTime, r.ord[a].prefTime), cmp.Compare(a, b))
+	})
+	r.now, r.wAvail, r.events, r.minAt = 0, r.params.TAMWidth, 0, 0
+	for len(r.pending)+len(r.running) > 0 {
 		if r.wAvail > 0 && r.fillPass() {
 			continue
 		}
-		if err := r.update(); err != nil {
-			return err
+		bound, err := r.update()
+		if err != nil {
+			return false, err
 		}
 		if r.events%ctxCheckEvents == 0 {
 			if err := ctx.Err(); err != nil {
-				return err
+				return false, err
 			}
 		}
+		if !(rank{bound, idx}).less(bar) {
+			return false, nil
+		}
 	}
-	return nil
+	return true, nil
 }
 
 // assemble wires the last run's rectangles (Assemble): each core's layout
@@ -539,65 +582,56 @@ func (r *runner) fillPass() bool {
 }
 
 // assignNew handles Priority 3: cores that never began, whose preferred
-// width fits, largest testing time first.
+// width fits, largest testing time first. pending is in that order, lowest
+// index first among equal times, so the first core that fits and passes
+// the Conflict check is the pick.
 func (r *runner) assignNew() bool {
-	var best *coreState
-	for i := range r.ord {
-		st := &r.ord[i]
-		if st.begun || st.pref > r.wAvail || !r.cs.OK(st.id) {
-			continue
-		}
-		if best == nil || st.pset.Time(st.pref) > best.pset.Time(best.pref) {
-			best = st
+	for j, i := range r.pending {
+		if st := &r.ord[i]; st.pref <= r.wAvail && r.cs.OK(st.id) {
+			r.assignFresh(j, st.pref)
+			return true
 		}
 	}
-	if best == nil {
-		return false
-	}
-	r.assignFresh(best, best.pref)
-	return true
+	return false
 }
 
 // insertSqueezed handles Lines 13-14: rather than leave wires idle, start
 // an unscheduled core whose preferred width exceeds the available width by
 // at most InsertSlack bits, at the largest Pareto width that fits. Among
 // candidates the one with the smallest preferred width is chosen (it loses
-// the least by being squeezed).
+// the least by being squeezed), the lowest index among equals.
 func (r *runner) insertSqueezed() bool {
 	var best *coreState
-	for i := range r.ord {
+	bestJ := -1 // best's position in pending
+	for j, i := range r.pending {
 		st := &r.ord[i]
-		if st.begun || st.pref <= r.wAvail || st.pref > r.wAvail+r.params.InsertSlack {
+		if st.pref <= r.wAvail || st.pref > r.wAvail+r.params.InsertSlack || !r.cs.OK(st.id) {
 			continue
 		}
-		if !r.cs.OK(st.id) {
-			continue
-		}
-		if best == nil || st.pref < best.pref {
-			best = st
+		if best == nil || st.pref < best.pref || (st.pref == best.pref && st.id < best.id) {
+			best, bestJ = st, j
 		}
 	}
 	if best == nil {
 		return false
 	}
-	w, ok := best.pset.SnapDown(r.wAvail)
-	if !ok {
-		return false
-	}
-	r.assignFresh(best, w)
+	// fillPass runs only while wires are free, so a width ≥ 1 fits.
+	w, _ := best.pset.SnapDown(r.wAvail)
+	r.assignFresh(bestJ, w)
 	return true
 }
 
 // widenFresh handles Lines 15-16: when no rectangle fits the idle wires,
 // grow the rectangle of a core that begins exactly now, choosing the core
-// that gains the most testing time from the extra wires.
+// that gains the most testing time from the extra wires, the lowest index
+// among equals.
 func (r *runner) widenFresh() bool {
 	var best *coreState
 	var bestGain int64
 	var bestW int
-	for i := range r.ord {
+	for _, i := range r.running {
 		st := &r.ord[i]
-		if !st.running || st.begin != r.now {
+		if st.begin != r.now {
 			continue
 		}
 		w, ok := st.pset.SnapDown(st.assigned + r.wAvail)
@@ -620,13 +654,16 @@ func (r *runner) widenFresh() bool {
 	return true
 }
 
-// assignFresh places a never-begun core at the given width from now until
-// it ends.
-func (r *runner) assignFresh(st *coreState, width int) {
-	st.assigned = width
-	st.begun, st.running = true, true
-	st.begin = r.now
-	st.end = r.now + st.pset.Time(width)
+// assignFresh begins the never-begun core at position j of pending at the
+// given width, from now until it ends.
+func (r *runner) assignFresh(j, width int) {
+	i := r.pending[j]
+	r.pending = slices.Delete(r.pending, j, j+1)
+	k, _ := slices.BinarySearch(r.running, i)
+	r.running = slices.Insert(r.running, k, i) // within capacity: no allocation
+	st := &r.ord[i]
+	st.assigned, st.begun = width, true
+	st.begin, st.end = r.now, r.now+st.pset.Time(width)
 	r.cs.Start(st.id)
 	r.wAvail -= width
 }
@@ -638,47 +675,48 @@ func (r *runner) assignFresh(st *coreState, width int) {
 // selection loop to place again, but they ran together on at most W wires
 // and passed the Conflict checks together, and completions only release
 // predecessors, so the loop would place each again at once and unsplit.
-func (r *runner) update() error {
+//
+// update returns a lower bound on the run's makespan: the new time, the
+// end of every running test, and the new time plus the largest capped
+// MinTime of any never-begun core. Every running test began before the new
+// time, so widenFresh can no longer change it, and a never-begun test can
+// neither begin before the new time nor run shorter than its MinTime.
+func (r *runner) update() (int64, error) {
+	if len(r.running) == 0 {
+		// Unreachable: with nothing running every begun test is complete,
+		// constraint.New refused precedence cycles and any single test
+		// above the power budget, so some never-begun core passes
+		// State.OK, and its preferred width, at most min(MaxWidth, W),
+		// fits the W free wires: Priority 3 would have placed it.
+		return 0, fmt.Errorf("sched: no test running at t=%d with %d left", r.now, len(r.pending))
+	}
 	r.events++
-	var newTime int64 = -1
-	for i := range r.ord {
-		if st := &r.ord[i]; st.running && (newTime == -1 || st.end < newTime) {
-			newTime = st.end
-		}
+	end0 := r.ord[r.running[0]].end
+	newTime, bound := end0, end0
+	for _, i := range r.running[1:] {
+		newTime, bound = min(newTime, r.ord[i].end), max(bound, r.ord[i].end)
 	}
-	if newTime == -1 {
-		return r.deadlockError()
-	}
-	for i := range r.ord {
+	keep := r.running[:0]
+	for _, i := range r.running {
 		st := &r.ord[i]
-		if !st.running || st.end != newTime {
+		if st.end != newTime {
+			keep = append(keep, i)
 			continue
 		}
 		if st.end <= st.begin {
-			return fmt.Errorf("sched: core %d: non-positive test time %d at width %d", st.id, st.end-st.begin, st.assigned)
+			return 0, fmt.Errorf("sched: core %d: non-positive test time %d at width %d", st.id, st.end-st.begin, st.assigned)
 		}
-		st.running = false
 		r.cs.Complete(st.id)
 		r.wAvail += st.assigned
-		r.left--
 	}
-	r.now = newTime
-	return nil
-}
-
-// deadlockError reports why no core can make progress. Nothing runs, so
-// every begun core is complete.
-func (r *runner) deadlockError() error {
-	for i := range r.ord {
-		st := &r.ord[i]
-		if st.begun {
-			continue
-		}
-		if msg := r.cs.Conflict(st.id); msg != "" {
-			return fmt.Errorf("sched: deadlock at t=%d: core %d blocked (%s)", r.now, st.id, msg)
-		}
+	r.running, r.now = keep, newTime
+	for r.minAt < len(r.byMin) && r.ord[r.byMin[r.minAt]].begun {
+		r.minAt++
 	}
-	return fmt.Errorf("sched: deadlock at t=%d with %d cores left", r.now, r.left)
+	if r.minAt < len(r.byMin) {
+		bound = max(bound, newTime+r.ord[r.byMin[r.minAt]].pset.MinTime())
+	}
+	return bound, nil
 }
 
 // Verify is CheckInvariants plus the timing model: on top of every
@@ -762,13 +800,24 @@ func SweepBest(s *soc.SOC, params Params, percents, deltas []int) (*Schedule, er
 // The grid is deduplicated before anything runs: (percent, delta) only
 // reach the scheduler through the per-core preferred widths, so two grid
 // points with the same InsertSlack and the same preferred-width vector are
-// the same scheduler run. Fingerprints are pure Pareto-set lookups; on the
+// the same scheduler run. The vectors are pure Pareto-set lookups: each
+// core's α-preferred width once per percent, promoted once per delta, and
+// one fingerprint per (percent, delta) point serves every slack. On the
 // default 15×5×3 grid well over half the points typically collapse. Only
-// the unique representatives (the first grid point of each group) run.
-// Because duplicates have identical makespans, the first grid point
-// attaining the minimum makespan is always a representative, so the
-// returned schedule — including its echoed Params — and the error, when
-// every point fails, are bit-identical to exhaustively running the grid.
+// the unique representatives (the first grid point of each group) run, and
+// a grid point's Params are built only when it runs. Because duplicates
+// have identical makespans, the first grid point attaining the minimum
+// makespan is always a representative.
+//
+// A representative also stops as soon as it cannot win. It starts with the
+// best (makespan, grid index) the sweep has finished, and after every
+// Update it stops once a lower bound on its own makespan reaches that
+// makespan, or passes it when its own grid index is the earlier one and a
+// tie would go its way. The bound never exceeds the run's makespan, so the
+// winner always runs to its end, and a run is stopped only after some run
+// has finished. So the returned schedule — its Events and echoed Params
+// included — and the error, when every point fails, are bit-identical to
+// exhaustively running the grid.
 //
 // The representative runs are independent, so they are fanned out over
 // params.Workers goroutines (0 = GOMAXPROCS, 1 = sequential). The winner
@@ -798,21 +847,21 @@ func (o *Optimizer) SweepBestContext(ctx context.Context, params Params, percent
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	grid := buildGrid(params, percents, deltas)
-	chk, sets, err := o.Setup(grid[0])
+	chk, sets, err := o.Setup(params)
 	if err != nil {
 		return nil, err
 	}
-	reps, prefs := gridReps(grid, sets)
+	g := newGrid(params, percents, deltas, sets)
 	var (
 		mu       sync.Mutex
 		idle     []*runner // runners no worker holds and no best keeps
 		best     *runner
-		bestIdx  = len(grid)
+		bar      = unbeaten // best's rank
 		firstErr error
-		errIdx   = len(grid)
+		errIdx   = math.MaxInt
 	)
-	ForEachContext(ctx, params.Workers, len(reps), func(k int) {
+	ForEachContext(ctx, params.Workers, g.runs(), func(k int) {
+		idx, p, alpha := g.point(k)
 		mu.Lock()
 		var r *runner
 		if n := len(idle); n > 0 {
@@ -820,18 +869,18 @@ func (o *Optimizer) SweepBestContext(ctx context.Context, params Params, percent
 		} else {
 			r = newRunner(chk, sets)
 		}
+		start := bar
 		mu.Unlock()
-		i := reps[k]
-		err := r.run(ctx, grid[i], prefs[k])
+		done, err := r.run(ctx, p, alpha, idx, start)
 		mu.Lock()
 		defer mu.Unlock()
 		switch {
 		case err != nil:
-			if i < errIdx {
-				errIdx, firstErr = i, err
+			if idx < errIdx {
+				errIdx, firstErr = idx, err
 			}
-		case best == nil || r.now < best.now || (r.now == best.now && i < bestIdx):
-			r, best, bestIdx = best, r, i
+		case done && (rank{r.now, idx}).less(bar):
+			r, best, bar = best, r, rank{r.now, idx}
 		}
 		if r != nil {
 			idle = append(idle, r)
@@ -846,9 +895,29 @@ func (o *Optimizer) SweepBestContext(ctx context.Context, params Params, percent
 	return best.assemble(o)
 }
 
-// buildGrid expands params and the percent/delta (and, when unset, slack)
-// axes into the flat grid of scheduler runs, in sweep order.
-func buildGrid(params Params, percents, deltas []int) []Params {
+// grid is a sweep's (percent, delta, slack) grid. Its points are numbered
+// in sweep order, slack-major then percent then delta: point (s, a, d) has
+// grid index (s·|percents| + a)·|deltas| + d. A preferred-width vector
+// depends on (a, d) only, so the representatives are every slack crossed
+// with the plane points reps lists.
+type grid struct {
+	params                   Params
+	percents, deltas, slacks []int
+	// alpha[a·n : (a+1)·n] holds each core's α-preferred width at
+	// percents[a], parallel to the capped sets.
+	alpha []int
+	// reps holds, ascending, the plane points a·|deltas| + d whose
+	// preferred-width vector no earlier plane point has.
+	reps []int
+}
+
+// newGrid expands params and the percent/delta (and, when unset, slack)
+// axes into a sweep's grid over the capped sets, and deduplicates its
+// (percent, delta) plane by fingerprint. A fingerprint holds each
+// preferred width in 16 bits, which New's width cap ensures. Every
+// fingerprint lives in one string, so the map keys are substrings of it
+// and the allocations do not depend on how many points are distinct.
+func newGrid(params Params, percents, deltas []int, capped []*pareto.Set) *grid {
 	if len(percents) == 0 {
 		percents = DefaultPercents()
 	}
@@ -859,62 +928,54 @@ func buildGrid(params Params, percents, deltas []int) []Params {
 	if params.InsertSlack == 0 {
 		slacks = DefaultInsertSlacks()
 	}
-	grid := make([]Params, 0, len(slacks)*len(percents)*len(deltas))
-	for _, sl := range slacks {
-		for _, a := range percents {
-			for _, d := range deltas {
-				p := params
-				p.Percent, p.Delta, p.InsertSlack = a, d, sl
-				// Workers steers the sweep, not one run; clear it so the
-				// echoed Schedule.Params is worker-count independent.
-				p.Workers = 0
-				grid = append(grid, p)
+	n := len(capped)
+	g := &grid{params: params, percents: percents, deltas: deltas, slacks: slacks, alpha: make([]int, len(percents)*n)}
+	size := 2 * n
+	buf := make([]byte, 0, len(percents)*len(deltas)*size)
+	for a, pct := range percents {
+		alpha := alphaWidths(g.alpha[a*n:(a+1)*n], capped, pct)
+		for _, d := range deltas {
+			for i, ps := range capped {
+				buf = binary.BigEndian.AppendUint16(buf, uint16(ps.Promote(alpha[i], d)))
 			}
 		}
 	}
-	return grid
+	keys := string(buf)
+	seen := make(map[string]bool, len(percents)*len(deltas))
+	g.reps = make([]int, 0, len(percents)*len(deltas))
+	for pt := range len(percents) * len(deltas) {
+		if k := keys[pt*size : (pt+1)*size]; !seen[k] {
+			seen[k] = true
+			g.reps = append(g.reps, pt)
+		}
+	}
+	return g
 }
 
-// gridReps fingerprints every grid point by (InsertSlack, per-core
-// preferred-width vector over the capped sets) and returns the grid
-// indices of the first point of each distinct fingerprint, in grid order,
-// with each one's preferred widths, parallel to capped. Points sharing a
-// fingerprint are the same scheduler run: percent and delta influence a
-// run only through pareto.Set.PreferredWidth at Initialize. Every
-// fingerprint lives in one string, so the map keys are substrings of it,
-// and the vectors in one slice: the allocations do not depend on how many
-// points are distinct. A fingerprint holds 16 bits per value, which New's
-// width cap ensures for the widths; a grid's slacks are one value or
-// DefaultInsertSlacks, which never collide.
-func gridReps(grid []Params, capped []*pareto.Set) (reps []int, prefs [][]int) {
-	n := len(capped)
-	size := 2 * (n + 1)
-	buf := make([]byte, 0, len(grid)*size)
-	for _, p := range grid {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(p.InsertSlack))
-		for _, ps := range capped {
-			buf = binary.BigEndian.AppendUint16(buf, uint16(ps.PreferredWidth(p.Percent, p.Delta)))
-		}
+// alphaWidths fills alpha, parallel to the capped sets, with each core's
+// α-preferred width at percent (Initialize before its δ step).
+func alphaWidths(alpha []int, capped []*pareto.Set, percent int) []int {
+	for i, ps := range capped {
+		alpha[i] = ps.AlphaWidth(percent)
 	}
-	keys := string(buf)
-	seen := make(map[string]bool, len(grid))
-	reps = make([]int, 0, len(grid))
-	for i := range grid {
-		if k := keys[i*size : (i+1)*size]; !seen[k] {
-			seen[k] = true
-			reps = append(reps, i)
-		}
-	}
-	flat := make([]int, len(reps)*n)
-	prefs = make([][]int, len(reps))
-	for j, i := range reps {
-		v := flat[j*n : (j+1)*n : (j+1)*n]
-		for c := range v {
-			v[c] = int(binary.BigEndian.Uint16(buf[i*size+2+2*c:]))
-		}
-		prefs[j] = v
-	}
-	return reps, prefs
+	return alpha
+}
+
+// runs returns how many representative runs the grid holds.
+func (g *grid) runs() int { return len(g.slacks) * len(g.reps) }
+
+// point returns representative run k, in grid order: its grid index, its
+// Params and its cores' α-preferred widths.
+func (g *grid) point(k int) (idx int, p Params, alpha []int) {
+	s, pt := k/len(g.reps), g.reps[k%len(g.reps)]
+	a, d := pt/len(g.deltas), pt%len(g.deltas)
+	p = g.params
+	p.Percent, p.Delta, p.InsertSlack = g.percents[a], g.deltas[d], g.slacks[s]
+	// Workers steers the sweep, not one run; clear it so the echoed
+	// Schedule.Params is worker-count independent.
+	p.Workers = 0
+	n := len(g.alpha) / len(g.percents)
+	return s*len(g.percents)*len(g.deltas) + pt, p, g.alpha[a*n : (a+1)*n]
 }
 
 // ResolveWorkers maps a Params.Workers-style knob to a concrete worker

@@ -279,13 +279,23 @@ func pollJob(t *testing.T, client *http.Client, url string, timeout time.Duratio
 // state promptly (which requires its sweep workers to have stopped and
 // unwound), and its result endpoint reports the cancellation.
 func TestServiceCancelSweepJob(t *testing.T) {
-	_, ts := newTestService(t, Config{Preload: []string{"p93791like"}, JobWorkers: 2})
+	_, ts := newTestService(t, Config{JobWorkers: 2})
 	client := ts.Client()
 
-	// The full 4..80 sweep of the largest benchmark SOC takes on the order
-	// of seconds — far longer than the cancellation window asserted below.
+	// The full 4..80 sweep of a 400-core SOC takes about 1.5 s on a 2-vCPU
+	// host — far longer than the cancellation window asserted below. (The
+	// benchmark SOCs sweep in tens of milliseconds.) One schedule request
+	// builds its planner first, so the job's time is the sweep's.
+	big := bench.Synth(bench.SynthConfig{Name: "big400", Cores: 400, Seed: 1})
+	if code, body := doJSON(t, client, "POST", ts.URL+"/v1/socs", EncodeSOC(big)); code != http.StatusCreated {
+		t.Fatalf("upload: HTTP %d: %s", code, body)
+	}
+	if code, body := doJSON(t, client, "POST", ts.URL+"/v1/schedule",
+		map[string]any{"soc": "big400", "params": map[string]any{"tamWidth": 8}}); code != http.StatusOK {
+		t.Fatalf("warm-up schedule: HTTP %d: %s", code, body)
+	}
 	code, body := doJSON(t, client, "POST", ts.URL+"/v1/sweep",
-		map[string]any{"soc": "p93791like", "params": map[string]any{"widthLo": 4, "widthHi": 80, "workers": 2}})
+		map[string]any{"soc": "big400", "params": map[string]any{"widthLo": 4, "widthHi": 80, "workers": 2}})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d: %s", code, body)
 	}
