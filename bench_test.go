@@ -324,6 +324,7 @@ func BenchmarkScheduleColdShapes(b *testing.B) {
 			}
 		}
 		b.Run(backend, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, sh := range accepted {
 					if _, err := sh.opt.ScheduleBackend(context.Background(), sh.params); err != nil {

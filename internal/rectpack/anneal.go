@@ -2,8 +2,10 @@ package rectpack
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -15,12 +17,26 @@ import (
 // progress stalls. It returns the improvement chain, oldest first, which
 // begins with start itself. The moves are drawn from params.Seed (zero
 // means sched.DefaultSeed).
+//
+// A move whose genome has no split gene is decoded under a makespan
+// limit: acceptLimit of r, the Metropolis test's next uniform draw, which
+// peekSource reads ahead without consuming it. Such a genome always
+// decodes: anneal genomes carry no preemption bit and keep every floor at
+// or below SnapDown(cap), so with nothing running all wires are free, and
+// constraint.New has refused precedence cycles and single tests above the
+// power budget, so some never-started core whose predecessors are
+// complete can start. Its full decode would therefore reach the test and
+// draw r. A cut decode's makespan lies above the limit, which the test
+// rejects for that r, so anneal consumes the draw and rejects the move,
+// and every draw, decision and schedule byte is the full decode's. The
+// anneal/search span's cut attribute counts the cut decodes.
 func anneal(ctx context.Context, sp *obs.Span, dec *decoder, params sched.Params, start *genome, startCost int64) ([]*genome, error) {
 	seed := params.Seed
 	if seed == 0 {
 		seed = sched.DefaultSeed
 	}
-	rng := rand.New(rand.NewSource(seed))
+	src := &peekSource{Source: rand.NewSource(seed)}
+	rng := rand.New(src)
 	wmax := min(params.MaxWidth, params.TAMWidth)
 	cores := dec.cores
 	budgeted := budgetedCores(cores)
@@ -31,12 +47,21 @@ func anneal(ctx context.Context, sp *obs.Span, dec *decoder, params sched.Params
 	temp := max(float64(bestCost)/100, 1)
 	cooling := math.Pow(1e-3, 1/float64(iters))
 	stall := 0
+	cuts := 0
 	for i := 0; i < iters; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		u := neighbor(cur, cores, wmax, budgeted, rng)
-		res, err := dec.decode(cur)
+		limit := int64(math.MaxInt64)
+		if !cur.preempt && !slices.ContainsFunc(cur.split, func(s int64) bool { return s != 0 }) {
+			limit = acceptLimit(curCost, temp, src.peek())
+		}
+		res, err := dec.decode(cur, limit)
+		if errors.Is(err, errCut) {
+			src.Int63() // the draw that rejects the full decode's makespan
+			cuts++
+		}
 		cost := int64(math.MaxInt64)
 		if err == nil {
 			cost = res.makespan
@@ -63,7 +88,62 @@ func anneal(ctx context.Context, sp *obs.Span, dec *decoder, params sched.Params
 	}
 	sp.SetAttr("iters", iters)
 	sp.SetAttr("improved", len(chain)-1)
+	sp.SetAttr("cut", cuts)
 	return chain, nil
+}
+
+// acceptLimit returns a makespan limit above which the Metropolis test
+// rejects a move from cost curCost at temperature temp, given v, the Int63
+// from which rand.Float64 draws its r = v/2^63. The test accepts a cost c
+// only when r < exp(-(c-curCost)/temp), that is when c - curCost <
+// d = -temp·ln r, so the limit is curCost + ⌈d + 1e-9·(d+temp)⌉ + 1: the
+// margin keeps every cost above it rejected whatever the last bits of
+// math.Exp. There is no limit (math.MaxInt64) when r is 0, when r rounds
+// to 1 so that Float64 draws again, or when the sum overflows.
+func acceptLimit(curCost int64, temp float64, v int64) int64 {
+	r := float64(v) / (1 << 63)
+	if r == 1 {
+		return math.MaxInt64
+	}
+	d := -temp * math.Log(r) // +Inf when r is 0
+	x := math.Ceil(d + 1e-9*(d+temp))
+	if !(x < 1<<63) {
+		return math.MaxInt64
+	}
+	k := int64(x)
+	if curCost > math.MaxInt64-1-k {
+		return math.MaxInt64
+	}
+	return curCost + k + 1
+}
+
+// peekSource is a rand.Source that can read its next Int63 ahead: peek
+// buffers the value and the next Int63 returns it, so a rand.Rand over a
+// peekSource draws the same Intn, Int63n and Float64 values as one over
+// the wrapped source, peeks or not. Its Seed is the wrapped source's,
+// which keeps a peeked value; anneal never reseeds.
+type peekSource struct {
+	rand.Source
+	next     int64
+	buffered bool
+}
+
+// Int63 returns the peeked value if there is one, else the wrapped
+// source's next.
+func (s *peekSource) Int63() int64 {
+	if s.buffered {
+		s.buffered = false
+		return s.next
+	}
+	return s.Source.Int63()
+}
+
+// peek returns the value the next Int63 call will return.
+func (s *peekSource) peek() int64 {
+	if !s.buffered {
+		s.next, s.buffered = s.Source.Int63(), true
+	}
+	return s.next
 }
 
 // budgetedCores returns the positions of the cores with a preemption

@@ -1,7 +1,9 @@
 package rectpack
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -91,8 +93,8 @@ func TestDecoderReuseCarriesNoState(t *testing.T) {
 				i = 2*n - 1 - k
 			}
 			g := fx.genomes[i]
-			got, gotErr := dec.decode(g)
-			want, wantErr := fx.decoder().decode(g)
+			got, gotErr := dec.decode(g, math.MaxInt64)
+			want, wantErr := fx.decoder().decode(g, math.MaxInt64)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("%s genome %d (decode %d): error %v, fresh decoder %v", fx.name, i, k, gotErr, wantErr)
 			}
@@ -108,24 +110,36 @@ func TestDecoderReuseCarriesNoState(t *testing.T) {
 
 // TestDecodeDoesNotAllocate: once its segment slices have grown, a decoder
 // decodes every feasible genome of both fixtures, seeds and walked copies,
-// without touching the heap.
+// without touching the heap, with no limit and with a limit one below the
+// makespan, which cuts every genome whose last test runs unsplit.
 func TestDecodeDoesNotAllocate(t *testing.T) {
+	cuts := 0
 	for _, fx := range decoderFixtures(t) {
 		dec := fx.decoder()
 		for i, g := range fx.genomes {
-			if _, err := dec.decode(g); err != nil {
+			res, err := dec.decode(g, math.MaxInt64)
+			if err != nil {
 				continue // an infeasible genome's error allocates
 			}
-			if allocs := testing.AllocsPerRun(5, func() { _, _ = dec.decode(g) }); allocs != 0 {
-				t.Errorf("%s genome %d: a warmed decode allocates %.0f times, want 0", fx.name, i, allocs)
+			for _, limit := range []int64{math.MaxInt64, res.makespan - 1} {
+				if _, err := dec.decode(g, limit); errors.Is(err, errCut) {
+					cuts++
+				}
+				if allocs := testing.AllocsPerRun(5, func() { _, _ = dec.decode(g, limit) }); allocs != 0 {
+					t.Errorf("%s genome %d: a warmed decode at limit %d allocates %.0f times, want 0", fx.name, i, limit, allocs)
+				}
 			}
 		}
 	}
+	if cuts == 0 {
+		t.Error("no decode was cut")
+	}
 }
 
-// TestAnnealStepDoesNotAllocate: one annealing step — a neighbor move, its
-// decode and the move's undo — allocates nothing, with budgets (split moves
-// live) and without.
+// TestAnnealStepDoesNotAllocate: one annealing step — a neighbor move, a
+// peek at the next draw, its decode under a limit, the draw a cut
+// consumes, and the move's undo — allocates nothing, with budgets (split
+// moves live) and without, with no limit and with a limit that cuts.
 func TestAnnealStepDoesNotAllocate(t *testing.T) {
 	opt := optimizer(t, "d695")
 	mp, err := opt.LargerCorePreemptions(2)
@@ -141,14 +155,29 @@ func TestAnnealStepDoesNotAllocate(t *testing.T) {
 		dec := newDecoder(cores, chk, params.TAMWidth)
 		budgeted := budgetedCores(cores)
 		g := seeds(cores, params.TAMWidth, modeAnneal)[0].clone()
-		rng := rand.New(rand.NewSource(1))
-		allocs := testing.AllocsPerRun(500, func() {
-			u := neighbor(g, cores, params.TAMWidth, budgeted, rng)
-			_, _ = dec.decode(g)
-			u.revert(g)
-		})
-		if allocs != 0 {
-			t.Errorf("budgets=%t: an anneal step allocates %.2f times, want 0", budgeted != nil, allocs)
+		start, err := dec.decode(g, math.MaxInt64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := &peekSource{Source: rand.NewSource(1)}
+		rng := rand.New(src)
+		for _, limit := range []int64{math.MaxInt64, start.makespan / 2} {
+			cuts := 0
+			allocs := testing.AllocsPerRun(500, func() {
+				u := neighbor(g, cores, params.TAMWidth, budgeted, rng)
+				_ = acceptLimit(start.makespan, 100, src.peek())
+				if _, err := dec.decode(g, limit); errors.Is(err, errCut) {
+					src.Int63()
+					cuts++
+				}
+				u.revert(g)
+			})
+			if allocs != 0 {
+				t.Errorf("budgets=%t limit=%d: an anneal step allocates %.2f times, want 0", budgeted != nil, limit, allocs)
+			}
+			if (cuts > 0) != (limit < math.MaxInt64) {
+				t.Errorf("budgets=%t limit=%d: %d steps cut", budgeted != nil, limit, cuts)
+			}
 		}
 	}
 }

@@ -2,7 +2,9 @@ package rectpack
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -235,24 +237,42 @@ func (s *simCore) closeSeg(end int64) {
 	}
 }
 
+// due returns the instant of the running core's next event, and whether
+// that event is its forced split, armed before the segment ends, rather
+// than the segment's end.
+func (s *simCore) due() (int64, bool) {
+	end := s.segStart + s.remaining
+	if s.yieldAt >= 0 && s.yieldAt < end {
+		return s.yieldAt, true
+	}
+	return end, false
+}
+
 // decoder turns the genomes of one search into placements. It owns all
 // decode scratch: the per-core simulation states, whose segment slices are
-// truncated and reused, one constraint.State and preemptFor's victim list,
-// so a warmed decode allocates nothing, and a decode's result aliases that
-// scratch until the next decode. A decoder is not safe for concurrent use;
-// each search owns one.
+// truncated and reused, one constraint.State, preemptFor's victim list,
+// and two index lists in one backing array: order, the genome's priority
+// order minus the cores that have finished, and running, the cores that
+// run. A warmed decode therefore allocates nothing, and a decode's result
+// aliases that scratch until the next decode. A decoder is not safe for
+// concurrent use; each search owns one.
 type decoder struct {
 	cores    []*core
 	tamWidth int
 	cs       *constraint.State
 	sim      []simCore // parallel to cores
+	order    []int     // capacity len(cores)
+	running  []int     // capacity len(cores); in no particular order
 	victims  []int
 }
 
 // newDecoder returns the decoder of one search over cores at TAM width
 // tamWidth.
 func newDecoder(cores []*core, chk *constraint.Checker, tamWidth int) *decoder {
-	return &decoder{cores: cores, tamWidth: tamWidth, cs: chk.NewState(), sim: make([]simCore, len(cores))}
+	n := len(cores)
+	lists := make([]int, 2*n)
+	return &decoder{cores: cores, tamWidth: tamWidth, cs: chk.NewState(), sim: make([]simCore, n),
+		order: lists[:0:n], running: lists[n:n]}
 }
 
 // decoded is one genome's simulation outcome before wire assignment.
@@ -263,24 +283,42 @@ type decoded struct {
 	splits   int
 }
 
+// errCut is decode's answer when a test it starts would end past its
+// makespan limit. It is one package-level value, so a cut allocates
+// nothing.
+var errCut = errors.New("rectpack: makespan limit exceeded")
+
 // decode runs the genome through the event-driven best-fit-decreasing
 // packer and returns the resulting placement, or an error when the genome
 // is infeasible (a constraint deadlock, or floors no free width meets).
 // The result aliases the decoder's scratch and stays valid only until the
 // next decode; emit may hand it to Assemble, which copies every span.
-// At every event each core is offered, in genome priority order, the
-// largest Pareto width that fits the free wires under its cap, subject to
-// its floor and the constraint checker. A core whose split gene fires
-// suspends itself mid-run; with the genome's preemption bit set, a blocked
-// core may instead suspend weaker runners (preemptFor). Suspended cores
-// resume at their fixed width, paying the wrapper's preemption penalty
-// for the gap.
-func (d *decoder) decode(g *genome) (decoded, error) {
+// At every event each unfinished core is offered, in genome priority
+// order, the largest Pareto width that fits the free wires under its cap,
+// subject to its floor and the constraint checker. A core whose split gene
+// fires suspends itself mid-run; with the genome's preemption bit set, a
+// blocked core may instead suspend weaker runners (preemptFor). Suspended
+// cores resume at their fixed width, paying the wrapper's preemption
+// penalty for the gap.
+//
+// The priority pass walks d.order, compacting finished cores out of it as
+// it goes, and stops once no wire is free and the genome has no
+// preemption bit, since then no core can start or resume. The event step
+// walks only d.running; its constraint.State updates are counter changes,
+// so the list's order does not matter.
+//
+// decode returns errCut as soon as a core starts whose test would end
+// after limit. A started test never ends sooner than its start plus its
+// time at the chosen width, so a cut genome's full decode either fails or
+// has a makespan above limit; with limit math.MaxInt64 no genome is cut.
+func (d *decoder) decode(g *genome, limit int64) (decoded, error) {
 	cores, sim, cs := d.cores, d.sim, d.cs
 	for i := range sim {
 		sim[i] = simCore{segs: sim[i].segs[:0]} // keep the segments' storage
 	}
 	cs.Reset()
+	order := append(d.order[:0], g.perm...)
+	d.running = d.running[:0]
 	var now int64
 	avail := d.tamWidth
 	left := len(cores)
@@ -288,9 +326,19 @@ func (d *decoder) decode(g *genome) (decoded, error) {
 	splits := 0
 	for left > 0 {
 		events++
-		for pos, ci := range g.perm {
-			c := cores[ci]
+		kept := 0
+		for pos, ci := range order {
+			if avail == 0 && !g.preempt {
+				kept += copy(order[kept:], order[pos:])
+				break
+			}
 			s := &sim[ci]
+			if s.state == simDone {
+				continue
+			}
+			order[kept] = ci // kept <= pos, so the entries after pos are intact
+			kept++
+			c := cores[ci]
 			switch s.state {
 			case simSuspended:
 				// A forced split resumes only after a gap, or it would undo
@@ -302,7 +350,7 @@ func (d *decoder) decode(g *genome) (decoded, error) {
 					if !g.preempt {
 						continue
 					}
-					free, ok := d.preemptFor(g.perm, pos, s.width, avail, now)
+					free, ok := d.preemptFor(order, pos, s.width, avail, now)
 					if !ok {
 						continue
 					}
@@ -311,6 +359,7 @@ func (d *decoder) decode(g *genome) (decoded, error) {
 				s.resume(c, now)
 				cs.Start(c.id)
 				avail -= s.width
+				d.running = append(d.running, ci)
 			case simUnstarted:
 				floor := g.floor[ci]
 				w, ok := c.set.SnapDown(min(g.cap[ci], avail))
@@ -323,7 +372,7 @@ func (d *decoder) decode(g *genome) (decoded, error) {
 					if w, ok = c.set.SnapDown(g.cap[ci]); !ok || (floor > 0 && w < floor) {
 						continue
 					}
-					free, ok := d.preemptFor(g.perm, pos, w, avail, now)
+					free, ok := d.preemptFor(order, pos, w, avail, now)
 					if !ok {
 						continue
 					}
@@ -333,48 +382,47 @@ func (d *decoder) decode(g *genome) (decoded, error) {
 				if s.start(c, w, now, g.split[ci]) {
 					splits++
 				}
+				if now+s.remaining > limit {
+					return decoded{}, errCut
+				}
 				cs.Start(c.id)
 				avail -= w
+				d.running = append(d.running, ci)
 			}
 		}
+		order = order[:kept]
 		// Advance to the earliest segment end or forced split among the
 		// running cores, then retire or suspend everything landing there.
-		var next int64 = -1
-		for i := range sim {
-			s := &sim[i]
-			if s.state != simRunning {
-				continue
-			}
-			end := s.segStart + s.remaining
-			if s.yieldAt >= 0 && s.yieldAt < end {
-				end = s.yieldAt
-			}
-			if next == -1 || end < next {
-				next = end
-			}
-		}
-		if next == -1 {
+		if len(d.running) == 0 {
 			return decoded{}, fmt.Errorf("rectpack: no core can run at t=%d with %d cores left", now, left)
 		}
-		for i := range sim {
-			s := &sim[i]
-			if s.state != simRunning {
-				continue
+		next := int64(math.MaxInt64)
+		for _, ci := range d.running {
+			if at, _ := sim[ci].due(); at < next {
+				next = at
 			}
-			end := s.segStart + s.remaining
-			if s.yieldAt >= 0 && s.yieldAt < end && s.yieldAt == next {
+		}
+		kept = 0
+		for _, ci := range d.running {
+			s := &sim[ci]
+			switch at, split := s.due(); {
+			case at != next:
+				d.running[kept] = ci
+				kept++
+			case split:
 				s.suspend(next)
 				s.yieldedAt = next
-				cs.Stop(cores[i].id)
+				cs.Stop(cores[ci].id)
 				avail += s.width
-			} else if end == next {
+			default:
 				s.closeSeg(next)
 				s.state = simDone
-				cs.Complete(cores[i].id)
+				cs.Complete(cores[ci].id)
 				avail += s.width
 				left--
 			}
 		}
+		d.running = d.running[:kept]
 		now = next
 	}
 	return decoded{sim: sim, makespan: now, events: events, splits: splits}, nil
@@ -384,10 +432,10 @@ func (d *decoder) decode(g *genome) (decoded, error) {
 // position pos by suspending strictly weaker runners — later in the
 // priority order — that have budget left and have run this segment,
 // weakest first, so the strongest runners keep their wires. On success the
-// suspensions are committed and the new free-wire count (>= want) is
-// returned with ok true. When too few wires can be freed, or the
-// constraint checker refuses the core even with the victims gone, nothing
-// changes and ok is false.
+// suspensions are committed, the victims leave d.running, and the new
+// free-wire count (>= want) is returned with ok true. When too few wires
+// can be freed, or the constraint checker refuses the core even with the
+// victims gone, nothing changes and ok is false.
 func (d *decoder) preemptFor(perm []int, pos, want, avail int, now int64) (int, bool) {
 	cores, sim, cs := d.cores, d.sim, d.cs
 	victims := d.victims[:0]
@@ -415,6 +463,7 @@ func (d *decoder) preemptFor(perm []int, pos, want, avail int, now int64) (int, 
 	for _, vi := range victims {
 		sim[vi].suspend(now)
 	}
+	d.running = slices.DeleteFunc(d.running, func(ci int) bool { return sim[ci].state != simRunning })
 	return avail + freed, true
 }
 
@@ -460,7 +509,7 @@ func search(ctx context.Context, sp *obs.Span, opt *sched.Optimizer, params sche
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, err := dec.decode(g)
+		res, err := dec.decode(g, math.MaxInt64)
 		if err != nil {
 			costs[i] = -1
 			if firstErr == nil {
@@ -499,7 +548,7 @@ func search(ctx context.Context, sp *obs.Span, opt *sched.Optimizer, params sche
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, err := dec.decode(g)
+		res, err := dec.decode(g, math.MaxInt64)
 		if err == nil {
 			var sch *sched.Schedule
 			if sch, err = emit(opt, params, cores, res); err == nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/bench"
@@ -226,7 +227,7 @@ func TestPreemptSeedMakespans(t *testing.T) {
 		t.Fatalf("%d seeds, want %d", len(gs), len(want))
 	}
 	for i, g := range gs {
-		res, err := dec.decode(g)
+		res, err := dec.decode(g, math.MaxInt64)
 		if err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
