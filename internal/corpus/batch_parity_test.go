@@ -3,7 +3,6 @@ package corpus
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,8 +16,9 @@ import (
 // TestBatchParityWithGoldens is the fleet-scale acceptance test: one
 // POST /v1/batch carrying every corpus scenario (plus one invalid item)
 // returns per-item schedule documents byte-identical to the frozen
-// per-request golden bytes under testdata/golden/, with the invalid item
-// failing alone. Under -short only a subset of scenarios runs.
+// per-request golden bytes under testdata/golden/, nested as the envelope
+// nests them, with the invalid item failing alone. Under -short only a
+// subset of scenarios runs.
 func TestBatchParityWithGoldens(t *testing.T) {
 	scenarios := All()
 	if testing.Short() {
@@ -121,21 +121,15 @@ func TestBatchParityWithGoldens(t *testing.T) {
 		if got.Error != nil {
 			t.Fatalf("%s: item error %d %s: %s", want.name, got.Status, got.Error.Code, got.Error.Message)
 		}
-		if doc := reindent(t, got.Result); !bytes.Equal(doc, want.golden) {
+		if !bytes.Equal(got.Result, nested(want.golden)) {
 			t.Errorf("%s: batch document differs from the frozen per-request golden", want.name)
 		}
 	}
 }
 
-// reindent recovers a batch-embedded document's standalone bytes: the
-// batch envelope nests results one level deeper, so re-indenting to top
-// level (plus the canonical trailing newline) reverses exactly that.
-func reindent(t *testing.T, raw json.RawMessage) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, raw, "", "  "); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintln(&buf)
-	return buf.Bytes()
+// nested returns a standalone document's bytes as the batch envelope
+// embeds them three levels deep: six spaces inserted after each newline,
+// and the final newline dropped.
+func nested(doc []byte) []byte {
+	return bytes.ReplaceAll(bytes.TrimSuffix(doc, []byte("\n")), []byte("\n"), []byte("\n      "))
 }

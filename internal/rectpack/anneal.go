@@ -30,6 +30,14 @@ import (
 // rejects for that r, so anneal consumes the draw and rejects the move,
 // and every draw, decision and schedule byte is the full decode's. The
 // anneal/search span's cut attribute counts the cut decodes.
+//
+// A move that changes no gene decode reads (keepsDecode) is not decoded
+// at all: its cost is curCost, and the Metropolis test accepts the zero
+// delta without a draw, as it would after the full decode. curCost is
+// always the unlimited makespan of cur: the seed's cost, the cost of an
+// accepted decode that was not cut, or the chain tip's cost after a
+// restart, and a decode of cur is never cut, since its limit is at least
+// curCost + 1. The span's same attribute counts these moves.
 func anneal(ctx context.Context, sp *obs.Span, dec *decoder, params sched.Params, start *genome, startCost int64) ([]*genome, error) {
 	seed := params.Seed
 	if seed == 0 {
@@ -47,24 +55,31 @@ func anneal(ctx context.Context, sp *obs.Span, dec *decoder, params sched.Params
 	temp := max(float64(bestCost)/100, 1)
 	cooling := math.Pow(1e-3, 1/float64(iters))
 	stall := 0
-	cuts := 0
+	cuts, same := 0, 0
 	for i := 0; i < iters; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		u := neighbor(cur, cores, wmax, budgeted, rng)
-		limit := int64(math.MaxInt64)
-		if !cur.preempt && !slices.ContainsFunc(cur.split, func(s int64) bool { return s != 0 }) {
-			limit = acceptLimit(curCost, temp, src.peek())
-		}
-		res, err := dec.decode(cur, limit)
-		if errors.Is(err, errCut) {
-			src.Int63() // the draw that rejects the full decode's makespan
-			cuts++
-		}
-		cost := int64(math.MaxInt64)
-		if err == nil {
+		var err error
+		cost := curCost // a move keepsDecode accepts decodes to cur's makespan
+		if u.keepsDecode(cur, cores) {
+			same++
+		} else {
+			limit := int64(math.MaxInt64)
+			if !cur.preempt && !slices.ContainsFunc(cur.split, func(s int64) bool { return s != 0 }) {
+				limit = acceptLimit(curCost, temp, src.peek())
+			}
+			var res decoded
+			res, err = dec.decode(cur, limit)
+			if errors.Is(err, errCut) {
+				src.Int63() // the draw that rejects the full decode's makespan
+				cuts++
+			}
 			cost = res.makespan
+			if err != nil {
+				cost = math.MaxInt64
+			}
 		}
 		delta := float64(cost - curCost)
 		if delta <= 0 || (err == nil && rng.Float64() < math.Exp(-delta/temp)) {
@@ -89,6 +104,7 @@ func anneal(ctx context.Context, sp *obs.Span, dec *decoder, params sched.Params
 	sp.SetAttr("iters", iters)
 	sp.SetAttr("improved", len(chain)-1)
 	sp.SetAttr("cut", cuts)
+	sp.SetAttr("same", same)
 	return chain, nil
 }
 
@@ -185,6 +201,22 @@ func (u undo) revert(g *genome) {
 	default:
 		g.cap[u.ci], g.floor[u.ci], g.split[u.ci] = u.cap, u.floor, u.split
 	}
+}
+
+// keepsDecode reports whether the move u made on g left every gene
+// decode reads as it was: a swap or relocation of a position with
+// itself, or a gene move that kept the core's floor, its split and
+// SnapDown of its cap. decode reads a cap only through SnapDown(min(cap,
+// free)) and, for a blocked core, SnapDown(cap); SnapDown does not
+// decrease, so the first is min(SnapDown(cap), SnapDown(free)).
+func (u undo) keepsDecode(g *genome, cores []*core) bool {
+	if u.kind != undoGenes {
+		return u.i == u.j
+	}
+	ci, set := u.ci, cores[u.ci].set
+	w0, ok0 := set.SnapDown(u.cap)
+	w1, ok1 := set.SnapDown(g.cap[ci])
+	return g.floor[ci] == u.floor && g.split[ci] == u.split && w0 == w1 && ok0 == ok1
 }
 
 // relocate moves perm[from] to position to, shifting the entries between

@@ -275,9 +275,10 @@ func TestPeekSourceKeepsTheStream(t *testing.T) {
 }
 
 // TestAnnealSpanCountsCuts: a traced anneal call on unbudgeted d695 reports
-// on its anneal/search span how many decodes the limit cut, and its
-// schedule's bytes are the untraced call's, so the count lives only in
-// the trace.
+// on its anneal/search span how many decodes the limit cut and how many
+// moves it did not decode because they kept every gene decode reads, and
+// its schedule's bytes are the untraced call's, so the counts live only
+// in the trace.
 func TestAnnealSpanCountsCuts(t *testing.T) {
 	opt := optimizer(t, "d695")
 	params := sched.Params{TAMWidth: 32}
@@ -297,8 +298,9 @@ func TestAnnealSpanCountsCuts(t *testing.T) {
 	}
 	attrs := td.Root.Children[0].Attrs
 	cut, ok := attrs["cut"].(int)
-	if iters, _ := attrs["iters"].(int); !ok || cut <= 0 || cut > iters {
-		t.Fatalf("anneal/search attrs %v: want 0 < cut <= iters", attrs)
+	same, sameOK := attrs["same"].(int)
+	if iters, _ := attrs["iters"].(int); !ok || !sameOK || cut <= 0 || same <= 0 || cut+same > iters {
+		t.Fatalf("anneal/search attrs %v: want 0 < cut, 0 < same and cut + same <= iters", attrs)
 	}
 	plain, err := NewAnneal().Schedule(context.Background(), opt, params)
 	if err != nil {
@@ -311,7 +313,7 @@ func TestAnnealSpanCountsCuts(t *testing.T) {
 	if err := schedio.Save(&pb, plain); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(tb.Bytes(), pb.Bytes()) || bytes.Contains(tb.Bytes(), []byte(`"cut"`)) {
-		t.Fatal("the traced schedule's document differs from the untraced one or carries the cut count")
+	if !bytes.Equal(tb.Bytes(), pb.Bytes()) || bytes.Contains(tb.Bytes(), []byte(`"cut"`)) || bytes.Contains(tb.Bytes(), []byte(`"same"`)) {
+		t.Fatal("the traced schedule's document differs from the untraced one or carries a count")
 	}
 }

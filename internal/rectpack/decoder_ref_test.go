@@ -260,3 +260,54 @@ func checkCut(t *testing.T, fx *decoderFixture, rng *rand.Rand) (failed, limited
 	}
 	return failed, limited, cuts
 }
+
+// keepKinds names the moves keepsDecode accepts, in the order
+// checkKeepsDecode counts them.
+var keepKinds = [...]string{
+	"swaps of a position with itself",
+	"relocations of a position to itself",
+	"gene moves that redraw the same values",
+	"cap moves to a different cap with the same SnapDown",
+}
+
+// checkKeepsDecode walks moves seeded neighbor moves, with anneal's width
+// bound and budgeted cores, from every anneal seed of fx's shape. For each
+// move keepsDecode accepts, the moved genome's unlimited decode must have
+// the same outcome as the genome's before the move: the same error, or
+// the same makespan, events, splits and per-core width, segments,
+// preemptions and penalty. It returns the number of such moves of each
+// of keepKinds.
+func checkKeepsDecode(t *testing.T, fx *decoderFixture, rng *rand.Rand, moves int) (kinds [len(keepKinds)]int) {
+	t.Helper()
+	dec, ref := fx.decoder(), fx.decoder()
+	wmax := min(fx.params.MaxWidth, fx.params.TAMWidth)
+	budgeted := budgetedCores(fx.cores)
+	for _, seed := range seeds(fx.cores, fx.params.TAMWidth, modeAnneal) {
+		g, prev := seed.clone(), seed.clone()
+		for range moves {
+			u := neighbor(g, fx.cores, wmax, budgeted, rng)
+			if u.keepsDecode(g, fx.cores) {
+				switch {
+				case u.kind == undoSwap:
+					kinds[0]++
+				case u.kind == undoRelocate:
+					kinds[1]++
+				case g.cap[u.ci] == u.cap:
+					kinds[2]++
+				default:
+					kinds[3]++
+				}
+				got, gotErr := dec.decode(g, math.MaxInt64)
+				want, wantErr := ref.decode(prev, math.MaxInt64)
+				if d := sameOutcome(fx.cores, got, gotErr, want, wantErr); d != "" {
+					t.Fatalf("%s: move %+v keeps the genes decode reads, yet its decode differs: %s", fx.name, u, d)
+				}
+			}
+			copy(prev.perm, g.perm)
+			copy(prev.cap, g.cap)
+			copy(prev.floor, g.floor)
+			copy(prev.split, g.split)
+		}
+	}
+	return kinds
+}

@@ -25,3 +25,14 @@ func CheckDecodeCutShape(t *testing.T, name string, opt *sched.Optimizer, params
 	t.Helper()
 	return checkCut(t, shapeFixture(t, name, opt, params, seed), rand.New(rand.NewSource(seed)))
 }
+
+// CheckKeepsDecodeShape runs TestAnnealSkipKeepsTheDecode's walks on one
+// shape and returns the skipped moves of each kind, named by KeepKinds.
+func CheckKeepsDecodeShape(t *testing.T, name string, opt *sched.Optimizer, params sched.Params, seed int64) []int {
+	t.Helper()
+	kinds := checkKeepsDecode(t, shapeFixture(t, name, opt, params, seed), rand.New(rand.NewSource(seed)), 50)
+	return kinds[:]
+}
+
+// KeepKinds names the kinds CheckKeepsDecodeShape counts.
+var KeepKinds = keepKinds[:]

@@ -86,3 +86,23 @@ func TestDecodeCutMatchesFullDecode(t *testing.T) {
 	}
 	t.Logf("%d limited decodes, %d cut; %d genomes with a split gene or preemption bit failed", limited, cuts, failed)
 }
+
+// TestAnnealSkipKeepsTheDecode: over 50 seeded neighbor moves from every
+// anneal seed of every cold-portfolio shape, each move that anneal does
+// not decode leaves the genome's unlimited decode exactly as it was, and
+// each kind of such move occurs.
+func TestAnnealSkipKeepsTheDecode(t *testing.T) {
+	t.Parallel()
+	total := make([]int, len(rectpack.KeepKinds))
+	for i, sh := range loadColdShapes(t) {
+		for k, n := range rectpack.CheckKeepsDecodeShape(t, sh.name, sh.opt, sh.params, int64(i+1)) {
+			total[k] += n
+		}
+	}
+	for k, n := range total {
+		if n == 0 {
+			t.Errorf("no %s occurred", rectpack.KeepKinds[k])
+		}
+		t.Logf("%d %s", n, rectpack.KeepKinds[k])
+	}
+}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -40,8 +41,11 @@ type BatchRequest struct {
 
 // BatchItemResult is one item's outcome. Exactly one of Result and Error
 // is set: Result carries the same document the per-request endpoint
-// serves for this item (byte-identical modulo envelope indentation),
-// Error the same {code,message} body a failed per-request call carries.
+// serves for this item, Error the same {code,message} body a failed
+// per-request call carries. On the wire the document sits three levels
+// deep in the envelope, as the per-request body with its final newline
+// dropped and six spaces inserted after every other newline (see
+// writeBatch); reversing that recovers the per-request bytes.
 type BatchItemResult struct {
 	Index  int  `json:"index"`
 	Status int  `json:"status"`
@@ -124,19 +128,96 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		out[i] = s.runBatchItem(ctx, i, req.Items[i])
 	})
 
-	st := BatchStats{Items: len(req.Items), Workers: workers}
-	for i := range out {
-		if out[i].Error == nil {
+	s.metrics.batches.Add(1)
+	writeBatch(w, out, batchStats(out, workers))
+}
+
+// batchStats summarizes a batch's results: an item without an error is
+// ok, and a cache hit when it is cached.
+func batchStats(items []BatchItemResult, workers int) BatchStats {
+	st := BatchStats{Items: len(items), Workers: workers}
+	for _, it := range items {
+		if it.Error == nil {
 			st.OK++
-			if out[i].Cached {
+			if it.Cached {
 				st.CacheHits++
 			}
 		} else {
 			st.Failed++
 		}
 	}
-	s.metrics.batches.Add(1)
-	writeJSON(w, http.StatusOK, BatchResponse{Items: out, Stats: st})
+	return st
+}
+
+// writeBatch writes the 200 answer BatchResponse{Items: items, Stats: st}
+// byte for byte as writeJSON encodes it, without sending the documents
+// through encoding/json again. Every Result is a repro.SaveSchedule
+// document, which its json.Encoder wrote as json.Indent of its compact
+// form with a two-space indent, plus a newline. writeJSON would compact
+// the document and indent it again three levels deeper, so writeBatch
+// splices it in as it is, except that the final newline is dropped and
+// six spaces follow every other newline. Index, status and the stats are
+// decimal integers, and the error code and message go through
+// json.Marshal, so their escaping is encoding/json's. items must not be
+// empty; handleBatch refuses an empty batch before it runs anything.
+func writeBatch(w http.ResponseWriter, items []BatchItemResult, st BatchStats) {
+	size := 256 // the stats; per item, its keys and a typical error body
+	for _, it := range items {
+		size += 256 + len(it.Result) + len(nestIndent)*bytes.Count(it.Result, newline)
+	}
+	b := append(make([]byte, 0, size), "{\n  \"items\": ["...)
+	for i, it := range items {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = fmt.Appendf(b, "\n    {\n      \"index\": %d,\n      \"status\": %d", it.Index, it.Status)
+		if it.Cached {
+			b = append(b, ",\n      \"cached\": true"...)
+		}
+		if len(it.Result) > 0 {
+			b = appendNested(append(b, ",\n      \"result\": "...), it.Result)
+		}
+		if e := it.Error; e != nil {
+			b = appendString(append(b, ",\n      \"error\": {\n        \"code\": "...), e.Code)
+			b = appendString(append(b, ",\n        \"message\": "...), e.Message)
+			b = append(b, "\n      }"...)
+		}
+		b = append(b, "\n    }"...)
+	}
+	b = fmt.Appendf(b, "\n  ],\n  \"stats\": {\n    \"items\": %d,\n    \"ok\": %d,\n    \"failed\": %d,\n    \"cacheHits\": %d,\n    \"workers\": %d\n  }\n}\n",
+		st.Items, st.OK, st.Failed, st.CacheHits, st.Workers)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b) // a failed write means the client is gone; no one is left to tell
+}
+
+var newline = []byte{'\n'}
+
+// nestIndent is what writeJSON's encoder puts after each newline of a
+// document nested three levels deep (items, item, result) beyond what
+// the document's own encoder put there.
+const nestIndent = "      "
+
+// appendNested appends doc, a document that ends in one newline, as
+// writeJSON's encoder nests it three levels deep: without the final
+// newline, and with nestIndent after every other newline. JSON strings
+// hold no raw newline, so each one is the encoder's own.
+func appendNested(b, doc []byte) []byte {
+	doc = bytes.TrimSuffix(doc, newline)
+	for {
+		i := bytes.IndexByte(doc, '\n')
+		if i < 0 {
+			return append(b, doc...)
+		}
+		b = append(append(b, doc[:i+1]...), nestIndent...)
+		doc = doc[i+1:]
+	}
+}
+
+// appendString appends s quoted and escaped as json.Marshal writes it.
+func appendString(b []byte, s string) []byte {
+	q, _ := json.Marshal(s) // a string always marshals
+	return append(b, q...)
 }
 
 // runBatchItem executes one batch item through scheduleItem, the same

@@ -50,3 +50,52 @@ func BenchmarkServiceScheduleD695(b *testing.B) {
 		do()
 	}
 }
+
+// BenchmarkServiceBatchWarm measures one warm POST /v1/batch round trip
+// through httptest: hot-mix's hot batch, 8 items over demo8, d695 and
+// p93791like at W 24 to 48, every one a result-cache hit. It times the
+// request decode, the admission, eight cache lookups, the envelope write
+// and the client's read of the answer.
+func BenchmarkServiceBatchWarm(b *testing.B) {
+	svc, err := New(Config{Preload: []string{"demo8", "d695", "p93791like"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	w32 := ParamsJSON{TAMWidth: 32, Percent: 10, Delta: 1, Workers: 1}
+	w24, w48 := ParamsJSON{TAMWidth: 24, Workers: 1}, ParamsJSON{TAMWidth: 48, Workers: 1}
+	body, err := json.Marshal(BatchRequest{Workers: 1, Items: []BatchItemJSON{
+		{SOC: "demo8", Params: w24}, {SOC: "d695", Params: w24}, {SOC: "p93791like", Params: w24},
+		{SOC: "demo8", Params: w32}, {SOC: "d695", Params: w32}, {SOC: "p93791like", Params: w32},
+		{SOC: "d695", Params: w48}, {SOC: "p93791like", Params: w48},
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	client := ts.Client()
+	do := func() int64 {
+		resp, err := client.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("HTTP %d", resp.StatusCode)
+		}
+		return n
+	}
+	do() // fill the result cache outside the timed region
+	b.SetBytes(do())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		do()
+	}
+}
