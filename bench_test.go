@@ -1,11 +1,13 @@
 package repro_test
 
 // One benchmark per table and figure of the DAC 2002 paper, plus the
-// ablations DESIGN.md calls out. Each benchmark regenerates its artifact
-// end-to-end (wrapper design, Pareto sets, scheduling, sweeps), so
-// `go test -bench=. -benchmem` both measures the framework's runtime —
+// three ablations socbench prints (δ rescue, fixed-width and shelf
+// baselines, idle insertion and widening). Each benchmark regenerates its
+// artifact end-to-end (wrapper design, Pareto sets, scheduling, sweeps),
+// so `go test -bench=. -benchmem` both measures the framework's runtime —
 // the paper's "<5 s on a 333 MHz Ultra 10" claim class — and re-derives
-// the numbers recorded in EXPERIMENTS.md.
+// the numbers `socbench -all` prints. The CI benchmark gate times eight of
+// the component benchmarks below by name against BENCH_26.txt.
 
 import (
 	"context"

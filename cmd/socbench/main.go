@@ -1,7 +1,10 @@
 // Command socbench regenerates the DAC 2002 paper's evaluation artifacts
 // on the repository's benchmark SOCs: Table 1 (scheduling regimes), Table 2
 // (effective TAM widths), Fig. 1 (testing-time staircase), Fig. 9 (T/D/cost
-// versus W), and the ablations DESIGN.md calls out.
+// versus W), and three ablations (the δ bottleneck rescue, flexible packing
+// against fixed-width and shelf architectures, and the idle-insertion and
+// widening heuristics). It also prints the per-span latency table and gates
+// `go test` benchmark output against a committed baseline.
 //
 // Usage:
 //
@@ -13,33 +16,26 @@
 //	socbench -ablation delta          # δ-heuristic ablation on p34392like
 //	socbench -ablation baseline       # flexible vs fixed-width vs shelves
 //	socbench -ablation heuristics     # idle-insertion / widening matrix
-//	socbench -all                     # everything (the EXPERIMENTS.md data)
+//	socbench -all                     # everything above
+//	socbench -obs -quick              # per-span latency over corpus scenarios
+//	socbench -benchcmp BASE.txt -benchnew NEW.txt  # benchmark regression gate
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
-	"testing"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/corpus"
-	"repro/internal/datavol"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sched"
-	"repro/internal/service"
 	"repro/internal/soc"
 
 	// Register the search backends for the -backends comparison (and as
@@ -57,11 +53,8 @@ func main() {
 		quick     = flag.Bool("quick", false, "smaller sweep ranges (coarser widths, reduced grid)")
 		workers   = flag.Int("workers", 0, "concurrent scheduler runs per sweep (0 = all CPUs, 1 = sequential)")
 		all       = flag.Bool("all", false, "regenerate everything")
-		benchjson = flag.String("benchjson", "", "time the representative workloads and write JSON to this path (\"-\" = stdout); see BENCH_2.json")
-		benchnote = flag.String("benchnote", "", "free-form note embedded in the -benchjson output (e.g. the baseline being compared against)")
-		benchcmp  = flag.String("benchcmp", "", "baseline benchjson file to gate against; compares -benchnew (or the file just written by -benchjson) and exits 1 on regression")
-		benchnew  = flag.String("benchnew", "", "current benchjson file for -benchcmp (default: the -benchjson path)")
-		benchmax  = flag.Float64("benchmaxpct", 25, "max tolerated ns/op regression percent for the -benchcmp gate")
+		benchcmp  = flag.String("benchcmp", "", "baseline `file` of go test -bench -benchmem output to gate -benchnew against; exits 1 on a regression")
+		benchnew  = flag.String("benchnew", "", "`file` of go test -bench -benchmem output to compare with the -benchcmp baseline")
 		obsTables = flag.Bool("obs", false, "schedule every corpus scenario with every backend and print the per-span latency table")
 	)
 	flag.Parse()
@@ -72,20 +65,12 @@ func main() {
 	}
 
 	ran := false
-	if *benchjson != "" {
-		ran = true
-		runBenchJSON(*benchjson, *benchnote)
-	}
 	if *benchcmp != "" {
 		ran = true
-		cur := *benchnew
-		if cur == "" {
-			cur = *benchjson
+		if *benchnew == "" {
+			fatal(fmt.Errorf("-benchcmp needs -benchnew, the output to compare with the baseline"))
 		}
-		if cur == "" || cur == "-" {
-			fatal(fmt.Errorf("-benchcmp needs -benchnew (or a file-backed -benchjson) to compare against"))
-		}
-		runBenchCmp(*benchcmp, cur, *benchmax)
+		runBenchCmp(*benchcmp, *benchnew)
 	}
 	if *obsTables {
 		ran = true
@@ -130,266 +115,6 @@ func main() {
 	if !ran {
 		flag.Usage()
 		os.Exit(2)
-	}
-}
-
-// benchJSONReport is the schema of the -benchjson output (and of the
-// committed BENCH_2.json perf-trajectory baselines).
-type benchJSONReport struct {
-	Schema     string            `json:"schema"`
-	Go         string            `json:"go"`
-	GOOS       string            `json:"goos"`
-	GOARCH     string            `json:"goarch"`
-	Note       string            `json:"note,omitempty"`
-	Benchmarks []benchJSONResult `json:"benchmarks"`
-}
-
-type benchJSONResult struct {
-	Name       string `json:"name"`
-	Iterations int    `json:"iterations"`
-	NsPerOp    int64  `json:"ns_per_op"`
-	// AllocsPerOp and BytesPerOp are absent from files written before
-	// socbench recorded allocations.
-	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`
-	BytesPerOp  int64 `json:"bytes_per_op,omitempty"`
-}
-
-// runBenchJSON times the representative workloads (the same shapes as the
-// repository's go-test benchmarks, sequential so the numbers measure the
-// algorithms rather than the host's core count) and writes them as JSON.
-func runBenchJSON(path, note string) {
-	grid5 := []int{1, 5, 10, 20, 40}
-	grid3 := []int{0, 1, 2}
-	workloads := []struct {
-		name string
-		fn   func(b *testing.B)
-	}{
-		{"DataVolRunD695Workers1", func(b *testing.B) {
-			s := bench.D695()
-			for i := 0; i < b.N; i++ {
-				sw, err := datavol.Run(s, datavol.Config{
-					WidthLo: 8, WidthHi: 56,
-					Percents: grid5, Deltas: grid3,
-					Workers: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if sw.MinVolume <= 0 {
-					b.Fatal("no volume minimum")
-				}
-			}
-		}},
-		{"SweepBestD695W32", func(b *testing.B) {
-			s := bench.D695()
-			opt, err := sched.New(s, sched.DefaultMaxWidth)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := opt.SweepBest(sched.Params{TAMWidth: 32, Workers: 1}, nil, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"ScheduleD695Rectpack", func(b *testing.B) {
-			benchBackend(b, "rectpack", 0)
-		}},
-		{"ScheduleD695PreemptRectpack", func(b *testing.B) {
-			benchBackend(b, "preempt-rectpack", 2)
-		}},
-		{"ScheduleD695Anneal", func(b *testing.B) {
-			benchBackend(b, "anneal", 0)
-		}},
-		{"ScheduleD695Portfolio", func(b *testing.B) {
-			benchBackend(b, "portfolio", 0)
-		}},
-		{"SingleScheduleP93791W48", func(b *testing.B) {
-			s := bench.P93791Like()
-			opt, err := sched.New(s, sched.DefaultMaxWidth)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := opt.Run(sched.Params{TAMWidth: 48, Percent: 10, Delta: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"ParetoSetsP93791", func(b *testing.B) {
-			s := bench.P93791Like()
-			for i := 0; i < b.N; i++ {
-				if _, err := sched.New(s, sched.DefaultMaxWidth); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"ServiceScheduleD695", func(b *testing.B) {
-			// One full socserved round-trip per op against a warm Planner
-			// registry (the same shape as BenchmarkServiceScheduleD695).
-			svc, err := service.New(service.Config{Preload: []string{"d695"}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer svc.Close()
-			ts := httptest.NewServer(svc.Handler())
-			defer ts.Close()
-			body, err := json.Marshal(map[string]any{
-				"soc":    "d695",
-				"params": service.ParamsJSON{TAMWidth: 32, Percent: 10, Delta: 1},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			do := func() {
-				resp, err := ts.Client().Post(ts.URL+"/v1/schedule", "application/json", bytes.NewReader(body))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-					b.Fatal(err)
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					b.Fatalf("HTTP %d", resp.StatusCode)
-				}
-			}
-			do() // warm up outside the timed region
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				do()
-			}
-		}},
-		{"ServiceBatchColdD695", func(b *testing.B) {
-			// One 8-width /v1/batch round-trip per op against a fresh
-			// service each time, so every item is a cache miss.
-			body := batchBody(b)
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				svc, err := service.New(service.Config{Preload: []string{"d695"}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ts := httptest.NewServer(svc.Handler())
-				b.StartTimer()
-				postBatch(b, ts, body)
-				b.StopTimer()
-				ts.Close()
-				svc.Close()
-				b.StartTimer()
-			}
-		}},
-		{"ServiceBatchWarmD695", func(b *testing.B) {
-			// The identical batch against one long-lived service: after the
-			// untimed warm-up, every op is served from the result cache.
-			svc, err := service.New(service.Config{Preload: []string{"d695"}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer svc.Close()
-			ts := httptest.NewServer(svc.Handler())
-			defer ts.Close()
-			body := batchBody(b)
-			postBatch(b, ts, body)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				postBatch(b, ts, body)
-			}
-		}},
-	}
-	rep := benchJSONReport{
-		Schema: "socbench-benchjson/v1",
-		Go:     runtime.Version(),
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		Note:   note,
-	}
-	for _, w := range workloads {
-		r := testing.Benchmark(w.fn)
-		rep.Benchmarks = append(rep.Benchmarks, benchJSONResult{
-			Name:        w.name,
-			Iterations:  r.N,
-			NsPerOp:     r.NsPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		})
-		fmt.Fprintf(os.Stderr, "socbench: %-24s %10d ns/op %8d allocs/op %10d B/op (%d iterations)\n",
-			w.name, r.NsPerOp(), r.AllocsPerOp(), r.AllocedBytesPerOp(), r.N)
-	}
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fatal(err)
-	}
-}
-
-// batchBody builds the 8-width d695 /v1/batch payload the batch
-// workloads send (Workers: 1 per item, like every workload here).
-func batchBody(b *testing.B) []byte {
-	var items []map[string]any
-	for w := 12; w <= 40; w += 4 {
-		items = append(items, map[string]any{
-			"soc":    "d695",
-			"params": service.ParamsJSON{TAMWidth: w, Workers: 1},
-		})
-	}
-	body, err := json.Marshal(map[string]any{"items": items, "workers": 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return body
-}
-
-// postBatch sends one /v1/batch request and requires every item to land.
-func postBatch(b *testing.B, ts *httptest.Server, body []byte) {
-	resp, err := ts.Client().Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		b.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b.Fatalf("HTTP %d", resp.StatusCode)
-	}
-}
-
-// benchBackend times one d695 W=32 run of a named registered backend
-// through the registry dispatch path (Workers: 1, like every workload
-// here, so racing backends run their legs sequentially). A non-zero
-// preemptions budget keeps the preemptive backends from declining.
-func benchBackend(b *testing.B, backend string, preemptions int) {
-	s := bench.D695()
-	opt, err := sched.New(s, sched.DefaultMaxWidth)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	params := sched.Params{TAMWidth: 32, Workers: 1, Backend: backend}
-	if preemptions > 0 {
-		mp, err := opt.LargerCorePreemptions(preemptions)
-		if err != nil {
-			b.Fatal(err)
-		}
-		params.MaxPreemptions = mp
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := opt.ScheduleBackend(ctx, params); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

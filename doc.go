@@ -36,7 +36,7 @@
 // constraint, sched, rectpack, lb, datavol, bist, pattern, tamsim,
 // baseline, bench, report, experiments); this package re-exports the
 // surface a downstream user needs. The cmd/ tools regenerate every table
-// and figure of the paper; see DESIGN.md and EXPERIMENTS.md.
+// and figure of the paper (`socbench -all`).
 //
 // # Service
 //

@@ -3,7 +3,10 @@
 // (wrapper/TAM co-optimization and test scheduling under four regimes),
 // Table 2 (effective TAM widths for tester data volume reduction), Fig. 1
 // (a core's testing-time staircase), and Fig. 9 (T, D, and cost curves
-// versus W), plus the ablations DESIGN.md calls out.
+// versus W), plus three ablations: the δ bottleneck rescue (AblationDelta),
+// flexible packing against fixed-width and shelf architectures
+// (Baselines), and the idle-insertion and widening heuristics
+// (AblationHeuristics).
 package experiments
 
 import (

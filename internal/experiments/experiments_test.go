@@ -198,8 +198,8 @@ func TestAblationHeuristicsRows(t *testing.T) {
 	}
 	r := rows[0]
 	// Greedy heuristics are not monotone: an ablated variant can win a
-	// particular (SOC, W) point — at d695 W=32 disabling the widening
-	// heuristic gains ~2.7% (a real finding, recorded in EXPERIMENTS.md).
+	// particular (SOC, W) point — at d695 W=32 on this grid, disabling the
+	// widening heuristic gains 2.7% (24,508 to 23,849 cycles).
 	// The full algorithm must stay within 5% of the best variant.
 	best := r.Full
 	for _, v := range []int64{r.NoInsert, r.NoWiden, r.Neither} {

@@ -1060,7 +1060,7 @@ func ForEachContext(ctx context.Context, workers, n int, fn func(int)) error {
 // larger values. The paper treats α as a free user parameter ("usually
 // between 1 and 10"); on wide TAMs, larger α values let more cores run
 // side-by-side at narrower widths and measurably reduce idle area, so the
-// default grid extends past 10 (documented deviation, see EXPERIMENTS.md).
+// default grid extends past 10, a deviation from the paper's 1..10.
 func DefaultPercents() []int {
 	return []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 20, 30, 40, 60}
 }

@@ -51,6 +51,45 @@ func BenchmarkServiceScheduleD695(b *testing.B) {
 	}
 }
 
+// BenchmarkServiceBatchCold measures one cold POST /v1/batch round trip
+// through httptest: 8 d695 items at W 12 to 40, each on one worker,
+// against a fresh service per op, so every item misses the result cache
+// and is scheduled. Building and closing the service is not timed.
+func BenchmarkServiceBatchCold(b *testing.B) {
+	var items []BatchItemJSON
+	for w := 12; w <= 40; w += 4 {
+		items = append(items, BatchItemJSON{SOC: "d695", Params: ParamsJSON{TAMWidth: w, Workers: 1}})
+	}
+	body, err := json.Marshal(BatchRequest{Items: items, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		svc, err := New(Config{Preload: []string{"d695"}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ts := httptest.NewServer(svc.Handler())
+		b.StartTimer()
+		resp, err := ts.Client().Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			b.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("HTTP %d", resp.StatusCode)
+		}
+		b.StopTimer()
+		ts.Close()
+		svc.Close()
+		b.StartTimer()
+	}
+}
+
 // BenchmarkServiceBatchWarm measures one warm POST /v1/batch round trip
 // through httptest: hot-mix's hot batch, 8 items over demo8, d695 and
 // p93791like at W 24 to 48, every one a result-cache hit. It times the

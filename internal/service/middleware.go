@@ -190,12 +190,15 @@ func (s *Server) middleware(mux *http.ServeMux) http.Handler {
 // writeTraced replays a buffered response, wrapping a JSON document in
 // the tracedResponse envelope now that the root span has ended and the
 // full tree is retrievable. Non-JSON answers (the gantt SVG) pass through
-// unwrapped — the trace is still reachable via X-Trace-Id.
+// unwrapped — the trace is still reachable via X-Trace-Id. A
+// Content-Length the handler set is dropped: it counts the handler's
+// body, not the longer envelope, and net/http frames what is written.
 func (s *Server) writeTraced(w http.ResponseWriter, rec *responseRecorder, traceID string) {
 	status := rec.status
 	if status == 0 {
 		status = http.StatusOK
 	}
+	rec.header.Del("Content-Length")
 	keys := make([]string, 0, len(rec.header))
 	for k := range rec.header {
 		keys = append(keys, k)

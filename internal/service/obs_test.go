@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -263,6 +264,45 @@ func TestDebugTraceNonJSON(t *testing.T) {
 	}
 	if !bytes.Contains(svg, []byte("<svg")) || bytes.Contains(svg, []byte(`"trace"`)) {
 		t.Fatal("SVG body was wrapped or mangled by the trace envelope")
+	}
+}
+
+// TestDebugTraceContentLength pins writeTraced's header copy: a route
+// that sets Content-Length for its own document still answers
+// ?debug=trace with the whole envelope, which is longer.
+func TestDebugTraceContentLength(t *testing.T) {
+	svc, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	doc := []byte(`{"makespan": 42}` + "\n")
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /sized", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(doc)))
+		_, _ = w.Write(doc)
+	})
+	ts := httptest.NewServer(svc.middleware(mux))
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/sized?debug=trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := readAll(t, resp)
+	var env traceEnvelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatalf("envelope: %v\n%s", err, raw)
+	}
+	var got, want bytes.Buffer
+	if err := json.Compact(&got, env.Result); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&want, doc); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() || env.Trace.Root.Name != "GET /sized" {
+		t.Fatalf("envelope result %s under root span %q, want %s under \"GET /sized\"", got.String(), env.Trace.Root.Name, want.String())
 	}
 }
 
