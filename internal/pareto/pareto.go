@@ -46,24 +46,26 @@ type row struct {
 }
 
 // Compute builds the Pareto set of core c for widths 1..maxWidth. It
-// designs the core's wrapper once per width and keeps only the numbers
-// the schedulers read, T(w), s_i and s_o; the wrapper chains are dropped,
-// so a set costs one table row per width.
+// designs the core's wrapper at every width through wrapper.ScanLengths,
+// which sorts the scan chains once and reuses one scratch set across the
+// widths, and keeps only the numbers the schedulers read, T(w), s_i and
+// s_o: no wrapper chain is built, so a set costs one table row per width
+// and a fixed number of allocations whatever maxWidth is, apart from the
+// Points slice's growth.
 func Compute(c *soc.Core, maxWidth int) (*Set, error) {
 	if maxWidth < 1 {
 		return nil, fmt.Errorf("pareto: core %d: non-positive max width %d", c.ID, maxWidth)
 	}
 	s := &Set{CoreID: c.ID, MaxWidth: maxWidth, table: make([]row, maxWidth)}
-	for w := 1; w <= maxWidth; w++ {
-		d, err := wrapper.DesignWrapper(c, w)
-		if err != nil {
-			return nil, err
-		}
-		t := d.TestTime()
+	err := wrapper.ScanLengths(c, maxWidth, func(w, si, so int) {
+		t := wrapper.TestTime(si, so, c.Test.Patterns)
 		if len(s.Points) == 0 || t < s.MinTime() {
 			s.Points = append(s.Points, Point{Width: w, Time: t})
 		}
-		s.table[w-1] = row{time: t, scanIn: d.ScanInMax, scanOut: d.ScanOutMax, snap: s.MaxParetoWidth()}
+		s.table[w-1] = row{time: t, scanIn: si, scanOut: so, snap: s.MaxParetoWidth()}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }

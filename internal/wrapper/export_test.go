@@ -1,5 +1,6 @@
 package wrapper
 
-// DesignWrapperRef exposes the reference implementation to external test
-// packages (internal tests would cycle through internal/bench otherwise).
-var DesignWrapperRef = designWrapperRef
+// CheckWidths exposes the differential check against the reference
+// implementation to external test packages (internal tests would cycle
+// through internal/bench otherwise).
+var CheckWidths = checkWidths

@@ -8,16 +8,21 @@
 // The implementation is output-identical to the paper's greedy recipe but
 // asymptotically cheaper: the BFD scan-chain partition keeps the wrapper
 // chains in a min-heap (O(n log w) for n scan chains over w wrapper
-// chains), and the wrapper-cell water-filling is evaluated in closed form
-// (O(w log w), independent of the cell count — unit items fill to a water
-// level, so the final distribution never needs to be simulated cell by
-// cell). Cores with thousands of I/O terminals cost the same as cores
-// with none.
+// chains, and O(n) without the heap when n <= w), and the wrapper-cell
+// water-filling is evaluated in closed form from the chain loads sorted
+// once (O(w log w), independent of the cell count — unit items fill to a
+// water level, so the final distribution never needs to be simulated cell
+// by cell). Cores with thousands of I/O terminals cost the same as cores
+// with none. ScanLengths, which Pareto staircases are built from, designs
+// a core at every width 1..W from one sort of its scan chains and one
+// scratch set, with no chain lists: O(n log n + W·(n log W + W log W))
+// time and a fixed number of allocations per core.
 package wrapper
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/soc"
 )
@@ -182,62 +187,151 @@ func DesignWrapper(c *soc.Core, width int) (*Design, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("wrapper: core %d: non-positive width %d", c.ID, width)
 	}
+	k := newDesigner(c, width)
 	d := &Design{
 		CoreID:   c.ID,
 		Width:    width,
 		Chains:   make([]Chain, width),
 		Patterns: c.Test.Patterns,
 	}
-
-	// Step 1: scan chains, longest first, onto the least-loaded wrapper
-	// chain. The chains live in a min-heap keyed by (ScanBits, chain
-	// index), which reproduces the linear scan's lowest-index tie-break.
-	order := make([]int, len(c.ScanChains))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		la, lb := c.ScanChains[order[a]], c.ScanChains[order[b]]
-		if la != lb {
-			return la > lb
-		}
-		return order[a] < order[b] // deterministic tie-break
-	})
-	// All loads start at 0 in index order: already a valid min-heap.
-	h := make(loadHeap, width)
-	for j := range h {
-		h[j].idx = j
-	}
-	for _, sc := range order {
-		ch := &d.Chains[h[0].idx]
+	d.ScanInMax, d.ScanOutMax = k.design(width)
+	for p, sc := range k.order {
+		ch := &d.Chains[k.where[p]]
 		ch.ScanChains = append(ch.ScanChains, sc)
-		ch.ScanBits += c.ScanChains[sc]
-		h[0].load = ch.ScanBits
-		h.siftDown(0)
 	}
-
-	// Step 2: wrapper cells by water-filling. Bidirs affect both sides, so
-	// fill them against the max(si,so) load; inputs against si; outputs
-	// against so.
-	fill(d.Chains, c.Bidirs, func(ch *Chain) int {
-		si, so := ch.ScanIn(), ch.ScanOut()
-		if si > so {
-			return si
-		}
-		return so
-	}, func(ch *Chain, n int) { ch.BidirCells += n })
-	fill(d.Chains, c.Inputs, func(ch *Chain) int { return ch.ScanIn() }, func(ch *Chain, n int) { ch.InputCells += n })
-	fill(d.Chains, c.Outputs, func(ch *Chain) int { return ch.ScanOut() }, func(ch *Chain, n int) { ch.OutputCells += n })
-
+	// Each fill hands its leftover cells to the lowest-indexed chains at
+	// its level, so the chains take their shares in index order.
+	bidir, in, out := k.bidir.extra, k.in.extra, k.out.extra
 	for j := range d.Chains {
-		if si := d.Chains[j].ScanIn(); si > d.ScanInMax {
-			d.ScanInMax = si
-		}
-		if so := d.Chains[j].ScanOut(); so > d.ScanOutMax {
-			d.ScanOutMax = so
-		}
+		ch := &d.Chains[j]
+		ch.ScanBits = k.bits[j]
+		ch.BidirCells = k.bidir.share(ch.ScanBits, &bidir)
+		ch.InputCells = k.in.share(ch.ScanIn(), &in)
+		ch.OutputCells = k.out.share(ch.ScanOut(), &out)
 	}
 	return d, nil
+}
+
+// ScanLengths designs core c's wrapper at every width 1..maxWidth, in
+// increasing order, and calls yield with each width's longest scan-in and
+// scan-out, DesignWrapper(c, w)'s ScanInMax and ScanOutMax. It sorts the
+// scan chains once, reuses one scratch set across the widths and builds no
+// chain lists, so its allocations do not grow with maxWidth.
+func ScanLengths(c *soc.Core, maxWidth int, yield func(w, si, so int)) error {
+	if c == nil {
+		return fmt.Errorf("wrapper: nil core")
+	}
+	if maxWidth < 1 {
+		return fmt.Errorf("wrapper: core %d: non-positive width %d", c.ID, maxWidth)
+	}
+	k := newDesigner(c, maxWidth)
+	for w := 1; w <= maxWidth; w++ {
+		si, so := k.design(w)
+		yield(w, si, so)
+	}
+	return nil
+}
+
+// designer runs Design_wrapper for one core at any width up to the one it
+// was made for. It sorts the core's scan chains once and keeps one scratch
+// set that every width reuses: the BFD min-heap, the scan bits of each
+// wrapper chain, and the ascending chain loads the water-filling reads.
+type designer struct {
+	core  *soc.Core
+	order []int // scan chain indices, longest first, lowest index on ties
+	pos   int   // scan chains of positive length, a prefix of order
+	heap  loadHeap
+	// After design(w): wrapper chain where[p] holds scan chain order[p],
+	// bits[j] is wrapper chain j's scan length, and bidir, in and out are
+	// the three cell fills.
+	where, bits, asc []int
+	bidir, in, out   fill
+}
+
+func newDesigner(c *soc.Core, maxWidth int) designer {
+	n := len(c.ScanChains)
+	buf := make([]int, 2*n+2*maxWidth)
+	k := designer{
+		core:  c,
+		order: buf[:n],
+		where: buf[n : 2*n],
+		bits:  buf[2*n : 2*n+maxWidth],
+		asc:   buf[2*n+maxWidth:],
+	}
+	for i := range k.order {
+		k.order[i] = i
+	}
+	lens := c.ScanChains
+	slices.SortFunc(k.order, func(a, b int) int {
+		if lens[a] != lens[b] {
+			return cmp.Compare(lens[b], lens[a])
+		}
+		return cmp.Compare(a, b) // deterministic tie-break
+	})
+	for k.pos < n && lens[k.order[k.pos]] > 0 {
+		k.pos++
+	}
+	return k
+}
+
+// design runs Design_wrapper at width w, 1 <= w <= the designer's width,
+// and returns the design's longest scan-in and scan-out.
+func (k *designer) design(w int) (si, so int) {
+	c := k.core
+	bits, asc := k.bits[:w], k.asc[:w]
+	clear(bits)
+	if len(k.order) <= w {
+		// No more scan chains than wrapper chains. Wrapper chain j takes
+		// the j-th longest scan chain while lengths are positive, and
+		// chain pos, the first one left at load 0, takes all the rest:
+		// exactly the heap's choices. So bits is descending but for chain
+		// pos, which holds the non-positive lengths' sum; its ascending
+		// copy is bits reversed with chain pos moved to the front.
+		for p, sc := range k.order {
+			j := min(p, k.pos)
+			k.where[p] = j
+			bits[j] += c.ScanChains[sc]
+		}
+		for j := range asc {
+			asc[j] = bits[w-1-j]
+		}
+		if k.pos < w {
+			asc[0], asc[w-1-k.pos] = asc[w-1-k.pos], asc[0]
+		}
+	} else {
+		// Scan chains, longest first, onto the least-loaded wrapper chain.
+		// The chains live in a min-heap keyed by (load, chain index), which
+		// reproduces the linear scan's lowest-index tie-break. All loads
+		// start at 0 in index order: already a valid min-heap.
+		if k.heap == nil {
+			k.heap = make(loadHeap, min(len(k.bits), len(k.order)-1))
+		}
+		h := k.heap[:w]
+		for j := range h {
+			h[j].load, h[j].idx = 0, j
+		}
+		for p, sc := range k.order {
+			j := h[0].idx
+			k.where[p] = j
+			bits[j] += c.ScanChains[sc]
+			h[0].load = bits[j]
+			h.siftDown(0)
+		}
+		copy(asc, bits)
+		slices.Sort(asc)
+	}
+
+	// Wrapper cells by water-filling. Bidirs load both sides, so they fill
+	// against max(si, so), which is still the scan bits alone. Inputs then
+	// fill against si and outputs against so, and both of those start at
+	// scan bits + bidir cells: the bidir fill's result serves both.
+	k.bidir = waterFill(asc, c.Bidirs)
+	k.bidir.raise(asc)
+	k.in = waterFill(asc, c.Inputs)
+	k.out = waterFill(asc, c.Outputs)
+	// The maxima start at 0, as Validate's do, should every load be
+	// negative.
+	return max(k.in.max(asc), 0), max(k.out.max(asc), 0)
 }
 
 // loadHeap is a binary min-heap over (load, chain index), ordered by load
@@ -270,55 +364,72 @@ func (h loadHeap) siftDown(i int) {
 	}
 }
 
-// fill distributes n unit cells over the chains by exact water-filling:
-// conceptually each cell lands on the chain whose load (as reported by
-// loadOf) is currently smallest, lowest index on ties, which minimizes the
-// maximum load. Because every cell raises its chain's load by exactly one,
-// the greedy endpoint has a closed form and is computed directly in
-// O(w log w), independent of n: loads below the final water level L are
-// topped up to L, and the r leftover cells (r < number of chains at L) go
-// one each to the lowest-indexed chains at L — exactly the greedy
-// tie-break order. add must apply count cells at once.
-func fill(chains []Chain, n int, loadOf func(*Chain) int, add func(*Chain, int)) {
-	if n <= 0 {
-		return
-	}
-	w := len(chains)
-	loads := make([]int, w)
-	for j := range chains {
-		loads[j] = loadOf(&chains[j])
-	}
-	sorted := append([]int(nil), loads...)
-	sort.Ints(sorted)
+// fill is where exact water-filling of unit cells over a set of chain
+// loads ends: conceptually each cell lands on the chain whose load is then
+// smallest, lowest index on ties, which minimizes the maximum load. Because
+// every cell raises its chain's load by exactly one, the greedy endpoint
+// has a closed form: the k least-loaded chains end at level, the first
+// extra of them by index (extra < k) take one cell more — exactly the
+// greedy tie-break order — and the other chains take none.
+type fill struct{ level, k, extra int }
 
+// waterFill returns the fill of n cells over the loads asc, given in
+// ascending order, in O(k) time, independent of n.
+func waterFill(asc []int, n int) fill {
+	n = max(n, 0)
 	// Raise the water level plateau by plateau while whole levels fit.
-	level := sorted[0]
+	f := fill{level: asc[0], k: 1}
 	used := 0 // cells consumed bringing the k lowest chains up to level
-	k := 1    // number of chains with load <= level
-	for k < w {
-		need := k * (sorted[k] - level)
+	for f.k < len(asc) {
+		need := f.k * (asc[f.k] - f.level)
 		if used+need > n {
 			break
 		}
 		used += need
-		level = sorted[k]
-		k++
+		f.level = asc[f.k]
+		f.k++
 	}
 	rem := n - used
-	level += rem / k
-	r := rem % k // leftover cells for the first r active chains by index
+	f.level += rem / f.k
+	f.extra = rem % f.k
+	return f
+}
 
-	for j := range chains {
-		addN := 0
-		if loads[j] <= level {
-			addN = level - loads[j]
-			if r > 0 {
-				addN++
-				r--
-			}
-		}
-		if addN > 0 {
-			add(&chains[j], addN)
-		}
+// share returns the cells the fill adds to a chain of the given load.
+// extra counts the leftover cells not yet handed out: callers start it at
+// f.extra and visit the chains in index order.
+func (f fill) share(load int, extra *int) int {
+	if load > f.level {
+		return 0
+	}
+	n := f.level - load
+	if *extra > 0 {
+		n++
+		*extra--
+	}
+	return n
+}
+
+// max returns the largest load after the fill, given asc, the loads before
+// it in ascending order. A chain above the level keeps its load, which is
+// at least level+1.
+func (f fill) max(asc []int) int {
+	if f.k < len(asc) {
+		return asc[len(asc)-1]
+	}
+	if f.extra > 0 {
+		return f.level + 1
+	}
+	return f.level
+}
+
+// raise turns asc, the loads before the fill in ascending order, into the
+// loads after it, still in ascending order.
+func (f fill) raise(asc []int) {
+	for i := range f.k {
+		asc[i] = f.level
+	}
+	for i := f.k - f.extra; i < f.k; i++ {
+		asc[i]++
 	}
 }
