@@ -112,6 +112,8 @@ func seeds(cores []*core, tamWidth int, m mode) []*genome {
 		return perCore(func(s *pareto.Set) int { return qualityWidth(s, stretchPct) })
 	}
 	full, zero, minArea := frac(1), make([]int, n), perCore(minAreaWidth)
+	half, third, quarter := frac(2), frac(3), frac(4)
+	q25, q50, q100 := quality(25), quality(50), quality(100)
 	noSplit := make([]int64, n)
 	mk := func(perm, caps, floors []int, preempt bool) *genome {
 		return &genome{perm: perm, cap: caps, floor: floors, split: noSplit, preempt: preempt}
@@ -119,20 +121,20 @@ func seeds(cores []*core, tamWidth int, m mode) []*genome {
 
 	var out []*genome
 	for _, perm := range [][]int{byTime, byArea, bySerial, byWidth} {
-		for _, caps := range [][]int{full, frac(2), frac(3), frac(4), minArea} {
+		for _, caps := range [][]int{full, half, third, quarter, minArea} {
 			out = append(out, mk(perm, caps, zero, false))
 		}
 	}
 	for _, perm := range [][]int{byTime, byArea} {
-		for _, stretch := range []int64{25, 50, 100} {
-			out = append(out, mk(perm, full, quality(stretch), false))
+		for _, floors := range [][]int{q25, q50, q100} {
+			out = append(out, mk(perm, full, floors, false))
 		}
 	}
 	switch m {
 	case modePreempt:
 		widest := perCore((*pareto.Set).MaxParetoWidth)
 		for _, perm := range [][]int{byTime, byArea, ascTime, ascArea} {
-			for _, floors := range [][]int{quality(25), quality(50), quality(100), minArea, widest} {
+			for _, floors := range [][]int{q25, q50, q100, minArea, widest} {
 				out = append(out, mk(perm, full, floors, true))
 			}
 		}
@@ -185,6 +187,7 @@ type simCore struct {
 	segStart  int64
 	yieldAt   int64 // forced split instant; -1 = none
 	yieldedAt int64 // instant of the last forced split (no same-instant resume)
+	at        int64 // while running: the instant due returns
 	segs      []sched.Span
 	preempts  int
 	penalty   int64
@@ -251,18 +254,20 @@ func (s *simCore) due() (int64, bool) {
 // decoder turns the genomes of one search into placements. It owns all
 // decode scratch: the per-core simulation states, whose segment slices are
 // truncated and reused, one constraint.State, preemptFor's victim list,
-// and two index lists in one backing array: order, the genome's priority
-// order minus the cores that have finished, and running, the cores that
-// run. A warmed decode therefore allocates nothing, and a decode's result
-// aliases that scratch until the next decode. A decoder is not safe for
-// concurrent use; each search owns one.
+// and three index lists in one backing array: rank, each core's position
+// in the genome's priority order; wait, the waiting (unstarted or
+// suspended) cores by rank; and running, the running cores by due
+// instant. A warmed decode therefore allocates nothing, and a decode's
+// result aliases that scratch until the next decode. A decoder is not
+// safe for concurrent use; each search owns one.
 type decoder struct {
 	cores    []*core
 	tamWidth int
 	cs       *constraint.State
 	sim      []simCore // parallel to cores
-	order    []int     // capacity len(cores)
-	running  []int     // capacity len(cores); in no particular order
+	rank     []int     // parallel to cores
+	wait     []int     // capacity len(cores)
+	running  []int     // capacity len(cores)
 	victims  []int
 }
 
@@ -270,9 +275,9 @@ type decoder struct {
 // tamWidth.
 func newDecoder(cores []*core, chk *constraint.Checker, tamWidth int) *decoder {
 	n := len(cores)
-	lists := make([]int, 2*n)
+	lists := make([]int, 3*n)
 	return &decoder{cores: cores, tamWidth: tamWidth, cs: chk.NewState(), sim: make([]simCore, n),
-		order: lists[:0:n], running: lists[n:n]}
+		rank: lists[:n], wait: lists[n : n : 2*n], running: lists[2*n : 2*n]}
 }
 
 // decoded is one genome's simulation outcome before wire assignment.
@@ -293,19 +298,24 @@ var errCut = errors.New("rectpack: makespan limit exceeded")
 // is infeasible (a constraint deadlock, or floors no free width meets).
 // The result aliases the decoder's scratch and stays valid only until the
 // next decode; emit may hand it to Assemble, which copies every span.
-// At every event each unfinished core is offered, in genome priority
-// order, the largest Pareto width that fits the free wires under its cap,
+// At every event each waiting core is offered, in genome priority order,
+// the largest Pareto width that fits the free wires under its cap,
 // subject to its floor and the constraint checker. A core whose split gene
 // fires suspends itself mid-run; with the genome's preemption bit set, a
 // blocked core may instead suspend weaker runners (preemptFor). Suspended
 // cores resume at their fixed width, paying the wrapper's preemption
 // penalty for the gap.
 //
-// The priority pass walks d.order, compacting finished cores out of it as
-// it goes, and stops once no wire is free and the genome has no
-// preemption bit, since then no core can start or resume. The event step
-// walks only d.running; its constraint.State updates are counter changes,
-// so the list's order does not matter.
+// The priority pass walks only d.wait, the unstarted and suspended cores
+// in priority order. A core leaves it when it starts or resumes and goes
+// back in at its rank (park) when its split gene fires or preemptFor
+// suspends it; a victim ranks after the blocked core, so the same pass
+// still reaches it. The pass stops once no wire is free and the genome
+// has no preemption bit, since then no core can start or resume. d.running
+// is kept in ascending due instant, so the event step takes the next
+// instant from its head and retires or suspends the prefix due then. Its
+// constraint.State updates are counter changes, and a parked core goes in
+// at its rank, so the order of cores due at one instant does not matter.
 //
 // decode returns errCut as soon as a core starts whose test would end
 // after limit. A started test never ends sooner than its start plus its
@@ -317,7 +327,10 @@ func (d *decoder) decode(g *genome, limit int64) (decoded, error) {
 		sim[i] = simCore{segs: sim[i].segs[:0]} // keep the segments' storage
 	}
 	cs.Reset()
-	order := append(d.order[:0], g.perm...)
+	for r, ci := range g.perm {
+		d.rank[ci] = r
+	}
+	d.wait = append(d.wait[:0], g.perm...)
 	d.running = d.running[:0]
 	var now int64
 	avail := d.tamWidth
@@ -326,21 +339,19 @@ func (d *decoder) decode(g *genome, limit int64) (decoded, error) {
 	splits := 0
 	for left > 0 {
 		events++
+		wait := d.wait
 		kept := 0
-		for pos, ci := range order {
+		for pos := 0; pos < len(wait); pos++ { // preemptFor may park victims after pos
 			if avail == 0 && !g.preempt {
-				kept += copy(order[kept:], order[pos:])
+				kept += copy(wait[kept:], wait[pos:])
 				break
 			}
-			s := &sim[ci]
-			if s.state == simDone {
-				continue
-			}
-			order[kept] = ci // kept <= pos, so the entries after pos are intact
+			ci := wait[pos]
+			wait[kept] = ci // kept <= pos, so the entries after pos are intact
 			kept++
+			s := &sim[ci]
 			c := cores[ci]
-			switch s.state {
-			case simSuspended:
+			if s.state == simSuspended {
 				// A forced split resumes only after a gap, or it would undo
 				// itself; a victim may come back at once (see resume).
 				if now <= s.yieldedAt {
@@ -350,17 +361,14 @@ func (d *decoder) decode(g *genome, limit int64) (decoded, error) {
 					if !g.preempt {
 						continue
 					}
-					free, ok := d.preemptFor(order, pos, s.width, avail, now)
+					free, ok := d.preemptFor(g.perm, pos, s.width, avail, now)
 					if !ok {
 						continue
 					}
-					avail = free
+					avail, wait = free, d.wait
 				}
 				s.resume(c, now)
-				cs.Start(c.id)
-				avail -= s.width
-				d.running = append(d.running, ci)
-			case simUnstarted:
+			} else { // unstarted
 				floor := g.floor[ci]
 				w, ok := c.set.SnapDown(min(g.cap[ci], avail))
 				if !ok || (floor > 0 && w < floor) || !cs.OK(c.id) {
@@ -372,11 +380,11 @@ func (d *decoder) decode(g *genome, limit int64) (decoded, error) {
 					if w, ok = c.set.SnapDown(g.cap[ci]); !ok || (floor > 0 && w < floor) {
 						continue
 					}
-					free, ok := d.preemptFor(order, pos, w, avail, now)
+					free, ok := d.preemptFor(g.perm, pos, w, avail, now)
 					if !ok {
 						continue
 					}
-					avail = free
+					avail, wait = free, d.wait
 					splits++
 				}
 				if s.start(c, w, now, g.split[ci]) {
@@ -385,62 +393,87 @@ func (d *decoder) decode(g *genome, limit int64) (decoded, error) {
 				if now+s.remaining > limit {
 					return decoded{}, errCut
 				}
-				cs.Start(c.id)
-				avail -= w
-				d.running = append(d.running, ci)
 			}
+			kept--
+			cs.Start(c.id)
+			avail -= s.width
+			d.run(ci)
 		}
-		order = order[:kept]
-		// Advance to the earliest segment end or forced split among the
-		// running cores, then retire or suspend everything landing there.
+		d.wait = wait[:kept]
+		// Advance to the earliest segment end or forced split, then retire
+		// or suspend everything landing there.
 		if len(d.running) == 0 {
 			return decoded{}, fmt.Errorf("rectpack: no core can run at t=%d with %d cores left", now, left)
 		}
-		next := int64(math.MaxInt64)
-		for _, ci := range d.running {
-			if at, _ := sim[ci].due(); at < next {
-				next = at
-			}
-		}
-		kept = 0
+		next := sim[d.running[0]].at
+		landed := 0
 		for _, ci := range d.running {
 			s := &sim[ci]
-			switch at, split := s.due(); {
-			case at != next:
-				d.running[kept] = ci
-				kept++
-			case split:
+			if s.at != next {
+				break
+			}
+			landed++
+			avail += s.width
+			if _, split := s.due(); split {
 				s.suspend(next)
 				s.yieldedAt = next
 				cs.Stop(cores[ci].id)
-				avail += s.width
-			default:
+				d.park(ci, 0)
+			} else {
 				s.closeSeg(next)
 				s.state = simDone
 				cs.Complete(cores[ci].id)
-				avail += s.width
 				left--
 			}
 		}
-		d.running = d.running[:kept]
+		d.running = d.running[:copy(d.running, d.running[landed:])]
 		now = next
 	}
 	return decoded{sim: sim, makespan: now, events: events, splits: splits}, nil
 }
 
-// preemptFor tries to free want wires for the blocked core at priority
-// position pos by suspending strictly weaker runners — later in the
-// priority order — that have budget left and have run this segment,
-// weakest first, so the strongest runners keep their wires. On success the
-// suspensions are committed, the victims leave d.running, and the new
-// free-wire count (>= want) is returned with ok true. When too few wires
-// can be freed, or the constraint checker refuses the core even with the
-// victims gone, nothing changes and ok is false.
+// run adds ci, which has just started or resumed, to d.running at its due
+// instant, after the cores due no later.
+func (d *decoder) run(ci int) {
+	s := &d.sim[ci]
+	s.at, _ = s.due()
+	r := d.running[:len(d.running)+1]
+	j := len(r) - 1
+	for ; j > 0 && d.sim[r[j-1]].at > s.at; j-- {
+		r[j] = r[j-1]
+	}
+	r[j] = ci
+	d.running = r
+}
+
+// park puts ci, which has just been suspended, back into d.wait at its
+// rank, no earlier than index from.
+func (d *decoder) park(ci, from int) {
+	w := d.wait[:len(d.wait)+1]
+	j := len(w) - 1
+	for ; j > from && d.rank[w[j-1]] > d.rank[ci]; j-- {
+		w[j] = w[j-1]
+	}
+	w[j] = ci
+	d.wait = w
+}
+
+// preemptFor tries to free want wires for the blocked core d.wait[pos] by
+// suspending strictly weaker runners — later in the priority order perm —
+// that have budget left and have run this segment, weakest first, so the
+// strongest runners keep their wires. It finds them by walking perm back
+// to the blocked core's rank. On success the suspensions are committed,
+// the victims leave d.running and are parked in d.wait after pos, where
+// the priority pass still reaches them, and the new free-wire count (>=
+// want) is returned with ok true. When too few wires can be freed, or the
+// constraint checker refuses the core even with the victims gone, nothing
+// changes and ok is false.
 func (d *decoder) preemptFor(perm []int, pos, want, avail int, now int64) (int, bool) {
 	cores, sim, cs := d.cores, d.sim, d.cs
+	blocked := d.wait[pos]
 	victims := d.victims[:0]
 	freed := 0
-	for vpos := len(perm) - 1; vpos > pos && avail+freed < want; vpos-- {
+	for vpos := len(perm) - 1; vpos > d.rank[blocked] && avail+freed < want; vpos-- {
 		vi := perm[vpos]
 		if v := &sim[vi]; v.state == simRunning && v.preempts < cores[vi].budget && v.segStart < now {
 			victims = append(victims, vi)
@@ -454,7 +487,7 @@ func (d *decoder) preemptFor(perm []int, pos, want, avail int, now int64) (int, 
 	for _, vi := range victims {
 		cs.Stop(cores[vi].id)
 	}
-	if !cs.OK(cores[perm[pos]].id) {
+	if !cs.OK(cores[blocked].id) {
 		for _, vi := range victims {
 			cs.Start(cores[vi].id)
 		}
@@ -462,6 +495,7 @@ func (d *decoder) preemptFor(perm []int, pos, want, avail int, now int64) (int, 
 	}
 	for _, vi := range victims {
 		sim[vi].suspend(now)
+		d.park(vi, pos+1)
 	}
 	d.running = slices.DeleteFunc(d.running, func(ci int) bool { return sim[ci].state != simRunning })
 	return avail + freed, true

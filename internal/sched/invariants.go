@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/constraint"
@@ -62,6 +64,14 @@ func unknownCore(s *soc.SOC, sch *Schedule) *UnknownCoreError {
 //     concurrency constraints, hierarchy-implied ones unless the run
 //     ignored hierarchy, and shared BIST engines — never overlap.
 //
+// The wire checks use one slice of (wire, start, end, core) records, one
+// per wire of every piece: a piece's records sorted by wire show a repeat
+// or a wire outside the TAM, and all of them, stably sorted by (wire,
+// start), show a double booking as two neighbours on one wire. Each
+// core's intervals are carved from one more slice. So the check allocates
+// in proportion to the schedule's pieces and wires, never to its declared
+// TAM width.
+//
 // The corpus invariant suite runs this across every scenario × every
 // registered backend.
 func CheckInvariants(s *soc.SOC, sch *Schedule) error {
@@ -87,13 +97,21 @@ func CheckInvariants(s *soc.SOC, sch *Schedule) error {
 		}
 	}
 
-	type wireIval struct {
-		start, end int64
-		coreID     int
-	}
-	perWire := make(map[int][]wireIval)
-	intervals := make(map[int][]constraint.Interval, len(s.Cores))
+	// One record per piece wire and one interval per piece, each slice
+	// sized up front.
+	nrec, npiece := 0, 0
 	for _, c := range s.Cores {
+		if a := sch.Assignments[c.ID]; a != nil {
+			npiece += len(a.Pieces)
+			for i := range a.Pieces {
+				nrec += len(a.Pieces[i].Wires)
+			}
+		}
+	}
+	recs := make([]wireUse, 0, nrec)
+	ivs := make([]constraint.Interval, 0, npiece)
+	intervals := make(map[int][]constraint.Interval, len(s.Cores))
+	for k, c := range s.Cores {
 		a := sch.Assignments[c.ID]
 		if a == nil {
 			return fmt.Errorf("sched: core %d never tested", c.ID)
@@ -106,6 +124,7 @@ func CheckInvariants(s *soc.SOC, sch *Schedule) error {
 		}
 		gaps := 0
 		var total int64
+		first := len(ivs)
 		for i := range a.Pieces {
 			p := &a.Pieces[i]
 			if p.Start < 0 || p.End <= p.Start {
@@ -114,16 +133,12 @@ func CheckInvariants(s *soc.SOC, sch *Schedule) error {
 			if len(p.Wires) != a.Width {
 				return fmt.Errorf("sched: core %d piece %d spans %d wires, assignment says %d", c.ID, i, len(p.Wires), a.Width)
 			}
-			seen := make(map[int]bool, len(p.Wires))
+			from := len(recs)
 			for _, w := range p.Wires {
-				if w < 0 || w >= sch.TAMWidth {
-					return fmt.Errorf("sched: core %d piece %d uses wire %d outside TAM width %d", c.ID, i, w, sch.TAMWidth)
-				}
-				if seen[w] {
-					return fmt.Errorf("sched: core %d piece %d lists wire %d twice", c.ID, i, w)
-				}
-				seen[w] = true
-				perWire[w] = append(perWire[w], wireIval{p.Start, p.End, c.ID})
+				recs = append(recs, wireUse{wire: w, start: p.Start, end: p.End, core: k})
+			}
+			if err := checkPieceWires(recs[from:], p.Wires, c.ID, i, sch.TAMWidth); err != nil {
+				return err
 			}
 			if i > 0 {
 				prev := &a.Pieces[i-1]
@@ -140,8 +155,9 @@ func CheckInvariants(s *soc.SOC, sch *Schedule) error {
 				}
 			}
 			total += p.Duration()
-			intervals[c.ID] = append(intervals[c.ID], constraint.Interval{Start: p.Start, End: p.End})
+			ivs = append(ivs, constraint.Interval{Start: p.Start, End: p.End})
 		}
+		intervals[c.ID] = ivs[first:len(ivs):len(ivs)]
 		// Split tests must still test the whole core: the segment durations
 		// sum to the assignment's own claim, BaseTime plus the preemption
 		// penalties, and every resume-after-gap is accounted for in
@@ -160,19 +176,18 @@ func CheckInvariants(s *soc.SOC, sch *Schedule) error {
 				c.ID, total, a.BaseTime, a.PenaltyCycles, want)
 		}
 	}
-	wires := make([]int, 0, len(perWire))
-	for w := range perWire {
-		wires = append(wires, w)
-	}
-	sort.Ints(wires)
-	for _, w := range wires {
-		ivs := perWire[w]
-		sort.Slice(ivs, func(i, j int) bool { return ivs[i].start < ivs[j].start })
-		for i := 1; i < len(ivs); i++ {
-			if ivs[i].start < ivs[i-1].end {
-				return fmt.Errorf("sched: TAM wire %d double-booked: core %d [%d,%d) overlaps core %d [%d,%d)",
-					w, ivs[i].coreID, ivs[i].start, ivs[i].end, ivs[i-1].coreID, ivs[i-1].start, ivs[i-1].end)
-			}
+	// Every core's starts now strictly increase and every piece's wires
+	// are distinct, so (wire, start, core) orders the records totally, in
+	// the order a stable sort by (wire, start) of the appended records
+	// gives. On each wire the first piece that starts before its
+	// predecessor ends is the lowest double booking.
+	slices.SortFunc(recs, func(x, y wireUse) int {
+		return cmp.Or(cmp.Compare(x.wire, y.wire), cmp.Compare(x.start, y.start), cmp.Compare(x.core, y.core))
+	})
+	for i := 1; i < len(recs); i++ {
+		if r, prev := &recs[i], &recs[i-1]; r.wire == prev.wire && r.start < prev.end {
+			return fmt.Errorf("sched: TAM wire %d double-booked: core %d [%d,%d) overlaps core %d [%d,%d)",
+				r.wire, s.Cores[r.core].ID, r.start, r.end, s.Cores[prev.core].ID, prev.start, prev.end)
 		}
 	}
 
@@ -184,4 +199,40 @@ func CheckInvariants(s *soc.SOC, sch *Schedule) error {
 		return err
 	}
 	return chk.ValidateTimeline(intervals)
+}
+
+// wireUse is one TAM wire of one piece: the piece's span and its core's
+// position in the SOC's core list.
+type wireUse struct {
+	wire       int
+	start, end int64
+	core       int
+}
+
+// checkPieceWires checks one piece's wires: each inside [0, tamWidth) and
+// none listed twice. recs holds the piece's records, one per wire and at
+// least one, which it sorts by wire, so a valid list costs no memory
+// beyond them. A bad list gets the error of its first wire that is
+// outside the TAM or repeats an earlier one, found by walking it in
+// listed order.
+func checkPieceWires(recs []wireUse, wires []int, coreID, piece, tamWidth int) error {
+	slices.SortFunc(recs, func(x, y wireUse) int { return cmp.Compare(x.wire, y.wire) })
+	ok := recs[0].wire >= 0 && recs[len(recs)-1].wire < tamWidth
+	for i := 1; ok && i < len(recs); i++ {
+		ok = recs[i].wire != recs[i-1].wire
+	}
+	if ok {
+		return nil
+	}
+	seen := make(map[int]bool, len(wires))
+	for _, w := range wires {
+		if w < 0 || w >= tamWidth {
+			return fmt.Errorf("sched: core %d piece %d uses wire %d outside TAM width %d", coreID, piece, w, tamWidth)
+		}
+		if seen[w] {
+			return fmt.Errorf("sched: core %d piece %d lists wire %d twice", coreID, piece, w)
+		}
+		seen[w] = true
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -54,7 +55,8 @@ func BenchmarkServiceScheduleD695(b *testing.B) {
 // BenchmarkServiceBatchCold measures one cold POST /v1/batch round trip
 // through httptest: 8 d695 items at W 12 to 40, each on one worker,
 // against a fresh service per op, so every item misses the result cache
-// and is scheduled. Building and closing the service is not timed.
+// and is scheduled. Building the service and its d695 Planner, and
+// closing it, is not timed.
 func BenchmarkServiceBatchCold(b *testing.B) {
 	var items []BatchItemJSON
 	for w := 12; w <= 40; w += 4 {
@@ -68,6 +70,10 @@ func BenchmarkServiceBatchCold(b *testing.B) {
 		b.StopTimer()
 		svc, err := New(Config{Preload: []string{"d695"}})
 		if err != nil {
+			b.Fatal(err)
+		}
+		// Preload only registers the SOC; the Planner is built on first use.
+		if _, err := svc.Registry().Planner(context.Background(), "d695"); err != nil {
 			b.Fatal(err)
 		}
 		ts := httptest.NewServer(svc.Handler())
