@@ -63,8 +63,9 @@ func TestPlannerScheduleBatch(t *testing.T) {
 }
 
 // TestPlannerScheduleBatchDedup asserts intra-batch deduplication:
-// items whose params canonicalize to the same key (defaults folded,
-// Workers excluded) share one *Schedule, computed once.
+// items whose params canonicalize to the same key (MaxWidth's default
+// folded, Workers excluded) share one *Schedule, computed once, and items
+// that echo different params do not.
 func TestPlannerScheduleBatchDedup(t *testing.T) {
 	s := repro.BenchmarkSOC("demo8")
 	p, err := repro.NewPlanner(s)
@@ -75,7 +76,7 @@ func TestPlannerScheduleBatchDedup(t *testing.T) {
 		{Params: repro.Options{TAMWidth: 16}},
 		{Params: repro.Options{TAMWidth: 16, Workers: 3}},            // Workers is non-semantic
 		{Params: repro.Options{TAMWidth: 16, MaxWidth: 64}},          // explicit default
-		{Params: repro.Options{TAMWidth: 16, Backend: "classic"}},    // explicit default backend
+		{Params: repro.Options{TAMWidth: 16, Backend: "classic"}},    // echoed as sent
 		{Params: repro.Options{TAMWidth: 16, DisableWidening: true}}, // genuinely different
 	}
 	results := p.ScheduleBatch(context.Background(), items, 2)
@@ -85,13 +86,18 @@ func TestPlannerScheduleBatchDedup(t *testing.T) {
 		}
 	}
 	first := results[0].Schedule
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= 2; i++ {
 		if results[i].Schedule != first {
 			t.Fatalf("item %d did not share the deduplicated schedule pointer", i)
 		}
 	}
-	if results[4].Schedule == first {
-		t.Fatal("a semantically different item was wrongly deduplicated")
+	for i := 3; i <= 4; i++ {
+		if results[i].Schedule == first {
+			t.Fatalf("item %d, whose schedule differs, was wrongly deduplicated", i)
+		}
+	}
+	if got := results[3].Schedule.Params.Backend; got != "classic" {
+		t.Fatalf("named-backend item echoes backend %q, want \"classic\"", got)
 	}
 }
 

@@ -58,8 +58,9 @@
 // Schedule, ScheduleBest and the service share: a classic single run for
 // a non-Best item on the default backend, the backend's best mode
 // otherwise. Items with the same mode-canonical key (BatchItem.Key:
-// Options.Workers excluded, defaults folded, Best implied for non-classic
-// backends) are computed once and share the resulting schedule. The HTTP
+// Options.Workers excluded, MaxWidth's default folded, Best implied for
+// non-classic backends, every other field as sent) are computed once and
+// share the resulting schedule. The HTTP
 // surface mirrors this as POST /v1/batch, backed by a content-addressed
 // result cache keyed by (fingerprint, BatchItem.Key): repeat schedule
 // requests — batched or not — are served the exact bytes of the first

@@ -4,10 +4,10 @@
 // three industrial Philips SOCs p22810, p34392 and p93791, whose ITC'02
 // benchmark files are not redistributable here.
 //
-// The synthetic SOCs match the originals in module count and core-type mix,
-// and their pattern counts are calibrated (see calibrate.go) so that the
-// total minimum rectangle area A = Σ_i min_w w·T_i(w) equals the value
-// implied by the paper's published lower bounds — which pins the
+// The synthetic SOCs match the originals in module count and core-type mix.
+// Their pattern counts were calibrated once, and are kept as literal data,
+// so that the total minimum rectangle area A = Σ_i min_w w·T_i(w) equals
+// the value implied by the paper's published lower bounds — which pins the
 // area-bound LB column of Table 1 to the paper's numbers exactly. Two
 // cores are engineered to reproduce specific narratives:
 //
@@ -21,8 +21,8 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
+	"repro/internal/pareto"
 	"repro/internal/soc"
 )
 
@@ -38,6 +38,21 @@ const (
 	// allows 1%).
 	AreaD695Paper = 659712
 )
+
+// MeasuredArea reports Σ_i min_w w·T_i(w) for any SOC at the paper's
+// per-core width cap w_max = 64 — the quantity the synthetic SOCs were
+// calibrated on.
+func MeasuredArea(s *soc.SOC) (int64, error) {
+	var total int64
+	for _, c := range s.Cores {
+		ps, err := pareto.Compute(c, 64)
+		if err != nil {
+			return 0, err
+		}
+		total += ps.MinArea()
+	}
+	return total, nil
+}
 
 // D695 returns the academic d695 SOC: ten ISCAS-85/89 cores with the
 // benchmark's published I/O, pattern, and scan-chain parameters.
@@ -91,52 +106,6 @@ func Demo() *soc.SOC {
 	s.Cores[7].Test = soc.Test{Patterns: 160, Kind: soc.BISTTest, BISTEngine: 0}
 	mustValidate(s)
 	return s
-}
-
-var (
-	onceP22810, onceP34392, onceP93791 sync.Once
-	socP22810, socP34392, socP93791    *soc.SOC
-)
-
-// P22810Like returns the calibrated 28-core stand-in for Philips p22810.
-func P22810Like() *soc.SOC {
-	onceP22810.Do(func() {
-		s := rawP22810()
-		if err := calibrate(s, AreaP22810, adjustableIDs(s), trimCoreID(s)); err != nil {
-			panic(fmt.Sprintf("bench: p22810like calibration: %v", err))
-		}
-		mustValidate(s)
-		socP22810 = s
-	})
-	return socP22810.Clone()
-}
-
-// P34392Like returns the calibrated 19-core stand-in for Philips p34392,
-// including the engineered bottleneck core 18.
-func P34392Like() *soc.SOC {
-	onceP34392.Do(func() {
-		s := rawP34392()
-		if err := calibrate(s, AreaP34392, adjustableIDs(s), trimCoreID(s)); err != nil {
-			panic(fmt.Sprintf("bench: p34392like calibration: %v", err))
-		}
-		mustValidate(s)
-		socP34392 = s
-	})
-	return socP34392.Clone()
-}
-
-// P93791Like returns the calibrated 32-core stand-in for Philips p93791,
-// including the engineered Fig. 1 core 6.
-func P93791Like() *soc.SOC {
-	onceP93791.Do(func() {
-		s := rawP93791()
-		if err := calibrate(s, AreaP93791, adjustableIDs(s), trimCoreID(s)); err != nil {
-			panic(fmt.Sprintf("bench: p93791like calibration: %v", err))
-		}
-		mustValidate(s)
-		socP93791 = s
-	})
-	return socP93791.Clone()
 }
 
 // All returns the four benchmark SOCs in the paper's Table order.

@@ -201,17 +201,6 @@ func TestSyntheticSOCsHaveRichStructure(t *testing.T) {
 	}
 }
 
-func TestCalibrateRejectsImpossibleTargets(t *testing.T) {
-	s := rawP22810()
-	err := calibrate(s, 1, adjustableIDs(s), trimCoreID(s))
-	if err == nil {
-		t.Fatal("absurd target accepted")
-	}
-	if err := calibrate(rawP22810(), AreaP22810, adjustableIDs(s), 0); err == nil {
-		t.Fatal("missing trim core accepted")
-	}
-}
-
 func TestChainsHelper(t *testing.T) {
 	got := chains(2, 10, 3, 7)
 	want := []int{10, 10, 7, 7, 7}

@@ -10,6 +10,7 @@ package pareto
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/soc"
@@ -132,8 +133,16 @@ func (s *Set) PreferredWidth(percent, delta int) int {
 
 // AlphaWidth is Initialize's α step: the smallest width whose testing time
 // is within percent% of the time at MaxWidth. It never exceeds the highest
-// Pareto-optimal width w*.
+// Pareto-optimal width w*. Out-of-range percents saturate instead of
+// wrapping MinTime·percent: one too large for the product to fit in an
+// int64 lets every width qualify, and a negative one, as 0 does, only w*.
 func (s *Set) AlphaWidth(percent int) int {
+	switch {
+	case percent < 0:
+		return s.MaxParetoWidth()
+	case int64(percent) > math.MaxInt64/s.MinTime():
+		return s.Points[0].Width
+	}
 	target := s.MinTime() + (s.MinTime()*int64(percent))/100
 	// Points are width-ascending / time-descending: the first point at or
 	// under the target time is the smallest qualifying width.

@@ -13,27 +13,23 @@ import (
 // as a result-cache address. Fields that cannot influence the schedule are
 // excluded — Workers only bounds sweep fan-out (parallel sweeps are
 // deterministic), so Params differing only in Workers share a key.
-// Defaults are applied first, so the zero value and an explicit default
-// (e.g. MaxWidth 0 vs 64) share a key too.
+// MaxWidth 0 and DefaultMaxWidth share a key too, since a schedule echoes
+// the defaulted cap either way. Every other field is keyed as sent: a
+// schedule echoes Backend and Seed as sent, and best mode sweeps
+// DefaultInsertSlacks for an unset InsertSlack but pins an explicit 3.
 func (p Params) CanonicalKey() string {
-	d := p.Defaults()
-	backend := d.Backend
-	if IsDefaultBackend(backend) {
-		backend = DefaultBackend
-	}
-	seed := d.Seed
-	if seed == 0 {
-		seed = DefaultSeed
+	if p.MaxWidth == 0 {
+		p.MaxWidth = DefaultMaxWidth
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "w=%d|max=%d|pct=%d|delta=%d|power=%d|slack=%d|widen=%t|hier=%t|backend=%s|bt=%d|seed=%d|pre=",
-		d.TAMWidth, d.MaxWidth, d.Percent, d.Delta, d.PowerMax, d.InsertSlack,
-		d.DisableWidening, d.IgnoreHierarchy, backend, int64(d.BackendTimeout), seed)
-	if d.MaxPreemptions == nil {
+		p.TAMWidth, p.MaxWidth, p.Percent, p.Delta, p.PowerMax, p.InsertSlack,
+		p.DisableWidening, p.IgnoreHierarchy, p.Backend, int64(p.BackendTimeout), p.Seed)
+	if p.MaxPreemptions == nil {
 		sb.WriteString("nil")
 	} else {
-		ids := make([]int, 0, len(d.MaxPreemptions))
-		for id := range d.MaxPreemptions {
+		ids := make([]int, 0, len(p.MaxPreemptions))
+		for id := range p.MaxPreemptions {
 			ids = append(ids, id)
 		}
 		sort.Ints(ids)
@@ -42,7 +38,7 @@ func (p Params) CanonicalKey() string {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
-			fmt.Fprintf(&sb, "%d:%d", id, d.MaxPreemptions[id])
+			fmt.Fprintf(&sb, "%d:%d", id, p.MaxPreemptions[id])
 		}
 		sb.WriteByte(']')
 	}
@@ -66,8 +62,10 @@ func (it BatchItem) best() bool {
 
 // Key returns the item's mode-canonical result-cache address: the effective
 // mode plus the Params' canonical key. Two items with equal keys produce
-// byte-identical schedules, so every spelling of one computation shares a
-// key.
+// byte-identical schedules. Items that differ only in Workers, in MaxWidth
+// 0 against DefaultMaxWidth, or in Best for a non-classic backend share a
+// key; any other difference, even between two spellings of one default,
+// gives each its own.
 func (it BatchItem) Key() string {
 	return fmt.Sprintf("best=%t|%s", it.best(), it.Params.CanonicalKey())
 }

@@ -11,8 +11,9 @@ import (
 
 // TestScheduleItemDispatch: the one dispatch runs a single classic Run
 // only for a non-Best item on the default backend and the backend's best
-// mode otherwise, and Key gives every spelling of one computation one
-// address.
+// mode otherwise, and Key gives the two modes of a non-classic backend one
+// address but an explicitly named default backend its own, since its
+// schedule echoes the name.
 func TestScheduleItemDispatch(t *testing.T) {
 	opt, err := New(bench.Demo(), DefaultMaxWidth)
 	if err != nil {
@@ -56,13 +57,17 @@ func TestScheduleItemDispatch(t *testing.T) {
 		want string
 	}{
 		{BatchItem{Params: p}, "best=false|" + p.CanonicalKey()},
-		{BatchItem{Params: named}, "best=false|" + p.CanonicalKey()},
+		{BatchItem{Params: named}, "best=false|" + named.CanonicalKey()},
 		{BatchItem{Params: p, Best: true}, "best=true|" + p.CanonicalKey()},
 		{BatchItem{Params: port}, "best=true|" + port.CanonicalKey()},
+		{BatchItem{Params: port, Best: true}, "best=true|" + port.CanonicalKey()},
 	} {
 		if got := tc.it.Key(); got != tc.want {
 			t.Errorf("Key(%+v) = %q, want %q", tc.it, got, tc.want)
 		}
+	}
+	if named.CanonicalKey() == p.CanonicalKey() {
+		t.Error("backend \"classic\" and the unset backend share a key, but only one echoes its name")
 	}
 }
 
@@ -101,6 +106,40 @@ func TestScheduleBatchSharesAndIsolates(t *testing.T) {
 	for i, r := range opt.ScheduleBatch(ctx, items, 2) {
 		if r.Schedule != nil || !errors.Is(r.Err, context.Canceled) {
 			t.Errorf("item %d after cancel: (%v, %v), want (nil, context.Canceled)", i, r.Schedule, r.Err)
+		}
+	}
+}
+
+// TestScheduleBatchKeepsSpellingsApart: two spellings of one default in
+// one batch — InsertSlack unset (best mode sweeps DefaultInsertSlacks) or
+// DefaultInsertSlack, Backend unset or DefaultBackend, Seed unset or
+// DefaultSeed (both echoed as sent) — each get their own schedule, equal
+// to a lone ScheduleItem of that spelling.
+func TestScheduleBatchKeepsSpellingsApart(t *testing.T) {
+	opt, err := New(bench.Demo(), DefaultMaxWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	p := Params{TAMWidth: 8}
+	slack, named, seeded := p, p, p
+	slack.InsertSlack = DefaultInsertSlack
+	named.Backend = DefaultBackend
+	seeded.Seed = DefaultSeed
+	for _, pair := range [][]BatchItem{
+		{{Params: p, Best: true}, {Params: slack, Best: true}},
+		{{Params: p}, {Params: named}},
+		{{Params: p}, {Params: seeded}},
+	} {
+		got := opt.ScheduleBatch(ctx, pair, 1)
+		for i, it := range pair {
+			want, err := opt.ScheduleItem(ctx, it)
+			if err != nil || got[i].Err != nil {
+				t.Fatalf("%+v: %v, %v", it, err, got[i].Err)
+			}
+			if !reflect.DeepEqual(got[i].Schedule, want) {
+				t.Errorf("%+v beside %+v: batch schedule differs from its own", it, pair[1-i])
+			}
 		}
 	}
 }

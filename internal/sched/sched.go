@@ -61,10 +61,11 @@ type Params struct {
 	// PowerMax is the SOC power budget (0 = unconstrained; overrides the
 	// SOC's own value when set).
 	PowerMax int
-	// InsertSlack is the Line-13 squeeze limit; <0 disables insertion,
-	// 0 keeps insertion for exactly-fitting preferred widths that lost the
-	// priority race, and the default (when zero value Params are used via
-	// Defaults) is DefaultInsertSlack.
+	// InsertSlack is the Line-13 squeeze limit; <0 disables insertion.
+	// 0 means unset: DefaultInsertSlack for a single run, the
+	// DefaultInsertSlacks sweep in best mode. (A slack of 0 itself would
+	// squeeze nothing, since a squeezed core needs wAvail < pref ≤
+	// wAvail + slack.)
 	InsertSlack int
 	// DisableWidening turns off the Lines 15-16 width-growing heuristic
 	// (for ablation).
@@ -605,7 +606,7 @@ func (r *runner) insertSqueezed() bool {
 	bestJ := -1 // best's position in pending
 	for j, i := range r.pending {
 		st := &r.ord[i]
-		if st.pref <= r.wAvail || st.pref > r.wAvail+r.params.InsertSlack || !r.cs.OK(st.id) {
+		if st.pref <= r.wAvail || st.pref-r.wAvail > r.params.InsertSlack || !r.cs.OK(st.id) {
 			continue
 		}
 		if best == nil || st.pref < best.pref || (st.pref == best.pref && st.id < best.id) {

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -300,6 +302,49 @@ func TestInsertSlackAndWideningToggles(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Logf("W=%d full=%d noInsert=%d noWiden=%d", w, full.Makespan, noIns.Makespan, noWid.Makespan)
+	}
+}
+
+// TestHugeSlackAndPercentSaturate: an insert slack or an α past every
+// width or time the SOC has lets every candidate qualify however large it
+// is, and must not wrap: slacks W, 1<<20 and math.MaxInt give one
+// schedule, and so do percents 1<<40 and math.MaxInt, and percents -1 and
+// math.MinInt+1.
+func TestHugeSlackAndPercentSaturate(t *testing.T) {
+	for _, s := range bench.All() {
+		opt, err := New(s, DefaultMaxWidth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{16, 32, 48} {
+			for _, knob := range []struct {
+				name string
+				set  func(*Params, int)
+				vals []int
+			}{
+				{"insertSlack", func(p *Params, v int) { p.InsertSlack = v }, []int{w, 1 << 20, math.MaxInt}},
+				{"percent", func(p *Params, v int) { p.Percent = v }, []int{1 << 40, math.MaxInt}},
+				{"percent", func(p *Params, v int) { p.Percent = v }, []int{-1, math.MinInt + 1}},
+			} {
+				var first Schedule
+				for i, v := range knob.vals {
+					p := Params{TAMWidth: w, Percent: 5}
+					knob.set(&p, v)
+					sch, err := opt.Run(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := *sch
+					got.Params = Params{} // the echo is all that may differ
+					if i == 0 {
+						first = got
+					} else if !reflect.DeepEqual(got, first) {
+						t.Errorf("%s W=%d: %s %d gives makespan %d, %s %d gave %d",
+							s.Name, w, knob.name, v, got.Makespan, knob.name, knob.vals[0], first.Makespan)
+					}
+				}
+			}
+		}
 	}
 }
 

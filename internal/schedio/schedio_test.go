@@ -69,6 +69,9 @@ func TestFileRoundTrip(t *testing.T) {
 	if _, err := LoadFile(path+".missing", s); err == nil {
 		t.Fatal("missing file accepted")
 	}
+	if err := SaveFile(path+".missing/sch.json", sch); err == nil {
+		t.Fatal("SaveFile into a missing directory succeeded")
+	}
 }
 
 func TestLoadRejectsWrongSOC(t *testing.T) {

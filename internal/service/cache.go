@@ -208,7 +208,7 @@ func NewResultCache(capacity int64) *ResultCache {
 
 // scheduleCacheKey is the content address of a schedule document: the
 // SOC fingerprint plus the item's mode-canonical key (sched.BatchItem.Key),
-// so every spelling of the same computation shares one entry.
+// so requests that answer the same bytes share one entry.
 func scheduleCacheKey(fp string, it repro.BatchItem) string {
 	return "sched|" + fp + "|" + it.Key()
 }

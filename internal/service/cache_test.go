@@ -296,3 +296,39 @@ func TestChaosScheduleFailureNotCached(t *testing.T) {
 		t.Fatalf("cache stats after recovery = %+v, want hits and misses", st)
 	}
 }
+
+// TestCacheKeepsSpellingsApart: a request that spells a default two ways —
+// insertSlack unset (best mode sweeps {3, 8, 16}) or 3 (pins 3), backend
+// unset or "classic", seed unset or 1 (both echoed as sent) — is two
+// requests. Each spelling answers the same bytes from a fresh service as
+// from one that first served the other spelling.
+func TestCacheKeepsSpellingsApart(t *testing.T) {
+	anneal := ParamsJSON{TAMWidth: 8, Backend: "anneal"}
+	seeded := anneal
+	seeded.Seed = 1
+	for _, pc := range []struct {
+		name, route string
+		a, b        ParamsJSON
+	}{
+		{"insertSlack", "/v1/schedule/best", ParamsJSON{TAMWidth: 8}, ParamsJSON{TAMWidth: 8, InsertSlack: 3}},
+		{"backend", "/v1/schedule", ParamsJSON{TAMWidth: 8}, ParamsJSON{TAMWidth: 8, Backend: "classic"}},
+		{"seed", "/v1/schedule", anneal, seeded},
+	} {
+		// serve answers both spellings, in order, from one new service.
+		serve := func(first, second ParamsJSON) (out [2][]byte) {
+			_, ts := newTestService(t, Config{Preload: []string{"demo8"}})
+			for i, p := range [2]ParamsJSON{first, second} {
+				code, body := doJSON(t, ts.Client(), "POST", ts.URL+pc.route, map[string]any{"soc": "demo8", "params": p})
+				if code != http.StatusOK {
+					t.Fatalf("%s: HTTP %d: %s", pc.name, code, body)
+				}
+				out[i] = body
+			}
+			return out
+		}
+		ab, ba := serve(pc.a, pc.b), serve(pc.b, pc.a)
+		if !bytes.Equal(ab[0], ba[1]) || !bytes.Equal(ab[1], ba[0]) {
+			t.Errorf("%s: an answer depends on which spelling was served first", pc.name)
+		}
+	}
+}

@@ -1,12 +1,44 @@
 package socfile_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/corpus"
 	"repro/internal/soc"
 	"repro/internal/socfile"
 )
+
+// TestValidateNames: a space, a tab, a newline or '#' in the SOC name or
+// a core name is rejected, and the error names the kind and the name;
+// every built-in and corpus SOC passes.
+func TestValidateNames(t *testing.T) {
+	good := append(bench.All(), bench.Demo())
+	for _, sc := range corpus.All() {
+		good = append(good, sc.Build())
+	}
+	for _, s := range good {
+		if err := socfile.ValidateNames(s); err != nil {
+			t.Errorf("%s: %v", s.Name, err)
+		}
+	}
+	for _, bad := range []string{"a b", "a\tb", "a\nb", "a#b"} {
+		named, onCore := bench.Demo(), bench.Demo()
+		named.Name = bad
+		onCore.Cores[2].Name = bad
+		for s, want := range map[*soc.SOC]string{
+			named:  fmt.Sprintf("SOC name %q", bad),
+			onCore: fmt.Sprintf("core %d name %q", onCore.Cores[2].ID, bad),
+		} {
+			err := socfile.ValidateNames(s)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("name %q: err = %v, want one naming %s", bad, err, want)
+			}
+		}
+	}
+}
 
 // TestFingerprintCanonical asserts the fingerprint is invariant under the
 // non-semantic degrees of freedom (constraint listing order, concurrency

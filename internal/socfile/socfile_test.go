@@ -238,4 +238,7 @@ func TestWriteFileParseFile(t *testing.T) {
 	if _, err := ParseFile(path + ".missing"); err == nil {
 		t.Fatal("missing file accepted")
 	}
+	if err := WriteFile(path+".missing/x.soc", s); err == nil {
+		t.Fatal("WriteFile into a missing directory succeeded")
+	}
 }
