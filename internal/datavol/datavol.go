@@ -94,7 +94,9 @@ func RunWith(opt *sched.Optimizer, cfg Config) (*Sweep, error) {
 // stops scheduling further widths (and the per-width parameter-grid sweeps
 // stop launching grid points), in-flight scheduler runs finish, and ctx's
 // error is returned. A nil ctx behaves like context.Background(), and an
-// uncancellable context leaves the Sweep byte-identical to RunWith.
+// uncancellable context leaves the Sweep byte-identical to RunWith. Each
+// width's T(W) comes from sched.Optimizer.SweepMakespan: a sample needs
+// the best schedule's makespan, not its wiring.
 func RunWithContext(ctx context.Context, opt *sched.Optimizer, cfg Config) (*Sweep, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -125,7 +127,7 @@ func RunWithContext(ctx context.Context, opt *sched.Optimizer, cfg Config) (*Swe
 		w := cfg.WidthLo + i
 		p := cfg.Params
 		p.TAMWidth, p.Workers = w, 1
-		best, err := opt.SweepBestContext(ctx, p, cfg.Percents, cfg.Deltas)
+		t, err := opt.SweepMakespan(ctx, p, cfg.Percents, cfg.Deltas)
 		if err != nil {
 			errs[i] = fmt.Errorf("datavol: width %d: %w", w, err)
 			for {
@@ -136,7 +138,7 @@ func RunWithContext(ctx context.Context, opt *sched.Optimizer, cfg Config) (*Swe
 			}
 			return
 		}
-		samples[i] = Sample{TAMWidth: w, Time: best.Makespan, Volume: int64(w) * best.Makespan}
+		samples[i] = Sample{TAMWidth: w, Time: t, Volume: int64(w) * t}
 	})
 	if ferr != nil {
 		return nil, ferr // cancelled: the partial sweep is meaningless

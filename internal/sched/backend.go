@@ -159,7 +159,10 @@ const (
 )
 
 // classicBackend is the paper's heuristic: preferred-width rectangle
-// growing swept over the (α, δ, insert-slack) grid, exactly SweepBest.
+// growing swept over the (α, δ, insert-slack) grid, exactly SweepBest. On
+// the span ctx carries it records the sweep's work: its (α, δ)
+// representatives (reps), the runs it started (runs), skipped (skipped)
+// and the cutoff stopped (cut), and their Update events (events).
 type classicBackend struct{}
 
 func (classicBackend) Name() string { return "classic" }
@@ -168,7 +171,18 @@ func (classicBackend) Schedule(ctx context.Context, opt *Optimizer, params Param
 	if err := chaos.InjectContext(ctx, siteClassicSchedule); err != nil {
 		return nil, err
 	}
-	return opt.SweepBestContext(ctx, params, nil, nil)
+	best, n, err := opt.sweep(ctx, params, nil, nil)
+	if sp := obs.FromContext(ctx); sp != nil { // boxing the counts allocates
+		sp.SetAttr("reps", n.reps)
+		sp.SetAttr("runs", n.runs)
+		sp.SetAttr("skipped", n.skipped)
+		sp.SetAttr("cut", n.cut)
+		sp.SetAttr("events", n.events)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return best.assemble(opt)
 }
 
 // BackendRaceStats is one backend's cumulative portfolio-race record,

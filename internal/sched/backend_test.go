@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/lb"
+	"repro/internal/obs"
 )
 
 func TestBackendRegistry(t *testing.T) {
@@ -132,6 +133,56 @@ func TestScheduleBackendClassicMatchesSweepBest(t *testing.T) {
 	}
 }
 
+// TestClassicSpanCountsWork: a traced classic call on d695 at W=32 with
+// one worker records the sweep's work on its backend/classic span, the
+// same five numbers on every repeat: 23 representatives, whose 69 runs
+// are 67 started and 2 skipped as repeats of a smaller slack's run, 63
+// of them stopped by the cutoff, and 487 Update events. An untraced call
+// returns the same schedule. Per-run sorting or a sweep that stops
+// skipping would move these numbers.
+func TestClassicSpanCountsWork(t *testing.T) {
+	opt, err := New(bench.D695(), DefaultMaxWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := Params{TAMWidth: 32, Workers: 1}
+	want, err := opt.ScheduleBackend(context.Background(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := map[string]int{"reps": 23, "runs": 67, "skipped": 2, "cut": 63, "events": 487}
+	for range 5 {
+		tracer := obs.NewTracer(1)
+		got, traceID, err := func() (*Schedule, string, error) {
+			ctx, root := tracer.StartTrace(context.Background(), "test")
+			defer root.End()
+			sch, err := opt.ScheduleBackend(ctx, params)
+			return sch, root.TraceID(), err
+		}()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatal("the traced schedule differs from the untraced one")
+		}
+		td, ok := tracer.Get(traceID)
+		if !ok || len(td.Root.Children) != 1 || td.Root.Children[0].Name != "backend/classic" {
+			t.Fatalf("trace %+v: want one backend/classic child", td.Root)
+		}
+		attrs := td.Root.Children[0].Attrs
+		for name, n := range pinned {
+			if got, _ := attrs[name].(int); got != n {
+				t.Errorf("backend/classic %s = %v, want %d", name, attrs[name], n)
+			}
+		}
+		runs, _ := attrs["runs"].(int)
+		skipped, _ := attrs["skipped"].(int)
+		if reps, _ := attrs["reps"].(int); runs+skipped != reps*len(DefaultInsertSlacks()) {
+			t.Errorf("runs %d + skipped %d != reps %d × %d slacks", runs, skipped, reps, len(DefaultInsertSlacks()))
+		}
+	}
+}
+
 // TestOptimalityFloor: the portfolio's early-exit floor is LB(W) from the
 // optimizer's cache, equal to lb.Compute on a fresh design, and 0 for
 // parameters the cache cannot serve.
@@ -160,6 +211,9 @@ func TestOptimalityFloor(t *testing.T) {
 // TestPortfolioStopsAtLowerBound: a racer whose verified schedule reaches
 // the optimality floor cancels the racers after it. Classic reaches LB(W)
 // on d695 at W=80; the racer after it only returns once it is cancelled.
+// When classic reaches the floor before a worker claims the waiter, the
+// race never starts it, so both outcomes pass: the waiter never started,
+// or it started and was cancelled.
 func TestPortfolioStopsAtLowerBound(t *testing.T) {
 	s := bench.D695()
 	opt, err := New(s, DefaultMaxWidth)
@@ -168,8 +222,9 @@ func TestPortfolioStopsAtLowerBound(t *testing.T) {
 	}
 	params := Params{TAMWidth: 80, Workers: 2}
 	floor := optimalityFloor(opt, params)
-	cancelled := make(chan struct{})
+	started, cancelled := make(chan struct{}), make(chan struct{})
 	waiter := testBackend{name: "test-waiter", fn: func(ctx context.Context, opt *Optimizer, params Params) (*Schedule, error) {
+		close(started)
 		select {
 		case <-ctx.Done():
 			close(cancelled)
@@ -185,6 +240,11 @@ func TestPortfolioStopsAtLowerBound(t *testing.T) {
 	}
 	if best.Makespan != floor {
 		t.Fatalf("winner makespan %d, want the floor %d", best.Makespan, floor)
+	}
+	select {
+	case <-started:
+	default:
+		return // the race never started the waiter
 	}
 	// The race returns without waiting for a cancelled racer to exit.
 	select {

@@ -64,10 +64,17 @@ func (it BatchItem) best() bool {
 // mode plus the Params' canonical key. Two items with equal keys produce
 // byte-identical schedules. Items that differ only in Workers, in MaxWidth
 // 0 against DefaultMaxWidth, or in Best for a non-classic backend share a
-// key; any other difference, even between two spellings of one default,
-// gives each its own.
+// key, and so do single runs that differ only in InsertSlack 0 against
+// DefaultInsertSlack, since a single run applies Defaults and echoes the
+// slack it ran. Best mode keeps those two apart: it sweeps
+// DefaultInsertSlacks for an unset slack. Any other difference, even
+// between two spellings of one default, gives each its own key.
 func (it BatchItem) Key() string {
-	return fmt.Sprintf("best=%t|%s", it.best(), it.Params.CanonicalKey())
+	best, p := it.best(), it.Params
+	if !best && p.InsertSlack == DefaultInsertSlack {
+		p.InsertSlack = 0
+	}
+	return fmt.Sprintf("best=%t|%s", best, p.CanonicalKey())
 }
 
 // ScheduleItem answers one request: one classic Run at the given (α, δ)

@@ -71,6 +71,38 @@ func TestScheduleItemDispatch(t *testing.T) {
 	}
 }
 
+// TestKeyFoldsSingleRunSlack: a single run applies Defaults, so on d695
+// Params{TAMWidth: 28} with InsertSlack unset and with DefaultInsertSlack
+// return equal schedules and share one key, the unset spelling's. Best
+// mode sweeps DefaultInsertSlacks for an unset slack, so there the two
+// keep their own keys.
+func TestKeyFoldsSingleRunSlack(t *testing.T) {
+	opt, err := New(bench.D695(), DefaultMaxWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unset := Params{TAMWidth: 28}
+	three := unset
+	three.InsertSlack = DefaultInsertSlack
+	a, err := opt.Run(unset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := opt.Run(three)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("single runs with InsertSlack unset and 3 differ")
+	}
+	if got, want := (BatchItem{Params: three}).Key(), (BatchItem{Params: unset}).Key(); got != want || want != "best=false|"+unset.CanonicalKey() {
+		t.Errorf("single-run keys %q and %q; want both %q", got, want, "best=false|"+unset.CanonicalKey())
+	}
+	if (BatchItem{Params: three, Best: true}).Key() == (BatchItem{Params: unset, Best: true}).Key() {
+		t.Error("best mode gives InsertSlack unset and 3 one key, but only the unset slack sweeps")
+	}
+}
+
 // TestScheduleBatchSharesAndIsolates: items with equal keys share one
 // schedule, a failing item fails alone, results are the same for any
 // worker count, and once ctx is done every item fails with ctx's error.

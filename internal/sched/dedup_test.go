@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -75,13 +76,41 @@ func synthRegimes() []*soc.SOC {
 }
 
 // TestSweepBestDedupMatchesFullGrid: SweepBest, which runs the unique
-// preferred-width fingerprints on reused runners, stops the runs that
-// cannot win and wires only the winner, returns a schedule identical (field for field, wire for wire,
-// Events and the params echo included) to the reference that runs and
-// wires every grid point. It covers d695 and demo8, and the synthRegimes
-// SOCs with LargerCorePreemptions(3) budgets, sequentially and with a
-// worker pool.
+// preferred-width fingerprints on reused runners, skips the runs that
+// repeat a smaller slack's, stops the runs that cannot win and wires only
+// the winner, returns a schedule identical (field for field, wire for
+// wire, Events and the params echo included) to the reference that runs
+// and wires every grid point. It covers d695 and demo8, and the
+// synthRegimes SOCs with LargerCorePreemptions(3) budgets, sequentially
+// and with a worker pool, and d695 at W=32 on the default 15×5×3 grid,
+// where the sequential sweep must skip some run, so the skip is checked.
 func TestSweepBestDedupMatchesFullGrid(t *testing.T) {
+	d695, err := New(bench.D695(), DefaultMaxWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		p := Params{TAMWidth: 32, Workers: workers}
+		best, n, err := d695.sweep(context.Background(), p, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := best.assemble(d695)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := d695.sweepBestRef(p, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("d695 W=32 default grid workers=%d: sweep differs from the full grid", workers)
+		}
+		if workers == 1 && n.skipped == 0 {
+			t.Errorf("d695 W=32 default grid: no run skipped (%+v)", n)
+		}
+	}
+
 	type input struct {
 		s       *soc.SOC
 		budgets bool
@@ -145,7 +174,7 @@ func TestSweepBestAllocsIndependentOfReps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps := newGrid(Params{TAMWidth: w}, nil, nil, sets).runs()
+		reps := len(newGrid(Params{TAMWidth: w}, nil, nil, sets).reps)
 		allocs := testing.AllocsPerRun(3, func() {
 			if _, err := opt.SweepBest(Params{TAMWidth: w, Workers: 1}, nil, nil); err != nil {
 				t.Fatal(err)
@@ -176,12 +205,14 @@ func TestSweepBestDedupCollapsesGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := newGrid(Params{TAMWidth: 32}, nil, nil, sets)
-	reps := make([]int, g.runs())
-	for k := range reps {
-		var p Params
-		reps[k], p, _ = g.point(k)
-		if !reflect.DeepEqual(p, grid[reps[k]]) {
-			t.Fatalf("representative %d is grid point %d with params %+v; the full grid has %+v", k, reps[k], p, grid[reps[k]])
+	var reps []int
+	for s := range g.slacks {
+		for _, pt := range g.reps {
+			idx, p := g.point(s, pt)
+			if !reflect.DeepEqual(p, grid[idx]) {
+				t.Fatalf("representative %d is grid point %d with params %+v; the full grid has %+v", len(reps), idx, p, grid[idx])
+			}
+			reps = append(reps, idx)
 		}
 	}
 	if len(reps) == 0 || len(reps) >= len(grid) {

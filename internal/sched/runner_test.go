@@ -199,9 +199,9 @@ func twins(s *soc.SOC) *soc.SOC {
 }
 
 // TestRunnerMatchesReference: the runner, which keeps its never-begun
-// cores in one list by preferred-width time and its running cores in
-// another by index, makes every pick of the reference loop that scans
-// every core. Every point of the default grid gives each core the same
+// cores in one list by preferred-width time, scanned once for Priority 3
+// and the squeeze, and its running cores in another in the order they
+// began, makes every pick of the reference loop that scans every core. Every point of the default grid gives each core the same
 // begin, end and width, the same Events and the same makespan, on d695,
 // demo8, p93791like, the synthRegimes SOCs and d695 with a twin of every
 // core (whose ties pin each lowest-index tie-break) at six widths, each
@@ -238,7 +238,8 @@ func TestRunnerMatchesReference(t *testing.T) {
 				for _, p := range fullGrid(Params{TAMWidth: w, MaxPreemptions: budgets}, nil, nil) {
 					runs++
 					ref, refErr := refRun(chk, sets, p)
-					done, err := r.run(context.Background(), p, alphaWidths(make([]int, len(sets)), sets, p.Percent), 0, unbeaten)
+					r.plan(func(i int) int { return sets[i].Promote(sets[i].AlphaWidth(p.Percent), p.Delta) })
+					done, err := r.run(context.Background(), p, 0, unbeaten)
 					if refErr != nil || err != nil || !done {
 						t.Fatalf("%s W=%d %+v: run (%v, %v), reference %v", s.Name, w, p, done, err, refErr)
 					}
@@ -273,25 +274,59 @@ func TestRunStopsOnlyWhenItCannotWin(t *testing.T) {
 		}
 		g := newGrid(params, nil, nil, sets)
 		r := newRunner(chk, sets)
-		for k := range g.runs() {
-			idx, p, alpha := g.point(k)
-			if done, err := r.run(ctx, p, alpha, idx, unbeaten); !done || err != nil {
-				t.Fatalf("%s grid point %d: run (%v, %v) with no bar", s.Name, idx, done, err)
-			}
-			want, wantEvents, makespan := r.rects(), r.events, r.now
-			if done, err := r.run(ctx, p, alpha, idx, rank{makespan, idx - 1}); done || err != nil {
-				t.Fatalf("%s grid point %d: run (%v, %v) against its own makespan at an earlier index; want it stopped", s.Name, idx, done, err)
-			}
-			runs, events, cutEvents = runs+1, events+wantEvents, cutEvents+r.events
-			done, err := r.run(ctx, p, alpha, idx, rank{makespan, idx + 1})
-			if !done || err != nil {
-				t.Fatalf("%s grid point %d: run (%v, %v) against its own makespan at a later index; want it finished", s.Name, idx, done, err)
-			}
-			if r.events != wantEvents || r.now != makespan || !reflect.DeepEqual(r.rects(), want) {
-				t.Fatalf("%s grid point %d: a winning tie changed the run: makespan %d, %d events, want %d, %d events",
-					s.Name, idx, r.now, r.events, makespan, wantEvents)
+		for _, pt := range g.reps {
+			r.plan(func(i int) int { return g.pref(pt, i) })
+			for sl := range g.slacks {
+				idx, p := g.point(sl, pt)
+				if done, err := r.run(ctx, p, idx, unbeaten); !done || err != nil {
+					t.Fatalf("%s grid point %d: run (%v, %v) with no bar", s.Name, idx, done, err)
+				}
+				want, wantEvents, makespan := r.rects(), r.events, r.now
+				if done, err := r.run(ctx, p, idx, rank{makespan, idx - 1}); done || err != nil {
+					t.Fatalf("%s grid point %d: run (%v, %v) against its own makespan at an earlier index; want it stopped", s.Name, idx, done, err)
+				}
+				runs, events, cutEvents = runs+1, events+wantEvents, cutEvents+r.events
+				done, err := r.run(ctx, p, idx, rank{makespan, idx + 1})
+				if !done || err != nil {
+					t.Fatalf("%s grid point %d: run (%v, %v) against its own makespan at a later index; want it finished", s.Name, idx, done, err)
+				}
+				if r.events != wantEvents || r.now != makespan || !reflect.DeepEqual(r.rects(), want) {
+					t.Fatalf("%s grid point %d: a winning tie changed the run: makespan %d, %d events, want %d, %d events",
+						s.Name, idx, r.now, r.events, makespan, wantEvents)
+				}
 			}
 		}
 	}
 	t.Logf("%d representatives: %d Update events run to the end, %d before the stop", runs, events, cutEvents)
+}
+
+// TestWidenTieGoesToLowestIndex: widening picks the lowest index among
+// equal gains in whatever order the cores began. A d695 core and its twin
+// begin at once, the twin first, and the core is the one widened.
+func TestWidenTieGoesToLowestIndex(t *testing.T) {
+	opt, err := New(twins(bench.D695()), DefaultMaxWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := Params{TAMWidth: 64}
+	chk, sets, err := opt.Setup(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core, twin := 5, 5+len(sets)/2
+	w, _ := sets[core].SnapDown(4)
+	r := newRunner(chk, sets)
+	r.plan(func(int) int { return w })
+	r.params, r.wAvail = params.Defaults(), params.TAMWidth
+	r.cs.Reset()
+	r.pending, r.running = append(r.pending[:0], r.order...), r.running[:0]
+	for _, i := range []int{twin, core} {
+		r.assignFresh(slices.Index(r.pending, i), w)
+	}
+	if !r.widenFresh() {
+		t.Fatal("nothing widened")
+	}
+	if r.ord[core].assigned == w || r.ord[twin].assigned != w {
+		t.Fatalf("widths: core %d, twin %d; want the core widened from %d", r.ord[core].assigned, r.ord[twin].assigned, w)
+	}
 }

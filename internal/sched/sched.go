@@ -446,9 +446,9 @@ func (o *Optimizer) runContext(ctx context.Context, params Params) (*Schedule, e
 	if err != nil {
 		return nil, err
 	}
-	alpha := alphaWidths(make([]int, len(sets)), sets, params.Percent)
 	r := newRunner(chk, sets)
-	if _, err := r.run(ctx, params, alpha, 0, unbeaten); err != nil {
+	r.plan(func(i int) int { return sets[i].Promote(sets[i].AlphaWidth(params.Percent), params.Delta) })
+	if _, err := r.run(ctx, params, 0, unbeaten); err != nil {
 		return nil, err
 	}
 	return r.assemble(o)
@@ -474,18 +474,22 @@ func (a rank) less(b rank) bool {
 var unbeaten = rank{math.MaxInt64, math.MaxInt}
 
 // runner holds the mutable state of the TAM_schedule_optimizer over one
-// SOC's capped sets. run resets it for each grid point, so a sweep reuses
-// one runner per worker and a run allocates nothing.
+// SOC's capped sets. plan fixes every core's preferred width and sorts the
+// pending order once, and run resets the rest from that plan, so a sweep
+// reuses one runner per worker, runs every slack of a grid representative
+// on one plan, and a run allocates nothing.
 type runner struct {
 	params Params
 	// cs holds the running and complete sets the Conflict checks read.
 	cs *constraint.State
 	// ord holds the states in ascending core-ID order.
 	ord []coreState
-	// pending holds the never-begun cores (indices into ord) by T(pref)
-	// descending, then index ascending; running holds the running cores by
-	// index. Each selection step scans one of them, not every core.
-	pending, running []int
+	// order is the plan's pending order: every core (indices into ord) by
+	// T(pref) descending, then index ascending. pending holds the
+	// never-begun cores in that order, and running holds the running cores
+	// in the order they began. Each selection step scans one of them, not
+	// every core.
+	order, pending, running []int
 	// byMin holds every core by capped MinTime descending, then index;
 	// byMin[minAt] is the first never-begun one (see update's bound).
 	byMin []int
@@ -494,14 +498,20 @@ type runner struct {
 	now    int64
 	wAvail int
 	events int
+	// over is the smallest amount by which the preferred width of a
+	// never-begun core passing State.OK exceeded the free wires by more
+	// than the slack, over every insertion step that found no candidate;
+	// math.MaxInt when there was none. A run at a larger slack below over
+	// repeats this run (see SweepBest).
+	over int
 }
 
 // newRunner returns a runner over the capped sets, in core-ID order.
 func newRunner(chk *constraint.Checker, sets []*pareto.Set) *runner {
 	n := len(sets)
-	lists := make([]int, 3*n)
-	r := &runner{cs: chk.NewState(), ord: make([]coreState, n),
-		pending: lists[:0:n], running: lists[n : n : 2*n], byMin: lists[2*n:]}
+	lists := make([]int, 4*n)
+	r := &runner{cs: chk.NewState(), ord: make([]coreState, n), order: lists[:n:n],
+		pending: lists[n : n : 2*n], running: lists[2*n : 2*n : 3*n], byMin: lists[3*n:]}
 	for i, ps := range sets {
 		r.ord[i] = coreState{id: ps.CoreID, pset: ps}
 		r.byMin[i] = i
@@ -510,29 +520,44 @@ func newRunner(chk *constraint.Checker, sets []*pareto.Set) *runner {
 	return r
 }
 
-// run is Fig. 4's main loop for grid point idx of a sweep. alpha holds each
-// core's α-preferred width, parallel to ord, which Initialize (Fig. 5)
-// promotes by params.Delta. A finished run returns true and leaves every
-// core's rectangle in ord and the makespan in now. After every Update the
-// run checks update's lower bound on its makespan against bar, the best
-// run the sweep had finished when this one began: once (bound, idx) no
-// longer ranks below bar the run cannot win, and it stops and returns
-// false. A run that would finish below bar is never stopped, as its
-// bound never exceeds its makespan.
-func (r *runner) run(ctx context.Context, params Params, alpha []int, idx int, bar rank) (bool, error) {
-	r.params = params.Defaults()
-	r.cs.Reset()
-	r.pending, r.running = r.pending[:0], r.running[:0]
+// plan gives core i (in core-ID order) the preferred width pref(i), which
+// Initialize (Fig. 5) chose from α and δ, and sorts the pending order.
+func (r *runner) plan(pref func(i int) int) {
 	for i := range r.ord {
 		st := &r.ord[i]
-		st.pref = st.pset.Promote(alpha[i], r.params.Delta)
-		st.prefTime, st.begun = st.pset.Time(st.pref), false
-		r.pending = append(r.pending, i)
+		st.pref = pref(i)
+		st.prefTime = st.pset.Time(st.pref)
+		r.order[i] = i
 	}
-	slices.SortFunc(r.pending, func(a, b int) int {
+	slices.SortFunc(r.order, func(a, b int) int {
 		return cmp.Or(cmp.Compare(r.ord[b].prefTime, r.ord[a].prefTime), cmp.Compare(a, b))
 	})
-	r.now, r.wAvail, r.events, r.minAt = 0, r.params.TAMWidth, 0, 0
+}
+
+// adopt copies src's plan, so r can run its remaining slacks.
+func (r *runner) adopt(src *runner) {
+	for i := range r.ord {
+		r.ord[i].pref, r.ord[i].prefTime = src.ord[i].pref, src.ord[i].prefTime
+	}
+	copy(r.order, src.order)
+}
+
+// run is Fig. 4's main loop on the plan, for grid point idx of a sweep at
+// params' slack. A finished run returns true and leaves every core's
+// rectangle in ord and the makespan in now. After every Update the run
+// checks update's lower bound on its makespan against bar, the best run
+// the sweep had finished when this one began: once (bound, idx) no longer
+// ranks below bar the run cannot win, and it stops and returns false. A
+// run that would finish below bar is never stopped, as its bound never
+// exceeds its makespan.
+func (r *runner) run(ctx context.Context, params Params, idx int, bar rank) (bool, error) {
+	r.params = params.Defaults()
+	r.cs.Reset()
+	r.pending, r.running = append(r.pending[:0], r.order...), r.running[:0]
+	for i := range r.ord {
+		r.ord[i].begun = false
+	}
+	r.now, r.wAvail, r.events, r.minAt, r.over = 0, r.params.TAMWidth, 0, 0, math.MaxInt
 	for len(r.pending)+len(r.running) > 0 {
 		if r.wAvail > 0 && r.fillPass() {
 			continue
@@ -575,50 +600,55 @@ func (r *runner) assemble(o *Optimizer) (*Schedule, error) {
 // changed the bin state (so the caller re-enters with priorities reset).
 // The paper's Priorities 1 and 2 (Fig. 4 lines 5-10) restart begun tests;
 // here a begun test runs on until it ends (see update), so they never have
-// a candidate and Priority 3 comes first.
+// a candidate. One scan of pending answers Priority 3 and Lines 13-14, and
+// widening (Lines 15-16) comes last.
 func (r *runner) fillPass() bool {
-	return r.assignNew() || // Priority 3 (lines 11-12)
-		(r.params.InsertSlack >= 0 && r.insertSqueezed()) || // lines 13-14
-		(!r.params.DisableWidening && r.widenFresh()) // lines 15-16
+	return r.assignPending() || (!r.params.DisableWidening && r.widenFresh())
 }
 
-// assignNew handles Priority 3: cores that never began, whose preferred
-// width fits, largest testing time first. pending is in that order, lowest
-// index first among equal times, so the first core that fits and passes
-// the Conflict check is the pick.
-func (r *runner) assignNew() bool {
-	for j, i := range r.pending {
-		if st := &r.ord[i]; st.pref <= r.wAvail && r.cs.OK(st.id) {
-			r.assignFresh(j, st.pref)
-			return true
-		}
-	}
-	return false
-}
-
-// insertSqueezed handles Lines 13-14: rather than leave wires idle, start
-// an unscheduled core whose preferred width exceeds the available width by
-// at most InsertSlack bits, at the largest Pareto width that fits. Among
-// candidates the one with the smallest preferred width is chosen (it loses
-// the least by being squeezed), the lowest index among equals.
-func (r *runner) insertSqueezed() bool {
-	var best *coreState
-	bestJ := -1 // best's position in pending
+// assignPending begins a never-begun core, scanning pending once.
+// Priority 3 (Fig. 4 lines 11-12) takes the first core in pending order,
+// the largest T(pref) first and the lowest index among equals, whose
+// preferred width fits and that passes the Conflict check. Failing that,
+// Lines 13-14 squeeze in, rather than leave wires idle, a core whose
+// preferred width exceeds the free wires by at most InsertSlack, at the
+// largest Pareto width that fits: the smallest preferred width (it loses
+// the least by being squeezed), the lowest index among equals. A slack
+// below 1 squeezes nothing. When neither finds a core, the scan folds the
+// smallest excess above the slack into over.
+func (r *runner) assignPending() bool {
+	slack := r.params.InsertSlack
+	squeeze, over := -1, r.over // squeeze: the pick's position in pending
 	for j, i := range r.pending {
 		st := &r.ord[i]
-		if st.pref <= r.wAvail || st.pref-r.wAvail > r.params.InsertSlack || !r.cs.OK(st.id) {
-			continue
-		}
-		if best == nil || st.pref < best.pref || (st.pref == best.pref && st.id < best.id) {
-			best, bestJ = st, j
+		switch excess := st.pref - r.wAvail; {
+		case excess <= 0:
+			if r.cs.OK(st.id) {
+				r.assignFresh(j, st.pref)
+				return true
+			}
+		case excess <= slack:
+			if squeeze >= 0 {
+				if b := &r.ord[r.pending[squeeze]]; st.pref > b.pref || (st.pref == b.pref && i > r.pending[squeeze]) {
+					continue
+				}
+			}
+			if r.cs.OK(st.id) {
+				squeeze = j
+			}
+		case excess < over:
+			if r.cs.OK(st.id) {
+				over = excess
+			}
 		}
 	}
-	if best == nil {
+	if squeeze < 0 {
+		r.over = over
 		return false
 	}
 	// fillPass runs only while wires are free, so a width ≥ 1 fits.
-	w, _ := best.pset.SnapDown(r.wAvail)
-	r.assignFresh(bestJ, w)
+	w, _ := r.ord[r.pending[squeeze]].pset.SnapDown(r.wAvail)
+	r.assignFresh(squeeze, w)
 	return true
 }
 
@@ -627,7 +657,7 @@ func (r *runner) insertSqueezed() bool {
 // that gains the most testing time from the extra wires, the lowest index
 // among equals.
 func (r *runner) widenFresh() bool {
-	var best *coreState
+	best := -1
 	var bestGain int64
 	var bestW int
 	for _, i := range r.running {
@@ -640,18 +670,19 @@ func (r *runner) widenFresh() bool {
 			continue
 		}
 		gain := st.pset.Time(st.assigned) - st.pset.Time(w)
-		if gain > bestGain {
-			best, bestGain, bestW = st, gain, w
+		if gain > bestGain || (best >= 0 && gain == bestGain && i < best) {
+			best, bestGain, bestW = i, gain, w
 		}
 	}
-	if best == nil {
+	if best < 0 {
 		return false
 	}
 	// The core began at this instant: no progress has been made, so the
 	// whole rectangle is replaced by the wider, shorter one.
-	r.wAvail -= bestW - best.assigned
-	best.assigned = bestW
-	best.end = r.now + best.pset.Time(bestW)
+	st := &r.ord[best]
+	r.wAvail -= bestW - st.assigned
+	st.assigned = bestW
+	st.end = r.now + st.pset.Time(bestW)
 	return true
 }
 
@@ -660,8 +691,7 @@ func (r *runner) widenFresh() bool {
 func (r *runner) assignFresh(j, width int) {
 	i := r.pending[j]
 	r.pending = slices.Delete(r.pending, j, j+1)
-	k, _ := slices.BinarySearch(r.running, i)
-	r.running = slices.Insert(r.running, k, i) // within capacity: no allocation
+	r.running = append(r.running, i) // within capacity: no allocation
 	st := &r.ord[i]
 	st.assigned, st.begun = width, true
 	st.begin, st.end = r.now, r.now+st.pset.Time(width)
@@ -682,6 +712,7 @@ func (r *runner) assignFresh(j, width int) {
 // MinTime of any never-begun core. Every running test began before the new
 // time, so widenFresh can no longer change it, and a never-begun test can
 // neither begin before the new time nor run shorter than its MinTime.
+// Among tests with a non-positive span the error names the lowest index.
 func (r *runner) update() (int64, error) {
 	if len(r.running) == 0 {
 		// Unreachable: with nothing running every begun test is complete,
@@ -697,18 +728,24 @@ func (r *runner) update() (int64, error) {
 	for _, i := range r.running[1:] {
 		newTime, bound = min(newTime, r.ord[i].end), max(bound, r.ord[i].end)
 	}
-	keep := r.running[:0]
+	keep, bad := r.running[:0], -1
 	for _, i := range r.running {
 		st := &r.ord[i]
-		if st.end != newTime {
+		switch {
+		case st.end != newTime:
 			keep = append(keep, i)
-			continue
+		case st.end <= st.begin:
+			if bad < 0 || i < bad {
+				bad = i
+			}
+		default:
+			r.cs.Complete(st.id)
+			r.wAvail += st.assigned
 		}
-		if st.end <= st.begin {
-			return 0, fmt.Errorf("sched: core %d: non-positive test time %d at width %d", st.id, st.end-st.begin, st.assigned)
-		}
-		r.cs.Complete(st.id)
-		r.wAvail += st.assigned
+	}
+	if bad >= 0 {
+		st := &r.ord[bad]
+		return 0, fmt.Errorf("sched: core %d: non-positive test time %d at width %d", st.id, st.end-st.begin, st.assigned)
 	}
 	r.running, r.now = keep, newTime
 	for r.minAt < len(r.byMin) && r.ord[r.byMin[r.minAt]].begun {
@@ -805,10 +842,24 @@ func SweepBest(s *soc.SOC, params Params, percents, deltas []int) (*Schedule, er
 // core's α-preferred width once per percent, promoted once per delta, and
 // one fingerprint per (percent, delta) point serves every slack. On the
 // default 15×5×3 grid well over half the points typically collapse. Only
-// the unique representatives (the first grid point of each group) run, and
-// a grid point's Params are built only when it runs. Because duplicates
-// have identical makespans, the first grid point attaining the minimum
-// makespan is always a representative.
+// the representatives (the first (percent, delta) point of each
+// fingerprint) run, each at every slack in ascending order, and a grid
+// point's Params are built only when it runs. Because duplicates have
+// identical makespans, the first grid point attaining the minimum
+// makespan is always a representative's.
+//
+// A representative's run at slack s′ is skipped when its run at a smaller
+// slack s finished or was cut, and at every insertion step (Lines 13-14)
+// that found no candidate saw no never-begun core passing State.OK whose
+// preferred width exceeded the free wires by more than s and at most s′.
+// Priority 3, widening, Update and the cutoff's bound do not read the
+// slack. At a step where the s run found candidates, the s′ run's larger
+// set adds only wider preferred widths, so it makes the same pick, the
+// smallest preferred width; at every other step it finds none either. So
+// the s′ run would repeat the s run step for step up to where that run
+// ended: it would finish with the same makespan at a later grid index, or
+// be cut no later, since its bar is no worse and its index is later.
+// Either way it cannot win.
 //
 // A representative also stops as soon as it cannot win. It starts with the
 // best (makespan, grid index) the sweep has finished, and after every
@@ -820,7 +871,7 @@ func SweepBest(s *soc.SOC, params Params, percents, deltas []int) (*Schedule, er
 // included — and the error, when every point fails, are bit-identical to
 // exhaustively running the grid.
 //
-// The representative runs are independent, so they are fanned out over
+// The representatives are independent, so they are fanned out over
 // params.Workers goroutines (0 = GOMAXPROCS, 1 = sequential). The winner
 // is picked by (makespan, grid index), so the outcome is also identical
 // regardless of the worker count.
@@ -837,78 +888,160 @@ func (o *Optimizer) SweepBest(params Params, percents, deltas []int) (*Schedule,
 //
 // Grid points differ only in Percent, Delta and InsertSlack, none of which
 // Setup reads, so the sweep sets up once and every run shares the checker
-// and the capped sets. A run leaves a layout and a makespan in its runner;
-// only the winner, picked by (makespan, grid index), is wired by Assemble.
-// Workers take runners from a shared idle list and return them after each
-// run, except the runner holding the best so far, which stays out of
-// reuse until a better run replaces it: a sweep makes at most one runner
-// per worker plus one. When every run fails, the error of the lowest grid
-// index is returned.
+// and the capped sets. A worker takes a runner for each representative,
+// reads the cores' preferred widths from its fingerprint and sorts the
+// pending order once, then runs the slacks in ascending order on that one
+// plan, skipping each run that would repeat a smaller slack's (see
+// SweepBest). A run leaves a layout and a makespan in its runner; only the
+// winner, picked by (makespan, grid index), is wired by Assemble. The
+// runner holding the best so far stays out of reuse until a better run
+// replaces it, and the worker whose run became the best copies the plan to
+// an idle runner for its remaining slacks: a sweep makes at most one
+// runner per worker plus one. When every run fails, the error of the
+// lowest grid index is returned.
 func (o *Optimizer) SweepBestContext(ctx context.Context, params Params, percents, deltas []int) (*Schedule, error) {
+	best, _, err := o.sweep(ctx, params, percents, deltas)
+	if err != nil {
+		return nil, err
+	}
+	return best.assemble(o)
+}
+
+// SweepMakespan is the makespan of SweepBestContext's schedule, without
+// the wiring. Assemble cannot fail on a classic layout: its tests hold at
+// most TAMWidth wires at any instant, and update rejects a non-positive
+// span, so the makespan is the schedule's.
+func (o *Optimizer) SweepMakespan(ctx context.Context, params Params, percents, deltas []int) (int64, error) {
+	best, _, err := o.sweep(ctx, params, percents, deltas)
+	if err != nil {
+		return 0, err
+	}
+	return best.now, nil
+}
+
+// sweepCounts is a classic sweep's work: its (percent, delta)
+// representatives, the runs it started, the runs it skipped because a
+// smaller slack's run repeats them, the runs the cutoff stopped, and the
+// Update events of every run it started.
+type sweepCounts struct {
+	reps, runs, skipped, cut, events int
+}
+
+// sweep runs the grid for SweepBestContext and returns the runner holding
+// the winner, with the sweep's work counts.
+func (o *Optimizer) sweep(ctx context.Context, params Params, percents, deltas []int) (*runner, sweepCounts, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	chk, sets, err := o.Setup(params)
 	if err != nil {
-		return nil, err
+		return nil, sweepCounts{}, err
 	}
 	g := newGrid(params, percents, deltas, sets)
-	var (
-		mu       sync.Mutex
-		idle     []*runner // runners no worker holds and no best keeps
-		best     *runner
-		bar      = unbeaten // best's rank
-		firstErr error
-		errIdx   = math.MaxInt
-	)
-	ForEachContext(ctx, params.Workers, g.runs(), func(k int) {
-		idx, p, alpha := g.point(k)
-		mu.Lock()
-		var r *runner
-		if n := len(idle); n > 0 {
-			r, idle = idle[n-1], idle[:n-1]
-		} else {
-			r = newRunner(chk, sets)
+	sw := &sweepState{chk: chk, sets: sets, bar: unbeaten, errIdx: math.MaxInt, counts: sweepCounts{reps: len(g.reps)}}
+	ForEachContext(ctx, params.Workers, len(g.reps), func(k int) { sw.rep(ctx, g, g.reps[k]) })
+	if err := ctx.Err(); err != nil {
+		return nil, sw.counts, err // a grid point was skipped or cut short
+	}
+	if sw.best == nil {
+		return nil, sw.counts, sw.err
+	}
+	return sw.best, sw.counts, nil
+}
+
+// sweepState is what a sweep's workers share. mu guards every field after
+// it.
+type sweepState struct {
+	chk  *constraint.Checker
+	sets []*pareto.Set
+
+	mu     sync.Mutex
+	idle   []*runner // runners no worker holds and no best keeps
+	best   *runner
+	bar    rank  // best's rank
+	err    error // the error of grid index errIdx, the lowest that failed
+	errIdx int
+	counts sweepCounts
+}
+
+// take returns an idle runner, or a new one; mu must be held.
+func (sw *sweepState) take() *runner {
+	n := len(sw.idle)
+	if n == 0 {
+		return newRunner(sw.chk, sw.sets)
+	}
+	r := sw.idle[n-1]
+	sw.idle = sw.idle[:n-1]
+	return r
+}
+
+// rep runs plane point pt at every slack of the grid in ascending order on
+// one plan, skipping each run that would repeat a smaller slack's run (see
+// SweepBest).
+func (sw *sweepState) rep(ctx context.Context, g *grid, pt int) {
+	sw.mu.Lock()
+	r := sw.take()
+	sw.mu.Unlock()
+	r.plan(func(i int) int { return g.pref(pt, i) })
+	skipped := 0
+	over := math.MinInt // the last run's over when it finished or was cut
+	for s := range g.slacks {
+		idx, p := g.point(s, pt)
+		if over > p.InsertSlack {
+			skipped++
+			continue
 		}
-		start := bar
-		mu.Unlock()
-		done, err := r.run(ctx, p, alpha, idx, start)
-		mu.Lock()
-		defer mu.Unlock()
+		if ctx.Err() != nil {
+			break
+		}
+		sw.mu.Lock()
+		bar := sw.bar
+		sw.mu.Unlock()
+		done, err := r.run(ctx, p, idx, bar)
+		over = r.over
+		sw.mu.Lock()
+		sw.counts.runs++
+		sw.counts.events += r.events
 		switch {
 		case err != nil:
-			if idx < errIdx {
-				errIdx, firstErr = idx, err
+			over = math.MinInt
+			if idx < sw.errIdx {
+				sw.errIdx, sw.err = idx, err
 			}
-		case done && (rank{r.now, idx}).less(bar):
-			r, best, bar = best, r, rank{r.now, idx}
+		case !done:
+			sw.counts.cut++
+		case (rank{r.now, idx}).less(sw.bar):
+			prev := sw.best
+			sw.best, sw.bar = r, rank{r.now, idx}
+			if prev == nil {
+				prev = sw.take()
+			}
+			prev.adopt(r)
+			r = prev
 		}
-		if r != nil {
-			idle = append(idle, r)
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err // a grid point was skipped or cut short
+		sw.mu.Unlock()
 	}
-	if best == nil {
-		return nil, firstErr
-	}
-	return best.assemble(o)
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	sw.idle = append(sw.idle, r)
+	sw.counts.skipped += skipped
 }
 
 // grid is a sweep's (percent, delta, slack) grid. Its points are numbered
 // in sweep order, slack-major then percent then delta: point (s, a, d) has
 // grid index (s·|percents| + a)·|deltas| + d. A preferred-width vector
-// depends on (a, d) only, so the representatives are every slack crossed
-// with the plane points reps lists.
+// depends on (a, d) only, so the representatives are the plane points reps
+// lists, each crossed with every slack.
 type grid struct {
 	params                   Params
 	percents, deltas, slacks []int
-	// alpha[a·n : (a+1)·n] holds each core's α-preferred width at
-	// percents[a], parallel to the capped sets.
-	alpha []int
-	// reps holds, ascending, the plane points a·|deltas| + d whose
-	// preferred-width vector no earlier plane point has.
+	// keys holds one fingerprint per plane point a·|deltas| + d: every
+	// core's preferred width at (percents[a], deltas[d]) in 16 bits,
+	// big-endian, parallel to the capped sets.
+	keys string
+	n    int // cores
+	// reps holds, ascending, the plane points whose fingerprint no earlier
+	// plane point has.
 	reps []int
 }
 
@@ -930,22 +1063,25 @@ func newGrid(params Params, percents, deltas []int, capped []*pareto.Set) *grid 
 		slacks = DefaultInsertSlacks()
 	}
 	n := len(capped)
-	g := &grid{params: params, percents: percents, deltas: deltas, slacks: slacks, alpha: make([]int, len(percents)*n)}
+	g := &grid{params: params, percents: percents, deltas: deltas, slacks: slacks, n: n}
 	size := 2 * n
 	buf := make([]byte, 0, len(percents)*len(deltas)*size)
-	for a, pct := range percents {
-		alpha := alphaWidths(g.alpha[a*n:(a+1)*n], capped, pct)
+	alpha := make([]int, n) // each core's α-preferred width, before its δ step
+	for _, pct := range percents {
+		for i, ps := range capped {
+			alpha[i] = ps.AlphaWidth(pct)
+		}
 		for _, d := range deltas {
 			for i, ps := range capped {
 				buf = binary.BigEndian.AppendUint16(buf, uint16(ps.Promote(alpha[i], d)))
 			}
 		}
 	}
-	keys := string(buf)
+	g.keys = string(buf)
 	seen := make(map[string]bool, len(percents)*len(deltas))
 	g.reps = make([]int, 0, len(percents)*len(deltas))
 	for pt := range len(percents) * len(deltas) {
-		if k := keys[pt*size : (pt+1)*size]; !seen[k] {
+		if k := g.keys[pt*size : (pt+1)*size]; !seen[k] {
 			seen[k] = true
 			g.reps = append(g.reps, pt)
 		}
@@ -953,30 +1089,21 @@ func newGrid(params Params, percents, deltas []int, capped []*pareto.Set) *grid 
 	return g
 }
 
-// alphaWidths fills alpha, parallel to the capped sets, with each core's
-// α-preferred width at percent (Initialize before its δ step).
-func alphaWidths(alpha []int, capped []*pareto.Set, percent int) []int {
-	for i, ps := range capped {
-		alpha[i] = ps.AlphaWidth(percent)
-	}
-	return alpha
+// pref returns core i's preferred width at plane point pt.
+func (g *grid) pref(pt, i int) int {
+	k := 2 * (pt*g.n + i)
+	return int(g.keys[k])<<8 | int(g.keys[k+1])
 }
 
-// runs returns how many representative runs the grid holds.
-func (g *grid) runs() int { return len(g.slacks) * len(g.reps) }
-
-// point returns representative run k, in grid order: its grid index, its
-// Params and its cores' α-preferred widths.
-func (g *grid) point(k int) (idx int, p Params, alpha []int) {
-	s, pt := k/len(g.reps), g.reps[k%len(g.reps)]
-	a, d := pt/len(g.deltas), pt%len(g.deltas)
-	p = g.params
-	p.Percent, p.Delta, p.InsertSlack = g.percents[a], g.deltas[d], g.slacks[s]
+// point returns the grid index and the Params of plane point pt at slack
+// s.
+func (g *grid) point(s, pt int) (int, Params) {
+	p := g.params
+	p.Percent, p.Delta, p.InsertSlack = g.percents[pt/len(g.deltas)], g.deltas[pt%len(g.deltas)], g.slacks[s]
 	// Workers steers the sweep, not one run; clear it so the echoed
 	// Schedule.Params is worker-count independent.
 	p.Workers = 0
-	n := len(g.alpha) / len(g.percents)
-	return s*len(g.percents)*len(g.deltas) + pt, p, g.alpha[a*n : (a+1)*n]
+	return s*len(g.percents)*len(g.deltas) + pt, p
 }
 
 // ResolveWorkers maps a Params.Workers-style knob to a concrete worker
@@ -1073,7 +1200,8 @@ func DefaultDeltas() []int { return []int{0, 1, 2, 3, 4} }
 // tries when the caller leaves Params.InsertSlack unset. The paper settles
 // on 3 "after extensive experimentation" but explicitly allows the system
 // integrator to supply a different limit per SOC family; on our benchmarks
-// 8 and 16 win at several widths.
+// 8 and 16 win at several widths. The limits ascend, which SweepBest's
+// skip of a run that repeats a smaller slack's relies on.
 func DefaultInsertSlacks() []int { return []int{3, 8, 16} }
 
 // PaperPercents returns exactly the paper's α grid (1..10), for fidelity

@@ -332,3 +332,24 @@ func TestCacheKeepsSpellingsApart(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheFoldsSingleRunSlack: a single run with insertSlack 3 is the
+// unset spelling's run, so /v1/schedule with 3 after the unset spelling is
+// a cache hit and answers the same bytes.
+func TestCacheFoldsSingleRunSlack(t *testing.T) {
+	svc, ts := newTestService(t, Config{Preload: []string{"d695"}})
+	var bodies [2][]byte
+	for i, p := range []ParamsJSON{{TAMWidth: 28}, {TAMWidth: 28, InsertSlack: 3}} {
+		code, body := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/schedule", map[string]any{"soc": "d695", "params": p})
+		if code != http.StatusOK {
+			t.Fatalf("insertSlack %d: HTTP %d: %s", p.InsertSlack, code, body)
+		}
+		bodies[i] = body
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Error("insertSlack 3 answered other bytes than the unset spelling")
+	}
+	if st := svc.Cache().Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("cache stats %+v, want 1 miss and 1 hit", st)
+	}
+}
