@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"repro/internal/pareto"
+	"repro/internal/sched"
 	"repro/internal/soc"
 )
 
@@ -47,17 +48,9 @@ func FixedWidth(s *soc.SOC, w, maxWidth, maxBuses int) (*FixedResult, error) {
 	if maxBuses < 1 {
 		return nil, fmt.Errorf("baseline: non-positive bus count %d", maxBuses)
 	}
-	cap := maxWidth
-	if cap > w {
-		cap = w
-	}
-	sets := make(map[int]*pareto.Set, len(s.Cores))
-	for _, c := range s.Cores {
-		ps, err := pareto.Compute(c, cap)
-		if err != nil {
-			return nil, err
-		}
-		sets[c.ID] = ps
+	sets, err := pareto.ComputeAll(s, min(maxWidth, w))
+	if err != nil {
+		return nil, err
 	}
 
 	var best *FixedResult
@@ -212,24 +205,50 @@ type ShelfResult struct {
 // sorted by decreasing TAM width and packed into time-shelves whose span is
 // the longest test they hold.
 func Shelves(s *soc.SOC, w, maxWidth int, percent, delta int, algo ShelfAlgorithm) (*ShelfResult, error) {
+	return BestShelves(s, w, maxWidth, []int{percent}, []int{delta}, algo)
+}
+
+// BestShelves sweeps the (percent, delta) grid for the given algorithm and
+// returns the best shelf packing. Empty grids default to the scheduler's
+// sched.DefaultPercents and sched.DefaultDeltas. Every core's Pareto set is
+// built once per call, under the width cap min(maxWidth, w), and every grid
+// point reads it.
+func BestShelves(s *soc.SOC, w, maxWidth int, percents, deltas []int, algo ShelfAlgorithm) (*ShelfResult, error) {
 	if w < 1 {
 		return nil, fmt.Errorf("baseline: non-positive TAM width %d", w)
 	}
-	cap := maxWidth
-	if cap > w {
-		cap = w
+	sets, err := pareto.ComputeAll(s, min(maxWidth, w))
+	if err != nil {
+		return nil, err
 	}
+	if len(percents) == 0 {
+		percents = sched.DefaultPercents()
+	}
+	if len(deltas) == 0 {
+		deltas = sched.DefaultDeltas()
+	}
+	var best *ShelfResult
+	for _, a := range percents {
+		for _, d := range deltas {
+			if r := packShelves(s, sets, w, a, d, algo); best == nil || r.Makespan < best.Makespan {
+				best = r
+			}
+		}
+	}
+	return best, nil
+}
+
+// packShelves is one (percent, delta) point of BestShelves: the shelf
+// packing of each core's rectangle at its preferred width in sets.
+func packShelves(s *soc.SOC, sets map[int]*pareto.Set, w, percent, delta int, algo ShelfAlgorithm) *ShelfResult {
 	type rectangle struct {
 		id    int
 		width int
 		time  int64
 	}
-	var rects []rectangle
+	rects := make([]rectangle, 0, len(s.Cores))
 	for _, c := range s.Cores {
-		ps, err := pareto.Compute(c, cap)
-		if err != nil {
-			return nil, err
-		}
+		ps := sets[c.ID]
 		pw := ps.PreferredWidth(percent, delta)
 		rects = append(rects, rectangle{id: c.ID, width: pw, time: ps.Time(pw)})
 	}
@@ -273,39 +292,12 @@ func Shelves(s *soc.SOC, w, maxWidth int, percent, delta int, algo ShelfAlgorith
 		res.Shelf[r.id] = placed
 		res.Widths[r.id] = r.width
 	}
-	var t int64
-	for j, span := range shelfSpan {
-		res.ShelfStarts = append(res.ShelfStarts, t)
+	for _, span := range shelfSpan {
+		res.ShelfStarts = append(res.ShelfStarts, res.Makespan)
 		res.ShelfSpans = append(res.ShelfSpans, span)
-		t += span
-		_ = j
+		res.Makespan += span
 	}
-	res.Makespan = t
-	return res, nil
-}
-
-// BestShelves sweeps the (percent, delta) grid for the given algorithm and
-// returns the best shelf packing.
-func BestShelves(s *soc.SOC, w, maxWidth int, percents, deltas []int, algo ShelfAlgorithm) (*ShelfResult, error) {
-	if len(percents) == 0 {
-		percents = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 20, 30, 40, 60}
-	}
-	if len(deltas) == 0 {
-		deltas = []int{0, 1, 2, 3, 4}
-	}
-	var best *ShelfResult
-	for _, a := range percents {
-		for _, d := range deltas {
-			r, err := Shelves(s, w, maxWidth, a, d, algo)
-			if err != nil {
-				return nil, err
-			}
-			if best == nil || r.Makespan < best.Makespan {
-				best = r
-			}
-		}
-	}
-	return best, nil
+	return res
 }
 
 func minOf(xs []int64) int64 {
@@ -326,11 +318,4 @@ func maxIdx(xs []int64) int {
 		}
 	}
 	return m
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -15,25 +15,24 @@ import (
 )
 
 // TestCacheSingleflight runs many concurrent identical requests through
-// the cache and asserts exactly one build executes: everyone else either
-// reads the stored entry or piggybacks on the in-flight build, and every
-// caller gets the same bytes. Run with -race in CI.
+// the cache and asserts exactly one build executes: it is held open until
+// every other caller waits on it, so each of them is a singleflight-shared
+// hit, and every caller gets the same bytes. Run with -race in CI.
 func TestCacheSingleflight(t *testing.T) {
 	c := NewResultCache(1 << 20)
 	var builds atomic.Int64
-	started := make(chan struct{})
 	release := make(chan struct{})
 
 	const callers = 16
+	ctx := &waitCountingCtx{Context: context.Background(), want: callers - 1, reached: make(chan struct{})}
 	docs := make([][]byte, callers)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			doc, _, err := c.Do(context.Background(), "k", func() ([]byte, error) {
+			doc, _, err := c.Do(ctx, "k", func() ([]byte, error) {
 				builds.Add(1)
-				close(started)
 				<-release // hold the build open so every caller piles up on it
 				return []byte("document"), nil
 			})
@@ -43,10 +42,12 @@ func TestCacheSingleflight(t *testing.T) {
 			docs[i] = doc
 		}(i)
 	}
-	<-started
-	// Give the other callers time to reach the in-flight build before it
-	// completes, so the singleflight-shared path is actually exercised.
-	time.Sleep(100 * time.Millisecond)
+	select {
+	case <-ctx.reached:
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatalf("%d of %d callers waited on the in-flight build within 10s", ctx.calls.Load(), callers-1)
+	}
 	close(release)
 	wg.Wait()
 
@@ -59,12 +60,27 @@ func TestCacheSingleflight(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Misses != 1 || st.Hits != callers-1 {
-		t.Fatalf("stats = %+v, want 1 miss and %d hits", st, callers-1)
+	if st.Misses != 1 || st.Hits != callers-1 || st.SingleflightShared != callers-1 {
+		t.Fatalf("stats = %+v, want 1 miss and %d hits, all singleflight-shared", st, callers-1)
 	}
-	if st.SingleflightShared < 1 {
-		t.Fatalf("stats = %+v, want at least one singleflight-shared caller", st)
+}
+
+// waitCountingCtx counts calls to Done and closes reached at the want-th.
+// flightLRU.Do calls Done once for each caller that waits on an in-flight
+// build, and never for the build's leader or a caller served from a stored
+// entry, so the count says how many callers are waiting.
+type waitCountingCtx struct {
+	context.Context
+	want    int64
+	calls   atomic.Int64
+	reached chan struct{}
+}
+
+func (c *waitCountingCtx) Done() <-chan struct{} {
+	if c.calls.Add(1) == c.want {
+		close(c.reached)
 	}
+	return c.Context.Done()
 }
 
 // TestCacheLRUEviction churns a tiny cache with distinct keys and asserts

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -129,9 +130,12 @@ func libraryAnswers(t *testing.T, name string, opts repro.Options, lo, hi int, g
 }
 
 // TestServiceDifferential is the acceptance test: concurrent schedule,
-// sweep, effective-width, and Gantt requests against the service return
-// bodies byte-identical to the library's direct Planner answers, for a mix
-// of SOC fingerprints at once. Run with -race in CI.
+// batch, sweep, effective-width, and Gantt requests against the service
+// return bodies byte-identical to the library's direct Planner answers
+// (batch items under the envelope's nesting rule), for a mix of SOC
+// fingerprints at once. Batch items and single requests for one case share
+// result-cache entries, so the storm also mixes the two on one cache. Run
+// with -race in CI.
 func TestServiceDifferential(t *testing.T) {
 	_, ts := newTestService(t, Config{Preload: []string{"d695", "demo8"}, JobWorkers: 2})
 	client := ts.Client()
@@ -152,53 +156,77 @@ func TestServiceDifferential(t *testing.T) {
 		c.want = libraryAnswers(t, c.name, c.opts, c.lo, c.hi, c.gamma)
 	}
 
-	check := func(t *testing.T, c *socCase) {
+	// check returns the first mismatch it finds, so the storm's goroutines
+	// report it with t.Error rather than t.Fatal.
+	check := func(c *socCase) error {
 		params := ParamsJSON{TAMWidth: c.opts.TAMWidth, Percent: c.opts.Percent, Delta: c.opts.Delta}
 		code, got := doJSON(t, client, "POST", ts.URL+"/v1/schedule",
 			map[string]any{"soc": c.name, "params": params})
 		if code != http.StatusOK {
-			t.Fatalf("%s schedule: HTTP %d: %s", c.name, code, got)
+			return fmt.Errorf("%s schedule: HTTP %d: %s", c.name, code, got)
 		}
 		if !bytes.Equal(got, c.want.schedule) {
-			t.Fatalf("%s: /v1/schedule differs from Planner.Schedule bytes", c.name)
+			return fmt.Errorf("%s: /v1/schedule differs from Planner.Schedule bytes", c.name)
 		}
 		code, got = doJSON(t, client, "POST", ts.URL+"/v1/schedule/best",
 			map[string]any{"soc": c.name, "params": params})
 		if code != http.StatusOK {
-			t.Fatalf("%s best: HTTP %d: %s", c.name, code, got)
+			return fmt.Errorf("%s best: HTTP %d: %s", c.name, code, got)
 		}
 		if !bytes.Equal(got, c.want.best) {
-			t.Fatalf("%s: /v1/schedule/best differs from Planner.ScheduleBest bytes", c.name)
+			return fmt.Errorf("%s: /v1/schedule/best differs from Planner.ScheduleBest bytes", c.name)
+		}
+		code, got = doJSON(t, client, "POST", ts.URL+"/v1/batch", map[string]any{"items": []map[string]any{
+			{"soc": c.name, "params": params},
+			{"soc": c.name, "params": params, "best": true},
+		}})
+		if code != http.StatusOK {
+			return fmt.Errorf("%s batch: HTTP %d: %s", c.name, code, got)
+		}
+		var batch BatchResponse
+		if err := json.Unmarshal(got, &batch); err != nil {
+			return fmt.Errorf("%s batch: %v", c.name, err)
+		}
+		if len(batch.Items) != 2 {
+			return fmt.Errorf("%s batch: %d items, want 2", c.name, len(batch.Items))
+		}
+		for i, want := range [][]byte{c.want.schedule, c.want.best} {
+			if it := batch.Items[i]; it.Status != http.StatusOK || !bytes.Equal(it.Result, nestedDoc(want)) {
+				return fmt.Errorf("%s: /v1/batch item %d (HTTP %d) differs from the nested library bytes", c.name, i, it.Status)
+			}
 		}
 		code, got = doJSON(t, client, "POST", ts.URL+"/v1/sweep",
 			map[string]any{"soc": c.name, "params": map[string]any{"widthLo": c.lo, "widthHi": c.hi}, "wait": true})
 		if code != http.StatusOK {
-			t.Fatalf("%s sweep: HTTP %d: %s", c.name, code, got)
+			return fmt.Errorf("%s sweep: HTTP %d: %s", c.name, code, got)
 		}
 		if !bytes.Equal(got, c.want.sweep) {
-			t.Fatalf("%s: /v1/sweep differs from Planner.SweepWidths bytes", c.name)
+			return fmt.Errorf("%s: /v1/sweep differs from Planner.SweepWidths bytes", c.name)
 		}
 		code, got = doJSON(t, client, "POST", ts.URL+"/v1/effective",
 			map[string]any{"soc": c.name, "params": map[string]any{"widthLo": c.lo, "widthHi": c.hi, "gamma": c.gamma}})
 		if code != http.StatusOK {
-			t.Fatalf("%s effective: HTTP %d: %s", c.name, code, got)
+			return fmt.Errorf("%s effective: HTTP %d: %s", c.name, code, got)
 		}
 		if !bytes.Equal(got, c.want.eff) {
-			t.Fatalf("%s: /v1/effective differs from PickEffectiveWidth bytes", c.name)
+			return fmt.Errorf("%s: /v1/effective differs from PickEffectiveWidth bytes", c.name)
 		}
 		code, got = doJSON(t, client, "POST", ts.URL+"/v1/gantt",
 			map[string]any{"soc": c.name, "params": params})
 		if code != http.StatusOK {
-			t.Fatalf("%s gantt: HTTP %d: %s", c.name, code, got)
+			return fmt.Errorf("%s gantt: HTTP %d: %s", c.name, code, got)
 		}
 		if !bytes.Equal(got, c.want.gantt) {
-			t.Fatalf("%s: /v1/gantt differs from GanttSVG bytes", c.name)
+			return fmt.Errorf("%s: /v1/gantt differs from GanttSVG bytes", c.name)
 		}
+		return nil
 	}
 
 	// One sequential pass for clear failure messages...
 	for i := range cases {
-		check(t, &cases[i])
+		if err := check(&cases[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// ...then the concurrent mixed-fingerprint storm.
 	var wg sync.WaitGroup
@@ -206,7 +234,9 @@ func TestServiceDifferential(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			check(t, &cases[g%len(cases)])
+			if err := check(&cases[g%len(cases)]); err != nil {
+				t.Error(err)
+			}
 		}(g)
 	}
 	wg.Wait()
