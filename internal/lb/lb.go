@@ -56,7 +56,8 @@ func Compute(s *soc.SOC, w, maxWidth int) (Bound, error) {
 // indexed by core ID (e.g. a sched.Optimizer's cache), without redesigning
 // a single wrapper. Every set must have been computed with a width cap of
 // at least min(w, maxWidth); smaller sets are rejected rather than
-// silently loosening the bound.
+// silently loosening the bound. It caps each set at min(w, maxWidth) and
+// returns FromCapped of the capped views.
 func FromSets(sets map[int]*pareto.Set, w, maxWidth int) (Bound, error) {
 	if w < 1 {
 		return Bound{}, fmt.Errorf("lb: non-positive TAM width %d", w)
@@ -64,11 +65,8 @@ func FromSets(sets map[int]*pareto.Set, w, maxWidth int) (Bound, error) {
 	if maxWidth < 1 {
 		return Bound{}, fmt.Errorf("lb: non-positive max width %d", maxWidth)
 	}
-	cap := maxWidth
-	if cap > w {
-		cap = w
-	}
-	var area, bottleneck int64
+	cap := min(maxWidth, w)
+	capped := make([]*pareto.Set, 0, len(sets))
 	for id, ps := range sets {
 		if ps.MaxWidth < cap {
 			return Bound{}, fmt.Errorf("lb: core %d Pareto set capped at %d, need %d", id, ps.MaxWidth, cap)
@@ -77,17 +75,28 @@ func FromSets(sets map[int]*pareto.Set, w, maxWidth int) (Bound, error) {
 		if err != nil {
 			return Bound{}, err
 		}
-		area += c.MinArea()
-		if t := c.MinTime(); t > bottleneck {
-			bottleneck = t
-		}
+		capped = append(capped, c)
+	}
+	return FromCapped(capped, w), nil
+}
+
+// FromCapped returns the bound at TAM width w >= 1 over one Pareto set per
+// core, each already capped at min(w, maxWidth), as sched.Optimizer.Setup
+// returns them. It is the bound's one formula, which FromSets and Compute
+// reach through it, and it allocates nothing, so a packing search can
+// read the bound from the sets it already holds.
+func FromCapped(sets []*pareto.Set, w int) Bound {
+	var area, bottleneck int64
+	for _, ps := range sets {
+		area += ps.MinArea()
+		bottleneck = max(bottleneck, ps.MinTime())
 	}
 	return Bound{
 		TAMWidth:        w,
 		AreaBound:       ceilDiv(area, int64(w)),
 		BottleneckBound: bottleneck,
 		MinArea:         area,
-	}, nil
+	}
 }
 
 func ceilDiv(a, b int64) int64 {

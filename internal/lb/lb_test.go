@@ -174,3 +174,33 @@ func TestFromSetsRejectsUndersizedSets(t *testing.T) {
 		t.Fatal("FromSets accepted maxWidth=0")
 	}
 }
+
+// TestFromCappedMatchesFromSets: over sets capped at min(w, 64), as a
+// scheduler's set-up returns them, FromCapped gives FromSets' bound and
+// allocates nothing.
+func TestFromCappedMatchesFromSets(t *testing.T) {
+	sets, err := pareto.ComputeAll(bench.D695(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{8, 32, 64, 80} {
+		want, err := FromSets(sets, w, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var capped []*pareto.Set
+		for _, ps := range sets {
+			c, err := ps.Capped(min(w, 64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			capped = append(capped, c)
+		}
+		if got := FromCapped(capped, w); got != want {
+			t.Errorf("LB(%d): FromCapped %+v, FromSets %+v", w, got, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = FromCapped(capped, w) }); allocs != 0 {
+			t.Errorf("LB(%d): FromCapped allocates %.0f times, want 0", w, allocs)
+		}
+	}
+}

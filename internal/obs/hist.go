@@ -49,7 +49,6 @@ func bucketLower(idx int) int64 {
 // use. Quantile estimates are exact below 16ns and within 12.5% above —
 // each bucket spans 1/8 of its power-of-two octave.
 type Histogram struct {
-	count   atomic.Int64
 	sum     atomic.Int64
 	max     atomic.Int64
 	buckets [histBuckets]atomic.Int64
@@ -61,7 +60,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	if v < 0 {
 		v = 0
 	}
-	h.count.Add(1)
 	h.sum.Add(v)
 	for {
 		cur := h.max.Load()

@@ -105,6 +105,18 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramEmptySnapshot: a histogram nothing was observed into
+// snapshots to the zero HistSnapshot, count, mean, quantiles and max all
+// 0, and still does after a snapshot.
+func TestHistogramEmptySnapshot(t *testing.T) {
+	var h Histogram
+	for range 2 {
+		if got := h.Snapshot(); got != (HistSnapshot{}) {
+			t.Fatalf("empty histogram snapshots to %+v, want the zero HistSnapshot", got)
+		}
+	}
+}
+
 // TestHistogramConcurrent hammers one histogram from many goroutines
 // (meaningful under -race) and checks no observation is lost.
 func TestHistogramConcurrent(t *testing.T) {

@@ -18,6 +18,11 @@ import (
 // begins with start itself. The moves are drawn from params.Seed (zero
 // means sched.DefaultSeed).
 //
+// anneal stops before its move budget once its best cost reaches floor,
+// a lower bound on every decode's makespan (search passes the paper's
+// LB(W)). That changes no schedule byte: the chain grows only on a strict
+// improvement, which no later move could make.
+//
 // A move whose genome has no split gene is decoded under a makespan
 // limit: acceptLimit of r, the Metropolis test's next uniform draw, which
 // peekSource reads ahead without consuming it. Such a genome always
@@ -28,17 +33,24 @@ import (
 // complete can start. Its full decode would therefore reach the test and
 // draw r. A cut decode's makespan lies above the limit, which the test
 // rejects for that r, so anneal consumes the draw and rejects the move,
-// and every draw, decision and schedule byte is the full decode's. The
-// anneal/search span's cut attribute counts the cut decodes.
+// and every draw, decision and schedule byte is the full decode's.
 //
-// A move that changes no gene decode reads (keepsDecode) is not decoded
-// at all: its cost is curCost, and the Metropolis test accepts the zero
-// delta without a draw, as it would after the full decode. curCost is
-// always the unlimited makespan of cur: the seed's cost, the cost of an
-// accepted decode that was not cut, or the chain tip's cost after a
-// restart, and a decode of cur is never cut, since its limit is at least
-// curCost + 1. The span's same attribute counts these moves.
-func anneal(ctx context.Context, sp *obs.Span, dec *decoder, params sched.Params, start *genome, startCost int64) ([]*genome, error) {
+// A move keepsDecode answers from the start trace of cur's decode is not
+// decoded at all: its cost is curCost, and the Metropolis test accepts
+// the zero delta without a draw, as it would after the full decode.
+// curCost is always the unlimited makespan of cur: the seed's cost, the
+// cost of an accepted decode that was not cut, or the chain tip's cost
+// after a restart, and a decode of cur is never cut, since its limit is
+// at least curCost + 1. The trace follows cur the same way: anneal copies
+// it only from decodes it accepts, keeps it across the moves it answers,
+// which leave the decode as it was, and after a restart takes the chain
+// tip's.
+//
+// The anneal/search span counts the work: iters, the moves made (the
+// budget, or fewer once the floor stops the search); decodes, the moves
+// decoded, cut ones included; cut, the decodes the limit cut; and same,
+// the moves answered without a decode. So same + decodes = iters.
+func anneal(ctx context.Context, sp *obs.Span, dec *decoder, params sched.Params, start *genome, startCost, floor int64) ([]*genome, error) {
 	seed := params.Seed
 	if seed == 0 {
 		seed = sched.DefaultSeed
@@ -48,24 +60,36 @@ func anneal(ctx context.Context, sp *obs.Span, dec *decoder, params sched.Params
 	wmax := min(params.MaxWidth, params.TAMWidth)
 	cores := dec.cores
 	budgeted := budgetedCores(cores)
+	n := len(cores)
+	traces := make([]startTrace, 2*n)
+	tr, bestTr := traces[:n], traces[n:] // cur's and the chain tip's
+	// search has decoded other seeds since start, so decode it once more
+	// for its trace.
+	if _, err := dec.decode(start, math.MaxInt64); err != nil {
+		return nil, err
+	}
+	dec.trace(tr)
+	copy(bestTr, tr)
 	chain := []*genome{start}
 	cur, curCost := start.clone(), startCost
 	bestCost := curCost
-	iters := iterBudget(len(cores))
+	budget := iterBudget(n)
 	temp := max(float64(bestCost)/100, 1)
-	cooling := math.Pow(1e-3, 1/float64(iters))
+	cooling := math.Pow(1e-3, 1/float64(budget))
 	stall := 0
-	cuts, same := 0, 0
-	for i := 0; i < iters; i++ {
+	iters, decodes, cuts, same := 0, 0, 0, 0
+	for ; iters < budget && bestCost > floor; iters++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		u := neighbor(cur, cores, wmax, budgeted, rng)
 		var err error
-		cost := curCost // a move keepsDecode accepts decodes to cur's makespan
-		if u.keepsDecode(cur, cores) {
+		cost := curCost // a move keepsDecode answers decodes to cur's makespan
+		skip := u.keepsDecode(cur, cores, tr)
+		if skip {
 			same++
 		} else {
+			decodes++
 			limit := int64(math.MaxInt64)
 			if !cur.preempt && !slices.ContainsFunc(cur.split, func(s int64) bool { return s != 0 }) {
 				limit = acceptLimit(curCost, temp, src.peek())
@@ -84,9 +108,13 @@ func anneal(ctx context.Context, sp *obs.Span, dec *decoder, params sched.Params
 		delta := float64(cost - curCost)
 		if delta <= 0 || (err == nil && rng.Float64() < math.Exp(-delta/temp)) {
 			curCost = cost
+			if !skip {
+				dec.trace(tr)
+			}
 			if cost < bestCost {
 				bestCost = cost
 				chain = append(chain, cur.clone())
+				copy(bestTr, tr)
 				stall = 0
 			} else {
 				stall++
@@ -95,14 +123,16 @@ func anneal(ctx context.Context, sp *obs.Span, dec *decoder, params sched.Params
 			u.revert(cur)
 			stall++
 		}
-		if stall > iters/5 {
+		if stall > budget/5 {
 			cur, curCost = chain[len(chain)-1].clone(), bestCost
+			copy(tr, bestTr)
 			stall = 0
 		}
 		temp *= cooling
 	}
 	sp.SetAttr("iters", iters)
 	sp.SetAttr("improved", len(chain)-1)
+	sp.SetAttr("decodes", decodes)
 	sp.SetAttr("cut", cuts)
 	sp.SetAttr("same", same)
 	return chain, nil
@@ -203,20 +233,49 @@ func (u undo) revert(g *genome) {
 	}
 }
 
-// keepsDecode reports whether the move u made on g left every gene
-// decode reads as it was: a swap or relocation of a position with
-// itself, or a gene move that kept the core's floor, its split and
-// SnapDown of its cap. decode reads a cap only through SnapDown(min(cap,
-// free)) and, for a blocked core, SnapDown(cap); SnapDown does not
-// decrease, so the first is min(SnapDown(cap), SnapDown(free)).
-func (u undo) keepsDecode(g *genome, cores []*core) bool {
+// keepsDecode reports whether the move u made on g leaves g's decode as
+// it was before the move, given tr, the start trace of that decode (an
+// unlimited one, or one that was not cut). A swap or relocation keeps it
+// when it moves a position to itself. A gene move of core c that keeps
+// c's split gene, on a genome with no preemption bit (anneal genomes never
+// have one), keeps it when the trace answers it. Let c have started at
+// width w with S free wires, let B be the most free wires at a visit its
+// floor blocked (0 when none did), and let the move set c's cap to k and
+// its floor to f. The trace answers the move when all three hold:
+//
+//   - B = 0, or f > 0 and SnapDown(min(k, B)) < f;
+//   - SnapDown(min(k, S)) = w;
+//   - f = 0 or w >= f.
+//
+// Every width SnapDown returns for a positive argument is at least 1, so
+// the first reads SnapDown(min(k, B)) < f when B > 0 and the third
+// w >= f. Why the decode is unchanged: decode reads c's cap and floor
+// only when it visits c before c starts, so it suffices that every such
+// visit keeps its outcome, by induction over the visits in decode order.
+// A visit the constraint checker blocked stays blocked whatever the
+// genes. SnapDown(min(k, ·)) does not decrease, so every visit the floor
+// blocked, at B free wires or fewer, stays blocked by the new floor. The
+// start visit, at S free wires with the checker passing, starts c at the
+// same width w, which meets the new floor, and arms the same split gene.
+// decode may record a visit as floor-blocked when the checker would also
+// have blocked it, which only makes the rule stricter. A core that never
+// started has S = 0, for which SnapDown fails, so its moves are decoded.
+func (u undo) keepsDecode(g *genome, cores []*core, tr []startTrace) bool {
 	if u.kind != undoGenes {
 		return u.i == u.j
 	}
-	ci, set := u.ci, cores[u.ci].set
-	w0, ok0 := set.SnapDown(u.cap)
-	w1, ok1 := set.SnapDown(g.cap[ci])
-	return g.floor[ci] == u.floor && g.split[ci] == u.split && w0 == w1 && ok0 == ok1
+	ci := u.ci
+	if g.preempt || g.split[ci] != u.split {
+		return false
+	}
+	t, set, k, f := tr[ci], cores[ci].set, g.cap[ci], g.floor[ci]
+	if t.floorFree > 0 {
+		if w, _ := set.SnapDown(min(k, t.floorFree)); w >= f {
+			return false
+		}
+	}
+	w, ok := set.SnapDown(min(k, t.free))
+	return ok && w == t.width && w >= f
 }
 
 // relocate moves perm[from] to position to, shifting the entries between

@@ -165,7 +165,7 @@ func TestNeighborUndo(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := sched.Params{TAMWidth: 24, MaxPreemptions: mp}.Defaults()
-	cores, _, err := buildCores(opt, params)
+	cores, _, _, err := buildCores(opt, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,16 +274,12 @@ func TestPeekSourceKeepsTheStream(t *testing.T) {
 	}
 }
 
-// TestAnnealSpanCountsCuts: a traced anneal call on unbudgeted d695 reports
-// on its anneal/search span how many decodes the limit cut and how many
-// moves it did not decode because they kept every gene decode reads, and
-// its schedule's bytes are the untraced call's, so the counts live only
-// in the trace.
-func TestAnnealSpanCountsCuts(t *testing.T) {
-	opt := optimizer(t, "d695")
-	params := sched.Params{TAMWidth: 32}
+// tracedAnneal runs the anneal backend under a fresh trace and returns its
+// schedule and the attributes of its anneal/search span.
+func tracedAnneal(t *testing.T, opt *sched.Optimizer, params sched.Params) (*sched.Schedule, map[string]any) {
+	t.Helper()
 	tracer := obs.NewTracer(1)
-	traced, traceID, err := func() (*sched.Schedule, string, error) {
+	sch, traceID, err := func() (*sched.Schedule, string, error) {
 		ctx, root := tracer.StartTrace(context.Background(), "test")
 		defer root.End()
 		sch, err := NewAnneal().Schedule(ctx, opt, params)
@@ -296,11 +292,24 @@ func TestAnnealSpanCountsCuts(t *testing.T) {
 	if !ok || len(td.Root.Children) != 1 || td.Root.Children[0].Name != "anneal/search" {
 		t.Fatalf("trace %+v: want one anneal/search child", td.Root)
 	}
-	attrs := td.Root.Children[0].Attrs
-	cut, ok := attrs["cut"].(int)
+	return sch, td.Root.Children[0].Attrs
+}
+
+// TestAnnealSpanCountsCuts: a traced anneal call on unbudgeted d695 reports
+// on its anneal/search span how many decodes the limit cut and how many
+// moves it answered without a decode, with same + decodes = iters and
+// cut <= decodes, and its schedule's bytes are the untraced call's, so
+// the counts live only in the trace.
+func TestAnnealSpanCountsCuts(t *testing.T) {
+	opt := optimizer(t, "d695")
+	params := sched.Params{TAMWidth: 32}
+	traced, attrs := tracedAnneal(t, opt, params)
+	iters, _ := attrs["iters"].(int)
+	decodes, _ := attrs["decodes"].(int)
+	cut, cutOK := attrs["cut"].(int)
 	same, sameOK := attrs["same"].(int)
-	if iters, _ := attrs["iters"].(int); !ok || !sameOK || cut <= 0 || same <= 0 || cut+same > iters {
-		t.Fatalf("anneal/search attrs %v: want 0 < cut, 0 < same and cut + same <= iters", attrs)
+	if !cutOK || !sameOK || cut <= 0 || same <= 0 || same+decodes != iters || cut > decodes {
+		t.Fatalf("anneal/search attrs %v: want 0 < cut <= decodes, 0 < same and same + decodes = iters", attrs)
 	}
 	plain, err := NewAnneal().Schedule(context.Background(), opt, params)
 	if err != nil {
@@ -313,7 +322,89 @@ func TestAnnealSpanCountsCuts(t *testing.T) {
 	if err := schedio.Save(&pb, plain); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(tb.Bytes(), pb.Bytes()) || bytes.Contains(tb.Bytes(), []byte(`"cut"`)) || bytes.Contains(tb.Bytes(), []byte(`"same"`)) {
-		t.Fatal("the traced schedule's document differs from the untraced one or carries a count")
+	for _, name := range []string{"cut", "same", "decodes", "iters"} {
+		if bytes.Contains(tb.Bytes(), []byte(`"`+name+`"`)) {
+			t.Fatalf("the traced schedule's document carries the count %q", name)
+		}
+	}
+	if !bytes.Equal(tb.Bytes(), pb.Bytes()) {
+		t.Fatal("the traced schedule's document differs from the untraced one")
+	}
+}
+
+// TestAnnealSpanCountsWork: a traced anneal call on d695 at W=32 with one
+// worker records the same work on its anneal/search span on every repeat:
+// its full move budget (d695 stays above LB(W)), the moves it decoded and
+// answered, its cut decodes and its improvements. An untraced call
+// returns the same schedule. A skip test that answers fewer moves, or a
+// stop that fires early or late, would move these numbers.
+func TestAnnealSpanCountsWork(t *testing.T) {
+	opt := optimizer(t, "d695")
+	params := sched.Params{TAMWidth: 32, Workers: 1}
+	want, err := NewAnneal().Schedule(context.Background(), opt, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := map[string]int{"iters": 2400, "decodes": 1693, "same": 707, "cut": 1405, "improved": 5}
+	for range 5 {
+		got, attrs := tracedAnneal(t, opt, params)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatal("the traced schedule differs from the untraced one")
+		}
+		for name, n := range pinned {
+			if v, _ := attrs[name].(int); v != n {
+				t.Errorf("anneal/search %s = %v, want %d", name, attrs[name], n)
+			}
+		}
+	}
+}
+
+// TestAnnealStopsAtFloor: given as its floor the best cost an unfloored
+// run reaches, anneal returns the unfloored run's improvement chain and
+// stops at the move that reached that cost, before its budget runs out.
+// A floor of 0, which no makespan reaches, leaves the whole budget.
+func TestAnnealStopsAtFloor(t *testing.T) {
+	opt := optimizer(t, "d695")
+	params := sched.Params{TAMWidth: 32}.Defaults()
+	cores, _, chk, err := buildCores(opt, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := newDecoder(cores, chk, params.TAMWidth)
+	start := seeds(cores, params.TAMWidth, modeAnneal)[0]
+	res, err := dec.decode(start, math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(floor int64) ([]*genome, int) {
+		tracer := obs.NewTracer(1)
+		chain, traceID, err := func() ([]*genome, string, error) {
+			ctx, sp := tracer.StartTrace(context.Background(), "test")
+			defer sp.End()
+			chain, err := anneal(ctx, sp, dec, params, start, res.makespan, floor)
+			return chain, sp.TraceID(), err
+		}()
+		if err != nil {
+			t.Fatal(err)
+		}
+		td, _ := tracer.Get(traceID)
+		iters, _ := td.Root.Attrs["iters"].(int)
+		return chain, iters
+	}
+	full, fullIters := run(0)
+	if fullIters != iterBudget(len(cores)) || len(full) < 2 {
+		t.Fatalf("unfloored run: %d moves and %d improvements, want the budget %d and at least one", fullIters, len(full)-1, iterBudget(len(cores)))
+	}
+	tip, err := dec.decode(full[len(full)-1], math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floored, iters := run(tip.makespan)
+	if !reflect.DeepEqual(floored, full) {
+		t.Fatalf("floored at %d: chain of %d genomes, unfloored %d", tip.makespan, len(floored), len(full))
+	}
+	t.Logf("floored at %d: %d of %d moves", tip.makespan, iters, fullIters)
+	if iters >= fullIters {
+		t.Fatalf("floored at %d: %d moves, want fewer than %d", tip.makespan, iters, fullIters)
 	}
 }

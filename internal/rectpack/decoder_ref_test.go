@@ -1,13 +1,17 @@
 package rectpack
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
+	"repro/internal/lb"
+	"repro/internal/pareto"
 	"repro/internal/sched"
 )
 
@@ -148,6 +152,18 @@ func refPreemptFor(d *decoder, perm []int, pos, want, avail int, now int64) (int
 	return avail + freed, true
 }
 
+// newFixture builds the set-up of one (optimizer, params) input, with no
+// genomes.
+func newFixture(t testing.TB, name string, opt *sched.Optimizer, params sched.Params) *decoderFixture {
+	t.Helper()
+	fx := &decoderFixture{name: name, opt: opt, params: params.Defaults()}
+	var err error
+	if fx.cores, _, fx.chk, err = buildCores(opt, fx.params); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return fx
+}
+
 // shapeFixture builds the decoder fixture of one (optimizer, params)
 // input: the seeds of all three modes, each followed by copies walked 10
 // and 30 seeded neighbor moves away with anneal's width bound and budgeted
@@ -155,11 +171,7 @@ func refPreemptFor(d *decoder, perm []int, pos, want, avail int, now int64) (int
 // begins with the pack seeds, which are taken once.
 func shapeFixture(t *testing.T, name string, opt *sched.Optimizer, params sched.Params, seed int64) *decoderFixture {
 	t.Helper()
-	fx := &decoderFixture{name: name, opt: opt, params: params.Defaults()}
-	var err error
-	if fx.cores, fx.chk, err = buildCores(opt, fx.params); err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
+	fx := newFixture(t, name, opt, params)
 	wmax := min(fx.params.MaxWidth, fx.params.TAMWidth)
 	budgeted := budgetedCores(fx.cores)
 	rng := rand.New(rand.NewSource(seed))
@@ -261,53 +273,169 @@ func checkCut(t *testing.T, fx *decoderFixture, rng *rand.Rand) (failed, limited
 	return failed, limited, cuts
 }
 
-// keepKinds names the moves keepsDecode accepts, in the order
+// keepKinds names the moves keepsDecode answers, in the order
 // checkKeepsDecode counts them.
 var keepKinds = [...]string{
 	"swaps of a position with itself",
 	"relocations of a position to itself",
 	"gene moves that redraw the same values",
 	"cap moves to a different cap with the same SnapDown",
+	"cap or floor moves the trace answers",
+}
+
+// skipChecker checks anneal's skip test, undo.keepsDecode itself, against
+// full decodes of one shape's genomes.
+type skipChecker struct {
+	cores         []*core
+	before, after *decoder
+	tr            []startTrace
+}
+
+func newSkipChecker(fx *decoderFixture) *skipChecker {
+	return &skipChecker{cores: fx.cores, before: fx.decoder(), after: fx.decoder(), tr: make([]startTrace, len(fx.cores))}
+}
+
+// step decodes g with no limit and reads the decode's start trace, applies
+// move to g, and asks keepsDecode about the move. When it answers the
+// move, the moved genome's unlimited decode must have the outcome g had
+// before the move: the same error, or the same makespan, events, splits
+// and per-core width, segments, preemptions and penalty. step returns the
+// move and whether keepsDecode answered it.
+func (c *skipChecker) step(t testing.TB, name string, g *genome, move func(*genome) undo) (undo, bool) {
+	t.Helper()
+	want, wantErr := c.before.decode(g, math.MaxInt64)
+	c.before.trace(c.tr)
+	u := move(g)
+	if !u.keepsDecode(g, c.cores, c.tr) {
+		return u, false
+	}
+	got, gotErr := c.after.decode(g, math.MaxInt64)
+	if d := sameOutcome(c.cores, got, gotErr, want, wantErr); d != "" {
+		t.Fatalf("%s: keepsDecode answers move %+v, yet its decode differs: %s", name, u, d)
+	}
+	return u, true
 }
 
 // checkKeepsDecode walks moves seeded neighbor moves, with anneal's width
-// bound and budgeted cores, from every anneal seed of fx's shape. For each
-// move keepsDecode accepts, the moved genome's unlimited decode must have
-// the same outcome as the genome's before the move: the same error, or
-// the same makespan, events, splits and per-core width, segments,
-// preemptions and penalty. It returns the number of such moves of each
-// of keepKinds.
+// bound and budgeted cores, from every anneal seed of fx's shape, and
+// checks each move with skipChecker.step. It returns the number of moves
+// keepsDecode answered of each of keepKinds.
 func checkKeepsDecode(t *testing.T, fx *decoderFixture, rng *rand.Rand, moves int) (kinds [len(keepKinds)]int) {
 	t.Helper()
-	dec, ref := fx.decoder(), fx.decoder()
+	sc := newSkipChecker(fx)
 	wmax := min(fx.params.MaxWidth, fx.params.TAMWidth)
 	budgeted := budgetedCores(fx.cores)
+	walk := func(g *genome) undo { return neighbor(g, fx.cores, wmax, budgeted, rng) }
 	for _, seed := range seeds(fx.cores, fx.params.TAMWidth, modeAnneal) {
-		g, prev := seed.clone(), seed.clone()
+		g := seed.clone()
 		for range moves {
-			u := neighbor(g, fx.cores, wmax, budgeted, rng)
-			if u.keepsDecode(g, fx.cores) {
-				switch {
-				case u.kind == undoSwap:
-					kinds[0]++
-				case u.kind == undoRelocate:
-					kinds[1]++
-				case g.cap[u.ci] == u.cap:
-					kinds[2]++
-				default:
-					kinds[3]++
-				}
-				got, gotErr := dec.decode(g, math.MaxInt64)
-				want, wantErr := ref.decode(prev, math.MaxInt64)
-				if d := sameOutcome(fx.cores, got, gotErr, want, wantErr); d != "" {
-					t.Fatalf("%s: move %+v keeps the genes decode reads, yet its decode differs: %s", fx.name, u, d)
-				}
+			u, answered := sc.step(t, fx.name, g, walk)
+			if !answered {
+				continue
 			}
-			copy(prev.perm, g.perm)
-			copy(prev.cap, g.cap)
-			copy(prev.floor, g.floor)
-			copy(prev.split, g.split)
+			set := fx.cores[u.ci].set
+			w0, _ := set.SnapDown(u.cap)
+			w1, _ := set.SnapDown(g.cap[u.ci])
+			switch {
+			case u.kind == undoSwap:
+				kinds[0]++
+			case u.kind == undoRelocate:
+				kinds[1]++
+			case g.floor[u.ci] != u.floor || w0 != w1:
+				kinds[4]++
+			case g.cap[u.ci] == u.cap:
+				kinds[2]++
+			default:
+				kinds[3]++
+			}
 		}
 	}
 	return kinds
+}
+
+// refAnneal is anneal without its skip test and its stop at the floor: it
+// decodes every move, under the same makespan limit, and spends its whole
+// budget. checkAnnealMatchesReference checks anneal's chain against it.
+func refAnneal(dec *decoder, params sched.Params, start *genome, startCost int64) []*genome {
+	seed := params.Seed
+	if seed == 0 {
+		seed = sched.DefaultSeed
+	}
+	src := &peekSource{Source: rand.NewSource(seed)}
+	rng := rand.New(src)
+	wmax := min(params.MaxWidth, params.TAMWidth)
+	budgeted := budgetedCores(dec.cores)
+	chain := []*genome{start}
+	cur, curCost := start.clone(), startCost
+	bestCost := curCost
+	iters := iterBudget(len(dec.cores))
+	temp := max(float64(bestCost)/100, 1)
+	cooling := math.Pow(1e-3, 1/float64(iters))
+	stall := 0
+	for range iters {
+		u := neighbor(cur, dec.cores, wmax, budgeted, rng)
+		limit := int64(math.MaxInt64)
+		if !cur.preempt && !slices.ContainsFunc(cur.split, func(s int64) bool { return s != 0 }) {
+			limit = acceptLimit(curCost, temp, src.peek())
+		}
+		res, err := dec.decode(cur, limit)
+		if errors.Is(err, errCut) {
+			src.Int63()
+		}
+		cost := res.makespan
+		if err != nil {
+			cost = math.MaxInt64
+		}
+		delta := float64(cost - curCost)
+		if delta <= 0 || (err == nil && rng.Float64() < math.Exp(-delta/temp)) {
+			curCost = cost
+			if cost < bestCost {
+				bestCost = cost
+				chain = append(chain, cur.clone())
+				stall = 0
+			} else {
+				stall++
+			}
+		} else {
+			u.revert(cur)
+			stall++
+		}
+		if stall > iters/5 {
+			cur, curCost = chain[len(chain)-1].clone(), bestCost
+			stall = 0
+		}
+		temp *= cooling
+	}
+	return chain
+}
+
+// checkAnnealMatchesReference anneals fx's shape from its best anneal
+// seed, as search does, with the stop at LB(W), and requires refAnneal's
+// improvement chain, genome for genome. It returns the chain's length.
+func checkAnnealMatchesReference(t *testing.T, fx *decoderFixture) int {
+	t.Helper()
+	dec := fx.decoder()
+	var start *genome
+	var startCost int64
+	for _, g := range seeds(fx.cores, fx.params.TAMWidth, modeAnneal) {
+		if res, err := dec.decode(g, math.MaxInt64); err == nil && (start == nil || res.makespan < startCost) {
+			start, startCost = g, res.makespan
+		}
+	}
+	if start == nil {
+		t.Fatalf("%s: every anneal seed failed", fx.name)
+	}
+	sets := make([]*pareto.Set, len(fx.cores))
+	for i, c := range fx.cores {
+		sets[i] = c.set
+	}
+	got, err := anneal(context.Background(), nil, dec, fx.params, start, startCost, lb.FromCapped(sets, fx.params.TAMWidth).Value())
+	if err != nil {
+		t.Fatalf("%s: %v", fx.name, err)
+	}
+	want := refAnneal(fx.decoder(), fx.params, start, startCost)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: anneal's chain of %d genomes differs from the chain of %d that decoding every move gives", fx.name, len(got), len(want))
+	}
+	return len(got)
 }

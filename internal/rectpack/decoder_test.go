@@ -46,7 +46,7 @@ func decoderFixtures(t *testing.T) []*decoderFixture {
 	}
 	for i, fx := range out {
 		fx.params = fx.params.Defaults()
-		if fx.cores, fx.chk, err = buildCores(fx.opt, fx.params); err != nil {
+		if fx.cores, _, fx.chk, err = buildCores(fx.opt, fx.params); err != nil {
 			t.Fatal(err)
 		}
 		m := []mode{modePreempt, modeAnneal}[i]
@@ -136,10 +136,11 @@ func TestDecodeDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestAnnealStepDoesNotAllocate: one annealing step — a neighbor move, a
-// peek at the next draw, its decode under a limit, the draw a cut
-// consumes, and the move's undo — allocates nothing, with budgets (split
-// moves live) and without, with no limit and with a limit that cuts.
+// TestAnnealStepDoesNotAllocate: one annealing step — a neighbor move,
+// the skip test, a peek at the next draw, its decode under a limit, the
+// draw a cut consumes, the copy of the decode's start trace, and the
+// move's undo — allocates nothing, with budgets (split moves live) and
+// without, with no limit and with a limit that cuts.
 func TestAnnealStepDoesNotAllocate(t *testing.T) {
 	opt := optimizer(t, "d695")
 	mp, err := opt.LargerCorePreemptions(2)
@@ -148,7 +149,7 @@ func TestAnnealStepDoesNotAllocate(t *testing.T) {
 	}
 	for _, params := range []sched.Params{{TAMWidth: 24, MaxPreemptions: mp}, {TAMWidth: 24}} {
 		params = params.Defaults()
-		cores, chk, err := buildCores(opt, params)
+		cores, _, chk, err := buildCores(opt, params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,16 +160,21 @@ func TestAnnealStepDoesNotAllocate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tr := make([]startTrace, len(cores))
+		dec.trace(tr)
 		src := &peekSource{Source: rand.NewSource(1)}
 		rng := rand.New(src)
 		for _, limit := range []int64{math.MaxInt64, start.makespan / 2} {
 			cuts := 0
 			allocs := testing.AllocsPerRun(500, func() {
 				u := neighbor(g, cores, params.TAMWidth, budgeted, rng)
+				_ = u.keepsDecode(g, cores, tr)
 				_ = acceptLimit(start.makespan, 100, src.peek())
 				if _, err := dec.decode(g, limit); errors.Is(err, errCut) {
 					src.Int63()
 					cuts++
+				} else if err == nil {
+					dec.trace(tr)
 				}
 				u.revert(g)
 			})

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"repro/internal/constraint"
+	"repro/internal/lb"
 	"repro/internal/obs"
 	"repro/internal/pareto"
 	"repro/internal/sched"
@@ -32,17 +33,18 @@ type core struct {
 }
 
 // buildCores runs the optimizer's shared set-up and assembles the
-// id-ascending per-core inputs plus the constraint checker.
-func buildCores(opt *sched.Optimizer, params sched.Params) ([]*core, *constraint.Checker, error) {
+// id-ascending per-core inputs, their capped Pareto sets (the cores' own,
+// in the same order) and the constraint checker.
+func buildCores(opt *sched.Optimizer, params sched.Params) ([]*core, []*pareto.Set, *constraint.Checker, error) {
 	chk, sets, err := opt.Setup(params)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	cores := make([]*core, len(sets))
 	for i, set := range sets {
 		cores[i] = &core{id: set.CoreID, set: set, budget: params.MaxPreemptions[set.CoreID]}
 	}
-	return cores, chk, nil
+	return cores, sets, chk, nil
 }
 
 // genome is one candidate solution. Slices are indexed by core position in
@@ -191,6 +193,8 @@ type simCore struct {
 	segs      []sched.Span
 	preempts  int
 	penalty   int64
+	free      int // free wires when the core first started
+	floorFree int // the most free wires at a visit its floor blocked; 0 = none
 }
 
 // start opens the core's first segment at width w and arms its split gene
@@ -280,6 +284,21 @@ func newDecoder(cores []*core, chk *constraint.Checker, tamWidth int) *decoder {
 		rank: lists[:n], wait: lists[n : n : 2*n], running: lists[2*n : 2*n]}
 }
 
+// startTrace is what one decode saw of a core before it started: its
+// width and the free wires at its start, and the most free wires at a
+// visit its floor blocked (0 when none did). anneal answers cap and floor
+// moves from it without decoding them (see undo.keepsDecode).
+type startTrace struct{ width, free, floorFree int }
+
+// trace copies every core's startTrace of the last decode into dst, which
+// is parallel to the cores.
+func (d *decoder) trace(dst []startTrace) {
+	for i := range d.sim {
+		s := &d.sim[i]
+		dst[i] = startTrace{width: s.width, free: s.free, floorFree: s.floorFree}
+	}
+}
+
 // decoded is one genome's simulation outcome before wire assignment.
 type decoded struct {
 	sim      []simCore // parallel to the id-ascending core slice
@@ -311,7 +330,14 @@ var errCut = errors.New("rectpack: makespan limit exceeded")
 // back in at its rank (park) when its split gene fires or preemptFor
 // suspends it; a victim ranks after the blocked core, so the same pass
 // still reaches it. The pass stops once no wire is free and the genome
-// has no preemption bit, since then no core can start or resume. d.running
+// has no preemption bit, since then no core can start or resume. An
+// unstarted core's visit tests its floor against the free wires and the
+// constraint checker before it snaps its cap: a floor above the free
+// wires blocks whatever the cap. Each core's simCore records the free
+// wires at its start and the most free wires at a visit its floor
+// blocked, the startTrace anneal's skip test reads; a visit the floor
+// blocks before the checker is asked may be one the checker would also
+// have blocked, which only makes that test stricter. d.running
 // is kept in ascending due instant, so the event step takes the next
 // instant from its head and retires or suspends the prefix due then. Its
 // constraint.State updates are counter changes, and a parked core goes in
@@ -370,14 +396,22 @@ func (d *decoder) decode(g *genome, limit int64) (decoded, error) {
 				s.resume(c, now)
 			} else { // unstarted
 				floor := g.floor[ci]
-				w, ok := c.set.SnapDown(min(g.cap[ci], avail))
-				if !ok || (floor > 0 && w < floor) || !cs.OK(c.id) {
+				w, ok := 0, false
+				if floor > avail {
+					s.floorFree = max(s.floorFree, avail)
+				} else if cs.OK(c.id) {
+					if w, ok = c.set.SnapDown(min(g.cap[ci], avail)); ok && w < floor {
+						ok = false
+						s.floorFree = max(s.floorFree, avail)
+					}
+				}
+				if !ok {
 					if !g.preempt {
 						continue
 					}
 					// Blocked: aim for the full target width, victims
 					// willing.
-					if w, ok = c.set.SnapDown(g.cap[ci]); !ok || (floor > 0 && w < floor) {
+					if w, ok = c.set.SnapDown(g.cap[ci]); !ok || w < floor {
 						continue
 					}
 					free, ok := d.preemptFor(g.perm, pos, w, avail, now)
@@ -387,6 +421,7 @@ func (d *decoder) decode(g *genome, limit int64) (decoded, error) {
 					avail, wait = free, d.wait
 					splits++
 				}
+				s.free = avail
 				if s.start(c, w, now, g.split[ci]) {
 					splits++
 				}
@@ -523,13 +558,14 @@ func emit(opt *sched.Optimizer, params sched.Params, cores []*core, res decoded)
 
 // search runs the engine in one backend's mode: it decodes the mode's
 // seeds, anneals outward from the best of them when the mode has a move
-// budget, and emits the best placeable solution. Emission is best-first:
+// budget, until that budget runs out or its best reaches the paper's
+// LB(W), and emits the best placeable solution. Emission is best-first:
 // the improvement chain newest-first, then the remaining feasible seeds by
 // (makespan, seed index), so a layout wire assignment rejects falls back
 // to the next candidate. Deterministic under a fixed Params.Seed.
 func search(ctx context.Context, sp *obs.Span, opt *sched.Optimizer, params sched.Params, m mode) (*sched.Schedule, error) {
 	params = params.Defaults()
-	cores, chk, err := buildCores(opt, params)
+	cores, sets, chk, err := buildCores(opt, params)
 	if err != nil {
 		return nil, err
 	}
@@ -561,7 +597,8 @@ func search(ctx context.Context, sp *obs.Span, opt *sched.Optimizer, params sche
 	}
 	chain := []*genome{gs[best]} // oldest first
 	if m == modeAnneal {
-		if chain, err = anneal(ctx, sp, dec, params, gs[best], costs[best]); err != nil {
+		floor := lb.FromCapped(sets, params.TAMWidth).Value()
+		if chain, err = anneal(ctx, sp, dec, params, gs[best], costs[best], floor); err != nil {
 			return nil, err
 		}
 	}

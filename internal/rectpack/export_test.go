@@ -34,5 +34,19 @@ func CheckKeepsDecodeShape(t *testing.T, name string, opt *sched.Optimizer, para
 	return kinds[:]
 }
 
+// CheckAnnealShape runs TestAnnealMatchesReference's comparison on one
+// shape and returns the length of anneal's improvement chain.
+func CheckAnnealShape(t *testing.T, name string, opt *sched.Optimizer, params sched.Params) int {
+	t.Helper()
+	return checkAnnealMatchesReference(t, newFixture(t, name, opt, params))
+}
+
 // KeepKinds names the kinds CheckKeepsDecodeShape counts.
 var KeepKinds = keepKinds[:]
+
+// TracedAnneal runs the anneal backend under a fresh trace and returns its
+// schedule and the attributes of its anneal/search span.
+func TracedAnneal(t *testing.T, opt *sched.Optimizer, params sched.Params) (*sched.Schedule, map[string]any) {
+	t.Helper()
+	return tracedAnneal(t, opt, params)
+}

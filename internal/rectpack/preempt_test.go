@@ -210,7 +210,7 @@ func monster60(t *testing.T) (*soc.SOC, *sched.Optimizer, map[int]int) {
 func TestPreemptSeedMakespans(t *testing.T) {
 	_, opt, mp := monster60(t)
 	params := sched.Params{TAMWidth: 64, MaxPreemptions: mp}.Defaults()
-	cores, chk, err := buildCores(opt, params)
+	cores, _, chk, err := buildCores(opt, params)
 	if err != nil {
 		t.Fatal(err)
 	}

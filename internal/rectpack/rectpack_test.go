@@ -13,7 +13,7 @@ import (
 	"repro/internal/schedio"
 )
 
-func optimizer(t *testing.T, name string) *sched.Optimizer {
+func optimizer(t testing.TB, name string) *sched.Optimizer {
 	t.Helper()
 	s, err := bench.ByName(name)
 	if err != nil {

@@ -1,11 +1,15 @@
 package rectpack_test
 
 import (
+	"context"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/lb"
 	"repro/internal/rectpack"
 	"repro/internal/sched"
 )
@@ -104,5 +108,53 @@ func TestAnnealSkipKeepsTheDecode(t *testing.T) {
 			t.Errorf("no %s occurred", rectpack.KeepKinds[k])
 		}
 		t.Logf("%d %s", n, rectpack.KeepKinds[k])
+	}
+}
+
+// TestAnnealMatchesReference: on every cold-portfolio shape, anneal, which
+// answers moves from its last decode's trace and stops at LB(W), returns
+// the improvement chain of an anneal that decodes every move and spends
+// its whole budget.
+func TestAnnealMatchesReference(t *testing.T) {
+	t.Parallel()
+	improved := 0
+	shapes := loadColdShapes(t)
+	for _, sh := range shapes {
+		improved += rectpack.CheckAnnealShape(t, sh.name, sh.opt, sh.params) - 1
+	}
+	t.Logf("%d shapes, %d improvements", len(shapes), improved)
+}
+
+// TestAnnealSpanCountsStop: on toy4-w8 at W=7 anneal's best seed already
+// sits at LB(W) = 35,419, so anneal stops before its first move: its span
+// reads 0 for iters, decodes, same, cut and improved, and it returns the
+// untraced call's schedule, at the bound.
+func TestAnnealSpanCountsStop(t *testing.T) {
+	i := slices.IndexFunc(loadColdShapes(t), func(sh coldShape) bool { return sh.name == "toy4-w8@W7" })
+	if i < 0 {
+		t.Fatal("no cold shape toy4-w8@W7")
+	}
+	sh := loadColdShapes(t)[i]
+	params := sh.params
+	params.Workers = 1
+	bound, err := lb.Compute(sh.opt.SOC(), params.TAMWidth, sched.DefaultMaxWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rectpack.NewAnneal().Schedule(context.Background(), sh.opt, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, attrs := rectpack.TracedAnneal(t, sh.opt, params)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the traced schedule differs from the untraced one")
+	}
+	if got.Makespan != 35419 || bound.Value() != 35419 {
+		t.Fatalf("makespan %d, LB(W) %d, want both 35419", got.Makespan, bound.Value())
+	}
+	for _, name := range []string{"iters", "decodes", "same", "cut", "improved"} {
+		if v, ok := attrs[name].(int); !ok || v != 0 {
+			t.Errorf("anneal/search %s = %v, want 0", name, attrs[name])
+		}
 	}
 }
