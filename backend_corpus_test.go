@@ -5,8 +5,10 @@ package repro_test
 // its parameters, and every resulting schedule must pass
 // sched.CheckInvariants (no TAM-wire overlap, power budget never
 // exceeded, precedence and mutual-exclusion edges honored, every core
-// tested exactly once, split tests whole) and the full timing-model
-// Verify. A backend that declines a scenario's parameters (rectpack under
+// tested exactly once, split tests whole), the full timing-model Verify
+// and a tamsim replay (bit-level for every unpreempted core of at most
+// 100,000 stimulus and response bits, cycle-level for the rest). A
+// backend that declines a scenario's parameters (rectpack under
 // preemption budgets, preempt-rectpack without them) is skipped — but the
 // suite checks the declared regimes really partition the corpus. The
 // suite also pins the competitive acceptance bars: rectpack ties or beats
@@ -40,6 +42,7 @@ import (
 	"repro/internal/rectpack"
 	"repro/internal/sched"
 	"repro/internal/schedio"
+	"repro/internal/tamsim"
 )
 
 // digestFile is the committed digest table: one "<scenario> W=<width>
@@ -107,6 +110,9 @@ func TestCorpusBackendInvariants(t *testing.T) {
 			}
 			if err := sched.Verify(s, sch); err != nil {
 				t.Errorf("backend %s: verify: %v", backend, err)
+			}
+			if _, err := tamsim.Simulate(s, sch, tamsim.Options{BitLevelMaxBits: 100_000}); err != nil {
+				t.Errorf("backend %s: simulate: %v", backend, err)
 			}
 			makespans[backend] = sch.Makespan
 			if digestBackends[backend] {

@@ -33,10 +33,10 @@
 // rebuild them per call.
 //
 // The heavy lifting lives in the internal packages (soc, wrapper, pareto,
-// constraint, sched, rectpack, lb, datavol, bist, pattern, tamsim,
-// baseline, bench, report, experiments); this package re-exports the
-// surface a downstream user needs. The cmd/ tools regenerate every table
-// and figure of the paper (`socbench -all`).
+// constraint, sched, rectpack, lb, datavol, pattern, tamsim, baseline,
+// bench, report, experiments); this package re-exports the surface a
+// downstream user needs. The cmd/ tools regenerate every table and figure
+// of the paper (`socbench -all`).
 //
 // # Service
 //

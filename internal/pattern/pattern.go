@@ -1,7 +1,7 @@
 // Package pattern generates deterministic per-core test data: scan-in
-// stimulus vectors and their expected responses, used by the TAM/ATE
-// simulator to move real bits through wrapper chains and to count tester
-// data volume from first principles.
+// stimulus vectors from an LFSR and their expected responses from a golden
+// core model, used by the TAM/ATE simulator to move real bits through
+// wrapper chains and to count tester data volume from first principles.
 //
 // The core under test is modeled functionally: the captured response of a
 // pattern is a keyed parity function of the stimulus (each response bit is
@@ -15,7 +15,6 @@ package pattern
 import (
 	"fmt"
 
-	"repro/internal/bist"
 	"repro/internal/soc"
 	"repro/internal/wrapper"
 )
@@ -42,12 +41,6 @@ type Set struct {
 	ScanInBits, ScanOutBits int
 }
 
-// TotalBits returns the total test data moved for this set: stimulus in
-// plus response out, over all patterns.
-func (s *Set) TotalBits() int64 {
-	return int64(len(s.Vectors)) * int64(s.ScanInBits+s.ScanOutBits)
-}
-
 // Generate builds the deterministic test set for a core: stimulus from an
 // LFSR seeded by the core ID, responses from the keyed-parity core model.
 func Generate(c *soc.Core, d *wrapper.Design) (*Set, error) {
@@ -59,7 +52,7 @@ func Generate(c *soc.Core, d *wrapper.Design) (*Set, error) {
 		in += d.Chains[i].ScanIn()
 		out += d.Chains[i].ScanOut()
 	}
-	src := bist.DefaultLFSR(uint64(c.ID)*0x9E3779B9 + 0x1234567)
+	src := defaultLFSR(uint64(c.ID)*0x9E3779B9 + 0x1234567)
 	set := &Set{CoreID: c.ID, ScanInBits: in, ScanOutBits: out}
 	for p := 0; p < c.Test.Patterns; p++ {
 		stim := src.Bits(in)

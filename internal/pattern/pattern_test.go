@@ -45,9 +45,6 @@ func TestGenerateSizes(t *testing.T) {
 			}
 		}
 	}
-	if got, want := set.TotalBits(), int64(7*(27+26)); got != want {
-		t.Fatalf("TotalBits = %d, want %d", got, want)
-	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {

@@ -238,12 +238,3 @@ func SVG(w io.Writer, sch *sched.Schedule) error {
 	fmt.Fprintln(w, `</svg>`)
 	return nil
 }
-
-// Series renders (x, y) integer series as CSV rows, for figure data.
-func Series(w io.Writer, xName, yName string, xs []int, ys []int64) error {
-	rows := make([][]string, len(xs))
-	for i := range xs {
-		rows[i] = []string{fmt.Sprint(xs[i]), fmt.Sprint(ys[i])}
-	}
-	return WriteCSV(w, []string{xName, yName}, rows)
-}

@@ -116,14 +116,3 @@ func TestSVG(t *testing.T) {
 		t.Fatal("missing axis label")
 	}
 }
-
-func TestSeries(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Series(&buf, "W", "T", []int{1, 2}, []int64{10, 20}); err != nil {
-		t.Fatal(err)
-	}
-	want := "W,T\n1,10\n2,20\n"
-	if buf.String() != want {
-		t.Fatalf("series = %q, want %q", buf.String(), want)
-	}
-}

@@ -346,7 +346,4 @@ func TestOptimizerAccessorsAndUnknownCoreError(t *testing.T) {
 	if got := e.Error(); !strings.Contains(got, "7") {
 		t.Errorf("UnknownCoreError.Error() = %q, want the core ID in it", got)
 	}
-	if got := PaperPercents(); len(got) != 10 || got[0] != 1 || got[9] != 10 {
-		t.Errorf("PaperPercents() = %v, want 1..10", got)
-	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -100,6 +102,40 @@ func TestKeyFoldsSingleRunSlack(t *testing.T) {
 	}
 	if (BatchItem{Params: three, Best: true}).Key() == (BatchItem{Params: unset, Best: true}).Key() {
 		t.Error("best mode gives InsertSlack unset and 3 one key, but only the unset slack sweeps")
+	}
+}
+
+// TestCanonicalKeyBudgets: CanonicalKey spells a preemption-budget map in
+// core-ID order, so maps with the same entries give one key whatever order
+// they were filled in, while a changed budget, or no map against a map,
+// gives another key.
+func TestCanonicalKeyBudgets(t *testing.T) {
+	ids := []int{9, 2, 14, 5, 11, 1, 7, 3}
+	budgets := func(order []int) map[int]int {
+		m := make(map[int]int, len(order))
+		for _, id := range order {
+			m[id] = id % 3
+		}
+		return m
+	}
+	key := Params{TAMWidth: 32, MaxPreemptions: budgets(ids)}.CanonicalKey()
+	if want := "|pre=[1:1,2:2,3:0,5:2,7:1,9:0,11:2,14:2]"; !strings.HasSuffix(key, want) {
+		t.Fatalf("key %q does not end in %q", key, want)
+	}
+	reversed := slices.Clone(ids)
+	slices.Reverse(reversed)
+	for _, order := range [][]int{reversed, slices.Sorted(slices.Values(ids))} {
+		if got := (Params{TAMWidth: 32, MaxPreemptions: budgets(order)}).CanonicalKey(); got != key {
+			t.Errorf("budgets filled in order %v give key %q, want %q", order, got, key)
+		}
+	}
+	changed := budgets(ids)
+	changed[14] = 3
+	if (Params{TAMWidth: 32, MaxPreemptions: changed}).CanonicalKey() == key {
+		t.Error("changing core 14's budget kept the key")
+	}
+	if (Params{TAMWidth: 32}).CanonicalKey() == key {
+		t.Error("no budget map and a budget map share a key")
 	}
 }
 

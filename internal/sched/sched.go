@@ -1204,10 +1204,6 @@ func DefaultDeltas() []int { return []int{0, 1, 2, 3, 4} }
 // skip of a run that repeats a smaller slack's relies on.
 func DefaultInsertSlacks() []int { return []int{3, 8, 16} }
 
-// PaperPercents returns exactly the paper's α grid (1..10), for fidelity
-// comparisons.
-func PaperPercents() []int { return []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10} }
-
 // DefaultPowerBudget returns the power budget used by the power-constrained
 // experiments: factorPct percent of the largest single-test power (the
 // paper sets a budget derived from per-test data bits per pattern but does

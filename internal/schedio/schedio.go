@@ -186,17 +186,3 @@ func Load(r io.Reader, s *soc.SOC) (*sched.Schedule, error) {
 	}
 	return sch, nil
 }
-
-// LoadFile reads a schedule from the named file.
-func LoadFile(path string, s *soc.SOC) (*sched.Schedule, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sch, err := Load(f, s)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return sch, nil
-}

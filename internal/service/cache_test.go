@@ -167,7 +167,9 @@ func TestCacheFailureNotCached(t *testing.T) {
 // TestCacheWaitersSurviveFailedLeader pins the retry semantics under
 // concurrency: when the singleflight leader's build fails, the waiters do
 // not inherit the failure — they loop, one becomes the new leader, and
-// everyone ends up with the good document. Run with -race in CI.
+// everyone ends up with the good document. The leader fails only once all
+// its waiters wait on its flight, so every waiter takes the retry path.
+// Run with -race in CI.
 func TestCacheWaitersSurviveFailedLeader(t *testing.T) {
 	c := NewResultCache(1 << 20)
 	var builds atomic.Int64
@@ -189,17 +191,24 @@ func TestCacheWaitersSurviveFailedLeader(t *testing.T) {
 	<-leaderIn // the flight is registered; everyone below joins it
 
 	const waiters = 8
+	ctx := &waitCountingCtx{Context: context.Background(), want: waiters, reached: make(chan struct{})}
 	werrs := make([]error, waiters)
 	wdocs := make([][]byte, waiters)
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			wdocs[i], _, werrs[i] = c.Do(context.Background(), "k", func() ([]byte, error) {
+			wdocs[i], _, werrs[i] = c.Do(ctx, "k", func() ([]byte, error) {
 				builds.Add(1)
 				return []byte("good"), nil
 			})
 		}(i)
+	}
+	select {
+	case <-ctx.reached:
+	case <-time.After(10 * time.Second):
+		close(leaderGo)
+		t.Fatalf("%d of %d waiters waited on the leader's flight within 10s", ctx.calls.Load(), waiters)
 	}
 	close(leaderGo)
 	wg.Wait()
@@ -214,6 +223,9 @@ func TestCacheWaitersSurviveFailedLeader(t *testing.T) {
 	}
 	if got := builds.Load(); got != 2 {
 		t.Fatalf("builds = %d, want 2 (failed leader + one retry leader)", got)
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Hits != waiters-1 {
+		t.Fatalf("stats = %+v, want 2 misses (both leaders) and %d hits", st, waiters-1)
 	}
 }
 

@@ -46,7 +46,9 @@ type Test struct {
 	Kind TestKind
 	// BISTEngine is the identifier of the on-chip BIST engine used by this
 	// test, or -1 when no engine is used. Two tests that name the same
-	// engine may never run concurrently (a BIST resource conflict).
+	// engine may never run concurrently (a BIST resource conflict). A test
+	// holds its engine only while it runs, so a preempted test frees it
+	// during its gap, where another test on the engine may run.
 	BISTEngine int
 	// Power is the power dissipated while this test runs, in abstract
 	// units. Zero means "assign a default from the core's data bits per

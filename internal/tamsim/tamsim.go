@@ -8,14 +8,14 @@
 //	  = si + (p-1)·(1 + max(si,so)) + 1 + so
 //
 // agree with an actual cycle-by-cycle execution, and that every response
-// the ATE receives matches the golden core model.
+// the ATE receives matches the golden core model. The schedule's structure
+// (wires, power, precedence, concurrency and BIST-engine sharing) is
+// checked by sched.CheckInvariants alone.
 package tamsim
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/bist"
 	"repro/internal/pattern"
 	"repro/internal/sched"
 	"repro/internal/soc"
@@ -76,16 +76,13 @@ func (r *Result) PayloadEfficiency() float64 {
 	return float64(r.PayloadBits) / float64(r.DataVolume)
 }
 
-// Simulate executes the schedule. It fails on any inconsistency: BIST
-// engine double-acquisition, any sched.CheckInvariants violation (wire
-// double-booking among them), cycle-count mismatches against the wrapper
-// timing model, or response mismatches in bit-level mode.
+// Simulate executes the schedule. It fails on any inconsistency: a
+// sched.CheckInvariants violation (a double-booked wire or a shared BIST
+// engine among them), cycle-count mismatches against the wrapper timing
+// model, or response mismatches in bit-level mode.
 func Simulate(s *soc.SOC, sch *sched.Schedule, opts Options) (*Result, error) {
 	if opts.BitLevelMaxBits == 0 {
 		opts.BitLevelMaxBits = 2_000_000
-	}
-	if err := checkBISTExclusion(s, sch); err != nil {
-		return nil, err
 	}
 	if err := sched.CheckInvariants(s, sch); err != nil {
 		return nil, fmt.Errorf("tamsim: %w", err)
@@ -117,57 +114,6 @@ func Simulate(s *soc.SOC, sch *sched.Schedule, opts Options) (*Result, error) {
 	res.PerPinDepth = res.MeasuredMakespan
 	res.DataVolume = int64(res.TAMWidth) * res.PerPinDepth
 	return res, nil
-}
-
-// checkBISTExclusion replays the schedule against the BIST engine registry:
-// engines are acquired at each BIST test's start and released at its end;
-// overlapping acquisition is a hard error.
-func checkBISTExclusion(s *soc.SOC, sch *sched.Schedule) error {
-	var ids []int
-	for _, c := range s.Cores {
-		if c.Test.BISTEngine >= 0 {
-			ids = append(ids, c.Test.BISTEngine)
-		}
-	}
-	if len(ids) == 0 {
-		return nil
-	}
-	reg := bist.NewRegistry(ids)
-	type ev struct {
-		t       int64
-		release bool
-		core    int
-		engine  int
-	}
-	var evs []ev
-	for _, c := range s.Cores {
-		a := sch.Assignments[c.ID]
-		if c.Test.BISTEngine < 0 || a == nil || len(a.Pieces) == 0 {
-			continue // no engine, or a defect CheckInvariants reports
-		}
-		evs = append(evs,
-			ev{t: a.Start(), core: c.ID, engine: c.Test.BISTEngine},
-			ev{t: a.End(), release: true, core: c.ID, engine: c.Test.BISTEngine},
-		)
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].t != evs[j].t {
-			return evs[i].t < evs[j].t
-		}
-		return evs[i].release && !evs[j].release // releases first
-	})
-	for _, e := range evs {
-		var err error
-		if e.release {
-			err = reg.Release(e.engine, e.core)
-		} else {
-			err = reg.Acquire(e.engine, e.core)
-		}
-		if err != nil {
-			return fmt.Errorf("tamsim: t=%d: %v", e.t, err)
-		}
-	}
-	return nil
 }
 
 // simulateCore verifies one core's assignment, bit-level when affordable.

@@ -66,29 +66,26 @@ func TestSimulateRespectsBitLevelCap(t *testing.T) {
 	}
 }
 
+// TestSimulatePreemptiveCycleAccounting replays a schedule in which core 1
+// is preempted once and core 2 runs in its gap. Both share BIST engine 0,
+// and a test holds its engine only while it runs, so the schedule is valid.
 func TestSimulatePreemptiveCycleAccounting(t *testing.T) {
-	s := bench.P22810Like()
-	mp, err := sched.LargerCorePreemptions(s, sched.DefaultMaxWidth, 2)
+	s, o := bistPair(t)
+	const w = 2
+	sch := assembleBISTPair(t, o, w, true)
+	res, err := Simulate(s, sch, Options{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("core 2 in core 1's preemption gap rejected: %v", err)
 	}
-	sch, err := sched.SweepBest(s, sched.Params{
-		TAMWidth:       48,
-		MaxPreemptions: mp,
-		PowerMax:       sched.DefaultPowerBudget(s, 110),
-	}, []int{8}, []int{1})
-	if err != nil {
-		t.Fatal(err)
+	// Preempted core 1 is verified at cycle level (timing model plus one
+	// penalty), though it is as small as core 2, which runs bit by bit.
+	ps, c1 := o.ParetoSet(1), res.Cores[1]
+	if sch.Assignments[1].Preemptions != 1 || c1.BitLevel || c1.Cycles != ps.Time(w)+ps.Penalty(w) {
+		t.Fatalf("preempted core 1: %d preemptions, bit level %t, %d cycles; want 1, false, %d",
+			sch.Assignments[1].Preemptions, c1.BitLevel, c1.Cycles, ps.Time(w)+ps.Penalty(w))
 	}
-	res, err := Simulate(s, sch, Options{BitLevelMaxBits: 100000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Preempted cores are cycle-verified (timing model plus penalties).
-	for id, a := range sch.Assignments {
-		if a.Preemptions > 0 && res.Cores[id].BitLevel {
-			t.Fatalf("preempted core %d was bit-level simulated", id)
-		}
+	if !res.Cores[2].BitLevel {
+		t.Fatal("unpreempted core 2 was not bit-level simulated")
 	}
 }
 
@@ -117,8 +114,10 @@ func TestSimulateDetectsTampering(t *testing.T) {
 	sch.Makespan--
 }
 
-func TestSimulateDetectsBISTOverlap(t *testing.T) {
-	// Build a fake schedule where two cores sharing engine 0 overlap.
+// bistPair returns an SOC of two BIST cores that share engine 0, and an
+// optimizer over it.
+func bistPair(t *testing.T) (*soc.SOC, *sched.Optimizer) {
+	t.Helper()
 	s := &soc.SOC{
 		Name: "bistclash",
 		Cores: []*soc.Core{
@@ -126,16 +125,40 @@ func TestSimulateDetectsBISTOverlap(t *testing.T) {
 			{ID: 2, Name: "m1", Inputs: 2, Outputs: 2, ScanChains: []int{10}, Test: soc.Test{Patterns: 5, Kind: soc.BISTTest, BISTEngine: 0}},
 		},
 	}
-	sch, err := sched.Run(s, sched.Params{TAMWidth: 8, Percent: 5, Delta: 1})
+	o, err := sched.New(s, sched.DefaultMaxWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The real schedule serializes them; force an overlap.
-	a1, a2 := sch.Assignments[1], sch.Assignments[2]
-	shift := a2.Pieces[0].Start - a1.Pieces[0].Start
-	a2.Pieces[0].Start -= shift
-	a2.Pieces[0].End -= shift
-	if _, err := Simulate(s, sch, Options{}); err == nil || !strings.Contains(err.Error(), "busy") {
+	return s, o
+}
+
+// assembleBISTPair lays both cores of bistPair at width w on a TAM of 2w
+// wires, so no two pieces ever share a wire. With split, core 1 is
+// preempted once and core 2 runs in its gap; otherwise both start at 0.
+func assembleBISTPair(t *testing.T, o *sched.Optimizer, w int, split bool) *sched.Schedule {
+	t.Helper()
+	t1, t2 := o.ParetoSet(1).Time(w), o.ParetoSet(2).Time(w)
+	first := sched.CoreLayout{ID: 1, Width: w, Spans: []sched.Span{{Start: 0, End: t1}}}
+	second := sched.CoreLayout{ID: 2, Width: w, Spans: []sched.Span{{Start: 0, End: t2}}}
+	if split {
+		h, pen := t1/2, o.ParetoSet(1).Penalty(w)
+		first.Spans = []sched.Span{{Start: 0, End: h}, {Start: h + t2, End: t1 + pen + t2}}
+		first.Preemptions, first.Penalty = 1, pen
+		second.Spans = []sched.Span{{Start: h, End: h + t2}}
+	}
+	sch, err := o.Assemble(sched.Params{TAMWidth: 2 * w}, []sched.CoreLayout{first, second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sch
+}
+
+// TestSimulateDetectsBISTOverlap: two tests that share a BIST engine and
+// run at once on disjoint wires are rejected by sched.CheckInvariants.
+func TestSimulateDetectsBISTOverlap(t *testing.T) {
+	s, o := bistPair(t)
+	sch := assembleBISTPair(t, o, 2, false)
+	if _, err := Simulate(s, sch, Options{}); err == nil || !strings.Contains(err.Error(), "BIST engine 0 shared") {
 		t.Fatalf("BIST overlap not detected: %v", err)
 	}
 }
