@@ -9,12 +9,14 @@ import (
 	"testing"
 )
 
-// TestMarkdownNamesExist keeps the docs from sending readers to files that
-// do not exist. In README.md, the notes of each skill kept in a dot
-// directory (the verify skill's build notes) and every Go file outside
-// perfbench/ and testdata/, each *.md name must be a file at the repository
-// root and each ./cmd/<name> or ./examples/<name> path a directory.
-// CHANGES.md and ROADMAP.md are history, so they may name what is gone.
+// TestMarkdownNamesExist keeps the docs and CI from sending readers to
+// files that do not exist. In README.md, the notes of each skill kept in a
+// dot directory (the verify skill's build notes), the CI workflows under
+// .github/workflows and every Go file outside perfbench/ and testdata/,
+// each *.md name must be a file at the repository root and each
+// ./cmd/<name> or ./examples/<name> path a directory, so a CI step that
+// runs a deleted command fails here first. CHANGES.md and ROADMAP.md are
+// history, so they may name what is gone.
 func TestMarkdownNamesExist(t *testing.T) {
 	mdName := regexp.MustCompile(`[A-Za-z0-9_-]+\.md\b`)
 	cmdPath := regexp.MustCompile(`\./((?:cmd|examples)/[A-Za-z0-9_-]+)`)
@@ -40,7 +42,14 @@ func TestMarkdownNamesExist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, doc := range append([]string{"README.md"}, skills...) {
+	workflows, err := filepath.Glob(".github/workflows/*.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(workflows) == 0 {
+		t.Fatal("no CI workflow under .github/workflows")
+	}
+	for _, doc := range append(append([]string{"README.md"}, skills...), workflows...) {
 		check(doc)
 	}
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {

@@ -9,10 +9,10 @@
 // and socserved HTTP responses).
 //
 // The replayed bytes are committed as golden files under testdata/golden/
-// and gated by cmd/socregress and the corpus_regress_test.go wrapper:
-// any optimization PR that drifts an output byte anywhere in the stack
-// fails the gate until the change is understood and re-blessed with
-// `socregress -update`.
+// and gated by the root package's corpus_regress_test.go: any change that
+// drifts an output byte anywhere in the stack fails the gate until the
+// change is understood and re-blessed with
+// `go test . -run '^TestCorpusGolden' -update`.
 package corpus
 
 import (

@@ -67,31 +67,16 @@ func (sc Scenario) ResolveParams(s *soc.SOC) (sched.Params, error) {
 // the canonical bytes per layer (keyed by the Layer* file names). The
 // result is deterministic: identical on every host, every run.
 func Replay(sc Scenario) (map[string][]byte, error) {
-	s := sc.Build()
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("corpus: %s: bad SOC: %w", sc.Name, err)
-	}
-	params, err := sc.ResolveParams(s)
+	s, params, opt, err := setUp(sc)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string][]byte, len(Layers()))
 
-	opt, err := sched.New(s, sched.DefaultMaxWidth)
-	if err != nil {
-		return nil, fmt.Errorf("corpus: %s: optimizer: %w", sc.Name, err)
-	}
-
 	// Layer 1: the frozen schedule, serialized exactly as schedio emits it.
-	schBest, err := opt.ScheduleItem(context.Background(), sched.BatchItem{Params: params, Best: !sc.SingleRun})
-	if err != nil {
-		return nil, fmt.Errorf("corpus: %s: schedule: %w", sc.Name, err)
+	if _, out[LayerSchedule], err = schedule(sc, opt, params, ""); err != nil {
+		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := schedio.Save(&buf, schBest); err != nil {
-		return nil, fmt.Errorf("corpus: %s: save schedule: %w", sc.Name, err)
-	}
-	out[LayerSchedule] = append([]byte(nil), buf.Bytes()...)
 
 	// Layer 2: the width sweep T(W)/D(W) under the scenario's parameters.
 	sw, err := datavol.RunWith(opt, datavol.Config{
@@ -107,7 +92,7 @@ func Replay(sc Scenario) (map[string][]byte, error) {
 	}
 
 	// Layer 3: the data-volume curve as CSV (the Fig. 9 plot data).
-	buf.Reset()
+	var buf bytes.Buffer
 	buf.WriteString("tamWidth,timeCycles,volumeBits,cost0.5\n")
 	for _, smp := range sw.Samples {
 		fmt.Fprintf(&buf, "%d,%d,%d,%s\n", smp.TAMWidth, smp.Time, smp.Volume,
@@ -146,6 +131,43 @@ func Replay(sc Scenario) (map[string][]byte, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// setUp builds and validates the scenario's SOC, resolves its parameters
+// and builds its optimizer: the set-up every replayed layer shares.
+func setUp(sc Scenario) (*soc.SOC, sched.Params, *sched.Optimizer, error) {
+	s := sc.Build()
+	if err := s.Validate(); err != nil {
+		return nil, sched.Params{}, nil, fmt.Errorf("corpus: %s: bad SOC: %w", sc.Name, err)
+	}
+	params, err := sc.ResolveParams(s)
+	if err != nil {
+		return nil, sched.Params{}, nil, err
+	}
+	opt, err := sched.New(s, sched.DefaultMaxWidth)
+	if err != nil {
+		return nil, sched.Params{}, nil, fmt.Errorf("corpus: %s: optimizer: %w", sc.Name, err)
+	}
+	return s, params, opt, nil
+}
+
+// schedule runs the scenario's schedule item under the named backend ("" =
+// the default classic backend) and returns the schedule plus its schedio
+// bytes. The classic default keeps Backend empty so the echoed Params —
+// and with them the schedio bytes — stay identical to the frozen goldens.
+func schedule(sc Scenario, opt *sched.Optimizer, params sched.Params, backend string) (*sched.Schedule, []byte, error) {
+	if !sched.IsDefaultBackend(backend) {
+		params.Backend = backend
+	}
+	sch, err := opt.ScheduleItem(context.Background(), sched.BatchItem{Params: params, Best: !sc.SingleRun})
+	if err != nil {
+		return nil, nil, fmt.Errorf("corpus: %s: backend %q: %w", sc.Name, backend, err)
+	}
+	var buf bytes.Buffer
+	if err := schedio.Save(&buf, sch); err != nil {
+		return nil, nil, fmt.Errorf("corpus: %s: save schedule: %w", sc.Name, err)
+	}
+	return sch, buf.Bytes(), nil
 }
 
 // replayService uploads the SOC into a fresh socserved instance and
@@ -253,10 +275,10 @@ func Diff(want, got []byte) string {
 }
 
 // StaleDirs returns subdirectories of goldenDir that name no corpus
-// scenario — frozen bytes nobody checks anymore. Both the socregress gate
-// and the go-test wrapper police this through the same helper, so the
-// definition of "stale" cannot drift between them. A missing goldenDir
-// returns nil (the per-layer checks report it as missing goldens).
+// scenario — frozen bytes nobody checks anymore. TestCorpusGoldenComplete
+// fails on them, and removes them under its -update flag. A missing
+// goldenDir returns nil (the per-layer checks report it as missing
+// goldens).
 func StaleDirs(goldenDir string) []string {
 	entries, err := os.ReadDir(goldenDir)
 	if err != nil {

@@ -14,7 +14,10 @@ import (
 // excluded — Workers only bounds sweep fan-out (parallel sweeps are
 // deterministic), so Params differing only in Workers share a key.
 // MaxWidth 0 and DefaultMaxWidth share a key too, since a schedule echoes
-// the defaulted cap either way. Every other field is keyed as sent: a
+// the defaulted cap either way. MaxPreemptions is keyed by its positive
+// budgets alone, in core-ID order, because every backend reads a budget
+// ≤ 0 as none and the schedule does not echo budgets: nil, an empty map
+// and {2: 0} all key as "pre=nil". Every other field is keyed as sent: a
 // schedule echoes Backend and Seed as sent, and best mode sweeps
 // DefaultInsertSlacks for an unset InsertSlack but pins an explicit 3.
 func (p Params) CanonicalKey() string {
@@ -25,13 +28,15 @@ func (p Params) CanonicalKey() string {
 	fmt.Fprintf(&sb, "w=%d|max=%d|pct=%d|delta=%d|power=%d|slack=%d|widen=%t|hier=%t|backend=%s|bt=%d|seed=%d|pre=",
 		p.TAMWidth, p.MaxWidth, p.Percent, p.Delta, p.PowerMax, p.InsertSlack,
 		p.DisableWidening, p.IgnoreHierarchy, p.Backend, int64(p.BackendTimeout), p.Seed)
-	if p.MaxPreemptions == nil {
-		sb.WriteString("nil")
-	} else {
-		ids := make([]int, 0, len(p.MaxPreemptions))
-		for id := range p.MaxPreemptions {
+	ids := make([]int, 0, len(p.MaxPreemptions))
+	for id, b := range p.MaxPreemptions {
+		if b > 0 {
 			ids = append(ids, id)
 		}
+	}
+	if len(ids) == 0 {
+		sb.WriteString("nil")
+	} else {
 		sort.Ints(ids)
 		sb.WriteByte('[')
 		for i, id := range ids {
@@ -63,8 +68,9 @@ func (it BatchItem) best() bool {
 // Key returns the item's mode-canonical result-cache address: the effective
 // mode plus the Params' canonical key. Two items with equal keys produce
 // byte-identical schedules. Items that differ only in Workers, in MaxWidth
-// 0 against DefaultMaxWidth, or in Best for a non-classic backend share a
-// key, and so do single runs that differ only in InsertSlack 0 against
+// 0 against DefaultMaxWidth, in preemption budgets ≤ 0 (nil, empty and
+// all-zero maps alike), or in Best for a non-classic backend share a key,
+// and so do single runs that differ only in InsertSlack 0 against
 // DefaultInsertSlack, since a single run applies Defaults and echoes the
 // slack it ran. Best mode keeps those two apart: it sweeps
 // DefaultInsertSlacks for an unset slack. Any other difference, even

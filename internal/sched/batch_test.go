@@ -105,10 +105,12 @@ func TestKeyFoldsSingleRunSlack(t *testing.T) {
 	}
 }
 
-// TestCanonicalKeyBudgets: CanonicalKey spells a preemption-budget map in
-// core-ID order, so maps with the same entries give one key whatever order
-// they were filled in, while a changed budget, or no map against a map,
-// gives another key.
+// TestCanonicalKeyBudgets: CanonicalKey spells a preemption-budget map's
+// positive entries in core-ID order, so maps with the same entries give
+// one key whatever order they were filled in, while a changed budget, or
+// no map against a map with a positive budget, gives another key. Budgets
+// ≤ 0 are none to every backend, so nil, empty and all-zero or negative
+// maps give one key.
 func TestCanonicalKeyBudgets(t *testing.T) {
 	ids := []int{9, 2, 14, 5, 11, 1, 7, 3}
 	budgets := func(order []int) map[int]int {
@@ -119,7 +121,7 @@ func TestCanonicalKeyBudgets(t *testing.T) {
 		return m
 	}
 	key := Params{TAMWidth: 32, MaxPreemptions: budgets(ids)}.CanonicalKey()
-	if want := "|pre=[1:1,2:2,3:0,5:2,7:1,9:0,11:2,14:2]"; !strings.HasSuffix(key, want) {
+	if want := "|pre=[1:1,2:2,5:2,7:1,11:2,14:2]"; !strings.HasSuffix(key, want) {
 		t.Fatalf("key %q does not end in %q", key, want)
 	}
 	reversed := slices.Clone(ids)
@@ -134,8 +136,14 @@ func TestCanonicalKeyBudgets(t *testing.T) {
 	if (Params{TAMWidth: 32, MaxPreemptions: changed}).CanonicalKey() == key {
 		t.Error("changing core 14's budget kept the key")
 	}
-	if (Params{TAMWidth: 32}).CanonicalKey() == key {
+	none := Params{TAMWidth: 32}.CanonicalKey()
+	if none == key {
 		t.Error("no budget map and a budget map share a key")
+	}
+	for _, m := range []map[int]int{{}, {2: 0}, {2: -1}, {2: 0, 9: -3}} {
+		if got := (Params{TAMWidth: 32, MaxPreemptions: m}).CanonicalKey(); got != none {
+			t.Errorf("budgets %v give key %q, want the nil map's %q", m, got, none)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -376,6 +377,29 @@ func TestCacheFoldsSingleRunSlack(t *testing.T) {
 	}
 	if !bytes.Equal(bodies[0], bodies[1]) {
 		t.Error("insertSlack 3 answered other bytes than the unset spelling")
+	}
+	if st := svc.Cache().Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("cache stats %+v, want 1 miss and 1 hit", st)
+	}
+}
+
+// TestCacheFoldsEmptyBudgets: an empty maxPreemptions map grants no
+// budget, so /v1/schedule/best with `"maxPreemptions": {}` after the unset
+// spelling is a cache hit and answers the same bytes. The body is raw JSON
+// because a ParamsJSON holding an empty map marshals without the field.
+func TestCacheFoldsEmptyBudgets(t *testing.T) {
+	svc, ts := newTestService(t, Config{Preload: []string{"d695"}})
+	var bodies [2][]byte
+	for i, params := range []string{`{"tamWidth": 32}`, `{"tamWidth": 32, "maxPreemptions": {}}`} {
+		req := json.RawMessage(`{"soc": "d695", "params": ` + params + `}`)
+		code, body := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/schedule/best", req)
+		if code != http.StatusOK {
+			t.Fatalf("params %s: HTTP %d: %s", params, code, body)
+		}
+		bodies[i] = body
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Error("an empty maxPreemptions map answered other bytes than the unset spelling")
 	}
 	if st := svc.Cache().Stats(); st.Misses != 1 || st.Hits != 1 {
 		t.Errorf("cache stats %+v, want 1 miss and 1 hit", st)

@@ -47,6 +47,10 @@ func TestSimulateDemoBitLevel(t *testing.T) {
 	}
 }
 
+// TestSimulateRespectsBitLevelCap: with bit-level simulation disabled no
+// core runs bit by bit, and under a 20,000-bit cap a core runs bit by bit
+// exactly when its payload fits the cap and it has no preemption. demo8 at
+// W=16 has cores on both sides of that cap.
 func TestSimulateRespectsBitLevelCap(t *testing.T) {
 	s := bench.Demo()
 	sch := schedule(t, s, sched.Params{TAMWidth: 16})
@@ -57,12 +61,28 @@ func TestSimulateRespectsBitLevelCap(t *testing.T) {
 	if res.BitLevelCores != 0 {
 		t.Fatalf("bit-level disabled but %d cores simulated", res.BitLevelCores)
 	}
-	res2, err := Simulate(s, sch, Options{BitLevelMaxBits: 20000})
+	const capBits = 20000
+	res, err = Simulate(s, sch, Options{BitLevelMaxBits: capBits})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.BitLevelCores == 0 || res2.BitLevelCores == len(s.Cores) {
-		t.Logf("cap produced %d/%d bit-level cores", res2.BitLevelCores, len(s.Cores))
+	bitLevel := 0
+	for _, c := range s.Cores {
+		cr := res.Cores[c.ID]
+		want := cr.PayloadBits <= capBits && sch.Assignments[c.ID].Preemptions == 0
+		if cr.BitLevel != want {
+			t.Errorf("core %d (%d payload bits, %d preemptions): bit level %t, want %t",
+				c.ID, cr.PayloadBits, sch.Assignments[c.ID].Preemptions, cr.BitLevel, want)
+		}
+		if cr.BitLevel {
+			bitLevel++
+		}
+	}
+	if res.BitLevelCores != bitLevel {
+		t.Errorf("BitLevelCores = %d, but %d cores ran bit by bit", res.BitLevelCores, bitLevel)
+	}
+	if bitLevel == 0 || bitLevel == len(s.Cores) {
+		t.Errorf("cap %d ran %d of %d cores bit by bit, want both kinds", capBits, bitLevel, len(s.Cores))
 	}
 }
 
