@@ -73,10 +73,12 @@ const DefaultBackend = sched.DefaultBackend
 // value naming no registered backend; test with errors.Is.
 var ErrUnknownBackend = sched.ErrUnknownBackend
 
-// UnknownCoreError reports a schedule whose assignments reference a core ID
-// its SOC does not define (a stale, tampered, or mismatched schedule).
-// Verify, Planner.Verify, CheckInvariants, and LoadSchedule return it;
-// extract with errors.As.
+// UnknownCoreError reports a core ID the SOC does not define, referenced by
+// a schedule's assignment (a stale, tampered, or mismatched schedule:
+// Verify, Planner.Verify, CheckInvariants, and LoadSchedule return it) or
+// by a positive Options.MaxPreemptions budget (every scheduling call
+// returns it, with Budget set, before any backend runs); extract with
+// errors.As.
 type UnknownCoreError = sched.UnknownCoreError
 
 // SchedulerBackends returns the names of the registered scheduling

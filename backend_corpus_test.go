@@ -5,9 +5,12 @@ package repro_test
 // its parameters, and every resulting schedule must pass
 // sched.CheckInvariants (no TAM-wire overlap, power budget never
 // exceeded, precedence and mutual-exclusion edges honored, every core
-// tested exactly once, split tests whole), the full timing-model Verify
-// and a tamsim replay (bit-level for every unpreempted core of at most
-// 100,000 stimulus and response bits, cycle-level for the rest). A
+// tested exactly once, split tests whole, budgets and the per-core width
+// cap kept), the full timing-model Verify, a tamsim replay (bit-level for
+// every unpreempted core of at most 100,000 stimulus and response bits,
+// cycle-level for the rest), and a schedio Save → Load → Save round trip
+// that gives the same bytes, so Load re-verifies every schedule against
+// the regime its document records. A
 // backend that declines a scenario's parameters (rectpack under
 // preemption budgets, preempt-rectpack without them) is skipped — but the
 // suite checks the declared regimes really partition the corpus. The
@@ -113,6 +116,12 @@ func TestCorpusBackendInvariants(t *testing.T) {
 			}
 			if _, err := tamsim.Simulate(s, sch, tamsim.Options{BitLevelMaxBits: 100_000}); err != nil {
 				t.Errorf("backend %s: simulate: %v", backend, err)
+			}
+			var again bytes.Buffer
+			if loaded, err := schedio.Load(bytes.NewReader(doc), s); err != nil {
+				t.Errorf("backend %s: load: %v", backend, err)
+			} else if err := schedio.Save(&again, loaded); err != nil || !bytes.Equal(again.Bytes(), doc) {
+				t.Errorf("backend %s: Save → Load → Save: %v\n%s", backend, err, corpus.Diff(doc, again.Bytes()))
 			}
 			makespans[backend] = sch.Makespan
 			if digestBackends[backend] {

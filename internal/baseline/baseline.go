@@ -199,20 +199,15 @@ type ShelfResult struct {
 	Makespan int64
 }
 
-// Shelves packs the SOC with a level-oriented algorithm: each core
-// contributes the rectangle at its preferred width (percent parameter as in
-// the scheduler's Initialize, delta promotion included), rectangles are
-// sorted by decreasing TAM width and packed into time-shelves whose span is
-// the longest test they hold.
-func Shelves(s *soc.SOC, w, maxWidth int, percent, delta int, algo ShelfAlgorithm) (*ShelfResult, error) {
-	return BestShelves(s, w, maxWidth, []int{percent}, []int{delta}, algo)
-}
-
-// BestShelves sweeps the (percent, delta) grid for the given algorithm and
-// returns the best shelf packing. Empty grids default to the scheduler's
-// sched.DefaultPercents and sched.DefaultDeltas. Every core's Pareto set is
-// built once per call, under the width cap min(maxWidth, w), and every grid
-// point reads it.
+// BestShelves packs the SOC with a level-oriented algorithm at every point
+// of the (percent, delta) grid and returns the best packing. At each point
+// every core contributes the rectangle at its preferred width (percent
+// parameter as in the scheduler's Initialize, delta promotion included),
+// and the rectangles are sorted by decreasing TAM width and packed into
+// time-shelves whose span is the longest test they hold. Empty grids
+// default to the scheduler's sched.DefaultPercents and
+// sched.DefaultDeltas. Every core's Pareto set is built once per call,
+// under the width cap min(maxWidth, w), and every grid point reads it.
 func BestShelves(s *soc.SOC, w, maxWidth int, percents, deltas []int, algo ShelfAlgorithm) (*ShelfResult, error) {
 	if w < 1 {
 		return nil, fmt.Errorf("baseline: non-positive TAM width %d", w)

@@ -122,7 +122,7 @@ func TestFixedWidthErrors(t *testing.T) {
 func TestShelvesBasics(t *testing.T) {
 	s := bench.D695()
 	for _, algo := range []ShelfAlgorithm{NFDH, FFDH} {
-		r, err := Shelves(s, 32, 64, 5, 1, algo)
+		r, err := BestShelves(s, 32, 64, []int{5}, []int{1}, algo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,11 +158,11 @@ func TestFFDHNeverWorseThanNFDH(t *testing.T) {
 	// is at most NFDH's for identical rectangle choices.
 	s := bench.D695()
 	for _, w := range []int{16, 32, 64} {
-		nf, err := Shelves(s, w, 64, 5, 1, NFDH)
+		nf, err := BestShelves(s, w, 64, []int{5}, []int{1}, NFDH)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ff, err := Shelves(s, w, 64, 5, 1, FFDH)
+		ff, err := BestShelves(s, w, 64, []int{5}, []int{1}, FFDH)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestShelvesNeverBeatFlexible(t *testing.T) {
 
 func TestShelvesErrors(t *testing.T) {
 	s := bench.D695()
-	if _, err := Shelves(s, 0, 64, 5, 1, NFDH); err == nil {
+	if _, err := BestShelves(s, 0, 64, []int{5}, []int{1}, NFDH); err == nil {
 		t.Error("W=0 accepted")
 	}
 }

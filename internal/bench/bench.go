@@ -22,7 +22,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/pareto"
 	"repro/internal/soc"
 )
 
@@ -38,21 +37,6 @@ const (
 	// allows 1%).
 	AreaD695Paper = 659712
 )
-
-// MeasuredArea reports Σ_i min_w w·T_i(w) for any SOC at the paper's
-// per-core width cap w_max = 64 — the quantity the synthetic SOCs were
-// calibrated on.
-func MeasuredArea(s *soc.SOC) (int64, error) {
-	var total int64
-	for _, c := range s.Cores {
-		ps, err := pareto.Compute(c, 64)
-		if err != nil {
-			return 0, err
-		}
-		total += ps.MinArea()
-	}
-	return total, nil
-}
 
 // D695 returns the academic d695 SOC: ten ISCAS-85/89 cores with the
 // benchmark's published I/O, pattern, and scan-chain parameters.

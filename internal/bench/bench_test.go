@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"repro/internal/lb"
 	"repro/internal/pareto"
 	"repro/internal/soc"
 )
@@ -44,21 +45,22 @@ func TestCalibrationExact(t *testing.T) {
 	}
 	for name, want := range targets {
 		s, _ := ByName(name)
-		got, err := MeasuredArea(s)
+		b, err := lb.Compute(s, 64, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
+		if got := b.MinArea; got != want {
 			t.Errorf("%s area = %d, calibration target %d", name, got, want)
 		}
 	}
 }
 
 func TestD695AreaNearPaper(t *testing.T) {
-	a, err := MeasuredArea(D695())
+	b, err := lb.Compute(D695(), 64, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := b.MinArea
 	diff := float64(a-AreaD695Paper) / float64(AreaD695Paper)
 	t.Logf("d695 area %d vs paper-implied %d (%.3f%%)", a, int64(AreaD695Paper), 100*diff)
 	if diff < -0.01 || diff > 0.01 {

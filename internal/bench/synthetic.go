@@ -8,7 +8,7 @@ import "repro/internal/soc"
 // per-core numbers are invented. The pattern counts were calibrated once
 // to the paper's areas and are kept here as literal data: every core but
 // the engineered ones was scaled until the SOC's minimum rectangle area
-// Σ_i min_w w·T_i(w) (MeasuredArea) came within one pattern step of its
+// Σ_i min_w w·T_i(w) (lb.Bound.MinArea) came within one pattern step of its
 // Area* constant, and the input count of the core named "trim", whose
 // area at one pattern is Inputs + 2·400 + 1, closed the rest. Engineered
 // cores carry their paper roles in the name. TestCalibrationExact and

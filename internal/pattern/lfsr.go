@@ -72,23 +72,3 @@ func (l *lfsr) Bits(n int) []byte {
 
 // State returns the current register contents.
 func (l *lfsr) State() uint64 { return l.state }
-
-// Period runs the register until the start state recurs and returns the
-// cycle length, or -1 when the start state does not recur within 2^width
-// steps (possible when tap 0 is absent: dropping the output bit from the
-// feedback makes the state map non-invertible, so the orbit can enter a
-// cycle that excludes the start state). Only sensible for small widths.
-func (l *lfsr) Period() int {
-	start := l.state
-	limit := 1 << uint(l.width)
-	if l.width >= 31 {
-		limit = 1 << 31
-	}
-	for n := 1; n <= limit; n++ {
-		l.Step()
-		if l.state == start {
-			return n
-		}
-	}
-	return -1
-}

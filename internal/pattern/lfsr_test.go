@@ -4,6 +4,26 @@ import (
 	"testing"
 )
 
+// Period runs the register until the start state recurs and returns the
+// cycle length, or -1 when the start state does not recur within 2^width
+// steps (possible when tap 0 is absent: dropping the output bit from the
+// feedback makes the state map non-invertible, so the orbit can enter a
+// cycle that excludes the start state). Only sensible for small widths.
+func (l *lfsr) Period() int {
+	start := l.state
+	limit := 1 << uint(l.width)
+	if l.width >= 31 {
+		limit = 1 << 31
+	}
+	for n := 1; n <= limit; n++ {
+		l.Step()
+		if l.state == start {
+			return n
+		}
+	}
+	return -1
+}
+
 func TestLFSRValidation(t *testing.T) {
 	if _, err := newLFSR(0, []int{0}, 1); err == nil {
 		t.Error("width 0 accepted")

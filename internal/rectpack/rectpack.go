@@ -67,12 +67,13 @@ func New() *Backend { return &Backend{} }
 // Name returns "rectpack".
 func (*Backend) Name() string { return Name }
 
-// Declines reports the regime rectpack cannot honestly serve: non-zero
-// preemption budgets. Rectpack never splits a rectangle, so racing it
-// against a budget would silently return a non-preemptive schedule; the
-// preempt-rectpack backend covers that regime instead.
+// Declines reports the regime rectpack cannot honestly serve: a positive
+// preemption budget (sched.Params.Budgets). Rectpack never splits a
+// rectangle, so racing it against a budget would silently return a
+// non-preemptive schedule; the preempt-rectpack backend covers that
+// regime instead.
 func (*Backend) Declines(params sched.Params) (reason string, declined bool) {
-	if hasBudget(params.MaxPreemptions) {
+	if params.Budgets() != nil {
 		return "preemption budgets are not supported (preempt-rectpack splits rectangles)", true
 	}
 	return "", false
@@ -104,11 +105,11 @@ func NewPreempt() *PreemptBackend { return &PreemptBackend{} }
 func (*PreemptBackend) Name() string { return PreemptName }
 
 // Declines reports the regime this backend leaves to plain rectpack: with
-// every preemption budget zero no rectangle may ever be split, so the
+// no positive preemption budget no rectangle may ever be split, so the
 // preemptive seeds collapse into the non-preemptive ones and racing both
 // backends would duplicate work.
 func (*PreemptBackend) Declines(params sched.Params) (reason string, declined bool) {
-	if !hasBudget(params.MaxPreemptions) {
+	if params.Budgets() == nil {
 		return "no preemption budgets (rectpack covers the non-preemptive regime)", true
 	}
 	return "", false
@@ -152,16 +153,6 @@ func (*AnnealBackend) Schedule(ctx context.Context, opt *sched.Optimizer, params
 		return nil, err
 	}
 	return search(ctx, span, opt, params, modeAnneal)
-}
-
-// hasBudget reports whether any core has a non-zero preemption budget.
-func hasBudget(budgets map[int]int) bool {
-	for _, b := range budgets {
-		if b > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 func init() {

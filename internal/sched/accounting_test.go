@@ -21,18 +21,31 @@ import (
 // test it fails immediately, like the other registered fakes.
 var acctFake = struct {
 	once sync.Once
-	mode atomic.Value // "off" | "valid" | "fail" | "decline"
+	mode atomic.Value // "off" | "valid" | "overbudget" | "fail" | "decline"
 }{}
 
 type acctBackend struct{}
 
 func (acctBackend) Name() string { return "test-accounting" }
 
+// Schedule answers "valid" with the classic sweep's schedule, and
+// "overbudget" with that schedule's layouts, one core split once
+// (splitOnce), assembled under the request's params. The race requests
+// grant no budget, so the split is past it.
 func (acctBackend) Schedule(ctx context.Context, opt *Optimizer, params Params) (*Schedule, error) {
-	if mode, _ := acctFake.mode.Load().(string); mode == "valid" {
+	switch mode, _ := acctFake.mode.Load().(string); mode {
+	case "valid", "overbudget":
 		p := params
 		p.Backend = ""
-		return opt.SweepBestContext(ctx, p, nil, nil)
+		sch, err := opt.SweepBestContext(ctx, p, nil, nil)
+		if err != nil || mode == "valid" {
+			return sch, err
+		}
+		layouts, k := splitOnce(opt, sch)
+		if k < 0 {
+			return nil, errors.New("test-accounting: no core to split")
+		}
+		return opt.Assemble(params, layouts)
 	}
 	return nil, errors.New("test-accounting: injected failure")
 }
@@ -89,6 +102,14 @@ func TestPortfolioRaceAccounting(t *testing.T) {
 			}
 		}},
 		{"failures count Failed only", "fail", 2, func(t *testing.T, st BackendRaceStats) {
+			if st.Failed != 2 || counterSum(st) != 2 {
+				t.Errorf("want Failed=2 and no other counters, got %+v", st)
+			}
+		}},
+		{"a split past its budget counts Failed only", "overbudget", 2, func(t *testing.T, st BackendRaceStats) {
+			// The fake's schedule is whole and conflict-free, but it splits
+			// a core the request gives no budget, so Verify rejects it
+			// before it may win or lose.
 			if st.Failed != 2 || counterSum(st) != 2 {
 				t.Errorf("want Failed=2 and no other counters, got %+v", st)
 			}

@@ -109,25 +109,22 @@ func TestAssembleResumeWires(t *testing.T) {
 	}
 }
 
-// TestAssembleKeepsPreemptionCount: Assemble stores the preemption count
-// and penalty exactly as passed, never re-derived from the gaps, so a
-// scheduler that miscounts is caught by CheckInvariants, inside Verify,
-// instead of being silently corrected.
-func TestAssembleKeepsPreemptionCount(t *testing.T) {
-	sch, opt := demoSchedule(t)
+// splitOnce returns sch's layouts with one successor-free core split once:
+// its second segment moves past the makespan, where it meets no wire,
+// mutex partner or power peak, stretched by the wrapper's preemption
+// penalty. It also returns the split core's position in the layouts, or
+// -1 when no core can be split.
+func splitOnce(opt *Optimizer, sch *Schedule) ([]CoreLayout, int) {
 	layouts := layoutsOf(sch)
 	hasSuccessor := make(map[int]bool)
 	for _, p := range opt.SOC().Precedences {
 		hasSuccessor[p.Before] = true
 	}
-	// Split a successor-free core once, moving its second segment past the
-	// makespan where it meets no wire, mutex partner or power peak, and
-	// stretch that segment by the wrapper's preemption penalty.
 	k := slices.IndexFunc(layouts, func(l CoreLayout) bool {
 		return !hasSuccessor[l.ID] && len(l.Spans) == 1 && l.Spans[0].End-l.Spans[0].Start >= 2
 	})
 	if k < 0 {
-		t.Fatal("no splittable core in the demo schedule")
+		return layouts, k
 	}
 	l := &layouts[k]
 	pen := opt.ParetoSet(l.ID).Penalty(l.Width)
@@ -135,6 +132,21 @@ func TestAssembleKeepsPreemptionCount(t *testing.T) {
 	mid, gap := sp.Start+(sp.End-sp.Start)/2, sch.Makespan+10
 	l.Spans = []Span{{sp.Start, mid}, {mid + gap, sp.End + gap + pen}}
 	l.Preemptions, l.Penalty = 1, pen
+	return layouts, k
+}
+
+// TestAssembleKeepsPreemptionCount: Assemble stores the preemption count
+// and penalty exactly as passed, never re-derived from the gaps, so a
+// scheduler that miscounts is caught by CheckInvariants, inside Verify,
+// instead of being silently corrected.
+func TestAssembleKeepsPreemptionCount(t *testing.T) {
+	sch, opt := demoSchedule(t)
+	layouts, k := splitOnce(opt, sch)
+	if k < 0 {
+		t.Fatal("no splittable core in the demo schedule")
+	}
+	l := &layouts[k]
+	sch.Params.MaxPreemptions = map[int]int{l.ID: 1}
 
 	split, err := opt.Assemble(sch.Params, layouts)
 	if err != nil {

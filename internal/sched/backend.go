@@ -130,10 +130,14 @@ func BackendByName(name string) (Backend, error) {
 // ScheduleBackend resolves params.Backend ("" = DefaultBackend) and runs
 // it. This is the single dispatch point every layer above the scheduler
 // (the repro API, the CLIs, the HTTP service, the corpus replayer) goes
-// through.
+// through. A budget for a core the SOC does not define fails with
+// *UnknownCoreError before the backend may decline.
 func (o *Optimizer) ScheduleBackend(ctx context.Context, params Params) (*Schedule, error) {
 	b, err := BackendByName(params.Backend)
 	if err != nil {
+		return nil, err
+	}
+	if err := o.unknownBudget(params); err != nil {
 		return nil, err
 	}
 	if reason, declined := BackendDeclines(b, params); declined {

@@ -347,3 +347,44 @@ func TestOptimizerAccessorsAndUnknownCoreError(t *testing.T) {
 		t.Errorf("UnknownCoreError.Error() = %q, want the core ID in it", got)
 	}
 }
+
+// TestUnknownBudgetCore: a positive budget for a core the SOC does not
+// define fails every scheduling call with *UnknownCoreError naming the
+// lowest such core, before a backend may decline it, and a budget ≤ 0 for
+// such a core is no budget at all.
+func TestUnknownBudgetCore(t *testing.T) {
+	registerAcctFake()
+	acctFake.mode.Store("decline")
+	t.Cleanup(func() { acctFake.mode.Store("off") })
+	opt, err := New(bench.Demo(), DefaultMaxWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	bad := map[int]int{2: 1, 9: 1, 0: 2, 11: 0}
+	for _, tc := range []struct {
+		name string
+		run  func(Params) (*Schedule, error)
+	}{
+		{"a single run", opt.Run},
+		{"a backend that declines", func(p Params) (*Schedule, error) {
+			p.Backend = "test-accounting"
+			return opt.ScheduleBackend(ctx, p)
+		}},
+		{"the portfolio", func(p Params) (*Schedule, error) {
+			p.Backend = "portfolio"
+			return opt.ScheduleBackend(ctx, p)
+		}},
+	} {
+		_, err := tc.run(Params{TAMWidth: 16, Workers: 1, MaxPreemptions: bad})
+		var uce *UnknownCoreError
+		if !errors.As(err, &uce) || uce.CoreID != 0 || !uce.Budget {
+			t.Errorf("%s: error = %v, want a budget's *UnknownCoreError for core 0", tc.name, err)
+		} else if want := "sched: preemption budget references unknown core 0"; err.Error() != want {
+			t.Errorf("%s: error %q, want %q", tc.name, err, want)
+		}
+	}
+	if _, err := opt.Run(Params{TAMWidth: 16, MaxPreemptions: map[int]int{2: 1, 9: 0, -1: -1}}); err != nil {
+		t.Errorf("budgets ≤ 0 for unknown cores: %v", err)
+	}
+}

@@ -14,10 +14,10 @@ import (
 // excluded — Workers only bounds sweep fan-out (parallel sweeps are
 // deterministic), so Params differing only in Workers share a key.
 // MaxWidth 0 and DefaultMaxWidth share a key too, since a schedule echoes
-// the defaulted cap either way. MaxPreemptions is keyed by its positive
-// budgets alone, in core-ID order, because every backend reads a budget
-// ≤ 0 as none and the schedule does not echo budgets: nil, an empty map
-// and {2: 0} all key as "pre=nil". Every other field is keyed as sent: a
+// the defaulted cap either way. MaxPreemptions is keyed as Budgets reads
+// it, the positive budgets in core-ID order, because that is all a backend
+// spends and a schedule records: nil, an empty map and {2: 0} all key as
+// "pre=nil". Every other field is keyed as sent: a
 // schedule echoes Backend and Seed as sent, and best mode sweeps
 // DefaultInsertSlacks for an unset InsertSlack but pins an explicit 3.
 func (p Params) CanonicalKey() string {
@@ -28,22 +28,21 @@ func (p Params) CanonicalKey() string {
 	fmt.Fprintf(&sb, "w=%d|max=%d|pct=%d|delta=%d|power=%d|slack=%d|widen=%t|hier=%t|backend=%s|bt=%d|seed=%d|pre=",
 		p.TAMWidth, p.MaxWidth, p.Percent, p.Delta, p.PowerMax, p.InsertSlack,
 		p.DisableWidening, p.IgnoreHierarchy, p.Backend, int64(p.BackendTimeout), p.Seed)
-	ids := make([]int, 0, len(p.MaxPreemptions))
-	for id, b := range p.MaxPreemptions {
-		if b > 0 {
-			ids = append(ids, id)
-		}
-	}
-	if len(ids) == 0 {
+	budgets := p.Budgets()
+	if budgets == nil {
 		sb.WriteString("nil")
 	} else {
+		ids := make([]int, 0, len(budgets))
+		for id := range budgets {
+			ids = append(ids, id)
+		}
 		sort.Ints(ids)
 		sb.WriteByte('[')
 		for i, id := range ids {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
-			fmt.Fprintf(&sb, "%d:%d", id, p.MaxPreemptions[id])
+			fmt.Fprintf(&sb, "%d:%d", id, budgets[id])
 		}
 		sb.WriteByte(']')
 	}
@@ -68,13 +67,13 @@ func (it BatchItem) best() bool {
 // Key returns the item's mode-canonical result-cache address: the effective
 // mode plus the Params' canonical key. Two items with equal keys produce
 // byte-identical schedules. Items that differ only in Workers, in MaxWidth
-// 0 against DefaultMaxWidth, in preemption budgets ≤ 0 (nil, empty and
-// all-zero maps alike), or in Best for a non-classic backend share a key,
-// and so do single runs that differ only in InsertSlack 0 against
-// DefaultInsertSlack, since a single run applies Defaults and echoes the
-// slack it ran. Best mode keeps those two apart: it sweeps
-// DefaultInsertSlacks for an unset slack. Any other difference, even
-// between two spellings of one default, gives each its own key.
+// 0 against DefaultMaxWidth, in preemption budgets ≤ 0 (which Budgets
+// drops: nil, empty and all-zero maps alike), or in Best for a non-classic
+// backend share a key, and so do single runs that differ only in
+// InsertSlack 0 against DefaultInsertSlack, since a single run applies
+// Defaults and echoes the slack it ran. Best mode keeps those two apart:
+// it sweeps DefaultInsertSlacks for an unset slack. Any other difference,
+// even between two spellings of one default, gives each its own key.
 func (it BatchItem) Key() string {
 	best, p := it.best(), it.Params
 	if !best && p.InsertSlack == DefaultInsertSlack {

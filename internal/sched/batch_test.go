@@ -147,6 +147,32 @@ func TestCanonicalKeyBudgets(t *testing.T) {
 	}
 }
 
+// TestBudgets: Budgets keeps only the positive budgets, answers nil when
+// there are none, returns a map that already holds only positive budgets
+// as it is, without allocating, and never changes the map it reads.
+func TestBudgets(t *testing.T) {
+	for _, m := range []map[int]int{nil, {}, {2: 0}, {2: -1, 9: 0}} {
+		if got := (Params{MaxPreemptions: m}).Budgets(); got != nil {
+			t.Errorf("Budgets of %v = %v, want nil", m, got)
+		}
+	}
+	canonical := map[int]int{1: 1, 4: 2}
+	p := Params{MaxPreemptions: canonical}
+	if got := p.Budgets(); !reflect.DeepEqual(got, canonical) {
+		t.Errorf("Budgets of %v = %v", canonical, got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = p.Budgets() }); allocs != 0 {
+		t.Errorf("Budgets of a positive-only map allocates %.0f times", allocs)
+	}
+	mixed := map[int]int{1: 1, 2: 0, 3: -2, 4: 2}
+	if got := (Params{MaxPreemptions: mixed}).Budgets(); !reflect.DeepEqual(got, canonical) {
+		t.Errorf("Budgets of %v = %v, want %v", mixed, got, canonical)
+	}
+	if len(mixed) != 4 {
+		t.Errorf("Budgets changed the map it read: %v", mixed)
+	}
+}
+
 // TestScheduleBatchSharesAndIsolates: items with equal keys share one
 // schedule, a failing item fails alone, results are the same for any
 // worker count, and once ctx is done every item fails with ctx's error.

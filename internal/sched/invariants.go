@@ -10,17 +10,24 @@ import (
 	"repro/internal/soc"
 )
 
-// UnknownCoreError reports a schedule whose assignments reference a core ID
-// the SOC does not define — a stale or tampered schedule, or one produced
-// for a different SOC. Callers distinguish it from other verification
+// UnknownCoreError reports a core ID the SOC does not define, referenced
+// by a schedule's assignment (a stale or tampered schedule, or one
+// produced for a different SOC) or by a positive preemption budget in the
+// parameters of a scheduling call. Callers distinguish it from other
 // failures with errors.As.
 type UnknownCoreError struct {
 	// CoreID is the referenced core the SOC does not define.
 	CoreID int
+	// Budget is set when a preemption budget, not an assignment,
+	// references the core.
+	Budget bool
 }
 
 func (e *UnknownCoreError) Error() string {
-	return fmt.Sprintf("sched: schedule references unknown core %d", e.CoreID)
+	if e.Budget {
+		return fmt.Sprintf("sched: preemption budget references unknown core %d", e.CoreID)
+	}
+	return fmt.Sprintf("sched: assignment references unknown core %d", e.CoreID)
 }
 
 // unknownCore returns the lowest assignment core ID the SOC does not
@@ -56,6 +63,10 @@ func unknownCore(s *soc.SOC, sch *Schedule) *UnknownCoreError {
 //   - split tests are whole: a core's segment durations sum to its claimed
 //     BaseTime + PenaltyCycles and its resume gaps match Preemptions, so a
 //     preemptive schedule cannot drop cycles from a segment;
+//   - the regime the schedule's Params name holds per core: Preemptions
+//     stays within the core's budget (Params.Budgets; a core without one
+//     may not be split) and Width within MaxWidth (0 means
+//     DefaultMaxWidth);
 //   - no TAM-wire overlap: each piece's wires are distinct and inside
 //     [0, TAMWidth), and no wire carries two pieces at the same instant;
 //   - the power budget is never exceeded at any instant;
@@ -84,6 +95,7 @@ func CheckInvariants(s *soc.SOC, sch *Schedule) error {
 	if err := unknownCore(s, sch); err != nil {
 		return err
 	}
+	budgets, maxWidth := sch.Params.Budgets(), sch.Params.Defaults().MaxWidth
 	ids := make([]int, 0, len(sch.Assignments))
 	for id := range sch.Assignments {
 		ids = append(ids, id)
@@ -175,6 +187,12 @@ func CheckInvariants(s *soc.SOC, sch *Schedule) error {
 			return fmt.Errorf("sched: core %d segments sum to %d cycles, want base %d + penalty %d = %d",
 				c.ID, total, a.BaseTime, a.PenaltyCycles, want)
 		}
+		if a.Preemptions > budgets[c.ID] {
+			return fmt.Errorf("sched: core %d preemption count %d exceeds its budget %d", c.ID, a.Preemptions, budgets[c.ID])
+		}
+		if a.Width > maxWidth {
+			return fmt.Errorf("sched: core %d width %d exceeds the per-core cap %d", c.ID, a.Width, maxWidth)
+		}
 	}
 	// Every core's starts now strictly increase and every piece's wires
 	// are distinct, so (wire, start, core) orders the records totally, in
@@ -191,10 +209,7 @@ func CheckInvariants(s *soc.SOC, sch *Schedule) error {
 		}
 	}
 
-	chk, err := constraint.New(s, constraint.Config{
-		PowerMax:        sch.Params.PowerMax,
-		IgnoreHierarchy: sch.Params.IgnoreHierarchy,
-	})
+	chk, err := sch.Params.checker(s)
 	if err != nil {
 		return err
 	}

@@ -239,8 +239,9 @@ func TestVerifyUnknownCoreTyped(t *testing.T) {
 // the split-accounting mutation tests. The demo schedule is split by
 // hand — a successor-free core's piece is cut in half and the second
 // segment moved past the makespan, where it can overlap no wires, mutex
-// partner, or power peak — so the pre-mutation schedule still passes
-// CheckInvariants and each test mutates exactly one accounting fact.
+// partner, or power peak — and the core gets a budget of one preemption,
+// so the pre-mutation schedule still passes CheckInvariants and each test
+// mutates exactly one accounting fact.
 func preemptiveSchedule(t *testing.T) (*Schedule, *Optimizer, int) {
 	t.Helper()
 	sch, opt := demoSchedule(t)
@@ -264,6 +265,7 @@ func preemptiveSchedule(t *testing.T) (*Schedule, *Optimizer, int) {
 		a.Pieces[0].End = mid
 		a.Pieces = append(a.Pieces, resumed)
 		a.Preemptions = 1
+		sch.Params.MaxPreemptions = map[int]int{id: 1}
 		if err := CheckInvariants(opt.SOC(), sch); err != nil {
 			t.Fatalf("hand-split schedule must still be valid: %v", err)
 		}

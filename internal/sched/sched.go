@@ -14,6 +14,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -52,11 +53,12 @@ type Params struct {
 	// Delta is the Initialize promotion parameter δ: preferred widths
 	// within Delta wires of the highest Pareto width are promoted to it.
 	Delta int
-	// MaxPreemptions maps core ID to its preemption budget. Missing cores
-	// get 0 (non-preemptable). Nil disables preemption entirely. Only the
-	// preempt-rectpack and anneal backends spend budgets: the classic
-	// runner never splits a test, so its schedules are the same with or
-	// without them.
+	// MaxPreemptions maps core ID to its preemption budget. A missing core
+	// or a budget ≤ 0 gets none (non-preemptable); Budgets is that rule. A
+	// positive budget for a core the SOC does not define is an
+	// *UnknownCoreError. Only the preempt-rectpack and anneal backends
+	// spend budgets: the classic runner never splits a test, so its
+	// schedules are the same with or without them.
 	MaxPreemptions map[int]int
 	// PowerMax is the SOC power budget (0 = unconstrained; overrides the
 	// SOC's own value when set).
@@ -113,6 +115,51 @@ func (p Params) Defaults() Params {
 	return p
 }
 
+// Budgets returns the budgets that grant a preemption: the positive
+// entries of MaxPreemptions, or nil when there are none. It is the one
+// reading of budgets, so CanonicalKey, the backends' decline rules,
+// CheckInvariants and schedio all treat a budget ≤ 0 as none. It returns
+// MaxPreemptions itself, without allocating, when every entry is
+// positive.
+func (p Params) Budgets() map[int]int {
+	n := 0
+	for _, b := range p.MaxPreemptions {
+		if b > 0 {
+			n++
+		}
+	}
+	switch n {
+	case 0:
+		return nil
+	case len(p.MaxPreemptions):
+		return p.MaxPreemptions
+	}
+	out := maps.Clone(p.MaxPreemptions)
+	maps.DeleteFunc(out, func(_, b int) bool { return b <= 0 })
+	return out
+}
+
+// checker builds the constraint checker for the regime p names: its power
+// budget and whether hierarchy exclusions apply. Setup and CheckInvariants
+// both build theirs here.
+func (p Params) checker(s *soc.SOC) (*constraint.Checker, error) {
+	return constraint.New(s, constraint.Config{PowerMax: p.PowerMax, IgnoreHierarchy: p.IgnoreHierarchy})
+}
+
+// unknownBudget returns the lowest core ID that holds a positive budget
+// but names no core of the optimizer's SOC, as a typed error, or nil.
+// soc.Validate (in New) gives the cores the IDs 1..n, so this is a range
+// check that allocates nothing unless it fails.
+func (o *Optimizer) unknownBudget(p Params) *UnknownCoreError {
+	var bad *UnknownCoreError
+	for id, b := range p.MaxPreemptions {
+		if b > 0 && (id < 1 || id > len(o.soc.Cores)) && (bad == nil || id < bad.CoreID) {
+			bad = &UnknownCoreError{CoreID: id, Budget: true}
+		}
+	}
+	return bad
+}
+
 // Assignment describes one core's final disposition in a schedule.
 type Assignment struct {
 	// CoreID identifies the core.
@@ -158,15 +205,6 @@ func (a *Assignment) Start() int64 { return a.Pieces[0].Start }
 
 // End returns the final completion time.
 func (a *Assignment) End() int64 { return a.Pieces[len(a.Pieces)-1].End }
-
-// TotalTime returns the total scheduled cycles (BaseTime + penalties).
-func (a *Assignment) TotalTime() int64 {
-	var t int64
-	for i := range a.Pieces {
-		t += a.Pieces[i].Duration()
-	}
-	return t
-}
 
 // Schedule is the result of a scheduling run.
 type Schedule struct {
@@ -303,9 +341,10 @@ func Run(s *soc.SOC, params Params) (*Schedule, error) {
 }
 
 // Setup is the prologue every scheduling backend shares. It checks params
-// (Defaults applied) against the optimizer's caches, builds the constraint
-// checker, and returns every core's Pareto set capped at min(MaxWidth,
-// TAMWidth), in core-ID order. The sets are read-only views of the cache.
+// (Defaults applied) against the optimizer's caches and SOC, builds the
+// constraint checker, and returns every core's Pareto set capped at
+// min(MaxWidth, TAMWidth), in core-ID order. The sets are read-only views
+// of the cache.
 func (o *Optimizer) Setup(params Params) (*constraint.Checker, []*pareto.Set, error) {
 	params = params.Defaults()
 	if params.TAMWidth < 1 {
@@ -314,10 +353,10 @@ func (o *Optimizer) Setup(params Params) (*constraint.Checker, []*pareto.Set, er
 	if params.MaxWidth > o.maxWidth {
 		return nil, nil, fmt.Errorf("sched: params.MaxWidth %d exceeds optimizer cap %d", params.MaxWidth, o.maxWidth)
 	}
-	chk, err := constraint.New(o.soc, constraint.Config{
-		PowerMax:        params.PowerMax,
-		IgnoreHierarchy: params.IgnoreHierarchy,
-	})
+	if err := o.unknownBudget(params); err != nil {
+		return nil, nil, err
+	}
+	chk, err := params.checker(o.soc)
 	if err != nil {
 		return nil, nil, err
 	}

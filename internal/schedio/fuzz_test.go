@@ -2,10 +2,12 @@ package schedio
 
 import (
 	"bytes"
+	"context"
 	"slices"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/rectpack"
 	"repro/internal/sched"
 	"repro/internal/soc"
 )
@@ -54,15 +56,50 @@ func mutatedDocs(tb testing.TB) (valid, conflict, unsorted []byte) {
 	return valid, conflict, unsorted
 }
 
-// seedSchedules serializes a few real schedules (plain, preemptive,
-// power-constrained, rectpack-style backend echo) as fuzz seeds, so the
-// fuzzer starts from the valid-document neighborhood.
+// regimeSchedules returns demo8's two schedules that are valid only under
+// the regime they ran in, with their optimizer: preempt-rectpack at W=9
+// with one preemption for the larger cores, which splits one core, and
+// the classic best schedule at W=16 with hierarchy ignored (the
+// demo8-w16-ignorehier scenario).
+func regimeSchedules(tb testing.TB) (opt *sched.Optimizer, split, flat *sched.Schedule) {
+	tb.Helper()
+	opt, err := sched.New(fuzzSOC(tb), sched.DefaultMaxWidth)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mp, err := opt.LargerCorePreemptions(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctx := context.Background()
+	split, err = opt.ScheduleBackend(ctx, sched.Params{TAMWidth: 9, MaxPreemptions: mp, Workers: 1, Backend: rectpack.PreemptName})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	flat, err = opt.ScheduleBackend(ctx, sched.Params{TAMWidth: 16, IgnoreHierarchy: true, Workers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return opt, split, flat
+}
+
+// saveBytes returns sch's schedio document.
+func saveBytes(tb testing.TB, sch *sched.Schedule) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := Save(&buf, sch); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// seedSchedules serializes a few real schedules (plain, budgeted,
+// power-constrained, rectpack-style backend echo, and the two of
+// regimeSchedules) as fuzz seeds, so the fuzzer starts from the
+// valid-document neighborhood.
 func seedSchedules(f *testing.F) {
 	s := fuzzSOC(f)
-	opt, err := sched.New(s, sched.DefaultMaxWidth)
-	if err != nil {
-		f.Fatal(err)
-	}
+	opt, split, flat := regimeSchedules(f)
 	mp, err := opt.LargerCorePreemptions(1)
 	if err != nil {
 		f.Fatal(err)
@@ -77,12 +114,10 @@ func seedSchedules(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := Save(&buf, sch); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		f.Add(saveBytes(f, sch))
 	}
+	f.Add(saveBytes(f, split))
+	f.Add(saveBytes(f, flat))
 	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte(`{"version":1,"soc":"demo8","tamWidth":0}`))
 	f.Add([]byte(`not json`))

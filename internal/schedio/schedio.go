@@ -47,6 +47,13 @@ type ParamsJSON struct {
 	// Seed records the randomized-backend seed (anneal); omitted when
 	// zero, so deterministic-backend files and goldens are unchanged.
 	Seed int64 `json:"seed,omitempty"`
+	// MaxPreemptions (the positive budgets, sched.Params.Budgets) and
+	// IgnoreHierarchy complete the regime the schedule ran under, so Load
+	// re-verifies its splits and exclusions against it. Each is omitted
+	// when unset; a file that splits a core without a budget for it fails
+	// Load.
+	MaxPreemptions  map[int]int `json:"maxPreemptions,omitempty"`
+	IgnoreHierarchy bool        `json:"ignoreHierarchy,omitempty"`
 }
 
 // CoreJSON is one core's assignment.
@@ -75,13 +82,15 @@ func Save(w io.Writer, sch *sched.Schedule) error {
 		SOC:      sch.SOC,
 		TAMWidth: sch.TAMWidth,
 		Params: ParamsJSON{
-			Percent:     sch.Params.Percent,
-			Delta:       sch.Params.Delta,
-			PowerMax:    sch.Params.PowerMax,
-			InsertSlack: sch.Params.InsertSlack,
-			MaxWidth:    sch.Params.MaxWidth,
-			Backend:     sch.Params.Backend,
-			Seed:        sch.Params.Seed,
+			Percent:         sch.Params.Percent,
+			Delta:           sch.Params.Delta,
+			PowerMax:        sch.Params.PowerMax,
+			InsertSlack:     sch.Params.InsertSlack,
+			MaxWidth:        sch.Params.MaxWidth,
+			Backend:         sch.Params.Backend,
+			Seed:            sch.Params.Seed,
+			MaxPreemptions:  sch.Params.Budgets(),
+			IgnoreHierarchy: sch.Params.IgnoreHierarchy,
 		},
 		Makespan:   sch.Makespan,
 		DataVolume: sch.DataVolume(),
@@ -127,10 +136,11 @@ func SaveFile(path string, sch *sched.Schedule) error {
 
 // Load reads a schedule and reconstructs it against the SOC it was
 // produced for. The pieces are taken straight from the file, each wire
-// list sorted, and the schedule is re-verified (wires, timing model,
-// constraints) before being returned, so a tampered or stale file is
-// rejected rather than silently trusted. Load allocates in proportion to
-// the document, never to the TAM width it claims.
+// list sorted, and the schedule is re-verified (wires, timing model, and
+// the constraints of the regime its params record) before being returned,
+// so a tampered or stale file is rejected rather than silently trusted.
+// Load allocates in proportion to the document, never to the TAM width it
+// claims.
 func Load(r io.Reader, s *soc.SOC) (*sched.Schedule, error) {
 	var f File
 	dec := json.NewDecoder(r)
@@ -148,14 +158,16 @@ func Load(r io.Reader, s *soc.SOC) (*sched.Schedule, error) {
 		SOC:      f.SOC,
 		TAMWidth: f.TAMWidth,
 		Params: sched.Params{
-			TAMWidth:    f.TAMWidth,
-			Percent:     f.Params.Percent,
-			Delta:       f.Params.Delta,
-			PowerMax:    f.Params.PowerMax,
-			InsertSlack: f.Params.InsertSlack,
-			MaxWidth:    f.Params.MaxWidth,
-			Backend:     f.Params.Backend,
-			Seed:        f.Params.Seed,
+			TAMWidth:        f.TAMWidth,
+			Percent:         f.Params.Percent,
+			Delta:           f.Params.Delta,
+			PowerMax:        f.Params.PowerMax,
+			InsertSlack:     f.Params.InsertSlack,
+			MaxWidth:        f.Params.MaxWidth,
+			Backend:         f.Params.Backend,
+			Seed:            f.Params.Seed,
+			MaxPreemptions:  f.Params.MaxPreemptions,
+			IgnoreHierarchy: f.Params.IgnoreHierarchy,
 		},
 		Assignments: make(map[int]*sched.Assignment, len(f.Cores)),
 		Makespan:    f.Makespan,

@@ -3,6 +3,7 @@ package schedio
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
 	"strings"
@@ -122,6 +123,71 @@ func TestLoadRejectsTampering(t *testing.T) {
 				t.Fatalf("tampered file (%s) accepted", tc.name)
 			}
 		})
+	}
+}
+
+// TestLoadReadsRegime: Load re-verifies a schedule against the regime its
+// document records. demo8's split and ignore-hierarchy schedules
+// (regimeSchedules) load and save to the same bytes. A split past its
+// core's budget, and a core wider than maxWidth, fail CheckInvariants,
+// both Verify forms and Load with an error that names the core; the
+// ignore-hierarchy schedule fails Load once its document drops the flag.
+func TestLoadReadsRegime(t *testing.T) {
+	opt, split, flat := regimeSchedules(t)
+	s := opt.SOC()
+	for _, sch := range []*sched.Schedule{split, flat} {
+		doc := saveBytes(t, sch)
+		loaded, err := Load(bytes.NewReader(doc), s)
+		if err != nil {
+			t.Fatalf("%s schedule at W=%d: %v", sch.Params.Backend, sch.TAMWidth, err)
+		}
+		if again := saveBytes(t, loaded); !bytes.Equal(again, doc) {
+			t.Fatalf("Save → Load → Save changed the document:\n%s\n%s", doc, again)
+		}
+	}
+
+	over, wide := *split, *split
+	over.Params.MaxPreemptions = maps.Clone(split.Params.MaxPreemptions)
+	splits, widest := 0, 0
+	for id, a := range split.Assignments {
+		if a.Preemptions > 0 {
+			over.Params.MaxPreemptions[id] = a.Preemptions - 1
+			splits++
+		}
+		widest = max(widest, a.Width)
+	}
+	if splits == 0 {
+		t.Fatal("the preempt-rectpack schedule splits no core")
+	}
+	wide.Params.MaxWidth = widest - 1
+	for _, tc := range []struct {
+		name string
+		sch  *sched.Schedule
+		want string
+	}{
+		{"a split past its budget", &over, "preemption count"},
+		{"a core wider than maxWidth", &wide, fmt.Sprintf("width %d exceeds the per-core cap %d", widest, widest-1)},
+	} {
+		_, loadErr := Load(bytes.NewReader(saveBytes(t, tc.sch)), s)
+		for _, c := range []struct {
+			name string
+			err  error
+		}{
+			{"CheckInvariants", sched.CheckInvariants(s, tc.sch)},
+			{"Verify", sched.Verify(s, tc.sch)},
+			{"Optimizer.Verify", opt.Verify(tc.sch)},
+			{"Load", loadErr},
+		} {
+			if c.err == nil || !strings.Contains(c.err.Error(), tc.want) || !strings.Contains(c.err.Error(), "sched: core ") {
+				t.Errorf("%s: %s = %v, want an error naming the core and %q", tc.name, c.name, c.err, tc.want)
+			}
+		}
+	}
+
+	strict := *flat
+	strict.Params.IgnoreHierarchy = false
+	if _, err := Load(bytes.NewReader(saveBytes(t, &strict)), s); err == nil {
+		t.Error("the ignore-hierarchy schedule loads under the hierarchy constraints")
 	}
 }
 

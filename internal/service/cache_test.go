@@ -383,14 +383,21 @@ func TestCacheFoldsSingleRunSlack(t *testing.T) {
 	}
 }
 
-// TestCacheFoldsEmptyBudgets: an empty maxPreemptions map grants no
-// budget, so /v1/schedule/best with `"maxPreemptions": {}` after the unset
-// spelling is a cache hit and answers the same bytes. The body is raw JSON
-// because a ParamsJSON holding an empty map marshals without the field.
+// TestCacheFoldsEmptyBudgets: a budget of 0 and an empty maxPreemptions
+// map grant no budget, so /v1/schedule/best with `{"3": 0}`, then unset,
+// then `{}` runs once and answers the same bytes three times, and the
+// document records no maxPreemptions. The zero budget goes first, so a
+// document that recorded the map as sent would be the one served to the
+// other two. The bodies are raw JSON because a ParamsJSON holding an
+// empty map marshals without the field.
 func TestCacheFoldsEmptyBudgets(t *testing.T) {
 	svc, ts := newTestService(t, Config{Preload: []string{"d695"}})
-	var bodies [2][]byte
-	for i, params := range []string{`{"tamWidth": 32}`, `{"tamWidth": 32, "maxPreemptions": {}}`} {
+	var bodies [3][]byte
+	for i, params := range []string{
+		`{"tamWidth": 32, "maxPreemptions": {"3": 0}}`,
+		`{"tamWidth": 32}`,
+		`{"tamWidth": 32, "maxPreemptions": {}}`,
+	} {
 		req := json.RawMessage(`{"soc": "d695", "params": ` + params + `}`)
 		code, body := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/schedule/best", req)
 		if code != http.StatusOK {
@@ -398,10 +405,13 @@ func TestCacheFoldsEmptyBudgets(t *testing.T) {
 		}
 		bodies[i] = body
 	}
-	if !bytes.Equal(bodies[0], bodies[1]) {
-		t.Error("an empty maxPreemptions map answered other bytes than the unset spelling")
+	if !bytes.Equal(bodies[0], bodies[1]) || !bytes.Equal(bodies[0], bodies[2]) {
+		t.Error("a zero budget, no budget map and an empty one answered different bytes")
 	}
-	if st := svc.Cache().Stats(); st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("cache stats %+v, want 1 miss and 1 hit", st)
+	if bytes.Contains(bodies[0], []byte("maxPreemptions")) {
+		t.Errorf("a request without a positive budget got a document that records budgets:\n%s", bodies[0])
+	}
+	if st := svc.Cache().Stats(); st.Misses != 1 || st.Hits != 2 {
+		t.Errorf("cache stats %+v, want 1 miss and 2 hits", st)
 	}
 }

@@ -395,15 +395,13 @@ func cacheLabel(hit bool) string {
 
 // scheduleItem is the one schedule path behind /v1/schedule,
 // /v1/schedule/best and every /v1/batch item: under a deadline derived
-// from ctx, resolve the SOC, fetch its Planner, check the preemption
-// budgets, then serve the document through the result cache.
+// from ctx, resolve the SOC, fetch its Planner, then serve the document
+// through the result cache. The library rejects a budget for a core the
+// SOC does not define (*repro.UnknownCoreError, code "unknown_core").
 func (s *Server) scheduleItem(ctx context.Context, key string, p ParamsJSON, best bool) ([]byte, bool, *apiErr) {
 	ctx, cancel := s.deadlineCtx(ctx, p.TimeoutMS)
 	defer cancel()
 	planner, fp, e := s.plannerFor(ctx, key)
-	if e == nil {
-		e = preemptionsErr(planner, p)
-	}
 	if e != nil {
 		return nil, false, e
 	}
@@ -610,9 +608,6 @@ func (s *Server) handleGantt(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.deadlineCtx(r.Context(), req.Params.TimeoutMS)
 	defer cancel()
 	planner, _, e := s.plannerFor(ctx, req.SOC)
-	if e == nil {
-		e = preemptionsErr(planner, req.Params)
-	}
 	if e != nil {
 		writeAPIErr(w, e)
 		return

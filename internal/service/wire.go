@@ -120,32 +120,6 @@ func (p ParamsJSON) validate() *apiErr {
 	return nil
 }
 
-// preemptionsErr rejects preemption budgets keyed by core IDs the SOC
-// does not define — silently ignoring them would let a typo'd request run
-// an entirely different scheduling regime than the caller asked for. The
-// error wraps the same typed *repro.UnknownCoreError the verifier
-// returns, so the envelope code is "unknown_core".
-func preemptionsErr(planner *repro.Planner, p ParamsJSON) *apiErr {
-	if len(p.MaxPreemptions) == 0 {
-		return nil
-	}
-	known := make(map[int]bool)
-	for _, c := range planner.SOC().Cores {
-		known[c.ID] = true
-	}
-	bad := -1
-	for id := range p.MaxPreemptions {
-		if !known[id] && (bad == -1 || id < bad) {
-			bad = id
-		}
-	}
-	if bad != -1 {
-		return apiError(http.StatusUnprocessableEntity,
-			fmt.Errorf("maxPreemptions: %w", &repro.UnknownCoreError{CoreID: bad}))
-	}
-	return nil
-}
-
 // Request is the one v1 request envelope: a SOC key (fingerprint or
 // registered name), the shared params, and the two route-gated mode
 // fields. Routes that do not accept a mode field reject it with 400

@@ -176,17 +176,6 @@ func (s *SOC) HierarchyConcurrencies() []Concurrency {
 	return out
 }
 
-// TotalTestBits returns the total number of test data bits across all cores:
-// Σ patterns · data-bits-per-pattern. It approximates the raw tester data
-// the SOC's tests move, independent of TAM design.
-func (s *SOC) TotalTestBits() int64 {
-	var total int64
-	for _, c := range s.Cores {
-		total += int64(c.Test.Patterns) * int64(c.DataBitsPerPattern())
-	}
-	return total
-}
-
 // Clone returns a deep copy of the SOC.
 func (s *SOC) Clone() *SOC {
 	out := &SOC{

@@ -143,19 +143,6 @@ func TestHierarchyConcurrencies(t *testing.T) {
 	}
 }
 
-func TestTotalTestBits(t *testing.T) {
-	s := &SOC{
-		Name: "t",
-		Cores: []*Core{
-			{ID: 1, Name: "a", Inputs: 2, Outputs: 2, ScanChains: []int{5}, Test: Test{Patterns: 10, BISTEngine: -1}},
-		},
-	}
-	// per pattern: 2·5 + 2 + 2 = 14; ×10 patterns = 140
-	if got := s.TotalTestBits(); got != 140 {
-		t.Fatalf("TotalTestBits = %d, want 140", got)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	s := validSOC()
 	s.Precedences = []Precedence{{Before: 1, After: 2}}

@@ -154,19 +154,22 @@ func bistPair(t *testing.T) (*soc.SOC, *sched.Optimizer) {
 
 // assembleBISTPair lays both cores of bistPair at width w on a TAM of 2w
 // wires, so no two pieces ever share a wire. With split, core 1 is
-// preempted once and core 2 runs in its gap; otherwise both start at 0.
+// preempted once, within its budget of one, and core 2 runs in its gap;
+// otherwise both start at 0.
 func assembleBISTPair(t *testing.T, o *sched.Optimizer, w int, split bool) *sched.Schedule {
 	t.Helper()
 	t1, t2 := o.ParetoSet(1).Time(w), o.ParetoSet(2).Time(w)
 	first := sched.CoreLayout{ID: 1, Width: w, Spans: []sched.Span{{Start: 0, End: t1}}}
 	second := sched.CoreLayout{ID: 2, Width: w, Spans: []sched.Span{{Start: 0, End: t2}}}
+	params := sched.Params{TAMWidth: 2 * w}
 	if split {
 		h, pen := t1/2, o.ParetoSet(1).Penalty(w)
 		first.Spans = []sched.Span{{Start: 0, End: h}, {Start: h + t2, End: t1 + pen + t2}}
 		first.Preemptions, first.Penalty = 1, pen
 		second.Spans = []sched.Span{{Start: h, End: h + t2}}
+		params.MaxPreemptions = map[int]int{1: 1}
 	}
-	sch, err := o.Assemble(sched.Params{TAMWidth: 2 * w}, []sched.CoreLayout{first, second})
+	sch, err := o.Assemble(params, []sched.CoreLayout{first, second})
 	if err != nil {
 		t.Fatal(err)
 	}

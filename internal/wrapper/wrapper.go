@@ -99,17 +99,6 @@ func (d *Design) PreemptionPenalty() int64 {
 	return int64(d.ScanInMax) + int64(d.ScanOutMax)
 }
 
-// CellCount returns the total number of wrapper cells in the design
-// (a proxy for wrapper hardware cost).
-func (d *Design) CellCount() int {
-	n := 0
-	for i := range d.Chains {
-		ch := &d.Chains[i]
-		n += ch.InputCells + ch.OutputCells + ch.BidirCells
-	}
-	return n
-}
-
 // Validate checks internal consistency of the design against its core:
 // every internal scan chain used exactly once, cell counts matching the
 // core's terminals, and si/so maxima consistent with the chains.

@@ -108,17 +108,6 @@ func TestPreemptionPenalty(t *testing.T) {
 	}
 }
 
-func TestCellCount(t *testing.T) {
-	c := scanCore(1, 7, 5, 3, []int{4, 4}, 2)
-	d, err := DesignWrapper(c, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.CellCount(); got != 15 {
-		t.Fatalf("CellCount = %d, want 15", got)
-	}
-}
-
 func TestValidateCatchesTampering(t *testing.T) {
 	c := scanCore(1, 4, 2, 0, []int{10, 8}, 5)
 	fresh := func() *Design {

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -21,7 +22,10 @@ import (
 // checkInvariantsRef is sched.CheckInvariants before it checked wires with
 // one flat slice of records: it buckets every piece's wires in a map from
 // wire to intervals, checks each piece's wires for repeats with a map of
-// its own, and appends each core's intervals to a slice of its own.
+// its own, and appends each core's intervals to a slice of its own. It
+// reads the regime from the schedule's params as CheckInvariants does: the
+// positive budgets, the per-core cap (0 means sched.DefaultMaxWidth), the
+// power budget and whether hierarchy exclusions apply.
 // TestCheckInvariantsMatchesReference and FuzzCheckInvariants require the
 // same verdict and error text from CheckInvariants. It differs from the
 // old check in one place: it sorts each wire's intervals stably.
@@ -50,6 +54,16 @@ func checkInvariantsRef(s *soc.SOC, sch *sched.Schedule) error {
 	}
 	if bad != -1 {
 		return &sched.UnknownCoreError{CoreID: bad}
+	}
+	budgets := make(map[int]int)
+	for id, b := range sch.Params.MaxPreemptions {
+		if b > 0 {
+			budgets[id] = b
+		}
+	}
+	maxWidth := sch.Params.MaxWidth
+	if maxWidth == 0 {
+		maxWidth = sched.DefaultMaxWidth
 	}
 	ids := make([]int, 0, len(sch.Assignments))
 	for id := range sch.Assignments {
@@ -135,6 +149,12 @@ func checkInvariantsRef(s *soc.SOC, sch *sched.Schedule) error {
 		if want := a.BaseTime + a.PenaltyCycles; total != want {
 			return fmt.Errorf("sched: core %d segments sum to %d cycles, want base %d + penalty %d = %d",
 				c.ID, total, a.BaseTime, a.PenaltyCycles, want)
+		}
+		if a.Preemptions > budgets[c.ID] {
+			return fmt.Errorf("sched: core %d preemption count %d exceeds its budget %d", c.ID, a.Preemptions, budgets[c.ID])
+		}
+		if a.Width > maxWidth {
+			return fmt.Errorf("sched: core %d width %d exceeds the per-core cap %d", c.ID, a.Width, maxWidth)
 		}
 	}
 	wires := make([]int, 0, len(perWire))
@@ -311,6 +331,24 @@ var corruptions = []struct {
 		ps[len(ps)-1].End--
 		return true
 	}},
+	{"a split past its budget", func(sch *sched.Schedule) bool {
+		for _, id := range coreIDs(sch) {
+			if n := sch.Assignments[id].Preemptions; n > 0 {
+				sch.Params.MaxPreemptions = maps.Clone(sch.Params.MaxPreemptions)
+				sch.Params.MaxPreemptions[id] = n - 1
+				return true
+			}
+		}
+		return false
+	}},
+	{"a core wider than maxWidth", func(sch *sched.Schedule) bool {
+		widest := 0
+		for _, a := range sch.Assignments {
+			widest = max(widest, a.Width)
+		}
+		sch.Params.MaxWidth = widest - 1
+		return widest > 1
+	}},
 }
 
 // TestCheckInvariantsMatchesReference: every corpus scenario's schedule
@@ -441,19 +479,24 @@ func TestCheckInvariantsHugeTAMWidth(t *testing.T) {
 }
 
 // fuzzBases are FuzzCheckInvariants' valid schedules: demo8's budgeted
-// preempt-rectpack schedule, which splits cores, and d695's portfolio
-// schedule at W=32.
+// preempt-rectpack schedule at W=9, which splits a core (at the
+// scenario's own W=12 it splits none), and d695's portfolio schedule at
+// W=32.
 var fuzzBases = sync.OnceValues(func() ([]*soc.SOC, []*sched.Schedule) {
 	var socs []*soc.SOC
 	var schs []*sched.Schedule
-	for _, b := range []struct{ scenario, backend string }{
-		{"demo8-w12-preempt1", "preempt-rectpack"},
-		{"d695-w32", "portfolio"},
+	for _, b := range []struct {
+		scenario, backend string
+		width             int
+	}{
+		{"demo8-w12-preempt1", "preempt-rectpack", 9},
+		{"d695-w32", "portfolio", 32},
 	} {
 		sc, ok := corpus.ByName(b.scenario)
 		if !ok {
 			panic("no corpus scenario " + b.scenario)
 		}
+		sc.Params.TAMWidth = b.width
 		sch, _, err := corpus.ReplaySchedule(sc, b.backend)
 		if err != nil {
 			panic(err)
